@@ -83,8 +83,10 @@ type Server struct {
 	disk  *Disk
 	store *ChunkStore
 
-	// Writes and Reads count served requests.
-	Writes, Reads uint64
+	// Writes and Reads count served requests; NotFound counts the reads
+	// answered StatusNotFound (the block was never stored here, or was
+	// lost in a crash).
+	Writes, Reads, NotFound uint64
 	// down silences the service loop while the machine is failed. The
 	// fault injector additionally drops the server's fabric traffic (a
 	// dead NIC acks nothing); this flag is the belt-and-braces guard for
@@ -240,6 +242,7 @@ func (s *Server) serveRead(p *sim.Proc, qp *rdma.QP, h blockstore.Header) {
 	key := BlockKey{SegmentID: h.SegmentID, ChunkID: h.ChunkID, BlockOff: h.BlockOff}
 	rec, ok := s.store.Lookup(key)
 	if !ok {
+		s.NotFound++
 		reply := blockstore.Header{Op: blockstore.OpFetchReply, ReqID: h.ReqID, Status: blockstore.StatusNotFound}
 		p.Wait(qp.Send(reply.Encode()))
 		return
