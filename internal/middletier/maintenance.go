@@ -67,27 +67,13 @@ type Maintenance struct {
 // cores. They run until StopMaintenance.
 func (s *Server) StartMaintenance(cfg MaintenanceConfig, servers []*storage.Server) *Maintenance {
 	def := DefaultMaintenanceConfig()
-	if cfg.CompactionInterval <= 0 {
-		cfg.CompactionInterval = def.CompactionInterval
-	}
-	if cfg.CompactionBytes <= 0 {
-		cfg.CompactionBytes = def.CompactionBytes
-	}
-	if cfg.CompactionCPUTime <= 0 {
-		cfg.CompactionCPUTime = def.CompactionCPUTime
-	}
-	if cfg.GCInterval <= 0 {
-		cfg.GCInterval = def.GCInterval
-	}
-	if cfg.GCThreshold <= 0 {
-		cfg.GCThreshold = def.GCThreshold
-	}
-	if cfg.SnapshotInterval <= 0 {
-		cfg.SnapshotInterval = def.SnapshotInterval
-	}
-	if cfg.SnapshotCPUTime <= 0 {
-		cfg.SnapshotCPUTime = def.SnapshotCPUTime
-	}
+	orDefault(&cfg.CompactionInterval, def.CompactionInterval)
+	orDefault(&cfg.CompactionBytes, def.CompactionBytes)
+	orDefault(&cfg.CompactionCPUTime, def.CompactionCPUTime)
+	orDefault(&cfg.GCInterval, def.GCInterval)
+	orDefault(&cfg.GCThreshold, def.GCThreshold)
+	orDefault(&cfg.SnapshotInterval, def.SnapshotInterval)
+	orDefault(&cfg.SnapshotCPUTime, def.SnapshotCPUTime)
 	m := &Maintenance{s: s, cfg: cfg, running: true}
 
 	// Compaction: rewrite retained buffers through host memory, then
@@ -127,10 +113,13 @@ func (s *Server) StartMaintenance(cfg MaintenanceConfig, servers []*storage.Serv
 					set = s.replicasFor(hdr)
 				}
 				if len(set) > 0 {
-					repID, pr := s.newPending(len(set))
+					repID, pr := s.begin(len(set), len(set))
 					hdr.ReqID = repID
+					// The run lives in host memory: each design ships it
+					// from there (SmartDS across PCIe, via port 0).
+					out := frame{size: cfg.CompactionBytes, host: true}
 					for _, idx := range set {
-						s.sendMaintenance(hdr, idx, cfg.CompactionBytes)
+						s.dp.send(p, 0, s.storagePaths[0][idx], hdr, out)
 					}
 					p.Wait(pr.done)
 				}

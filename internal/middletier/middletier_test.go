@@ -98,7 +98,7 @@ func TestHealthyReplicasShortWhenInsufficient(t *testing.T) {
 
 func TestPendingFanInCountsReplies(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
-	id, pr := s.newPending(3)
+	id, pr := s.begin(3, 3)
 	s.completePending(id, -1, blockstore.StatusOK, nil, 0, blockstore.Header{})
 	s.completePending(id, -1, blockstore.StatusOK, nil, 0, blockstore.Header{})
 	if pr.done.Done() {
@@ -117,7 +117,7 @@ func TestPendingFanInCountsReplies(t *testing.T) {
 
 func TestPendingRecordsWorstStatus(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
-	id, pr := s.newPending(2)
+	id, pr := s.begin(2, 2)
 	s.completePending(id, -1, blockstore.StatusOK, nil, 0, blockstore.Header{})
 	s.completePending(id, -1, blockstore.StatusCorrupt, nil, 0, blockstore.Header{})
 	if pr.status != blockstore.StatusCorrupt {
@@ -156,10 +156,10 @@ func TestSoftwareCompressRoundTrips(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
 	core := s.cores[0]
 	block := bytes.Repeat([]byte("compressible "), 400)[:4096]
-	req := request{payload: block, size: 4096}
-	frame, size := s.softwareCompress(core, req)
-	if float64(len(frame)) != size {
-		t.Fatalf("frame size mismatch: %d vs %g", len(frame), size)
+	req := &request{payload: block, size: 4096}
+	frame, size, err := s.softwareCompress(core, req, s.cfg.Level)
+	if err != nil || float64(len(frame)) != size {
+		t.Fatalf("frame size mismatch: %d vs %g (%v)", len(frame), size, err)
 	}
 	got, err := lz4.DecodeFrame(frame)
 	if err != nil || !bytes.Equal(got, block) {
@@ -167,7 +167,7 @@ func TestSoftwareCompressRoundTrips(t *testing.T) {
 	}
 
 	// Modeled request uses the configured ratio.
-	_, msize := s.softwareCompress(core, request{size: 4096})
+	_, msize, _ := s.softwareCompress(core, &request{size: 4096}, s.cfg.Level)
 	if msize <= 0 || msize >= 4096 {
 		t.Fatalf("modeled compressed size %g", msize)
 	}
@@ -197,12 +197,6 @@ func TestUnknownKindPanics(t *testing.T) {
 		}
 	}()
 	New(env, fabric, cfg)
-}
-
-func TestMaxU8(t *testing.T) {
-	if maxu8(3, 5) != 5 || maxu8(5, 3) != 5 || maxu8(4, 4) != 4 {
-		t.Fatal("maxu8 wrong")
-	}
 }
 
 func TestMaintenanceDefaults(t *testing.T) {

@@ -8,9 +8,8 @@ import (
 // This file is the quorum protocol's read path (the second half of the
 // ABD scheme): fetch from a read quorum, rank the replies by writer
 // version, answer from the newest, and read-repair stale replicas so
-// they converge. The design data paths keep owning transport — they
-// hand quorumFetch two closures, one to issue a fetch and one to issue
-// a repair write.
+// they converge. Fetches and repairs travel through the design's
+// datapath send, like every other message.
 
 // readQuorumTargets picks the storage servers a quorum read consults:
 // ReadQuorum(Replicas) healthy members of the chunk's placement,
@@ -50,18 +49,14 @@ func (s *Server) readQuorumTargets(hdr blockstore.Header) ([]int, bool) {
 	return out, true
 }
 
-// quorumFetch runs one quorum read. sendFetch must issue the fetch
-// header to storage server idx through the design's front end;
-// sendRepair must ship a repair frame (real bytes or modeled size) the
-// same way replicate frames travel. The returned pendingReq is the
-// winning reply — newest writer version among OK replies, or a failed
-// reply when no target answered OK — already completed, ready for the
-// caller's decompress-and-reply tail. ok is false when no read quorum
-// was reachable at all.
-func (s *Server) quorumFetch(p *sim.Proc, hdr blockstore.Header,
-	sendFetch func(fh blockstore.Header, idx int),
-	sendRepair func(rh blockstore.Header, frame []byte, frameSize float64, idx int),
-) (*pendingReq, bool) {
+// quorumFetch runs one quorum read for r. The returned pendingReq is
+// the winning reply — newest writer version among OK replies, or a
+// failed reply when no target answered OK (or a repair frame could not
+// be staged) — already completed, ready for the caller's
+// decompress-and-reply tail. ok is false when no read quorum was
+// reachable at all.
+func (s *Server) quorumFetch(p *sim.Proc, r *request) (*pendingReq, bool) {
+	hdr, paths := r.hdr, s.storagePaths[r.path]
 	targets, ok := s.readQuorumTargets(hdr)
 	if !ok {
 		return nil, false
@@ -69,27 +64,22 @@ func (s *Server) quorumFetch(p *sim.Proc, hdr blockstore.Header,
 	ids := make([]uint64, len(targets))
 	prs := make([]*pendingReq, len(targets))
 	for i, idx := range targets {
-		repID, pr := s.newPendingQuorum(1, 1)
+		repID, pr := s.begin(1, 1)
 		ids[i], prs[i] = repID, pr
-		sendFetch(blockstore.Header{
+		s.dp.send(p, r.path, paths[idx], blockstore.Header{
 			Op:        blockstore.OpFetch,
 			VMID:      hdr.VMID,
 			ReqID:     repID,
 			SegmentID: hdr.SegmentID,
 			ChunkID:   hdr.ChunkID,
 			BlockOff:  hdr.BlockOff,
-		}, idx)
+		}, frame{})
 	}
 	// All fetches are in flight; events are sticky, so waiting on them
 	// one by one still means "wait for the slowest", not a serial round
 	// trip per target.
-	timeout := s.cfg.ReplicateTimeout
 	for i, pr := range prs {
-		if timeout <= 0 {
-			p.Wait(pr.done)
-			continue
-		}
-		if _, done := p.WaitTimeout(pr.done, timeout); !done {
+		if !awaitAck(s, p, pr) {
 			// Orphan the fetch: a late reply counts as stale and the
 			// target is treated as failed for this read.
 			delete(s.pending, ids[i])
@@ -111,12 +101,11 @@ func (s *Server) quorumFetch(p *sim.Proc, hdr blockstore.Header,
 	// Return the losing replies' receive descriptors (SmartDS) now; the
 	// caller only ever sees the winner.
 	for _, pr := range prs {
-		if pr != winner && pr.release != nil {
-			pr.release()
-			pr.release = nil
+		if pr != winner {
+			pr.releaseDesc()
 		}
 	}
-	if winner.status == blockstore.StatusOK && winner.hdr.Version > 0 && sendRepair != nil {
+	if winner.status == blockstore.StatusOK && winner.hdr.Version > 0 {
 		repairSize := winner.size
 		if winner.payload != nil {
 			repairSize = float64(len(winner.payload))
@@ -137,8 +126,8 @@ func (s *Server) quorumFetch(p *sim.Proc, hdr blockstore.Header,
 			if !stale {
 				continue
 			}
-			repID, _ := s.newPendingQuorum(1, 1)
-			sendRepair(blockstore.Header{
+			repID, _ := s.begin(1, 1)
+			sent := s.dp.send(p, r.path, paths[targets[i]], blockstore.Header{
 				Op:        blockstore.OpReplicate,
 				Flags:     winner.hdr.Flags,
 				Level:     winner.hdr.Level,
@@ -149,7 +138,12 @@ func (s *Server) quorumFetch(p *sim.Proc, hdr blockstore.Header,
 				BlockOff:  hdr.BlockOff,
 				OrigLen:   winner.hdr.OrigLen,
 				Version:   winner.hdr.Version,
-			}, winner.payload, repairSize, targets[i])
+			}, frame{data: winner.payload, size: repairSize})
+			if sent == nil {
+				s.abandon(repID)
+				winner.status = blockstore.StatusError
+				break
+			}
 			s.ReadRepairs++
 			s.RepairBytes += repairSize
 		}
