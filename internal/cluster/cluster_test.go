@@ -319,3 +319,27 @@ func TestOpenLoopOverload(t *testing.T) {
 		t.Fatalf("overloaded middle tier collapsed to %.0f req/s", served)
 	}
 }
+
+// TestSmartDSHBMExhaustionFailsRequests sizes a SmartDS card's HBM to
+// hold its receive-descriptor pools and almost nothing else: compressed
+// writes find no room for their output and reads none for their block,
+// yet the run must finish with those requests answered as errors, not a
+// panic, while latency-sensitive writes (which ship straight from the
+// descriptor buffer) still succeed.
+func TestSmartDSHBMExhaustionFailsRequests(t *testing.T) {
+	cfg := smallCfg(middletier.SmartDS)
+	cfg.Functional = false
+	cfg.MT.SmartDSInflight = 8
+	bs := cfg.MT.BlockSize
+	pools := cfg.MT.SmartDSInflight*(bs+1024) +
+		cfg.NumStorage*64*(lz4.CompressBound(bs)+lz4.FrameHeaderSize)
+	cfg.MT.HBM = device.MemoryConfig{Capacity: pools + 1024}
+	c := New(cfg)
+	res := c.Run(Workload{Window: 8, Warmup: 0.5e-3, Measure: 2e-3, ReadFraction: 0.3, BypassFraction: 0.3})
+	if res.Requests == 0 || res.Errors == 0 || res.Errors == res.Requests {
+		t.Fatalf("want a mix of failed and served requests, got %d requests, %d errors", res.Requests, res.Errors)
+	}
+	if c.MT.BypassHits == 0 || c.MT.ReadsDone == 0 {
+		t.Fatalf("bypass writes %d, reads %d: both paths must run", c.MT.BypassHits, c.MT.ReadsDone)
+	}
+}
