@@ -3,15 +3,14 @@
 // runtime.GOMAXPROCS, debug.SetGCPercent, ...) in internal/ packages.
 // Finalizers run on the collector's clock and forced collections or
 // scheduler yields perturb timing in host time — all of it invisible
-// to the virtual clock, none of it replayable. The simulator core
-// (internal/sim) is exempt: pinning GOMAXPROCS for the run harness is
-// its prerogative.
+// to the virtual clock, none of it replayable. The simulator core is no
+// exception: its procs are runtime coroutines that need no scheduler
+// tuning.
 package finalizer
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"github.com/disagg/smartds/internal/analysis/framework"
 )
@@ -20,17 +19,15 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "finalizer",
 	Doc: "forbid GC and scheduler manipulation (runtime.SetFinalizer/GC/Gosched/GOMAXPROCS, " +
-		"debug.SetGCPercent/FreeOSMemory/...) in internal/ packages outside the sim core",
+		"debug.SetGCPercent/FreeOSMemory/...) in internal/ packages",
 	Run: run,
 }
 
-var scope, exempt string
+var scope string
 
 func init() {
 	Analyzer.Flags.StringVar(&scope, "scope", "internal",
 		"only packages whose import path contains this segment are checked")
-	Analyzer.Flags.StringVar(&exempt, "exempt", framework.SimPkgSuffix,
-		"comma-separated package path suffixes exempt from the check")
 }
 
 // banned maps package path → function names whose call is forbidden.
@@ -48,11 +45,6 @@ var banned = map[string]map[string]bool{
 func run(pass *framework.Pass) error {
 	if !framework.PathHasSegment(pass.PkgPath, scope) {
 		return nil
-	}
-	for _, s := range strings.Split(exempt, ",") {
-		if s = strings.TrimSpace(s); s != "" && framework.PathHasSuffixSegments(pass.PkgPath, s) {
-			return nil
-		}
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(x ast.Node) bool {

@@ -1,7 +1,7 @@
-// Non-firing fixture for finalizer: the sim core is exempt — pinning
-// GOMAXPROCS for the run harness is its prerogative.
+// Firing fixture for finalizer: the sim core gets no exemption —
+// scheduler tuning there is as unreplayable as anywhere else.
 package sim
 
 import "runtime"
 
-func pin() { runtime.GOMAXPROCS(1) }
+func pin() { runtime.GOMAXPROCS(1) } // want `runtime\.GOMAXPROCS manipulates`

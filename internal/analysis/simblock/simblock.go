@@ -2,9 +2,10 @@
 // simulated process or timer callback runs inline in the event
 // dispatcher; if it parks on a real channel, mutex, or syscall the
 // whole simulation stalls in host time and — worse — results start
-// depending on host scheduling, breaking bit-for-bit replay. The only
-// legitimate blocking lives inside the simulator core's own
-// proc-handoff primitive, which the exempt list covers.
+// depending on host scheduling, breaking bit-for-bit replay. No package
+// is exempt, the simulator core included: its procs are runtime
+// coroutines that switch without channel operations or locks, so
+// nothing in the tree legitimately blocks.
 //
 // Roots are process bodies (Env.Go) and timer callbacks (Env.At /
 // Env.After / Ticker.Subscribe). Reachability follows static,
@@ -18,7 +19,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"github.com/disagg/smartds/internal/analysis/framework"
 )
@@ -29,14 +29,6 @@ var Analyzer = &framework.Analyzer{
 	Doc: "forbid wall-clock blocking (time.Sleep, channel ops, sync.Wait, syscalls/IO) " +
 		"in functions reachable from simulated process bodies and timer callbacks",
 	Run: run,
-}
-
-var exempt string
-
-func init() {
-	Analyzer.Flags.StringVar(&exempt, "exempt", framework.SimPkgSuffix,
-		"comma-separated package path suffixes whose blocking sites are the sanctioned "+
-			"sim handoff and are not reported")
 }
 
 type finding struct {
@@ -62,15 +54,6 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-func exemptPkg(path string) bool {
-	for _, s := range strings.Split(exempt, ",") {
-		if s = strings.TrimSpace(s); s != "" && framework.PathHasSuffixSegments(path, s) {
-			return true
-		}
-	}
-	return false
-}
-
 func compute(cg *framework.CallGraph) interface{} {
 	var roots []*framework.FuncNode
 	for _, n := range cg.Roots(framework.RoleProcBody | framework.RoleTimerCallback) {
@@ -84,9 +67,6 @@ func compute(cg *framework.CallGraph) interface{} {
 	var out []finding
 	for _, n := range cg.Nodes() {
 		if _, ok := tree[n]; !ok || !n.Defined() || n.InTestFile {
-			continue
-		}
-		if exemptPkg(n.PkgPath) {
 			continue
 		}
 		chain := framework.ChainString(framework.ChainTo(tree, n))

@@ -4,22 +4,11 @@ import (
 	"testing"
 
 	"github.com/disagg/smartds/internal/analysis/analysistest"
-	"github.com/disagg/smartds/internal/analysis/framework"
 	"github.com/disagg/smartds/internal/analysis/simblock"
 )
 
 func TestSimblock(t *testing.T) {
-	td := analysistest.TestData()
-	// The firing fixture must live under internal/sim (roots come from
-	// Env registrations there) — point the exemption elsewhere so the
-	// package's own blocking sites report.
-	if err := simblock.Analyzer.Flags.Set("exempt", "example.com/none"); err != nil {
-		t.Fatal(err)
-	}
-	analysistest.Run(t, td, simblock.Analyzer, "example.com/blk/internal/sim")
-
-	if err := simblock.Analyzer.Flags.Set("exempt", framework.SimPkgSuffix); err != nil {
-		t.Fatal(err)
-	}
-	analysistest.Run(t, td, simblock.Analyzer, "example.com/blkexempt/internal/sim")
+	// The fixture lives under internal/sim (roots come from Env
+	// registrations there), and its own blocking sites still report.
+	analysistest.Run(t, analysistest.TestData(), simblock.Analyzer, "example.com/blk/internal/sim")
 }

@@ -1,6 +1,6 @@
 // Firing fixture for simblock: the package path must end in
-// internal/sim so Env.Go / Env.At registrations mint roots, and the
-// test overrides -simblock.exempt so the package's own sites report.
+// internal/sim so Env.Go / Env.At registrations mint roots; the sim
+// core is not exempt, so the package's own sites report.
 package sim
 
 import (

@@ -2,10 +2,10 @@
 // simulation kernel.
 //
 // The kernel advances a virtual clock over an event calendar. Simulation
-// processes are goroutines that cooperate with the scheduler through a
-// strict handoff protocol: at any instant at most one goroutine (either
-// the scheduler or a single process) is runnable, which makes execution
-// fully deterministic for a fixed sequence of API calls.
+// processes are runtime coroutines (iter.Pull) that the scheduler
+// resumes one at a time: at any instant either the scheduler or a single
+// process is running, which makes execution fully deterministic for a
+// fixed sequence of API calls.
 //
 // Building blocks:
 //

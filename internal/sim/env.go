@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, in seconds.
@@ -33,11 +32,6 @@ type Env struct {
 	// evSlab hands out Events in bulk; see NewEvent.
 	evSlab []Event
 	evPos  int
-
-	// yielded is the proc→scheduler half of the spin handoff: the
-	// running proc sets it when it parks or finishes, and the scheduler
-	// consumes it in waitYield.
-	yielded atomic.Uint32
 }
 
 // NewEnv returns an empty environment at time zero.
@@ -228,7 +222,7 @@ func (e *Env) fire(it *item) {
 		gen := it.gen
 		e.release(it)
 		if !p.done && p.gen == gen {
-			e.runProc(p)
+			p.next()
 		}
 		return
 	}

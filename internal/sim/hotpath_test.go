@@ -336,6 +336,57 @@ func TestQueueSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestProcSpawnParkZeroAllocs pins the coroutine handoff: once the
+// proc pool is warm, a spawn, a Sleep park, a Queue.Get park woken by a
+// Put, and the finish back onto the free list allocate nothing. Only a
+// pool miss creates a coroutine.
+func TestProcSpawnParkZeroAllocs(t *testing.T) {
+	env := NewEnv()
+	q := env.NewQueue("handoff")
+	payload := interface{}(&struct{}{})
+	waiter := func(p *Proc) {
+		p.Sleep(1)
+		if q.Get(p) != payload {
+			t.Error("Get returned the wrong item")
+		}
+	}
+	putter := func(p *Proc) {
+		p.Sleep(2)
+		q.Put(payload)
+	}
+	cycle := func() {
+		env.Go("waiter", waiter)
+		env.Go("putter", putter)
+		env.Run(0)
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // warm the proc, item, and wait-node pools
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("spawn/park/wake/finish allocates %.2f objects per cycle, want 0", allocs)
+	}
+}
+
+// TestProcPanicSurfacesInRun checks that a panic in a process body
+// reaches Env.Run's caller with its original value instead of killing
+// the program from another goroutine.
+func TestProcPanicSurfacesInRun(t *testing.T) {
+	type boom struct{ at Time }
+	env := NewEnv()
+	env.Go("boom", func(p *Proc) {
+		p.Sleep(3)
+		panic(boom{at: p.Now()})
+	})
+	got := func() (r interface{}) {
+		defer func() { r = recover() }()
+		env.Run(0)
+		return nil
+	}()
+	if got != (boom{at: 3}) {
+		t.Fatalf("recover() = %#v, want boom{at: 3}", got)
+	}
+}
+
 // TestTickerGrid checks the cadence contract matches a self-
 // rescheduling After chain: first fire one interval after arming, last
 // fire at the greatest t with t+interval > until >= t.

@@ -1,66 +1,27 @@
+//go:build go1.23
+
 package sim
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "iter"
 
-// Proc is a simulation process: a goroutine that runs only while the
-// scheduler has handed control to it. A Proc may block with Sleep, Wait,
-// or any of the resource operations; at most one Proc runs at a time.
+// Proc is a simulation process: a runtime coroutine that runs only
+// while the scheduler has handed control to it. A Proc may block with
+// Sleep, Wait, or any of the resource operations; at most one Proc runs
+// at a time.
 //
-// Control transfer is a spin-then-block protocol rather than a pure
-// channel rendezvous. A blocking channel handoff costs 1-2 µs of futex
-// wakeup latency per direction, and with one park/resume round per
-// queue handoff the simulator spends most of its wall-clock time asleep
-// in the kernel. Instead:
-//
-//   - The scheduler always spins for the yield: the running proc holds
-//     control only for the few hundred nanoseconds of straight-line sim
-//     code between blocking points, so the wait is short and hot.
-//   - A parking proc spins briefly for its resume (same-instant wakes —
-//     queue deliveries, event triggers — arrive within a few dispatched
-//     events), then commits to a channel receive for the long virtual-
-//     time sleeps where spinning would burn a core for nothing.
-//
-// The resume side picks flag or channel with one CAS against the
-// parker, so a wake is never lost. Only the scheduler and at most a few
-// freshly-woken procs ever spin concurrently; parked procs sleep.
+// Each Proc is an iter.Pull coroutine. Resuming it (next) and parking
+// it (yield) are direct goroutine switches on the scheduler's thread:
+// no P handoff, no futex wake, no spinning. A panic in a process body
+// re-panics in Env.Run's caller, and runtime.Goexit propagates the same
+// way.
 type Proc struct {
-	env    *Env
-	name   string
-	fn     func(p *Proc)
-	resume chan struct{}
-	state  atomic.Int32
-	gen    uint64 // wait generation; bumped on every park
-	done   bool
-}
-
-// Proc handoff states.
-const (
-	procRunning int32 = iota // executing or about to; not awaiting resume
-	procSpin                 // parked, still spinning on state
-	procBlocked              // parked, committed to the resume channel
-	procReady                // resume delivered via the state flag
-)
-
-// parkSpinTight bounds a parking proc's spin phase before it commits
-// to the channel. Spinning only pays when a sibling core can deliver
-// the resume concurrently; with a single P every spin iteration steals
-// time from the goroutine that would deliver it, so the budget scales
-// with available parallelism (0 on GOMAXPROCS=1).
-var parkSpinTight = spinBudget(512)
-
-// waitYieldSpin bounds the scheduler's tight wait for the running
-// proc's yield, with the same single-P rule.
-var waitYieldSpin = spinBudget(2048)
-
-// spinBudget returns n when true parallelism is available, else 0.
-func spinBudget(n int) int {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return n
-	}
-	return 0
+	env   *Env
+	name  string
+	fn    func(p *Proc)
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	gen   uint64 // wait generation; bumped on every park
+	done  bool
 }
 
 // Env returns the environment the process runs in.
@@ -77,12 +38,11 @@ func (p *Proc) Now() Time { return p.env.now }
 // be called before Env.Run, from scheduler callbacks, or from within
 // another process.
 //
-// Finished processes park their goroutine and return to a free list, so
+// Finished processes park their coroutine and return to a free list, so
 // workloads that spawn a process per request (every server loop in the
-// cluster does) pay goroutine creation, channel allocation, and closure
-// allocation only up to the peak concurrency, not once per request. The
-// start itself rides a pooled wake entry — a spawn is allocation-free in
-// steady state.
+// cluster does) pay coroutine creation and closure allocation only up
+// to the peak concurrency, not once per request. The start itself rides
+// a pooled wake entry — a spawn is allocation-free in steady state.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(e.freeProcs); n > 0 {
@@ -93,76 +53,28 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		p.fn = fn
 		p.done = false
 	} else {
-		p = &Proc{env: e, name: name, fn: fn, resume: make(chan struct{}, 1)}
-		p.state.Store(procBlocked) // first resume arrives via the channel
-		go p.loop()
+		p = &Proc{env: e, name: name, fn: fn}
+		p.next, _ = iter.Pull(p.loop)
 	}
 	e.scheduleWake(e.now, wakeToken{p: p, gen: p.gen})
 	return p
 }
 
-// loop is the worker body: run one process life, then park awaiting
-// reuse. The between-lives park is the same blocked state as a normal
-// park, so runProc needs no special case; the generation bump
-// invalidates any token minted in the previous life.
-func (p *Proc) loop() {
+// loop is the coroutine body: run one process life, then yield awaiting
+// reuse. The between-lives yield looks like a normal park to the
+// scheduler; the generation bump invalidates any token minted in the
+// previous life.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
 	e := p.env
 	for {
-		<-p.resume
-		p.state.Store(procRunning)
 		fn := p.fn
 		p.fn = nil
 		fn(p)
 		p.done = true
 		p.gen++
-		p.state.Store(procBlocked)
 		e.freeProcs = append(e.freeProcs, p)
-		e.yield()
-	}
-}
-
-// runProc transfers control to p until it parks or finishes.
-func (e *Env) runProc(p *Proc) {
-	if p.done {
-		return
-	}
-	for {
-		switch p.state.Load() {
-		case procSpin:
-			if p.state.CompareAndSwap(procSpin, procReady) {
-				e.waitYield()
-				return
-			}
-		case procBlocked:
-			p.resume <- struct{}{} // buffered: the parker is committed to receive
-			e.waitYield()
-			return
-		default:
-			// The proc is between its blocking decision points; retry.
-			runtime.Gosched()
-		}
-	}
-}
-
-// yield hands control from the running proc back to the scheduler.
-func (e *Env) yield() { e.yielded.Store(1) }
-
-// waitYield spins until the running proc parks or finishes. The proc
-// holds control only across straight-line simulation code, so this wait
-// is almost always satisfied within the tight-reload phase; the Gosched
-// fallback exists for GOMAXPROCS=1 (and functional-mode compression
-// bursts), where the proc needs this P to make progress.
-func (e *Env) waitYield() {
-	for i := 0; i < waitYieldSpin; i++ {
-		if e.yielded.CompareAndSwap(1, 0) {
-			return
-		}
-	}
-	for {
-		if e.yielded.CompareAndSwap(1, 0) {
-			return
-		}
-		runtime.Gosched()
+		yield(struct{}{})
 	}
 }
 
@@ -170,18 +82,7 @@ func (e *Env) waitYield() {
 // consumes exactly one wake directed at the current generation.
 func (p *Proc) park() {
 	p.gen++
-	p.state.Store(procSpin)
-	p.env.yield()
-	for i := 0; i < parkSpinTight; i++ {
-		if p.state.Load() == procReady {
-			p.state.Store(procRunning)
-			return
-		}
-	}
-	if p.state.CompareAndSwap(procSpin, procBlocked) {
-		<-p.resume
-	}
-	p.state.Store(procRunning)
+	p.yield(struct{}{})
 }
 
 // wakeToken identifies one specific park of one specific process, so a
