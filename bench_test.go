@@ -286,6 +286,7 @@ func BenchmarkLZ4EngineThroughput(b *testing.B) {
 	enc := lz4.NewEncoder(4096)
 	dst := make([]byte, lz4.CompressBound(4096))
 	b.SetBytes(4096)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := enc.Compress(dst, blocks[i%len(blocks)], lz4.LevelDefault); err != nil {
 			b.Fatal(err)

@@ -33,8 +33,10 @@ type Config struct {
 	NumStorage int
 	NumClients int
 	// Functional moves real corpus blocks through the system (LZ4
-	// compressed for real, CRC-verified at the storage servers). When
-	// false, payload sizes are modeled (fast large sweeps).
+	// compressed for real; clients CRC-check every block they read
+	// back). The storage servers' own CRC check (storage.Server.Verify)
+	// stays off here; only tests turn it on. When false, payload sizes
+	// are modeled (fast large sweeps).
 	Functional bool
 	Fabric     netsim.Config
 	Disk       storage.DiskConfig

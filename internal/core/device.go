@@ -94,11 +94,14 @@ func NewDevice(env *sim.Env, name string, fabric *netsim.Fabric, hostMem *mem.Sy
 	for i := 0; i < cfg.Ports; i++ {
 		port := fabric.NewPort(netsim.Addr(fmt.Sprintf("%s-p%d", name, i)), cfg.PortBytesPerSec)
 		inst := &Instance{
-			dev:    d,
-			index:  i,
-			stack:  rdma.NewStack(env, port, cfg.Transport),
-			engine: device.NewLZ4Engine(env, fmt.Sprintf("%s.lz4[%d]", name, i), d.hbm, cfg.EngineBytesPerSec, 64<<10),
-			recvQ:  make(map[int]*qpRecvState),
+			dev:          d,
+			index:        i,
+			stack:        rdma.NewStack(env, port, cfg.Transport),
+			engine:       device.NewLZ4Engine(env, fmt.Sprintf("%s.lz4[%d]", name, i), d.hbm, cfg.EngineBytesPerSec, 64<<10),
+			splitName:    fmt.Sprintf("%s.split[%d]", name, i),
+			assembleName: fmt.Sprintf("%s.assemble[%d]", name, i),
+			devfuncName:  fmt.Sprintf("%s.devfunc[%d]", name, i),
+			recvQ:        make(map[int]*qpRecvState),
 		}
 		inst.engine.SetTrace(cfg.Trace)
 		d.instances = append(d.instances, inst)

@@ -18,6 +18,10 @@ type Instance struct {
 	stack  *rdma.Stack
 	engine *device.LZ4Engine
 
+	// Debug names of the procs this instance spawns per request, built
+	// once so the request path formats nothing.
+	splitName, assembleName, devfuncName string
+
 	recvQ map[int]*qpRecvState
 }
 
@@ -137,7 +141,7 @@ func (in *Instance) place(m *rdma.Message, d *recvDesc) {
 	dev := in.dev
 	dev.spanSeq++
 	span := dev.spanSeq
-	dev.env.Go(fmt.Sprintf("%s.split[%d]", dev.name, in.index), func(p *sim.Proc) {
+	dev.env.Go(in.splitName, func(p *sim.Proc) {
 		// Head-sampled by span seq; identity at full rate.
 		tr := dev.tr.ForRequest(span)
 		tr.Begin(p.Now(), dev.name, "split", span)
@@ -200,7 +204,7 @@ func (in *Instance) DevMixedSend(qp *rdma.QP, hbuf *HostBuf, hsize int, dbuf *de
 	dev := in.dev
 	dev.spanSeq++
 	span := dev.spanSeq
-	dev.env.Go(fmt.Sprintf("%s.assemble[%d]", dev.name, in.index), func(p *sim.Proc) {
+	dev.env.Go(in.assembleName, func(p *sim.Proc) {
 		// Head-sampled by span seq; identity at full rate.
 		tr := dev.tr.ForRequest(span)
 		tr.Begin(p.Now(), dev.name, "assemble", span)
@@ -245,7 +249,7 @@ func (in *Instance) DevFunc(src *device.Buffer, srcSize int, dst *device.Buffer,
 	}
 	comp := in.newCompletion()
 	dev := in.dev
-	dev.env.Go(fmt.Sprintf("%s.devfunc[%d]", dev.name, in.index), func(p *sim.Proc) {
+	dev.env.Go(in.devfuncName, func(p *sim.Proc) {
 		out, err := in.engine.Compress(p, src.Bytes()[:srcSize], level)
 		if err != nil {
 			comp.ev.Trigger(Result{Err: err})
@@ -274,7 +278,7 @@ func (in *Instance) DevFuncDecompress(src *device.Buffer, srcSize int, dst *devi
 	}
 	comp := in.newCompletion()
 	dev := in.dev
-	dev.env.Go(fmt.Sprintf("%s.devfunc[%d]", dev.name, in.index), func(p *sim.Proc) {
+	dev.env.Go(in.devfuncName, func(p *sim.Proc) {
 		if origSize > dst.Size() {
 			comp.ev.Trigger(Result{Err: fmt.Errorf("core: decompressed output %d exceeds destination %d", origSize, dst.Size())})
 			return

@@ -1,35 +1,41 @@
 package lz4
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
-// Encoder holds reusable matcher state so hot paths (the middle tier
-// compresses every 4 KB block of every write request) do not pay a
-// fresh hash-table allocation per block. An Encoder is not safe for
-// concurrent use; the simulation is single-threaded so each simulated
-// engine or core owns one.
+// Encoder is the hash-chain matcher. It keeps its tables across blocks
+// so hot paths (the middle tier compresses every 4 KB block of every
+// write request) pay no per-block table allocation or reset.
+//
+// The tables hold base-offset positions, as LZ4's currentOffset does:
+// position i of the current block is stored as base+i, and base
+// advances past every block, so any value below base is a stale entry
+// from an earlier block. Stale entries end a chain exactly as an empty
+// slot would, which makes the output a function of (src, level) alone:
+// one Encoder can serve any number of callers in turn. It is not safe
+// for concurrent use.
 type Encoder struct {
-	head  []int32
-	prev  []int32
-	epoch int32 // current generation; head entries from older epochs are stale
-	marks []int32
+	table *[1 << hashLog]uint32 // hash -> newest position with that hash
+	prev  []uint32              // position -> the entry it displaced
+	base  uint32                // table value of src[0]; 0 is never valid
 }
 
 // NewEncoder returns an Encoder ready for blocks up to maxBlock bytes
 // (larger inputs still work; prev grows on demand).
 func NewEncoder(maxBlock int) *Encoder {
-	if maxBlock < 0 {
-		maxBlock = 0
-	}
 	return &Encoder{
-		head:  make([]int32, 1<<hashLog),
-		prev:  make([]int32, maxBlock),
-		marks: make([]int32, 1<<hashLog),
-		epoch: 0,
+		table: new([1 << hashLog]uint32),
+		prev:  make([]uint32, max(maxBlock, 0)),
+		base:  1,
 	}
 }
 
-// Compress compresses src into dst like the package-level Compress but
-// reusing the encoder's tables.
+// Compress compresses src into dst at the given level and returns the
+// number of bytes written. dst must be at least CompressBound(len(src))
+// bytes; otherwise ErrShortBuffer is returned.
 func (e *Encoder) Compress(dst, src []byte, level Level) (int, error) {
 	if !level.Valid() {
 		return 0, fmt.Errorf("lz4: invalid level %d", level)
@@ -38,45 +44,33 @@ func (e *Encoder) Compress(dst, src []byte, level Level) (int, error) {
 		return 0, ErrShortBuffer
 	}
 	if len(src) == 0 {
-		dst[0] = 0
+		dst[0] = 0 // single token: zero literals, no match
 		return 1, nil
 	}
 	if len(src) < mfLimit+minMatch {
 		return emitLastLiterals(dst, 0, src)
 	}
 	if len(e.prev) < len(src) {
-		e.prev = make([]int32, len(src))
+		e.prev = make([]uint32, len(src))
 	}
-	e.epoch++
-	if e.epoch == 0 { // wrapped; flush everything
-		for i := range e.marks {
-			e.marks[i] = 0
-		}
-		e.epoch = 1
+	if uint64(e.base)+uint64(len(src)) >= 1<<32 {
+		clear(e.table[:])
+		e.base = 1
 	}
-	return e.compressBlock(dst, src, level.attempts())
+	n, err := e.compressBlock(dst, src, level.attempts())
+	e.base += uint32(len(src))
+	return n, err
 }
 
-// lookup returns the chain head for h, or -1 when stale.
-func (e *Encoder) lookup(h uint32) int32 {
-	if e.marks[h] != e.epoch {
-		return -1
-	}
-	return e.head[h]
-}
-
+// insert makes position i the head of its hash chain.
 func (e *Encoder) insert(src []byte, i int) {
-	h := hash4(load32(src, i))
-	if e.marks[h] == e.epoch {
-		e.prev[i] = e.head[h]
-	} else {
-		e.prev[i] = -1
-		e.marks[h] = e.epoch
-	}
-	e.head[h] = int32(i)
+	slot := &e.table[hash4(load32(src, i))]
+	e.prev[i] = *slot
+	*slot = e.base + uint32(i)
 }
 
 func (e *Encoder) compressBlock(dst, src []byte, attempts int) (int, error) {
+	prev, base := e.prev[:len(src)], e.base
 	di := 0
 	anchor := 0
 	i := 0
@@ -84,15 +78,15 @@ func (e *Encoder) compressBlock(dst, src []byte, attempts int) (int, error) {
 	searchLimit := len(src) - mfLimit
 
 	for i <= searchLimit {
+		// Find the best match among up to `attempts` chain candidates.
 		cur := load32(src, i)
-		cand := e.lookup(hash4(cur))
+		slot := &e.table[hash4(cur)]
 		bestLen := 0
 		bestPos := -1
-		tries := attempts
-		for cand >= 0 && tries > 0 {
-			c := int(cand)
+		for v, tries := *slot, attempts; v >= base && tries > 0; tries-- {
+			c := int(v - base)
 			if i-c > maxOffset {
-				break
+				break // older entries are even farther away
 			}
 			if load32(src, c) == cur {
 				l := matchLength(src, c+minMatch, i+minMatch, matchEndLimit) + minMatch
@@ -101,27 +95,36 @@ func (e *Encoder) compressBlock(dst, src []byte, attempts int) (int, error) {
 					bestPos = c
 				}
 			}
-			cand = e.prev[c]
-			tries--
+			v = prev[c]
 		}
 		if bestLen < minMatch {
-			e.insert(src, i)
+			// Index i through the slot the lookup already loaded.
+			prev[i] = *slot
+			*slot = base + uint32(i)
 			i++
 			continue
 		}
+
+		// Extend the match backwards over pending literals.
 		for i > anchor && bestPos > 0 && src[i-1] == src[bestPos-1] {
 			i--
 			bestPos--
 			bestLen++
 		}
+
 		var err error
 		di, err = emitSequence(dst, di, src[anchor:i], i-bestPos, bestLen)
 		if err != nil {
 			return 0, err
 		}
+
+		// Index the positions covered by the match so later data can
+		// reference them, then continue after it.
 		end := i + bestLen
 		step := 1
 		if bestLen > 4096 {
+			// Long runs (e.g. zero pages) would make indexing quadratic;
+			// sparse indexing preserves most of the ratio.
 			step = 16
 		}
 		for j := i; j < end && j <= searchLimit; j += step {
@@ -131,4 +134,24 @@ func (e *Encoder) compressBlock(dst, src []byte, attempts int) (int, error) {
 		anchor = i
 	}
 	return emitLastLiterals(dst, di, src[anchor:])
+}
+
+// matchLength counts how many bytes match between src[a:] and src[b:]
+// with b < limit, eight bytes at a time.
+func matchLength(src []byte, a, b, limit int) int {
+	n := 0
+	for b+8 <= limit {
+		if x := binary.LittleEndian.Uint64(src[a:]) ^ binary.LittleEndian.Uint64(src[b:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		a += 8
+		b += 8
+		n += 8
+	}
+	for b < limit && src[a] == src[b] {
+		a++
+		b++
+		n++
+	}
+	return n
 }

@@ -2,38 +2,15 @@ package lz4
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"github.com/disagg/smartds/internal/corpus"
 	"github.com/disagg/smartds/internal/rng"
 )
-
-func TestEncoderMatchesPackageCompress(t *testing.T) {
-	enc := NewEncoder(4096)
-	r := rng.New(77)
-	for trial := 0; trial < 50; trial++ {
-		src := make([]byte, 1+r.Intn(4096))
-		// structured content
-		for i := 0; i < len(src); i += 8 {
-			copy(src[i:], "pattern!")
-		}
-		r.Bytes(src[:len(src)/3])
-		level := Level(trial%9 + 1)
-
-		want, err := CompressToBuf(src, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]byte, CompressBound(len(src)))
-		n, err := enc.Compress(dst, src, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dst[:n], want) {
-			t.Fatalf("trial %d: encoder output differs from package Compress", trial)
-		}
-	}
-}
 
 func TestEncoderReuseRoundTrip(t *testing.T) {
 	// Back-to-back blocks must not contaminate each other through the
@@ -91,12 +68,26 @@ func TestEncoderInvalidInputs(t *testing.T) {
 	}
 }
 
-func TestEncoderEpochWrap(t *testing.T) {
-	// Force the epoch counter to wrap and verify correctness persists.
-	enc := NewEncoder(256)
-	enc.epoch = -2 // two compressions away from wrapping through 0
-	dst := make([]byte, CompressBound(256))
+func TestEncoderBaseWrap(t *testing.T) {
+	// Start two 4 KiB blocks short of 2^32 so the table clear and base
+	// reset land inside the golden run; its bytes must not change.
+	const start = 1<<32 - 2*4096
+	enc := NewEncoder(4096)
+	enc.base = start
+	h := sha256.New()
+	goldenBlocks(t, enc, h)
+	if enc.base >= start {
+		t.Fatalf("base %d never wrapped", enc.base)
+	}
+	goldenStream(t, h)
+	if got := hex.EncodeToString(h.Sum(nil)); got != encoderGolden {
+		t.Fatalf("output changed across the wrap: sha256 %s, want %s", got, encoderGolden)
+	}
+
+	// A round trip right at the boundary.
 	src := bytes.Repeat([]byte("wrap"), 64)
+	dst := make([]byte, CompressBound(len(src)))
+	enc.base = uint32(1<<32 - 2*len(src))
 	for i := 0; i < 4; i++ {
 		n, err := enc.Compress(dst, src, LevelDefault)
 		if err != nil {
@@ -151,6 +142,36 @@ func BenchmarkEncoderCompress4KFast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := enc.Compress(dst, src, LevelFast); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncoderCorpus compresses mixed 4 KiB corpus blocks through
+// one encoder, and through 16 used round-robin: the shape of a middle
+// tier that gives each of its 16 worker cores its own encoder.
+func BenchmarkEncoderCorpus(b *testing.B) {
+	c := corpus.New(42)
+	blocks := make([][]byte, 256)
+	for i := range blocks {
+		blocks[i] = c.Block(4096)
+	}
+	dst := make([]byte, CompressBound(4096))
+	for _, level := range []Level{LevelFast, LevelDefault, LevelHigh} {
+		for _, encoders := range []int{1, 16} {
+			b.Run(fmt.Sprintf("level=%d/encoders=%d", level, encoders), func(b *testing.B) {
+				encs := make([]*Encoder, encoders)
+				for i := range encs {
+					encs[i] = NewEncoder(4096)
+				}
+				b.SetBytes(4096)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := encs[i%encoders].Compress(dst, blocks[i%len(blocks)], level); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -74,23 +74,11 @@ func load32(b []byte, i int) uint32 {
 func hash4(u uint32) uint32 { return (u * 2654435761) >> hashShift }
 
 // Compress compresses src into dst at the given level and returns the
-// number of bytes written. dst must be at least CompressBound(len(src))
-// bytes; otherwise ErrShortBuffer is returned.
+// number of bytes written, running a fresh Encoder. dst must be at
+// least CompressBound(len(src)) bytes; otherwise ErrShortBuffer is
+// returned.
 func Compress(dst, src []byte, level Level) (int, error) {
-	if !level.Valid() {
-		return 0, fmt.Errorf("lz4: invalid level %d", level)
-	}
-	if len(dst) < CompressBound(len(src)) {
-		return 0, ErrShortBuffer
-	}
-	if len(src) == 0 {
-		dst[0] = 0 // single token: zero literals, no match
-		return 1, nil
-	}
-	if len(src) < mfLimit+minMatch {
-		return emitLastLiterals(dst, 0, src)
-	}
-	return compressBlock(dst, src, level.attempts())
+	return NewEncoder(len(src)).Compress(dst, src, level)
 }
 
 // CompressToBuf compresses src into a freshly allocated buffer.
@@ -101,99 +89,6 @@ func CompressToBuf(src []byte, level Level) ([]byte, error) {
 		return nil, err
 	}
 	return dst[:n:n], nil
-}
-
-// compressBlock runs the hash-chain matcher.
-func compressBlock(dst, src []byte, attempts int) (int, error) {
-	var head [1 << hashLog]int32
-	for i := range head {
-		head[i] = -1
-	}
-	prev := make([]int32, len(src))
-
-	insert := func(i int) {
-		h := hash4(load32(src, i))
-		prev[i] = head[h]
-		head[h] = int32(i)
-	}
-
-	di := 0
-	anchor := 0
-	i := 0
-	matchEndLimit := len(src) - lastLiterals
-	searchLimit := len(src) - mfLimit
-
-	for i <= searchLimit {
-		// Find the best match among up to `attempts` chain candidates.
-		cur := load32(src, i)
-		h := hash4(cur)
-		cand := head[h]
-		bestLen := 0
-		bestPos := -1
-		tries := attempts
-		for cand >= 0 && tries > 0 {
-			c := int(cand)
-			if i-c > maxOffset {
-				break // older entries are even farther away
-			}
-			if load32(src, c) == cur {
-				l := matchLength(src, c+minMatch, i+minMatch, matchEndLimit) + minMatch
-				if l > bestLen {
-					bestLen = l
-					bestPos = c
-				}
-			}
-			cand = prev[c]
-			tries--
-		}
-		if bestLen < minMatch {
-			insert(i)
-			i++
-			continue
-		}
-
-		// Extend the match backwards over pending literals.
-		for i > anchor && bestPos > 0 && src[i-1] == src[bestPos-1] {
-			i--
-			bestPos--
-			bestLen++
-		}
-
-		var err error
-		di, err = emitSequence(dst, di, src[anchor:i], i-bestPos, bestLen)
-		if err != nil {
-			return 0, err
-		}
-
-		// Index the positions covered by the match so later data can
-		// reference them, then continue after it.
-		end := i + bestLen
-		step := 1
-		if bestLen > 4096 {
-			// Long runs (e.g. zero pages) would make indexing quadratic;
-			// sparse indexing preserves most of the ratio.
-			step = 16
-		}
-		for j := i; j < end && j <= searchLimit; j += step {
-			insert(j)
-		}
-		i = end
-		anchor = i
-	}
-
-	return emitLastLiterals(dst, di, src[anchor:])
-}
-
-// matchLength counts how many bytes match between src[a:] and src[b:]
-// with b < limit.
-func matchLength(src []byte, a, b, limit int) int {
-	n := 0
-	for b < limit && src[a] == src[b] {
-		a++
-		b++
-		n++
-	}
-	return n
 }
 
 // emitSequence writes one (literals, match) sequence at dst[di:].

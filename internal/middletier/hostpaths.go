@@ -16,16 +16,26 @@ import (
 // payload is compressed either by software LZ4 on that core (CPU-only)
 // or by bouncing it over PCIe through the FPGA card (Acc). Every
 // outgoing byte is DMA-read back out of host memory by the NIC.
+//
+// One encoder serves every worker core and the Acc card. Sharing it is
+// safe: Encoder.Compress never parks a proc, the simulation runs one
+// goroutine at a time, and the encoder's output depends only on the
+// block and the level, never on the blocks before it.
 type hostPath struct {
 	*Server
 	accelSlot *sim.Resource // the Acc card's single engine slot
-	accelEnc  *lz4.Encoder
+	enc       *lz4.Encoder
+	encBuf    []byte // compressed scratch; WrapFrame copies out of it
 	out       wireCache
 }
 
 func newHostPath(s *Server) *hostPath {
 	cfg := s.cfg
-	d := &hostPath{Server: s}
+	d := &hostPath{
+		Server: s,
+		enc:    lz4.NewEncoder(cfg.BlockSize),
+		encBuf: make([]byte, lz4.CompressBound(cfg.BlockSize)),
+	}
 	s.nic = host.NewNIC(s.env, s.fabric, "mt-nic", cfg.PortRate, cfg.PCIe, cfg.Transport, s.Mem)
 	// The NIC's DRAM traffic shares follow the LLC model: retained buffers
 	// always evict (write fraction ~1), while TX reads hit the LLC only
@@ -38,7 +48,6 @@ func newHostPath(s *Server) *hostPath {
 	if cfg.Kind == Accel {
 		s.accelPCIe = pcie.New(s.env, "mt-accel.pcie", cfg.PCIe)
 		d.accelSlot = s.env.NewResource("mt-accel.engine", 1)
-		d.accelEnc = lz4.NewEncoder(cfg.BlockSize)
 	}
 	s.stacks = []*rdma.Stack{s.nic.Stack()}
 	return d
@@ -58,7 +67,7 @@ func (d *hostPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		level := d.chooseLevel(r.core.QueueLen())
 		d.Mem.Read(p, r.size)
 		r.core.CompressSlowed(p, r.size, d.Mem.ContentionFactor()*effortTimeFactor(level))
-		data, size, err := d.softwareCompress(r.core, r, level)
+		data, size, err := d.softwareCompress(r, level)
 		if err != nil {
 			return frame{}, 0, err
 		}
@@ -73,7 +82,7 @@ func (d *hostPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 	}
 	f := frame{size: r.size / d.cfg.ModelRatio}
 	if r.payload != nil {
-		data, err := encodeFrameWith(d.accelEnc, r.payload, d.cfg.Level)
+		data, err := d.encodeFrame(r.payload, d.cfg.Level)
 		if err != nil {
 			return frame{}, 0, err
 		}
@@ -165,27 +174,29 @@ func (d *hostPath) storageQP(_, from int) *rdma.QP {
 	return d.nic.CreateQP(func(_ *rdma.QP, m *rdma.Message) { d.onStorageReplyFrom(from, m) })
 }
 
-// softwareCompress runs functional LZ4 on the core's encoder at the
-// given effort (a request header may demand a higher minimum) and
-// returns the frame and its size. Modeled-only payloads use ModelRatio.
-func (s *Server) softwareCompress(core *host.Core, r *request, level lz4.Level) ([]byte, float64, error) {
+// softwareCompress runs functional LZ4 at the given effort (a request
+// header may demand a higher minimum) and returns the frame and its
+// size. Modeled-only payloads use ModelRatio.
+func (d *hostPath) softwareCompress(r *request, level lz4.Level) ([]byte, float64, error) {
 	if r.payload == nil {
-		return nil, r.size / s.cfg.ModelRatio, nil
+		return nil, r.size / d.cfg.ModelRatio, nil
 	}
-	frame, err := encodeFrameWith(s.enc[core.ID()], r.payload, lz4.Level(max(r.hdr.Level, uint8(level))))
+	frame, err := d.encodeFrame(r.payload, lz4.Level(max(r.hdr.Level, uint8(level))))
 	return frame, float64(len(frame)), err
 }
 
-// encodeFrameWith is lz4.EncodeFrame using a reusable encoder.
-func encodeFrameWith(enc *lz4.Encoder, block []byte, level lz4.Level) ([]byte, error) {
+// encodeFrame is lz4.EncodeFrame on the shared encoder and scratch
+// buffer; the returned frame is the only allocation.
+func (d *hostPath) encodeFrame(block []byte, level lz4.Level) ([]byte, error) {
 	if !level.Valid() {
 		level = lz4.LevelDefault
 	}
-	dst := make([]byte, lz4.CompressBound(len(block)))
-	n, err := enc.Compress(dst, block, level)
+	if n := lz4.CompressBound(len(block)); len(d.encBuf) < n {
+		d.encBuf = make([]byte, n)
+	}
+	n, err := d.enc.Compress(d.encBuf, block, level)
 	if err != nil {
 		return nil, err
 	}
-	comp := dst[:n]
-	return lz4.WrapFrame(block, comp), nil
+	return lz4.WrapFrame(block, d.encBuf[:n]), nil
 }

@@ -241,9 +241,6 @@ type Server struct {
 	stacks    []*rdma.Stack
 	engines   []*device.LZ4Engine
 
-	// Per-core software LZ4 encoders (functional CPU compression).
-	enc map[int]*lz4.Encoder
-
 	// Replication connections: storagePaths[path][replica].
 	storagePaths [][]*rdma.QP
 	serverDown   []bool
@@ -334,7 +331,6 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 		fabric:     fabric,
 		Mem:        mem.New(env, cfg.Mem),
 		cpu:        host.NewPool(env, cfg.CPU),
-		enc:        make(map[int]*lz4.Encoder),
 		pending:    make(map[uint64]*pendingReq),
 		placement:  make(map[chunkKey][]int),
 		engineDown: make([]bool, cfg.Ports),
@@ -348,7 +344,6 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 			panic(fmt.Sprintf("middletier: cannot claim %d cores: %v", cfg.Workers, err))
 		}
 		s.cores = append(s.cores, c)
-		s.enc[c.ID()] = lz4.NewEncoder(cfg.BlockSize)
 	}
 
 	switch cfg.Kind {

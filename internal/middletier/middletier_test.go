@@ -154,10 +154,10 @@ func TestParseRequestFunctionalAndModeled(t *testing.T) {
 
 func TestSoftwareCompressRoundTrips(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
-	core := s.cores[0]
+	d := s.dp.(*hostPath)
 	block := bytes.Repeat([]byte("compressible "), 400)[:4096]
 	req := &request{payload: block, size: 4096}
-	frame, size, err := s.softwareCompress(core, req, s.cfg.Level)
+	frame, size, err := d.softwareCompress(req, s.cfg.Level)
 	if err != nil || float64(len(frame)) != size {
 		t.Fatalf("frame size mismatch: %d vs %g (%v)", len(frame), size, err)
 	}
@@ -167,7 +167,7 @@ func TestSoftwareCompressRoundTrips(t *testing.T) {
 	}
 
 	// Modeled request uses the configured ratio.
-	_, msize, _ := s.softwareCompress(core, &request{size: 4096}, s.cfg.Level)
+	_, msize, _ := d.softwareCompress(&request{size: 4096}, s.cfg.Level)
 	if msize <= 0 || msize >= 4096 {
 		t.Fatalf("modeled compressed size %g", msize)
 	}
