@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/disagg/smartds/internal/cliflags"
 	"github.com/disagg/smartds/internal/metrics"
 	"github.com/disagg/smartds/internal/telemetry"
 )
@@ -176,7 +177,7 @@ func printBlame(rep *telemetry.Report) {
 		}
 	}
 	if printed == 0 {
-		fmt.Fprintln(os.Stderr, "no critpath sections in this report (run with tracing enabled, e.g. -trace-sample 0.01 -report ...)")
+		fmt.Fprintln(os.Stderr, "no critpath sections in this report (the run needs a tracer; e.g. "+cliflags.CritpathExample+")")
 	}
 }
 

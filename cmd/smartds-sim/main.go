@@ -5,14 +5,17 @@
 //
 //	smartds-sim -kind smartds -ports 2 -workers 4 -window 128 -measure 50ms
 //	smartds-sim -kind cpu -workers 48 -reads 0.2 -open-rate 1e6
-//	smartds-sim -config examples/scenarios/smartds-mixed.json
+//	smartds-sim -config examples/scenarios/smartds-mixed.json -report run.json
 //
 // The observability flags (-trace, -trace-sample, -slo, -log-level,
-// -report, -metrics, -series-*, -label-budget) are shared with
-// smartds-bench via internal/cliflags and behave identically.
+// -report, -metrics, -series-*, -label-budget) and -faults, -replication
+// and -seed are shared with smartds-bench via internal/cliflags and
+// behave identically, with or without -config. A scenario file's own
+// seed, when set, takes precedence over -seed.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,94 +31,116 @@ import (
 	"github.com/disagg/smartds/internal/trace"
 )
 
-// runScenario executes a JSON-described scenario end to end.
-func runScenario(path string) {
-	data, err := os.ReadFile(path)
+func main() {
+	code, err := run(os.Args[1:])
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	sc, err := cluster.ParseScenario(data)
-	if err != nil {
-		fatal(err)
-	}
-	cfg, err := sc.ClusterConfig()
-	if err != nil {
-		fatal(err)
-	}
-	c := cluster.New(cfg)
-	if sc.Maintenance {
-		m := c.MT.StartMaintenance(middletier.MaintenanceConfig{}, c.Storage)
-		defer m.Stop()
-	}
-	res := c.Run(sc.WorkloadConfig())
-	printResults(c, res)
-	if res.Errors > 0 || res.VerifyMismatches > 0 {
-		os.Exit(1)
-	}
+	os.Exit(code)
 }
 
-func main() {
-	common := cliflags.Register(flag.CommandLine)
-	kindFlag := flag.String("kind", "smartds", "middle-tier design: cpu | acc | bf2 | smartds")
-	ports := flag.Int("ports", 1, "SmartDS ports")
-	workers := flag.Int("workers", 2, "host CPU cores serving I/O")
-	window := flag.Int("window", 64, "closed-loop outstanding requests per client")
-	openRate := flag.Float64("open-rate", 0, "open-loop request rate (req/s); 0 = closed loop")
-	reads := flag.Float64("reads", 0, "read fraction")
-	bypass := flag.Float64("bypass", 0, "latency-sensitive (no-compression) fraction")
-	storageN := flag.Int("storage", 3, "storage servers")
-	clients := flag.Int("clients", 1, "compute clients")
-	warmup := flag.Duration("warmup", 5*time.Millisecond, "virtual warmup")
-	measure := flag.Duration("measure", 30*time.Millisecond, "virtual measurement window")
-	modeled := flag.Bool("modeled", false, "model payload sizes instead of moving real blocks")
-	ddioOff := flag.Bool("no-ddio", false, "disable DDIO (Acc baseline)")
-	maintenance := flag.Bool("maintenance", false, "run background maintenance services")
-	configPath := flag.String("config", "", "JSON scenario file (overrides the other flags)")
-
-	flag.Parse()
-
-	if *configPath != "" {
-		runScenario(*configPath)
-		return
+// run parses args, runs one scenario and writes the artifacts the flags
+// request. The scenario comes from -config or from the per-design
+// flags; the shared observability and fault flags apply to both. It
+// returns the process exit code: 1 when requests failed or reads did
+// not verify (under a fault campaign, when data integrity or
+// durability broke). Bad arguments and unwritable artifacts return an
+// error.
+func run(args []string) (int, error) {
+	fs := flag.NewFlagSet("smartds-sim", flag.ContinueOnError)
+	common := cliflags.Register(fs)
+	kindFlag := fs.String("kind", "smartds", "middle-tier design: cpu | acc | bf2 | smartds")
+	ports := fs.Int("ports", 1, "SmartDS ports")
+	workers := fs.Int("workers", 2, "host CPU cores serving I/O")
+	window := fs.Int("window", 64, "closed-loop outstanding requests per client")
+	openRate := fs.Float64("open-rate", 0, "open-loop request rate (req/s); 0 = closed loop")
+	reads := fs.Float64("reads", 0, "read fraction")
+	bypass := fs.Float64("bypass", 0, "latency-sensitive (no-compression) fraction")
+	storageN := fs.Int("storage", 3, "storage servers")
+	clients := fs.Int("clients", 1, "compute clients")
+	warmup := fs.Duration("warmup", 5*time.Millisecond, "virtual warmup")
+	measure := fs.Duration("measure", 30*time.Millisecond, "virtual measurement window")
+	modeled := fs.Bool("modeled", false, "model payload sizes instead of moving real blocks")
+	ddioOff := fs.Bool("no-ddio", false, "disable DDIO (Acc baseline)")
+	maintenance := fs.Bool("maintenance", false, "run background maintenance services")
+	configPath := fs.String("config", "", "JSON scenario file (overrides the per-design and workload flags; the observability and fault flags still apply)")
+	if err := fs.Parse(args); err != nil {
+		// The flag set has already printed the problem and the usage.
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, nil
+		}
+		return 2, nil
 	}
 
-	var kind middletier.Kind
-	switch *kindFlag {
-	case "cpu", "cpu-only":
-		kind = middletier.CPUOnly
-	case "acc", "accel":
-		kind = middletier.Accel
-	case "bf2":
-		kind = middletier.BF2
-	case "smartds", "sds":
-		kind = middletier.SmartDS
-	default:
-		fmt.Fprintf(os.Stderr, "unknown kind %q\n", *kindFlag)
-		os.Exit(2)
+	var (
+		cfg cluster.Config
+		wl  cluster.Workload
+	)
+	kindName := *kindFlag
+	if *configPath != "" {
+		data, err := os.ReadFile(*configPath)
+		if err != nil {
+			return 0, err
+		}
+		sc, err := cluster.ParseScenario(data)
+		if err != nil {
+			return 0, err
+		}
+		if cfg, err = sc.ClusterConfig(); err != nil {
+			return 0, err
+		}
+		if sc.Seed == 0 {
+			cfg.Seed = common.Seed
+		}
+		wl = sc.WorkloadConfig()
+		*maintenance = sc.Maintenance
+		kindName = sc.Kind
+	} else {
+		var kind middletier.Kind
+		switch *kindFlag {
+		case "cpu", "cpu-only":
+			kind = middletier.CPUOnly
+		case "acc", "accel":
+			kind = middletier.Accel
+		case "bf2":
+			kind = middletier.BF2
+		case "smartds", "sds":
+			kind = middletier.SmartDS
+		default:
+			return 0, fmt.Errorf("unknown kind %q", *kindFlag)
+		}
+		cfg = cluster.DefaultConfig(kind)
+		cfg.Seed = common.Seed
+		cfg.Functional = !*modeled
+		cfg.NumStorage = *storageN
+		cfg.NumClients = *clients
+		cfg.MT.Workers = *workers
+		cfg.MT.Ports = *ports
+		cfg.MT.DDIO = !*ddioOff
+		if kind != middletier.SmartDS && kind != middletier.BF2 {
+			cfg.MT.Ports = 1
+		}
+		wl = cluster.Workload{
+			Window:         *window,
+			Rate:           *openRate,
+			Warmup:         warmup.Seconds(),
+			Measure:        measure.Seconds(),
+			ReadFraction:   *reads,
+			BypassFraction: *bypass,
+		}
 	}
 
 	proto, err := common.Protocol()
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	specs, err := common.SLO()
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
-
-	cfg := cluster.DefaultConfig(kind)
-	cfg.Seed = common.Seed
-	cfg.Functional = !*modeled
 	cfg.MT.Protocol = proto
-	cfg.NumStorage = *storageN
-	cfg.NumClients = *clients
-	cfg.MT.Workers = *workers
-	cfg.MT.Ports = *ports
-	cfg.MT.DDIO = !*ddioOff
 	cfg.SLO = specs
-	if kind != middletier.SmartDS && kind != middletier.BF2 {
-		cfg.MT.Ports = 1
-	}
 
 	tracer := common.NewTracer(common.Breakdown)
 	cfg.Trace = tracer
@@ -128,10 +153,9 @@ func main() {
 	cfg.Log = common.NewLogger(os.Stderr, func() float64 { return c.Env.Now() })
 	var sched *faults.Schedule
 	if common.FaultSpec != "" {
-		var err error
 		sched, err = faults.Parse(common.FaultSpec)
 		if err != nil {
-			fatal(err)
+			return 0, err
 		}
 		// Bounded replication fan-outs so a crashed replica cannot
 		// strand client window slots (see middletier.ReplicateTimeout).
@@ -146,22 +170,14 @@ func main() {
 	}
 	var inj *faults.Injector
 	if sched != nil {
-		var err error
 		inj, err = c.ApplyFaults(sched)
 		if err != nil {
-			fatal(err)
+			return 0, err
 		}
 	}
 
 	start := time.Now()
-	res := c.Run(cluster.Workload{
-		Window:         *window,
-		Rate:           *openRate,
-		Warmup:         warmup.Seconds(),
-		Measure:        measure.Seconds(),
-		ReadFraction:   *reads,
-		BypassFraction: *bypass,
-	})
+	res := c.Run(wl)
 
 	printResults(c, res)
 	durabilityViolated := false
@@ -193,7 +209,7 @@ func main() {
 		fmt.Println(spanTbl.String())
 		wb := cluster.StageBreakdownFor(tracer, cluster.WriteStages, res.Lat.Mean)
 		fmt.Println(wb.Table("write-latency stage breakdown").String())
-		if *reads > 0 {
+		if wl.ReadFraction > 0 {
 			rb := cluster.StageBreakdownFor(tracer, cluster.ReadStages, res.Lat.Mean)
 			fmt.Println(rb.Table("read-latency stage breakdown").String())
 			fmt.Println("note: with a mixed workload the net/request, mt/parse and net/reply" +
@@ -204,20 +220,20 @@ func main() {
 	}
 	if common.TraceFile != "" {
 		if err := writeTrace(tracer, common.TraceFile); err != nil {
-			fatal(err)
+			return 0, err
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s (%d span leaks)\n", common.TraceFile, tracer.Leaked())
 	}
 	if common.FoldedFile != "" {
 		if err := writeFile(common.FoldedFile, folded.Write); err != nil {
-			fatal(err)
+			return 0, err
 		}
 		fmt.Fprintf(os.Stderr, "critical-path folded stacks written to %s\n", common.FoldedFile)
 	}
 	if reg != nil {
 		if common.ReportFile != "" {
-			rep := reg.BuildReport("sim", common.Seed, *modeled, map[string]string{
-				"kind":         *kindFlag,
+			rep := reg.BuildReport("sim", cfg.Seed, !cfg.Functional, map[string]string{
+				"kind":         kindName,
 				"faults":       common.FaultSpec,
 				"replication":  proto.String(),
 				"slo":          common.SLOSpec,
@@ -226,12 +242,12 @@ func main() {
 			if err := writeFile(common.ReportFile, func(w io.Writer) error {
 				return telemetry.WriteReport(w, rep)
 			}); err != nil {
-				fatal(err)
+				return 0, err
 			}
 			fmt.Fprintf(os.Stderr, "run report written to %s\n", common.ReportFile)
 		}
 		if err := common.WriteArtifacts(reg, writeFile); err != nil {
-			fatal(err)
+			return 0, err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "wall time: %s\n", time.Since(start).Round(time.Millisecond))
@@ -241,18 +257,14 @@ func main() {
 		// refusals (unroutable writes while replicas are dark); what must
 		// hold is data integrity and durability.
 		if res.VerifyMismatches > 0 || durabilityViolated {
-			os.Exit(1)
+			return 1, nil
 		}
-		return
+		return 0, nil
 	}
 	if res.Errors > 0 || res.VerifyMismatches > 0 {
-		os.Exit(1)
+		return 1, nil
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
+	return 0, nil
 }
 
 // writeFile creates path and streams fn's output into it.

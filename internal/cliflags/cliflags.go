@@ -17,6 +17,13 @@ import (
 	"github.com/disagg/smartds/internal/trace"
 )
 
+// CritpathExample is a smartds-sim invocation whose run report carries
+// critpath sections. A report gets them only when the run has a tracer,
+// and NewTracer builds one only for -trace or -critpath-folded, so
+// sampling alone (-trace-sample) is not enough. smartds-report prints
+// it when a report has no blame to show.
+const CritpathExample = "smartds-sim -measure 5ms -trace-sample 0.01 -critpath-folded blame.folded -report report.json"
+
 // Common is the shared flag surface. Register binds it to a FlagSet;
 // read the fields after fs.Parse.
 type Common struct {

@@ -27,7 +27,7 @@ func TestFIFOPerPathProperty(t *testing.T) {
 			for i := 0; i < n; i++ {
 				// Wildly varying sizes force PS completion inversions.
 				size := float64(64 + r.Intn(1<<20))
-				a.Send(&Message{Dst: "b", WireBytes: size, Payload: i})
+				a.Send(&Message{Dst: "b", WireBytes: size, Payload: i}, nil)
 				if r.Float64() < 0.5 {
 					p.Sleep(r.Exp(50e-6))
 				}
@@ -63,8 +63,8 @@ func TestFIFOIndependentPaths(t *testing.T) {
 	slow.SetHandler(func(*Message) {})
 
 	e.Go("tx", func(p *sim.Proc) {
-		a.Send(&Message{Dst: "slow", WireBytes: 1e6}) // ~1s on the slow port
-		a.Send(&Message{Dst: "fast", WireBytes: 1e6}) // ~2ms shared on a.tx
+		a.Send(&Message{Dst: "slow", WireBytes: 1e6}, nil) // ~1s on the slow port
+		a.Send(&Message{Dst: "fast", WireBytes: 1e6}, nil) // ~2ms shared on a.tx
 	})
 	e.Run(0)
 	if fastAt == 0 || fastAt > 0.1 {
@@ -91,7 +91,7 @@ func TestLossDoesNotStallFIFO(t *testing.T) {
 	})
 	e.Go("tx", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			a.Send(&Message{Dst: "b", WireBytes: 100, Payload: i})
+			a.Send(&Message{Dst: "b", WireBytes: 100, Payload: i}, nil)
 		}
 	})
 	e.Run(0)

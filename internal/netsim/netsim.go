@@ -80,17 +80,19 @@ type pairState struct {
 
 // xfer tracks one message crossing the fabric: TX and RX serialization
 // completing (in either order), then one wire latency, then in-order
-// release to the destination handler. Nodes are pooled and their two
+// release to the destination handler. Nodes are pooled and their
 // callbacks are bound once per node, so a steady-state Send allocates
-// nothing beyond the PSLink completion events.
+// nothing.
 type xfer struct {
 	f         *Fabric
 	dst       *Port
 	st        *pairState
 	m         *Message
+	onSent    func()
 	seq       uint64
 	remaining int
-	decFn     func(interface{})
+	txFn      func()
+	rxFn      func()
 	postFn    func()
 }
 
@@ -102,30 +104,51 @@ func (f *Fabric) getXfer() *xfer {
 		f.freeXfers = f.freeXfers[:n-1]
 		return x
 	}
+	//detcheck:hotalloc pool miss: warmup-only, steady state recycles via freeXfers
 	x := &xfer{f: f}
-	x.decFn = func(interface{}) {
-		x.remaining--
-		if x.remaining == 0 {
-			x.f.env.After(x.f.cfg.WireLatency, x.postFn)
-		}
-	}
+	x.txFn = x.txDone
+	x.rxFn = x.dec
 	x.postFn = x.post
 	return x
+}
+
+// txDone runs when the last byte leaves the sender: the transfer's own
+// bookkeeping first, then the sender's completion.
+func (x *xfer) txDone() {
+	onSent := x.onSent
+	x.onSent = nil
+	x.dec()
+	if onSent != nil {
+		onSent()
+	}
+}
+
+// dec counts one finished serialization; the second starts the wire
+// hop.
+func (x *xfer) dec() {
+	x.remaining--
+	if x.remaining == 0 {
+		x.f.env.After(x.f.cfg.WireLatency, x.postFn)
+	}
 }
 
 // post runs one wire latency after both serializations finish: it hands
 // the message to the destination in send order. The node is released
 // before the handler runs, since handlers routinely Send in response.
+//
+//hot:per-message fabric path, pinned by TestPortSendZeroAllocs
 func (x *xfer) post() {
 	f, dst, st, m, seq := x.f, x.dst, x.st, x.m, x.seq
 	x.dst = nil
 	x.st = nil
 	x.m = nil
+	//detcheck:hotalloc free-list growth mirrors the pool-miss warmup; steady state reuses capacity
 	f.freeXfers = append(f.freeXfers, x)
 	if seq != st.nextDeliver {
 		// Out of order: a message posted earlier on this path is still in
 		// flight. Park until it lands.
 		if st.ready == nil {
+			//detcheck:hotalloc first reordering on a path: the buffer is kept for the run
 			st.ready = make(map[uint64]*Message)
 		}
 		st.ready[seq] = m
@@ -263,42 +286,54 @@ func (p *Port) SetRate(bytesPerSec float64) {
 	p.rx.SetRate(bytesPerSec)
 }
 
-// Send serializes the message out of this port. The returned event
-// fires when the last byte leaves the sender (TX complete); delivery to
+// Send serializes the message out of this port. onSent, when non-nil,
+// runs when the last byte leaves the sender (TX complete); delivery to
 // the destination handler happens one wire latency after both TX and
 // the receiver's RX serialization complete. Unknown destinations and
 // loss-injected messages silently vanish after TX, exactly like a real
-// fabric.
-func (p *Port) Send(m *Message) *sim.Event {
+// fabric. The fabric holds m until it is delivered or dropped, and
+// never touches it afterwards.
+//
+//hot:per-message fabric path, pinned by TestPortSendZeroAllocs
+func (p *Port) Send(m *Message, onSent func()) {
 	if m.Src == "" {
 		m.Src = p.addr
 	}
 	if m.WireBytes < 0 {
 		m.WireBytes = 0
 	}
-	sent := p.tx.Start(m.WireBytes)
-
-	dst, ok := p.fabric.ports[m.Dst]
-	if !ok || (p.fabric.dropFn != nil && p.fabric.dropFn(m)) {
-		return sent
+	f := p.fabric
+	dst, ok := f.ports[m.Dst]
+	if !ok || (f.dropFn != nil && f.dropFn(m)) {
+		p.tx.StartFunc(m.WireBytes, onSent)
+		return
 	}
 	key := pairKey{src: m.Src, dst: m.Dst}
-	st := p.fabric.pairs[key]
+	st := f.pairs[key]
 	if st == nil {
+		//detcheck:hotalloc first message on a path: one state per (src, dst) pair for the run
 		st = &pairState{}
-		p.fabric.pairs[key] = st
+		f.pairs[key] = st
 	}
-	seq := st.nextSend
-	st.nextSend++
-
-	rxDone := dst.rx.Start(m.WireBytes)
-	x := p.fabric.getXfer()
+	x := f.getXfer()
 	x.dst = dst
 	x.st = st
 	x.m = m
-	x.seq = seq
+	x.seq = st.nextSend
+	st.nextSend++
+	if m.WireBytes <= 0 {
+		// Nothing to serialize: the wire hop is scheduled before the
+		// sender's completion runs, the order a nonzero transfer that
+		// finishes both serializations at once would have.
+		x.remaining = 0
+		f.env.After(f.cfg.WireLatency, x.postFn)
+		if onSent != nil {
+			onSent()
+		}
+		return
+	}
 	x.remaining = 2
-	sent.OnTrigger(x.decFn)
-	rxDone.OnTrigger(x.decFn)
-	return sent
+	x.onSent = onSent
+	p.tx.StartFunc(m.WireBytes, x.txFn)
+	dst.rx.StartFunc(m.WireBytes, x.rxFn)
 }

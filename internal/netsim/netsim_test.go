@@ -14,6 +14,14 @@ func newPair(e *sim.Env, rate float64) (*Fabric, *Port, *Port) {
 	return f, a, b
 }
 
+// sendWait sends m out of port and parks p until its TX serialization
+// completes.
+func sendWait(p *sim.Proc, port *Port, m *Message) {
+	sent := p.Env().NewEvent()
+	port.Send(m, func() { sent.Trigger(nil) })
+	p.Wait(sent)
+}
+
 func TestBasicDelivery(t *testing.T) {
 	e := sim.NewEnv()
 	_, a, b := newPair(e, 1e9)
@@ -21,7 +29,7 @@ func TestBasicDelivery(t *testing.T) {
 	var got *Message
 	b.SetHandler(func(m *Message) { got = m; gotAt = e.Now() })
 	e.Go("tx", func(p *sim.Proc) {
-		p.Wait(a.Send(&Message{Dst: "b", WireBytes: 1e6, Payload: "hello"}))
+		sendWait(p, a, &Message{Dst: "b", WireBytes: 1e6, Payload: "hello"})
 	})
 	e.Run(0)
 	if got == nil || got.Payload != "hello" || got.Src != "a" {
@@ -39,7 +47,7 @@ func TestSendEventFiresAtTxComplete(t *testing.T) {
 	_, a, _ := newPair(e, 1e9)
 	var sentAt sim.Time
 	e.Go("tx", func(p *sim.Proc) {
-		p.Wait(a.Send(&Message{Dst: "b", WireBytes: 1e6}))
+		sendWait(p, a, &Message{Dst: "b", WireBytes: 1e6})
 		sentAt = p.Now()
 	})
 	e.Run(0)
@@ -53,7 +61,7 @@ func TestUnknownDestinationVanishes(t *testing.T) {
 	_, a, _ := newPair(e, 1e9)
 	done := false
 	e.Go("tx", func(p *sim.Proc) {
-		p.Wait(a.Send(&Message{Dst: "nowhere", WireBytes: 100}))
+		sendWait(p, a, &Message{Dst: "nowhere", WireBytes: 100})
 		done = true
 	})
 	e.Run(0)
@@ -66,7 +74,7 @@ func TestNoHandlerDrops(t *testing.T) {
 	e := sim.NewEnv()
 	_, a, _ := newPair(e, 1e9)
 	e.Go("tx", func(p *sim.Proc) {
-		p.Wait(a.Send(&Message{Dst: "b", WireBytes: 100}))
+		sendWait(p, a, &Message{Dst: "b", WireBytes: 100})
 	})
 	e.Run(0) // must not panic
 }
@@ -83,7 +91,7 @@ func TestLossInjection(t *testing.T) {
 	})
 	e.Go("tx", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			p.Wait(a.Send(&Message{Dst: "b", WireBytes: 100}))
+			sendWait(p, a, &Message{Dst: "b", WireBytes: 100})
 		}
 	})
 	e.Run(0)
@@ -106,7 +114,7 @@ func TestReceiverSharingSlowsDelivery(t *testing.T) {
 	for _, p := range []*Port{a, b} {
 		p := p
 		e.Go("tx", func(proc *sim.Proc) {
-			proc.Wait(p.Send(&Message{Dst: "c", WireBytes: 1e6}))
+			sendWait(proc, p, &Message{Dst: "c", WireBytes: 1e6})
 		})
 	}
 	e.Run(0)
@@ -157,7 +165,7 @@ func TestPortStats(t *testing.T) {
 	_, a, b := newPair(e, 1e9)
 	b.SetHandler(func(*Message) {})
 	e.Go("tx", func(p *sim.Proc) {
-		p.Wait(a.Send(&Message{Dst: "b", WireBytes: 5000}))
+		sendWait(p, a, &Message{Dst: "b", WireBytes: 5000})
 	})
 	e.Run(0)
 	if got := a.TxStats().Work; got != 5000 {
@@ -196,7 +204,7 @@ func TestManyToManyThroughput(t *testing.T) {
 		dst.SetHandler(func(*Message) { finish = append(finish, e.Now()) })
 		dstAddr := dst.Addr()
 		e.Go("tx", func(p *sim.Proc) {
-			p.Wait(src.Send(&Message{Dst: dstAddr, WireBytes: 1e6}))
+			sendWait(p, src, &Message{Dst: dstAddr, WireBytes: 1e6})
 		})
 	}
 	e.Run(0)

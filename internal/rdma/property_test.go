@@ -78,7 +78,7 @@ func TestPropertyNoDuplicateDelivery(t *testing.T) {
 		// Drop only ACKs, often: data always arrives, acks get lost, so
 		// the sender resends data the receiver has already seen.
 		fab.SetLossFn(func(m *netsim.Message) bool {
-			pkt, ok := m.Payload.(*packet)
+			pkt, ok := packetOf(m)
 			return ok && pkt.kind == 'A' && r.Float64() < 0.5
 		})
 

@@ -79,6 +79,9 @@ type Stack struct {
 	next    int
 	spanSeq uint64 // send span correlation ids, unique per stack
 	resets  uint64 // QP resets performed on this stack (telemetry)
+
+	// freeWires pools fabric datagrams; see wire.
+	freeWires []*wire
 }
 
 // traceName is the stack's trace track ("rdma.<addr>").
@@ -93,6 +96,37 @@ type packet struct {
 	epoch  uint32 // connection incarnation; stale-epoch packets are ignored
 	data   []byte
 	size   float64
+}
+
+// wire is one datagram on the fabric: the netsim message and the
+// packet it carries live side by side, so a transmission allocates
+// neither. The sending stack draws a wire from its own pool and the
+// receiving stack returns it to its pool once the packet is
+// dispatched; every data message draws an ack, so draws and returns
+// balance per stack. A wire the fabric drops goes to the garbage
+// collector, and its stack allocates a fresh one on the next draw.
+type wire struct {
+	msg netsim.Message
+	pkt packet
+}
+
+// newWire draws a wire, fills it with pkt addressed to dst, and returns
+// its fabric message.
+//
+//hot:per-message transport path, pinned by TestSendAckAllocs
+func (s *Stack) newWire(dst netsim.Addr, wireBytes float64, pkt packet) *netsim.Message {
+	var w *wire
+	if n := len(s.freeWires); n > 0 {
+		w = s.freeWires[n-1]
+		s.freeWires[n-1] = nil
+		s.freeWires = s.freeWires[:n-1]
+	} else {
+		//detcheck:hotalloc pool miss: warmup and dropped wires only, receivers return the rest
+		w = &wire{}
+	}
+	w.pkt = pkt
+	w.msg = netsim.Message{Dst: dst, WireBytes: wireBytes, Payload: w}
+	return &w.msg
 }
 
 // NewStack binds a transport instance to a port. The stack takes over
@@ -159,6 +193,10 @@ type QP struct {
 	epoch    uint32 // bumped by Reconnect; guards against stale in-flight packets
 
 	unacked []*pendingSend
+	// acked is onAck's scratch list of sends an ack completes.
+	acked []*pendingSend
+	// freeSends pools send records; see pendingSend.
+	freeSends []*pendingSend
 
 	// broken marks a QP whose go-back-N window has a permanent gap: a
 	// send exhausted its retries, so the receiver can never advance past
@@ -174,6 +212,13 @@ type QP struct {
 	OnRecv func(*Message)
 }
 
+// pendingSend is one posted send until it resolves. Records are pooled
+// per QP, and a record goes back to the pool only when nothing can call
+// into it any more: it is resolved, none of its transmissions is still
+// serializing (each calls armFn when it leaves the port), and none of
+// its retransmit timers is still armed. Go-back-N can arm a second
+// timer over a live one, so a timer may fire after the ack resolved
+// the send; counting keeps that stale timer pointed at its own record.
 type pendingSend struct {
 	seq      uint64
 	data     []byte
@@ -185,15 +230,53 @@ type pendingSend struct {
 	span     uint64  // trace span id (0 when tracing is off)
 	postedAt float64 // post time, for the wire/qwait split on sampled sends
 
-	// armFn and timeoutFn are bound once at post time; retransmissions
-	// reuse them instead of minting two fresh closures per transmit.
-	armFn     func(interface{})
+	sending int // transmissions still serializing
+	armed   int // retransmit timers neither fired nor cancelled
+
+	// armFn and timeoutFn are bound once per record; retransmissions
+	// and reuses share them instead of minting fresh closures.
+	armFn     func()
 	timeoutFn func()
 }
 
+// cancelTimer cancels the record's newest timer, if it is still armed.
 func (ps *pendingSend) cancelTimer() {
-	ps.timer.Cancel()
+	if ps.timer.Cancel() {
+		ps.armed--
+	}
 	ps.timer = sim.Timer{}
+}
+
+// newSend draws a send record from the pool.
+//
+//hot:per-message transport path, pinned by TestSendAckAllocs
+func (qp *QP) newSend() *pendingSend {
+	if n := len(qp.freeSends); n > 0 {
+		ps := qp.freeSends[n-1]
+		qp.freeSends[n-1] = nil
+		qp.freeSends = qp.freeSends[:n-1]
+		return ps
+	}
+	//detcheck:hotalloc pool miss: warmup-only, bounded by the peak send window
+	ps := &pendingSend{}
+	//detcheck:hotalloc bound once per pooled record, reused by every send it serves
+	ps.armFn = func() { qp.onSent(ps) }
+	//detcheck:hotalloc bound once per pooled record, reused by every send it serves
+	ps.timeoutFn = func() { qp.onTimeout(ps) }
+	return ps
+}
+
+// release returns a resolved record to the pool once no transmission
+// or timer can call into it; otherwise the last of those does.
+//
+//hot:per-message transport path, pinned by TestSendAckAllocs
+func (qp *QP) release(ps *pendingSend) {
+	if !ps.resolved || ps.sending > 0 || ps.armed > 0 {
+		return
+	}
+	*ps = pendingSend{armFn: ps.armFn, timeoutFn: ps.timeoutFn}
+	//detcheck:hotalloc free-list growth mirrors the pool-miss warmup; steady state reuses capacity
+	qp.freeSends = append(qp.freeSends, ps)
 }
 
 // CreateQP allocates an unconnected QP.
@@ -259,6 +342,7 @@ func (qp *QP) reset(epoch uint32) {
 		ps.cancelTimer()
 		qp.endSendSpan(ps)
 		ps.done.Trigger(ErrDisconnected)
+		qp.release(ps)
 	}
 }
 
@@ -281,9 +365,10 @@ func (qp *QP) SendSized(data []byte, size float64) *sim.Event {
 	return qp.send(data, size)
 }
 
+//hot:per-message transport path, pinned by TestSendAckAllocs
 func (qp *QP) send(data []byte, size float64) *sim.Event {
 	if qp.remote.Addr == "" {
-		panic("rdma: Send on unconnected QP " + qp.ID().String())
+		qp.panicUnconnected()
 	}
 	done := qp.stack.env.NewEvent()
 	if qp.broken {
@@ -292,28 +377,38 @@ func (qp *QP) send(data []byte, size float64) *sim.Event {
 		done.Trigger(ErrRetriesExhausted)
 		return done
 	}
-	ps := &pendingSend{seq: qp.sendSeq, data: data, size: size, done: done}
-	ps.timeoutFn = func() { qp.onTimeout(ps) }
-	ps.armFn = func(interface{}) {
-		if ps.resolved {
-			return
-		}
-		ps.timer = qp.stack.env.After(qp.stack.cfg.RetransmitTimeout, ps.timeoutFn)
-	}
+	ps := qp.newSend()
+	ps.seq = qp.sendSeq
+	ps.data = data
+	ps.size = size
+	ps.done = done
 	qp.sendSeq++
+	//detcheck:hotalloc window growth: capacity is retained as acks trim the window
 	qp.unacked = append(qp.unacked, ps)
 	if tr := qp.stack.cfg.Trace; tr != nil {
-		qp.stack.spanSeq++
-		// Head sampling: unsampled sends leave ps.span zero so the End
-		// side skips too. At full rate ForRequest is the identity.
-		if st := tr.ForRequest(qp.stack.spanSeq); st != nil {
-			ps.span = qp.stack.spanSeq
-			ps.postedAt = qp.stack.env.Now()
-			st.Begin(ps.postedAt, qp.stack.traceName(), "send", ps.span)
-		}
+		qp.beginSendSpan(tr, ps)
 	}
 	qp.transmit(ps)
 	return done
+}
+
+//cold:programming error; the run is already dead, so formatting is free
+func (qp *QP) panicUnconnected() {
+	panic("rdma: Send on unconnected QP " + qp.ID().String())
+}
+
+// beginSendSpan opens a send's trace span if head sampling keeps it.
+// Unsampled sends leave ps.span zero so the End side skips too. At
+// full rate ForRequest is the identity.
+//
+//cold:tracing is off on the measured path; sampled sends pay for their spans
+func (qp *QP) beginSendSpan(tr *trace.Tracer, ps *pendingSend) {
+	qp.stack.spanSeq++
+	if st := tr.ForRequest(qp.stack.spanSeq); st != nil {
+		ps.span = qp.stack.spanSeq
+		ps.postedAt = qp.stack.env.Now()
+		st.Begin(ps.postedAt, qp.stack.traceName(), "send", ps.span)
+	}
 }
 
 // endSendSpan closes a pending send's trace span when it resolves and
@@ -323,6 +418,8 @@ func (qp *QP) send(data []byte, size float64) *sim.Event {
 // retransmits, ack turnaround — is wait. The two children tile the
 // send span exactly, so critical-path blame can tell "the link was
 // busy" apart from "the message was big".
+//
+//cold:tracing is off on the measured path; sampled sends pay for their spans
 func (qp *QP) endSendSpan(ps *pendingSend) {
 	if ps.span == 0 {
 		return
@@ -350,23 +447,37 @@ func (qp *QP) endSendSpan(ps *pendingSend) {
 // transmit puts one message on the fabric. The retransmission timer is
 // armed only once serialization completes — the NIC cannot time out a
 // message that has not finished leaving the port yet.
+//
+//hot:per-message transport path, pinned by TestSendAckAllocs
 func (qp *QP) transmit(ps *pendingSend) {
 	s := qp.stack
 	ps.cancelTimer()
-	wire := s.port.Send(&netsim.Message{
-		Dst:       qp.remote.Addr,
-		WireBytes: fabricSize(s, ps.size),
-		Payload: &packet{
-			kind:   'D',
-			src:    qp.ID(),
-			dstQPN: qp.remote.QPN,
-			seq:    ps.seq,
-			epoch:  qp.epoch,
-			data:   ps.data,
-			size:   ps.size,
-		},
-	})
-	wire.OnTrigger(ps.armFn)
+	ps.sending++
+	s.port.Send(s.newWire(qp.remote.Addr, fabricSize(s, ps.size), packet{
+		kind:   'D',
+		src:    qp.ID(),
+		dstQPN: qp.remote.QPN,
+		seq:    ps.seq,
+		epoch:  qp.epoch,
+		data:   ps.data,
+		size:   ps.size,
+	}), ps.armFn)
+}
+
+// onSent runs when one transmission of ps has left the port: it arms
+// the retransmit timer unless the send already resolved. Under
+// go-back-N an earlier copy may still hold an armed timer; the new one
+// takes over the handle and the old one fires on its own.
+//
+//hot:per-message transport path, pinned by TestSendAckAllocs
+func (qp *QP) onSent(ps *pendingSend) {
+	ps.sending--
+	if ps.resolved {
+		qp.release(ps)
+		return
+	}
+	ps.timer = qp.stack.env.After(qp.stack.cfg.RetransmitTimeout, ps.timeoutFn)
+	ps.armed++
 }
 
 // fabricSize converts a payload size into on-wire bytes: transport
@@ -385,7 +496,9 @@ func (qp *QP) onTimeout(timed *pendingSend) {
 		Debug("timeout", qp.ID(), timed.seq)
 	}
 	timed.timer = sim.Timer{}
+	timed.armed--
 	if timed.resolved {
+		qp.release(timed)
 		return
 	}
 	idx := -1
@@ -411,6 +524,7 @@ func (qp *QP) onTimeout(timed *pendingSend) {
 			ps.cancelTimer()
 			qp.endSendSpan(ps)
 			ps.done.Trigger(ErrRetriesExhausted)
+			qp.release(ps)
 		}
 		return
 	}
@@ -426,24 +540,29 @@ func (qp *QP) onTimeout(timed *pendingSend) {
 	}
 }
 
-// receive dispatches fabric messages to QPs.
+// receive dispatches fabric messages to QPs, then returns the wire to
+// this stack's pool.
+//
+//hot:per-message transport path, pinned by TestSendAckAllocs
 func (s *Stack) receive(m *netsim.Message) {
-	pkt, ok := m.Payload.(*packet)
+	w, ok := m.Payload.(*wire)
 	if !ok {
 		return // foreign traffic
 	}
-	qp, ok := s.qps[pkt.dstQPN]
-	if !ok {
-		return
-	}
-	switch pkt.kind {
-	case 'D':
-		qp.onData(pkt)
-	case 'A':
-		if pkt.epoch == qp.epoch {
-			qp.onAck(pkt.seq)
+	pkt := &w.pkt
+	if qp, ok := s.qps[pkt.dstQPN]; ok {
+		switch pkt.kind {
+		case 'D':
+			qp.onData(pkt)
+		case 'A':
+			if pkt.epoch == qp.epoch {
+				qp.onAck(pkt.seq)
+			}
 		}
 	}
+	w.pkt.data = nil
+	//detcheck:hotalloc free-list growth mirrors the pool-miss warmup; steady state reuses capacity
+	s.freeWires = append(s.freeWires, w)
 }
 
 // onData handles an incoming data message: deliver in order, drop
@@ -451,6 +570,8 @@ func (s *Stack) receive(m *netsim.Message) {
 // older connection epoch are dropped without an ack — after a Reconnect
 // a stale in-flight data message must not masquerade as a fresh
 // sequence number.
+//
+//hot:per-message transport path, pinned by TestSendAckAllocs
 func (qp *QP) onData(pkt *packet) {
 	if Debug != nil {
 		Debug("data", qp.ID(), pkt.seq)
@@ -461,6 +582,7 @@ func (qp *QP) onData(pkt *packet) {
 	if pkt.seq == qp.recvNext {
 		qp.recvNext++
 		if qp.OnRecv != nil {
+			//detcheck:hotalloc the delivered message outlives the packet: core queues it, storage captures it
 			qp.OnRecv(&Message{From: pkt.src, Seq: pkt.seq, Data: pkt.data, Size: pkt.size})
 		}
 	}
@@ -469,42 +591,49 @@ func (qp *QP) onData(pkt *packet) {
 	qp.sendAck()
 }
 
+//hot:per-message transport path, pinned by TestSendAckAllocs
 func (qp *QP) sendAck() {
 	s := qp.stack
-	s.port.Send(&netsim.Message{
-		Dst:       qp.remote.Addr,
-		WireBytes: s.cfg.AckBytes,
-		Payload: &packet{
-			kind:   'A',
-			src:    qp.ID(),
-			dstQPN: qp.remote.QPN,
-			seq:    qp.recvNext,
-			epoch:  qp.epoch,
-		},
-	})
+	s.port.Send(s.newWire(qp.remote.Addr, s.cfg.AckBytes, packet{
+		kind:   'A',
+		src:    qp.ID(),
+		dstQPN: qp.remote.QPN,
+		seq:    qp.recvNext,
+		epoch:  qp.epoch,
+	}), nil)
 }
 
-// onAck completes every pending send below the cumulative mark.
+// onAck completes every pending send below the cumulative mark — a
+// prefix of the window, since unacked is in sequence order.
+//
+//hot:per-message transport path, pinned by TestSendAckAllocs
 func (qp *QP) onAck(next uint64) {
 	if Debug != nil {
 		Debug("ack", qp.ID(), next)
 	}
-	kept := qp.unacked[:0]
-	var completed []*pendingSend
-	for _, ps := range qp.unacked {
-		if ps.seq < next {
-			ps.resolved = true
-			ps.cancelTimer()
-			completed = append(completed, ps)
-		} else {
-			kept = append(kept, ps)
-		}
+	n := 0
+	for n < len(qp.unacked) && qp.unacked[n].seq < next {
+		n++
 	}
-	qp.unacked = kept
-	for _, ps := range completed {
+	if n == 0 {
+		return
+	}
+	//detcheck:hotalloc scratch growth: capacity is retained in qp.acked across acks
+	acked := append(qp.acked[:0], qp.unacked[:n]...)
+	kept := copy(qp.unacked, qp.unacked[n:])
+	clear(qp.unacked[kept:])
+	qp.unacked = qp.unacked[:kept]
+	for _, ps := range acked {
+		ps.resolved = true
+		ps.cancelTimer()
+	}
+	for i, ps := range acked {
 		qp.endSendSpan(ps)
 		ps.done.Trigger(nil)
+		qp.release(ps)
+		acked[i] = nil
 	}
+	qp.acked = acked[:0]
 }
 
 // Unacked reports the sender's outstanding message count (for tests).

@@ -16,6 +16,16 @@ func pairStacks(e *sim.Env, rate float64) (*Stack, *Stack, *netsim.Fabric) {
 	return sa, sb, f
 }
 
+// packetOf returns the transport packet a fabric message carries, for
+// loss predicates that drop by kind or sequence.
+func packetOf(m *netsim.Message) (*packet, bool) {
+	w, ok := m.Payload.(*wire)
+	if !ok {
+		return nil, false
+	}
+	return &w.pkt, true
+}
+
 func connectedQPs(sa, sb *Stack) (*QP, *QP) {
 	qa, qb := sa.CreateQP(), sb.CreateQP()
 	Connect(qa, qb)
@@ -77,7 +87,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	// Drop the first transmission of every data message once.
 	dropped := map[uint64]bool{}
 	f.SetLossFn(func(m *netsim.Message) bool {
-		pkt, ok := m.Payload.(*packet)
+		pkt, ok := packetOf(m)
 		if !ok || pkt.kind != 'D' {
 			return false
 		}
@@ -112,7 +122,7 @@ func TestGoBackNOnGap(t *testing.T) {
 	qb.OnRecv = func(m *Message) { seqs = append(seqs, m.Seq) }
 	first := true
 	f.SetLossFn(func(m *netsim.Message) bool {
-		pkt, ok := m.Payload.(*packet)
+		pkt, ok := packetOf(m)
 		if ok && pkt.kind == 'D' && pkt.seq == 1 && first {
 			first = false
 			return true
@@ -145,7 +155,7 @@ func TestRetriesExhausted(t *testing.T) {
 	qa, qb := connectedQPs(sa, sb)
 	_ = qb
 	f.SetLossFn(func(m *netsim.Message) bool {
-		pkt, ok := m.Payload.(*packet)
+		pkt, ok := packetOf(m)
 		return ok && pkt.kind == 'D' // black-hole all data
 	})
 	var result interface{}

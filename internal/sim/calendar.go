@@ -135,14 +135,22 @@ func (c *calendar) remove(i int) *item {
 	c.items[n] = nil
 	c.items = c.items[:n]
 	if i < n {
-		if i > 0 && calLess(last, c.items[(i-1)/4]) {
-			c.siftUp(i, last)
-		} else {
-			c.siftDown(i, last)
-		}
+		c.items[i] = last
+		c.fix(i)
 	}
 	it.idx = freeIdx
 	return it
+}
+
+// fix restores heap order after the entry at position i changed its
+// key (or was replaced).
+func (c *calendar) fix(i int) {
+	it := c.items[i]
+	if i > 0 && calLess(it, c.items[(i-1)/4]) {
+		c.siftUp(i, it)
+	} else {
+		c.siftDown(i, it)
+	}
 }
 
 // lane is the same-instant FIFO ring. Entries are pushed only at the

@@ -157,17 +157,19 @@ func (e *Env) wakeAt(t Time, tk wakeToken) Timer {
 	return e.timerFor(e.scheduleWake(t, tk))
 }
 
-// Cancel prevents the timer's callback from running. A heap entry is
-// removed in place (no leak until pop); a fast-lane entry is marked
-// and skipped when its instant drains. Cancelling an already-fired,
-// already-cancelled, or zero Timer is a no-op — the seq stamp detects
-// items that were recycled for a later schedule.
+// Cancel prevents the timer's callback from running and reports
+// whether it did: false means the callback already ran or was already
+// cancelled. A heap entry is removed in place (no leak until pop); a
+// fast-lane entry is marked and skipped when its instant drains.
+// Cancelling an already-fired, already-cancelled, or zero Timer is a
+// no-op — the seq stamp detects items that were recycled for a later
+// schedule.
 //
 //hot:per-event scheduler spine, pinned by TestTimerChurnZeroAllocs
-func (t Timer) Cancel() {
+func (t Timer) Cancel() bool {
 	it := t.it
 	if it == nil || it.seq != t.seq || it.cancelled {
-		return
+		return false
 	}
 	switch {
 	case it.idx >= 0:
@@ -177,7 +179,32 @@ func (t Timer) Cancel() {
 	case it.idx == laneIdx:
 		it.cancelled = true
 		t.env.live--
+	default:
+		return false
 	}
+	return true
+}
+
+// rearm moves a pending callback timer (one from At or After) to
+// absolute time t and returns its new handle. The entry gets exactly the (t, seq) that tm.Cancel followed
+// by At(t, fn) would give it, so dispatch order is unchanged; a pending
+// heap entry is simply re-keyed in place with one sift instead of a
+// remove and a push. Fired, cancelled and fast-lane timers, and targets
+// at or before the current instant, take the Cancel+At path.
+//
+//hot:per-event scheduler spine, pinned by TestPSLinkCallbackChurnZeroAllocs
+func (e *Env) rearm(tm Timer, t Time, fn func()) Timer {
+	it := tm.it
+	if it == nil || it.seq != tm.seq || it.cancelled || it.idx < 0 || !(t > e.now) {
+		tm.Cancel()
+		return e.At(t, fn)
+	}
+	e.seq++
+	it.t = t
+	it.seq = e.seq
+	it.fn = fn
+	e.cal.fix(it.idx)
+	return e.timerFor(it)
 }
 
 // next pops the earliest live calendar entry, nil when the calendar is

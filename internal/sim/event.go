@@ -29,6 +29,7 @@ type Event struct {
 // allocation, it never reuses storage.
 func (e *Env) NewEvent() *Event {
 	if e.evPos == len(e.evSlab) {
+		//detcheck:hotalloc slab refill: one allocation per eventSlab events
 		e.evSlab = make([]Event, eventSlab)
 		e.evPos = 0
 	}

@@ -21,7 +21,11 @@ import "math"
 // spot.
 //
 // The link is allocation-free in steady state: completed psJobs return
-// to a per-link pool, and scratch buffers are reused across calls.
+// to a per-link pool, scratch buffers are reused across calls, and the
+// pending completion check is re-keyed in place on the calendar rather
+// than cancelled and scheduled afresh. A job completes either an Event
+// (for processes that Wait on a transfer) or a caller-bound func()
+// (StartFunc), which costs no Event at all.
 type PSLink struct {
 	env     *Env
 	name    string
@@ -55,7 +59,10 @@ type psJob struct {
 	remaining float64 // bytes left (capped mode)
 	weight    float64
 	seq       uint64
-	ev        *Event
+	// The completion: ev when set, else fn (nil for a transfer that
+	// only occupies the link).
+	ev *Event
+	fn func()
 }
 
 // NewPSLink creates a processor-sharing link with the given aggregate
@@ -108,6 +115,7 @@ func (l *PSLink) InFlight() int { return len(l.jobs) }
 // capacity other flows could use.
 func (l *PSLink) jobRates() []float64 {
 	if cap(l.rates) < len(l.jobs) {
+		//detcheck:hotalloc capped-mode scratch growth: doubles to the peak job count, then retained
 		l.rates = make([]float64, len(l.jobs)*2)
 	}
 	rates := l.rates[:len(l.jobs)]
@@ -120,6 +128,7 @@ func (l *PSLink) jobRates() []float64 {
 	remaining := l.rate
 	uncapped := l.uncapped[:0]
 	for i := range l.jobs {
+		//detcheck:hotalloc capped-mode scratch growth: capacity is retained in l.uncapped
 		uncapped = append(uncapped, i)
 	}
 	for len(uncapped) > 0 && remaining > 0 {
@@ -138,6 +147,7 @@ func (l *PSLink) jobRates() []float64 {
 				rates[i] = l.flowCap
 				newlyCapped = true
 			} else {
+				//detcheck:hotalloc in-place filter of uncapped: never outgrows its backing array
 				kept = append(kept, i)
 			}
 		}
@@ -195,26 +205,37 @@ func (l *PSLink) advance() {
 	}
 }
 
-// reschedule cancels any pending completion check and schedules the
-// next one at the earliest projected job completion.
+// reschedule moves the pending completion check to the earliest
+// projected job completion, or cancels it when nothing can complete.
+//
+//hot:per-transfer link spine, pinned by TestPSLinkCallbackChurnZeroAllocs
 func (l *PSLink) reschedule() {
-	l.timer.Cancel()
-	l.timer = Timer{}
-	if len(l.jobs) == 0 {
+	next, ok := l.nextCompletion()
+	if !ok {
+		l.timer.Cancel()
+		l.timer = Timer{}
 		return
+	}
+	l.timer = l.env.rearm(l.timer, l.env.now+next, l.completeFn)
+}
+
+// nextCompletion returns the delay until the earliest projected job
+// completion; ok is false when no job is making progress.
+func (l *PSLink) nextCompletion() (next float64, ok bool) {
+	if len(l.jobs) == 0 {
+		return 0, false
 	}
 	if l.flowCap <= 0 {
 		if l.weightSum <= 0 {
-			return
+			return 0, false
 		}
-		next := (l.jobs[0].finishS - l.virt) * l.weightSum / l.rate
+		next = (l.jobs[0].finishS - l.virt) * l.weightSum / l.rate
 		if next < 0 {
 			next = 0
 		}
-		l.timer = l.env.After(next, l.completeFn)
-		return
+		return next, true
 	}
-	next := math.Inf(1)
+	next = math.Inf(1)
 	rates := l.jobRates()
 	for i, j := range l.jobs {
 		r := rates[i]
@@ -225,17 +246,16 @@ func (l *PSLink) reschedule() {
 			next = t
 		}
 	}
-	if math.IsInf(next, 1) {
-		return
-	}
-	l.timer = l.env.After(next, l.completeFn)
+	return next, !math.IsInf(next, 1)
 }
 
 // complete fires at a projected completion instant: it advances the
 // link, finishes the jobs that are done, and reschedules. Finished
-// jobs fire their events in admission order, so same-instant
-// completions keep a deterministic, insertion-ordered trigger sequence
+// jobs fire their completions in admission order, so same-instant
+// completions keep a deterministic, insertion-ordered sequence
 // regardless of heap layout.
+//
+//hot:per-transfer link spine, pinned by TestPSLinkCallbackChurnZeroAllocs
 func (l *PSLink) complete() {
 	l.timer = Timer{}
 	l.advance()
@@ -258,6 +278,7 @@ func (l *PSLink) complete() {
 			}
 			l.popMinJob()
 			l.weightSum -= top.weight
+			//detcheck:hotalloc scratch growth: capacity is retained in l.finished across calls
 			finished = append(finished, top)
 		}
 		// Restore admission order for the triggers below.
@@ -275,9 +296,11 @@ func (l *PSLink) complete() {
 				done = true
 			}
 			if done {
+				//detcheck:hotalloc scratch growth: capacity is retained in l.finished across calls
 				finished = append(finished, j)
 				l.weightSum -= j.weight
 			} else {
+				//detcheck:hotalloc in-place filter of l.jobs: never outgrows its backing array
 				kept = append(kept, j)
 			}
 		}
@@ -294,16 +317,22 @@ func (l *PSLink) complete() {
 	}
 	l.reschedule()
 	for _, j := range finished {
-		ev := j.ev
-		j.ev = nil
+		ev, fn := j.ev, j.fn
+		j.ev, j.fn = nil, nil
+		//detcheck:hotalloc free-list growth mirrors the pool-miss warmup; steady state reuses capacity
 		l.freeJobs = append(l.freeJobs, j)
-		ev.Trigger(nil)
+		if ev != nil {
+			ev.Trigger(nil)
+		} else if fn != nil {
+			fn()
+		}
 	}
 	l.finished = finished[:0]
 }
 
 // pushJob inserts a job into the finish-tag min-heap (uncapped mode).
 func (l *PSLink) pushJob(j *psJob) {
+	//detcheck:hotalloc amortized heap growth; capacity is retained across pops
 	l.jobs = append(l.jobs, j)
 	i := len(l.jobs) - 1
 	for i > 0 {
@@ -349,6 +378,31 @@ func (l *PSLink) StartWeighted(bytes, weight float64) *Event {
 		ev.Trigger(nil)
 		return ev
 	}
+	l.start(bytes, weight, ev, nil)
+	return ev
+}
+
+// StartFunc begins a unit-weight transfer without blocking and calls
+// done, if non-nil, when it completes, at the point in the completion
+// order where Start's event would fire. A transfer of no bytes calls
+// done at once. Callers that only need a callback use it to skip the
+// Event.
+//
+//hot:per-transfer link spine, pinned by TestPSLinkCallbackChurnZeroAllocs
+func (l *PSLink) StartFunc(bytes float64, done func()) {
+	if bytes <= 0 {
+		if done != nil {
+			done()
+		}
+		return
+	}
+	l.start(bytes, 1, nil, done)
+}
+
+// start admits a job that completes ev or calls fn.
+//
+//hot:per-transfer link spine, pinned by TestPSLinkCallbackChurnZeroAllocs
+func (l *PSLink) start(bytes, weight float64, ev *Event, fn func()) {
 	if weight <= 0 {
 		weight = 1
 	}
@@ -362,10 +416,12 @@ func (l *PSLink) StartWeighted(bytes, weight float64) *Event {
 		l.freeJobs[n-1] = nil
 		l.freeJobs = l.freeJobs[:n-1]
 	} else {
+		//detcheck:hotalloc pool miss: warmup-only, steady state recycles via freeJobs
 		j = &psJob{}
 	}
 	j.weight = weight
 	j.ev = ev
+	j.fn = fn
 	l.jobSeq++
 	j.seq = l.jobSeq
 	if l.flowCap <= 0 {
@@ -373,11 +429,11 @@ func (l *PSLink) StartWeighted(bytes, weight float64) *Event {
 		l.pushJob(j)
 	} else {
 		j.remaining = bytes
+		//detcheck:hotalloc amortized growth; capacity is retained across completions
 		l.jobs = append(l.jobs, j)
 	}
 	l.weightSum += weight
 	l.reschedule()
-	return ev
 }
 
 // Start begins a unit-weight transfer without blocking.
