@@ -18,6 +18,7 @@
 // Observability (shared with smartds-sim via internal/cliflags):
 //
 //	-trace-sample 0.01       # head-sample 1% of trace spans (tail kept)
+//	-breakdown               # critical-path blame tables for every run
 //	-slo "avail:99.9;ttr:10ms"  # burn-rate alerts into the report
 //	-log-level info          # structured sim-time event log on stderr
 //	-label-budget 64         # fold excess label sets into overflow series
@@ -39,6 +40,7 @@ import (
 
 	"github.com/disagg/smartds/internal/cliflags"
 	"github.com/disagg/smartds/internal/experiments"
+	"github.com/disagg/smartds/internal/metrics"
 	"github.com/disagg/smartds/internal/telemetry"
 )
 
@@ -84,9 +86,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opt := experiments.Options{Quick: *quick, Seed: common.Seed, Breakdown: common.Breakdown,
+	opt := experiments.Options{Quick: *quick, Seed: common.Seed,
 		FaultSpec: common.FaultSpec, Replication: proto, SLO: specs}
-	opt.Trace = common.NewTracer(false)
+	opt.Trace = common.NewTracer()
 	opt.CritpathFolded = common.NewFolded()
 	opt.Telemetry = common.NewRegistry()
 	// The event-log clock must follow whichever cluster is currently
@@ -116,6 +118,9 @@ func main() {
 	wall := time.Since(start).Seconds()
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
+	if common.Breakdown {
+		printTables(telemetry.BlameTables(opt.Telemetry.Runs()))
+	}
 	if common.TraceFile != "" {
 		if err := writeFile(common.TraceFile, opt.Trace.WriteChromeTrace); err != nil {
 			fatal(err)
@@ -201,6 +206,12 @@ func runOne(name string, opt experiments.Options) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	printTables(tables)
+	fmt.Fprintf(os.Stderr, "[%s done in %s]\n\n", name, time.Since(t0).Round(time.Millisecond))
+}
+
+// printTables writes tables to stdout as text, or as CSV under -csv.
+func printTables(tables []*metrics.Table) {
 	for _, tbl := range tables {
 		if csvOut {
 			fmt.Printf("# %s\n%s\n", tbl.Title, tbl.CSV())
@@ -208,5 +219,4 @@ func runOne(name string, opt experiments.Options) {
 			fmt.Println(tbl.String())
 		}
 	}
-	fmt.Fprintf(os.Stderr, "[%s done in %s]\n\n", name, time.Since(t0).Round(time.Millisecond))
 }

@@ -137,52 +137,16 @@ func sloExit(rep *telemetry.Report) {
 	os.Exit(1)
 }
 
-// printBlame renders each run's critical-path blame profile: the
-// fraction of client-observed latency attributed to every stage at the
-// mean and at the tail exemplars, then the p999 exemplar's segment
-// list — the "why is p999 high?" answer in one screen.
+// printBlame prints each run's critical-path blame profile.
 func printBlame(rep *telemetry.Report) {
-	printed := 0
-	for _, rr := range rep.Runs {
-		cp := rr.Critpath
-		if cp == nil {
-			continue
-		}
-		printed++
-		tbl := metrics.NewTable(
-			fmt.Sprintf("latency blame %s (%s, %d sampled requests)", rr.Key(), rr.Protocol, cp.Requests),
-			"stage", "kind", "mean%", "p99%", "p999%", "mean")
-		for _, st := range cp.Stages {
-			kind := "service"
-			if st.Wait {
-				kind = "wait"
-			}
-			tbl.AddRow(st.Stage, kind,
-				pct(st.MeanFrac), pct(st.P99Frac), pct(st.P999Frac),
-				metrics.FormatDuration(st.MeanSec))
-		}
+	tables := telemetry.BlameTables(rep.Runs)
+	for _, tbl := range tables {
 		fmt.Println(tbl.String())
-		if ex := cp.P999; ex != nil {
-			etbl := metrics.NewTable(
-				fmt.Sprintf("p999 exemplar %s (trace %s, e2e %s)", rr.Key(), ex.TraceID, metrics.FormatDuration(ex.E2E)),
-				"segment", "kind", "dur", "share")
-			for _, seg := range ex.Segments {
-				kind := "service"
-				if seg.Wait {
-					kind = "wait"
-				}
-				etbl.AddRow(seg.Stage, kind, metrics.FormatDuration(seg.Dur), pct(seg.Frac))
-			}
-			fmt.Println(etbl.String())
-		}
 	}
-	if printed == 0 {
+	if len(tables) == 0 {
 		fmt.Fprintln(os.Stderr, "no critpath sections in this report (the run needs a tracer; e.g. "+cliflags.CritpathExample+")")
 	}
 }
-
-// pct renders a fraction as a percentage cell.
-func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
 // printReport renders one report's run records as a table.
 func printReport(rep *telemetry.Report) {

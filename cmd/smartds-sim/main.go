@@ -142,7 +142,7 @@ func run(args []string) (int, error) {
 	cfg.MT.Protocol = proto
 	cfg.SLO = specs
 
-	tracer := common.NewTracer(common.Breakdown)
+	tracer := common.NewTracer()
 	cfg.Trace = tracer
 	folded := common.NewFolded()
 	cfg.CritpathFolded = folded
@@ -201,21 +201,8 @@ func run(args []string) (int, error) {
 		fmt.Println(tbl.String())
 	}
 	if common.Breakdown {
-		spanTbl := metrics.NewTable("request spans", "span", "count", "mean", "p99", "max")
-		for _, s := range tracer.Spans() {
-			spanTbl.AddRow(s.Label, s.Count, metrics.FormatDuration(s.Mean),
-				metrics.FormatDuration(s.P99), metrics.FormatDuration(s.Max))
-		}
-		fmt.Println(spanTbl.String())
-		wb := cluster.StageBreakdownFor(tracer, cluster.WriteStages, res.Lat.Mean)
-		fmt.Println(wb.Table("write-latency stage breakdown").String())
-		if wl.ReadFraction > 0 {
-			rb := cluster.StageBreakdownFor(tracer, cluster.ReadStages, res.Lat.Mean)
-			fmt.Println(rb.Table("read-latency stage breakdown").String())
-			fmt.Println("note: with a mixed workload the net/request, mt/parse and net/reply" +
-				" histograms blend reads and writes, so neither table tiles its own" +
-				" operation exactly; run -reads 0 (or -exp ext-reads -breakdown) for" +
-				" an exact per-op reconciliation")
+		for _, tbl := range telemetry.BlameTables(reg.Runs()) {
+			fmt.Println(tbl.String())
 		}
 	}
 	if common.TraceFile != "" {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -73,4 +75,54 @@ func TestCritpathExampleReportsBlame(t *testing.T) {
 		}
 	}
 	t.Fatalf("report from %q has no critpath section", cliflags.CritpathExample)
+}
+
+// TestBreakdownPrintsBlame runs a short write-only -breakdown scenario
+// and checks the critical-path blame table it prints: the compression
+// stage is listed, and the mean% column tiles the end-to-end latency.
+func TestBreakdownPrintsBlame(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	code, err := run([]string{"-breakdown", "-reads", "0", "-warmup", "1ms", "-measure", "2ms"})
+	os.Stdout = stdout
+	if err != nil || code != 0 {
+		t.Fatalf("run = %d, %v", code, err)
+	}
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(data), "== latency blame ")
+	if !ok {
+		t.Fatalf("no blame table in -breakdown output:\n%s", data)
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	lines := strings.Split(table, "\n")
+	if len(lines) < 4 || !strings.HasPrefix(lines[1], "stage ") {
+		t.Fatalf("malformed blame table:\n%s", table)
+	}
+	compress := false
+	var sum float64
+	for _, line := range lines[3:] { // title, header and rule precede the rows
+		f := strings.Fields(line) // stage, kind, mean%, p99%, p999%, mean (value and unit)
+		if len(f) < 6 {
+			t.Fatalf("blame row %q has %d fields, want 6 cells", line, len(f))
+		}
+		compress = compress || strings.HasPrefix(f[0], "mt/compress")
+		v, err := strconv.ParseFloat(strings.TrimSuffix(f[2], "%"), 64)
+		if err != nil {
+			t.Fatalf("mean%% cell %q: %v", f[2], err)
+		}
+		sum += v
+	}
+	if !compress {
+		t.Errorf("blame table does not list mt/compress:\n%s", table)
+	}
+	if math.Abs(sum-100) > 0.5 {
+		t.Errorf("mean%% column sums to %.1f%%, want 100%% ±0.5:\n%s", sum, table)
+	}
 }

@@ -1,17 +1,15 @@
 // Command smartds-vet is the determinism multichecker: it runs the
 // detcheck analyzers (wallclock, randsrc, maporder, simspawn,
-// floatacc, hotalloc, simblock, lockorder, errdrop, mutexcopy,
-// finalizer) over the module and exits nonzero on any finding. The
-// analyzers mechanically enforce the invariants behind the simulator's
-// "whole experiments replay bit-for-bit" guarantee; see the
-// "Determinism invariants" section of DESIGN.md.
+// floatacc, hotalloc, simblock, errdrop, finalizer) over the module and
+// exits nonzero on any finding. The analyzers mechanically enforce the
+// invariants behind the simulator's "whole experiments replay
+// bit-for-bit" guarantee; see the "Determinism invariants" section of
+// DESIGN.md.
 //
-// In the standalone mode the driver type-checks the whole package set
-// and builds one interprocedural call graph over it (framework
-// BuildCallGraph); the hotalloc/simblock/lockorder/errdrop analyzers
-// consume it through Pass.CallGraph / Pass.Summaries. The go vet
-// -vettool unit protocol sees one package at a time, so those
-// analyzers are no-ops there; CI runs the standalone mode.
+// The driver loads and type-checks the whole package set itself and
+// builds one interprocedural call graph over it (framework
+// BuildCallGraph); the hotalloc/simblock/errdrop analyzers consume it
+// through Pass.CallGraph / Pass.Summaries.
 //
 // Usage:
 //
@@ -28,21 +26,11 @@
 // above it. With -waiver-audit the driver additionally fails on rotten
 // waivers: directives naming no known analyzer, and directives that no
 // longer suppress any finding.
-//
-// The binary also answers the `go vet -vettool` version handshake
-// (-V=full), but the supported entry point is running it directly with
-// package patterns as above: the standalone driver loads and
-// type-checks packages itself, so it needs no export data from the go
-// command.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"sort"
@@ -54,9 +42,7 @@ import (
 	"github.com/disagg/smartds/internal/analysis/framework"
 	"github.com/disagg/smartds/internal/analysis/hotalloc"
 	"github.com/disagg/smartds/internal/analysis/load"
-	"github.com/disagg/smartds/internal/analysis/lockorder"
 	"github.com/disagg/smartds/internal/analysis/maporder"
-	"github.com/disagg/smartds/internal/analysis/mutexcopy"
 	"github.com/disagg/smartds/internal/analysis/randsrc"
 	"github.com/disagg/smartds/internal/analysis/simblock"
 	"github.com/disagg/smartds/internal/analysis/simspawn"
@@ -64,8 +50,7 @@ import (
 )
 
 // analyzers is the detcheck suite, in reporting order: the five
-// per-package checks, then the interprocedural layer, then the
-// concurrency-hygiene pair.
+// per-package checks, then the interprocedural layer, then finalizer.
 var analyzers = []*framework.Analyzer{
 	wallclock.Analyzer,
 	randsrc.Analyzer,
@@ -74,9 +59,7 @@ var analyzers = []*framework.Analyzer{
 	floatacc.Analyzer,
 	hotalloc.Analyzer,
 	simblock.Analyzer,
-	lockorder.Analyzer,
 	errdrop.Analyzer,
-	mutexcopy.Analyzer,
 	finalizer.Analyzer,
 }
 
@@ -86,15 +69,8 @@ func main() {
 
 // run is the testable entry point; it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	// `tool -flags` is the go command asking for the flag schema; it
-	// must be answered before normal flag parsing (no such flag exists).
-	if len(args) == 1 && args[0] == "-flags" {
-		printFlagsJSON(stdout)
-		return 0
-	}
 	fs := flag.NewFlagSet("smartds-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	versionFlag := fs.String("V", "", "print version and exit (go vet -vettool handshake)")
 	auditFlag := fs.Bool("waiver-audit", false,
 		"fail on rotten //detcheck: directives (unknown waiver keys, waivers that no longer suppress anything)")
 	enabled := map[string]*bool{}
@@ -116,19 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *versionFlag != "" {
-		// The go command probes vettools with -V=full and expects
-		// "name version devel buildID=<id>"; hashing our own binary
-		// invalidates its vet cache whenever the checker changes.
-		fmt.Fprintf(stdout, "smartds-vet version devel buildID=%s\n", selfID())
-		return 0
-	}
 	patterns := fs.Args()
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		// go vet -vettool unit protocol: analyze one pre-compiled
-		// package unit described by a JSON config.
-		return runUnit(patterns[0], enabled, stdout, stderr)
-	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -173,9 +137,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if !*enabled[a.Name] {
 				continue
 			}
-			pass := newPass(a, pkg.Fset, pkg.Files, pkg.PkgPath, pkg.Types, pkg.Info,
-				func(d diagnostic) { diags = append(diags, d) })
-			pass.CallGraph, pass.Summaries, pass.Audit = cg, sums, audit
+			pass := &framework.Pass{
+				Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, PkgPath: pkg.PkgPath,
+				Pkg: pkg.Types, TypesInfo: pkg.Info,
+				Report:    func(d framework.Diagnostic) { diags = append(diags, diagnostic{a.Name, d}) },
+				CallGraph: cg, Summaries: sums, Audit: audit,
+			}
 			if err := a.Run(pass); err != nil {
 				fmt.Fprintf(stderr, "smartds-vet: %s: %s: %v\n", a.Name, pkg.PkgPath, err)
 				exit = 2
@@ -251,37 +218,6 @@ func auditWaivers(pkgs []*load.Package, enabled map[string]*bool,
 type diagnostic struct {
 	analyzer string
 	d        framework.Diagnostic
-}
-
-// newPass assembles a framework.Pass for one analyzer over one
-// type-checked package, tagging reported diagnostics with the
-// analyzer's name.
-func newPass(a *framework.Analyzer, fset *token.FileSet, files []*ast.File, pkgPath string,
-	pkg *types.Package, info *types.Info, report func(diagnostic)) *framework.Pass {
-	return &framework.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		PkgPath:   pkgPath,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Report:    func(d framework.Diagnostic) { report(diagnostic{a.Name, d}) },
-	}
-}
-
-// selfID returns a content hash of the running executable for the
-// go command's tool-ID handshake.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "unknown"
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%x/%x", sum[:12], sum[:12])
 }
 
 // relTo shortens an absolute filename relative to the working

@@ -31,10 +31,7 @@ func TestMultichecker(t *testing.T) {
 		{"hotstage/hotstage.go", "hotalloc", "append may grow the backing array"},
 		{"hotstage/hotstage.go", "hotalloc", "interface boxing of int allocates"},
 		{"hotstage/hotstage.go", "simblock", "os.Open performs host I/O"},
-		{"locks/locks.go", "lockorder", "locks.b while holding"},
-		{"locks/locks.go", "lockorder", "locks.a while holding"},
 		{"ackpath/ackpath.go", "errdrop", "silently discarded on an ack/durability path"},
-		{"copies/copies.go", "mutexcopy", "by-value parameter copies"},
 		{"gctune/gctune.go", "finalizer", "runtime.GC manipulates the collector/scheduler in host time"},
 	}
 	for _, w := range wants {
@@ -122,17 +119,5 @@ func TestDisableAnalyzer(t *testing.T) {
 	}
 	if !strings.Contains(got, "randsrc: ") {
 		t.Errorf("randsrc diagnostics missing with -wallclock=false:\n%s", got)
-	}
-}
-
-// TestVersionHandshake covers the go vet -vettool probe.
-func TestVersionHandshake(t *testing.T) {
-	var out, errb strings.Builder
-	code := run([]string{"-V=full"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0", code)
-	}
-	if !strings.HasPrefix(out.String(), "smartds-vet version ") {
-		t.Errorf("version line = %q", out.String())
 	}
 }

@@ -44,9 +44,6 @@ func inScope(pkgPath string) bool {
 }
 
 func run(pass *framework.Pass) error {
-	if pass.Summaries == nil || pass.CallGraph == nil {
-		return nil // unit mode: the standalone driver covers this in CI
-	}
 	if !inScope(pass.PkgPath) {
 		return nil
 	}

@@ -89,10 +89,7 @@ type Pass struct {
 
 	// CallGraph and Summaries carry the interprocedural layer: the
 	// package-set call graph and the shared whole-program fact store.
-	// Both are nil in drivers that analyze a single compilation unit
-	// (the go vet -vettool .cfg protocol); interprocedural analyzers
-	// degrade to a no-op there and rely on the standalone driver,
-	// which CI runs over the whole tree.
+	// Both drivers (cmd/smartds-vet and analysistest) always set them.
 	CallGraph *CallGraph
 	Summaries *Summaries
 

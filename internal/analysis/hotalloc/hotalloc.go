@@ -56,11 +56,6 @@ type finding struct {
 }
 
 func run(pass *framework.Pass) error {
-	if pass.Summaries == nil || pass.CallGraph == nil {
-		// Unit-mode driver (go vet .cfg protocol): no whole-program
-		// view, the standalone driver covers this check in CI.
-		return nil
-	}
 	findings := pass.Summaries.Program("hotalloc", compute).([]finding)
 	for _, f := range findings {
 		if f.pkg != pass.PkgPath {

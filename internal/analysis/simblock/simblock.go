@@ -38,9 +38,6 @@ type finding struct {
 }
 
 func run(pass *framework.Pass) error {
-	if pass.Summaries == nil || pass.CallGraph == nil {
-		return nil // unit mode: the standalone driver covers this in CI
-	}
 	findings := pass.Summaries.Program("simblock", compute).([]finding)
 	for _, f := range findings {
 		if f.pkg != pass.PkgPath {

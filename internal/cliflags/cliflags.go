@@ -19,9 +19,9 @@ import (
 
 // CritpathExample is a smartds-sim invocation whose run report carries
 // critpath sections. A report gets them only when the run has a tracer,
-// and NewTracer builds one only for -trace or -critpath-folded, so
-// sampling alone (-trace-sample) is not enough. smartds-report prints
-// it when a report has no blame to show.
+// and NewTracer builds one only for -trace, -critpath-folded or
+// -breakdown, so sampling alone (-trace-sample) is not enough.
+// smartds-report prints it when a report has no blame to show.
 const CritpathExample = "smartds-sim -measure 5ms -trace-sample 0.01 -critpath-folded blame.folded -report report.json"
 
 // Common is the shared flag surface. Register binds it to a FlagSet;
@@ -52,7 +52,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.TraceFile, "trace", "", "write a Chrome trace-event JSON file (view in Perfetto / chrome://tracing)")
 	fs.Float64Var(&c.TraceSample, "trace-sample", 1, "head-sampling rate for trace spans in [0,1]; errors and p999 outliers are kept regardless")
 	fs.StringVar(&c.FoldedFile, "critpath-folded", "", "write per-request critical-path blame as folded stacks (flamegraph.pl / speedscope input) to this file; implies tracing")
-	fs.BoolVar(&c.Breakdown, "breakdown", false, "print per-stage latency attribution tables")
+	fs.BoolVar(&c.Breakdown, "breakdown", false, "print per-stage latency attribution tables (critpath blame; turns on the telemetry registry, so results match a -report run, not a bare run)")
 	fs.StringVar(&c.FaultSpec, "faults", "", "fault campaign spec (kind:target@start+duration[:param];... — see internal/faults)")
 	fs.StringVar(&c.Replication, "replication", "primary", "replication protocol: primary | chain | quorum")
 	fs.StringVar(&c.SLOSpec, "slo", "", "SLO specs evaluated by a burn-rate engine (kind:value[@opt=val,...];... — see internal/slo)")
@@ -88,12 +88,12 @@ func (c *Common) NewFolded() *critpath.Folded {
 }
 
 // NewTracer builds the tracer implied by the flags: nil when none of
-// -trace, -critpath-folded, or a caller-side need (e.g. -breakdown)
-// wants one, otherwise
-// a tracer with -trace-sample head sampling applied (seeded by -seed so
-// the kept-span set is deterministic).
-func (c *Common) NewTracer(need bool) *trace.Tracer {
-	if c.TraceFile == "" && c.FoldedFile == "" && !need {
+// -trace, -critpath-folded or -breakdown wants one, otherwise a tracer
+// with -trace-sample head sampling applied (seeded by -seed so the
+// kept-span set is deterministic). -breakdown needs it because its
+// blame tables are the critical paths of the traced requests.
+func (c *Common) NewTracer() *trace.Tracer {
+	if c.TraceFile == "" && c.FoldedFile == "" && !c.Breakdown {
 		return nil
 	}
 	tr := trace.New(1 << 18)
@@ -103,15 +103,13 @@ func (c *Common) NewTracer(need bool) *trace.Tracer {
 	return tr
 }
 
-// TelemetryWanted reports whether any telemetry artifact flag is set.
-func (c *Common) TelemetryWanted() bool {
-	return c.ReportFile != "" || c.MetricsFile != "" || c.SeriesCSV != "" || c.SeriesJSON != ""
-}
-
 // NewRegistry builds the telemetry registry implied by the flags (nil
-// when no artifact was requested), with -label-budget applied.
+// when neither an artifact nor -breakdown was requested), with
+// -label-budget applied. -breakdown reads each run's blame profile
+// from the registry's run records.
 func (c *Common) NewRegistry() *telemetry.Registry {
-	if !c.TelemetryWanted() {
+	artifacts := c.ReportFile != "" || c.MetricsFile != "" || c.SeriesCSV != "" || c.SeriesJSON != ""
+	if !artifacts && !c.Breakdown {
 		return nil
 	}
 	reg := telemetry.NewRegistry()

@@ -22,7 +22,7 @@ func TestDefaults(t *testing.T) {
 	if c.Seed != 42 || c.TraceSample != 1 || c.Replication != "primary" {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
-	if c.NewTracer(false) != nil {
+	if c.NewTracer() != nil {
 		t.Fatal("tracer built with no trace flags")
 	}
 	if c.NewRegistry() != nil {
@@ -41,20 +41,21 @@ func TestDefaults(t *testing.T) {
 
 func TestTracerSampling(t *testing.T) {
 	c := parse(t, "-trace", "out.json", "-trace-sample", "0.01", "-seed", "7")
-	tr := c.NewTracer(false)
+	tr := c.NewTracer()
 	if tr == nil {
 		t.Fatal("-trace set but no tracer")
 	}
 	if tr.SampleRate() != 0.01 {
 		t.Fatalf("sample rate %v, want 0.01", tr.SampleRate())
 	}
-	// need=true builds a tracer even without -trace (the -breakdown path).
+	// -breakdown builds a tracer and a registry even without -trace or
+	// -report: its blame tables come from the run records.
 	c2 := parse(t, "-breakdown")
-	if c2.NewTracer(c2.Breakdown) == nil {
-		t.Fatal("-breakdown did not get a tracer")
+	if c2.NewTracer() == nil || c2.NewRegistry() == nil {
+		t.Fatal("-breakdown did not get a tracer and a registry")
 	}
 	// Full rate leaves sampling off (identity ForRequest).
-	full := parse(t, "-trace", "x").NewTracer(false)
+	full := parse(t, "-trace", "x").NewTracer()
 	if full.SampleRate() != 1 {
 		t.Fatalf("default sample rate %v, want 1", full.SampleRate())
 	}

@@ -229,28 +229,44 @@ func TestRequestTracing(t *testing.T) {
 	cfg.Trace = trace.New(1 << 14)
 	c := New(cfg)
 	c.Run(Workload{Window: 8, Warmup: 2e-3, Measure: 6e-3, ReadFraction: 0.2})
-	spans := cfg.Trace.Spans()
+	evs := cfg.Trace.Events()
+	if len(evs) == 0 {
+		t.Fatal("no events recorded")
+	}
+	// Per-label span count and total duration. Spans carry a span or
+	// request id; counter samples, Emit instants and end-unmatched
+	// markers do not and are skipped.
+	type agg struct {
+		count int
+		sum   float64
+	}
+	spans := map[string]*agg{}
+	for _, ev := range evs {
+		if ev.Counter || (ev.ID == 0 && ev.Req == 0) {
+			continue
+		}
+		label := ev.Component + "/" + ev.Name
+		if spans[label] == nil {
+			spans[label] = &agg{}
+		}
+		spans[label].count++
+		spans[label].sum += ev.Dur
+	}
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded")
 	}
-	foundWrite := false
-	for _, s := range spans {
-		if s.Count <= 0 || s.Mean <= 0 {
-			t.Fatalf("degenerate span %+v", s)
-		}
-		if s.Label == "client0/write" {
-			foundWrite = true
-			// Client-observed span means are storage-latency scale.
-			if s.Mean < 1e-6 || s.Mean > 1e-2 {
-				t.Fatalf("implausible write span mean %g", s.Mean)
-			}
+	for label, a := range spans {
+		if a.count <= 0 || a.sum/float64(a.count) <= 0 {
+			t.Fatalf("degenerate span %s: count %d, mean %g", label, a.count, a.sum/float64(a.count))
 		}
 	}
-	if !foundWrite {
-		t.Fatalf("client0/write span missing: %+v", spans)
+	w := spans["client0/write"]
+	if w == nil {
+		t.Fatalf("client0/write span missing: %v", spans)
 	}
-	if len(cfg.Trace.Events()) == 0 {
-		t.Fatal("no events recorded")
+	// Client-observed span means are storage-latency scale.
+	if mean := w.sum / float64(w.count); mean < 1e-6 || mean > 1e-2 {
+		t.Fatalf("implausible write span mean %g", mean)
 	}
 }
 

@@ -39,9 +39,6 @@ type Options struct {
 	// builds; spans and counters from all configurations accumulate in
 	// it (export with trace.WriteChromeTrace).
 	Trace *trace.Tracer
-	// Breakdown appends per-stage latency-attribution tables to the
-	// experiments that support them (fig7, ext-reads).
-	Breakdown bool
 	// FaultSpec overrides the ext-faults campaign schedule (see
 	// internal/faults for the grammar). Empty uses DefaultFaultSpec.
 	FaultSpec string

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/disagg/smartds/internal/cluster"
 	"github.com/disagg/smartds/internal/metrics"
 	"github.com/disagg/smartds/internal/middletier"
-	"github.com/disagg/smartds/internal/trace"
 )
 
 // Extension experiments: beyond the paper's figures, exercising the
@@ -56,43 +54,6 @@ func ExtReads(opt Options) *metrics.Table {
 	}
 	tbl.AddNote("paper §2.2.3: writes outnumber reads ~5x; decompression is ~7x cheaper per core")
 	return tbl
-}
-
-// ExtReadsBreakdown runs the production mix on SmartDS with a private
-// tracer and attributes mean latency to pipeline stages for both the
-// write path and the read path.
-func ExtReadsBreakdown(opt Options) []*metrics.Table {
-	o := opt
-	tr := trace.New(1 << 16)
-	o.Trace = tr
-	c := o.newCluster(middletier.SmartDS, func(cc *cluster.Config) {
-		cc.MT.Workers = 2
-	})
-	warm, meas := o.windows()
-	res := c.Run(cluster.Workload{
-		Window: 192, Warmup: warm, Measure: meas,
-		ReadFraction: 1.0 / 6.0,
-	})
-	// The measured mean mixes both ops; reconcile each path against its
-	// own traced end-to-end client span instead.
-	var writeE2E, readE2E float64
-	for _, s := range tr.Spans() {
-		switch {
-		case strings.HasSuffix(s.Label, "/write"):
-			writeE2E = s.Mean
-		case strings.HasSuffix(s.Label, "/read"):
-			readE2E = s.Mean
-		}
-	}
-	wb := cluster.StageBreakdownFor(tr, cluster.WriteStages, writeE2E)
-	rb := cluster.StageBreakdownFor(tr, cluster.ReadStages, readE2E)
-	wt := wb.Table("ext-reads write-latency breakdown (SmartDS-1)")
-	rt := rb.Table("ext-reads read-latency breakdown (SmartDS-1)")
-	for _, t := range []*metrics.Table{wt, rt} {
-		t.AddNote("measured mixed-op mean latency: %s", us(res.Lat.Mean))
-		t.AddNote("net/request, mt/parse, and net/reply blend both ops; run fig7 -breakdown for an exact write-only tiling")
-	}
-	return []*metrics.Table{wt, rt}
 }
 
 // ExtFailover kills one storage server mid-run: the middle tier's

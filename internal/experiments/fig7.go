@@ -6,7 +6,6 @@ import (
 	"github.com/disagg/smartds/internal/cluster"
 	"github.com/disagg/smartds/internal/metrics"
 	"github.com/disagg/smartds/internal/middletier"
-	"github.com/disagg/smartds/internal/trace"
 )
 
 // fig7Config is one point of the §5.2 comparison.
@@ -66,32 +65,4 @@ func Fig7(opt Options) *metrics.Table {
 	tbl.AddNote("paper: SmartDS-1 and Acc peak with 2 host cores; CPU-only needs all 48")
 	tbl.AddNote("paper: one CPU core compresses ~2.1 Gbps, an SMT pair ~2.7 Gbps")
 	return tbl
-}
-
-// Fig7Breakdown re-runs one representative configuration per design
-// with a private tracer and attributes the mean write latency to the
-// pipeline stages (parse, compress, replicate, ack plus the network
-// legs). The stage means tile the client-observed latency, so their
-// sum reconciles against the measured end-to-end mean.
-func Fig7Breakdown(opt Options) []*metrics.Table {
-	cpuCores := 48
-	if opt.Quick {
-		cpuCores = 16
-	}
-	points := []fig7Config{
-		{middletier.CPUOnly, cpuCores, fmt.Sprintf("CPU-only/%d", cpuCores), 8 * cpuCores},
-		{middletier.Accel, 2, "Acc/2", 192},
-		{middletier.BF2, 0, "BF2", 192},
-		{middletier.SmartDS, 2, "SmartDS-1/2", 192},
-	}
-	var out []*metrics.Table
-	for _, fc := range points {
-		o := opt
-		tr := trace.New(1 << 16)
-		o.Trace = tr
-		res := o.runFig7Point(fc)
-		b := cluster.StageBreakdownFor(tr, cluster.WriteStages, res.Lat.Mean)
-		out = append(out, b.Table("Fig7 write-latency breakdown: "+fc.label))
-	}
-	return out
 }

@@ -15,25 +15,13 @@ var registry = map[string]Runner{
 	"fig4":   func(o Options) []*metrics.Table { return []*metrics.Table{Fig4(o)} },
 	"table1": func(o Options) []*metrics.Table { return []*metrics.Table{Table1(o)} },
 	"table3": func(o Options) []*metrics.Table { return []*metrics.Table{Table3(o)} },
-	"fig7": func(o Options) []*metrics.Table {
-		out := []*metrics.Table{Fig7(o)}
-		if o.Breakdown {
-			out = append(out, Fig7Breakdown(o)...)
-		}
-		return out
-	},
-	"fig8":  Fig8,
-	"fig9":  func(o Options) []*metrics.Table { return []*metrics.Table{Fig9(o)} },
-	"fig10": func(o Options) []*metrics.Table { return []*metrics.Table{Fig10(o)} },
-	"sec55": func(o Options) []*metrics.Table { return []*metrics.Table{Sec55(o)} },
+	"fig7":   func(o Options) []*metrics.Table { return []*metrics.Table{Fig7(o)} },
+	"fig8":   Fig8,
+	"fig9":   func(o Options) []*metrics.Table { return []*metrics.Table{Fig9(o)} },
+	"fig10":  func(o Options) []*metrics.Table { return []*metrics.Table{Fig10(o)} },
+	"sec55":  func(o Options) []*metrics.Table { return []*metrics.Table{Sec55(o)} },
 	// Extensions beyond the paper's evaluation.
-	"ext-reads": func(o Options) []*metrics.Table {
-		out := []*metrics.Table{ExtReads(o)}
-		if o.Breakdown {
-			out = append(out, ExtReadsBreakdown(o)...)
-		}
-		return out
-	},
+	"ext-reads":            func(o Options) []*metrics.Table { return []*metrics.Table{ExtReads(o)} },
 	"ext-failover":         func(o Options) []*metrics.Table { return []*metrics.Table{ExtFailover(o)} },
 	"ext-faults":           ExtFaults,
 	"ext-faults-protocols": ExtFaultsProtocols,

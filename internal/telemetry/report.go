@@ -100,6 +100,52 @@ type CritpathSummary struct {
 	P999     *CritpathExemplar `json:"p999,omitempty"`
 }
 
+// BlameTables renders the blame profile of every run that carries one,
+// in run order: the fraction of client-observed latency attributed to
+// every stage at the mean and at the tail exemplars, then the p999
+// exemplar's segment list — the "why is p999 high?" answer in one
+// screen. smartds-report -blame and the -breakdown flag of smartds-sim
+// and smartds-bench all print through it.
+func BlameTables(runs []*RunRecord) []*metrics.Table {
+	var out []*metrics.Table
+	for _, rr := range runs {
+		cp := rr.Critpath
+		if cp == nil {
+			continue
+		}
+		tbl := metrics.NewTable(
+			fmt.Sprintf("latency blame %s (%s, %d sampled requests)", rr.Key(), rr.Protocol, cp.Requests),
+			"stage", "kind", "mean%", "p99%", "p999%", "mean")
+		for _, st := range cp.Stages {
+			tbl.AddRow(st.Stage, blameKind(st.Wait),
+				pct(st.MeanFrac), pct(st.P99Frac), pct(st.P999Frac),
+				metrics.FormatDuration(st.MeanSec))
+		}
+		out = append(out, tbl)
+		if ex := cp.P999; ex != nil {
+			etbl := metrics.NewTable(
+				fmt.Sprintf("p999 exemplar %s (trace %s, e2e %s)", rr.Key(), ex.TraceID, metrics.FormatDuration(ex.E2E)),
+				"segment", "kind", "dur", "share")
+			for _, seg := range ex.Segments {
+				etbl.AddRow(seg.Stage, blameKind(seg.Wait), metrics.FormatDuration(seg.Dur), pct(seg.Frac))
+			}
+			out = append(out, etbl)
+		}
+	}
+	return out
+}
+
+// blameKind names a blame bucket's wait/service classification.
+func blameKind(wait bool) string {
+	if wait {
+		return "wait"
+	}
+	return "service"
+}
+
+// pct renders a fraction as a percentage cell.
+func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
+
 // RunRecord is one cluster.Run's machine-readable result. Matched
 // across reports by (Experiment, Design, Seq).
 type RunRecord struct {

@@ -1,17 +1,15 @@
 package trace
 
-import "github.com/disagg/smartds/internal/metrics"
-
 // Head sampling: at cluster scale the tracer cannot afford a ring
-// entry, an open-table insert, and a histogram update for every stage
-// of every request. The sampling decision is a pure function of
-// (seed, correlation id) — a splitmix64 finalizer compared against the
-// configured rate — so the set of kept requests is byte-identical
-// across same-seed runs and identical no matter which pipeline stage
-// asks. Call ForRequest once at the top of a request path: it returns
-// the tracer itself when the request is sampled and nil otherwise, and
-// every downstream Begin/End/Emit on the nil result is the zero-cost
-// no-op the nil-*Tracer contract already guarantees.
+// entry and an open-table insert for every stage of every request.
+// The sampling decision is a pure function of (seed, correlation id) —
+// a splitmix64 finalizer compared against the configured rate — so
+// the set of kept requests is byte-identical across same-seed runs and
+// identical no matter which pipeline stage asks. Call ForRequest once
+// at the top of a request path: it returns the tracer itself when the
+// request is sampled and nil otherwise, and every downstream
+// Begin/End/Emit on the nil result is the zero-cost no-op the
+// nil-*Tracer contract already guarantees.
 //
 // Tail keeps complement head sampling: requests the head sampler
 // dropped but that turned out interesting (errors, p999 outliers,
@@ -93,9 +91,8 @@ func (t *Tracer) ForRequest(id uint64) *Tracer {
 
 // KeepTail retroactively records a request the head sampler dropped:
 // one completed span on the "tail" track named by reason (e.g.
-// "error", "p999"), covering [start, end]. The span feeds the
-// tail/<reason> histogram like any other, and the id ties it to
-// exemplars and logs. Call only for unsampled requests — sampled ones
+// "error", "p999"), covering [start, end]. The id ties it to exemplars
+// and logs. Call only for unsampled requests — sampled ones
 // already have their full stage tiling.
 //
 // The kept span is marked as the request's root (Req = id, KindRoot):
@@ -110,13 +107,6 @@ func (t *Tracer) KeepTail(start, end float64, reason string, id uint64) {
 	t.keptTail++
 	t.record(Event{At: start, Component: "tail", Name: reason, Dur: end - start,
 		ID: id, Req: id, Kind: KindRoot})
-	label := "tail/" + reason
-	h, ok := t.hists[label]
-	if !ok {
-		h = metrics.NewLatencyHistogram()
-		t.hists[label] = h
-	}
-	h.Record(end - start)
 }
 
 // KeptTail reports how many tail-based keeps were recorded.

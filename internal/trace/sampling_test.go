@@ -61,7 +61,7 @@ func TestSamplingRateEdges(t *testing.T) {
 }
 
 // TestKeepTail pins the retroactive tail-keep record: one span on the
-// tail track, a tail/<reason> histogram sample, and the counter.
+// tail track, marked as its request's root, and the counter.
 func TestKeepTail(t *testing.T) {
 	tr := New(16)
 	tr.SetSampling(0, 99)
@@ -77,9 +77,8 @@ func TestKeepTail(t *testing.T) {
 	if ev.Dur < 0.0019 || ev.Dur > 0.0021 {
 		t.Fatalf("tail span dur = %v, want ~2ms", ev.Dur)
 	}
-	h := tr.Histogram("tail/error")
-	if h == nil || h.Count() != 1 {
-		t.Fatalf("tail/error histogram not fed")
+	if ev.Kind != KindRoot || ev.Req != 77 || ev.At != 1.0 {
+		t.Fatalf("tail span is not its request's root: %+v", ev)
 	}
 	if tr.KeptTail() != 1 {
 		t.Fatalf("KeptTail = %d, want 1", tr.KeptTail())

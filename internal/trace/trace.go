@@ -1,13 +1,13 @@
 // Package trace records simulation events into a bounded ring for
-// debugging and latency breakdowns. A nil *Tracer is valid and records
-// nothing, so call sites need no guards.
+// debugging and critical-path analysis. A nil *Tracer is valid and
+// records nothing, so call sites need no guards.
 //
 // Three record kinds exist:
 //
 //   - instant events (Emit): a point occurrence on a component track;
 //   - spans (Begin/End): a named interval correlated by (component,
-//     name, id); completed spans feed a per-label latency histogram so
-//     Breakdown can attribute end-to-end latency to pipeline stages;
+//     name, id); request-scoped spans form the DAG internal/critpath
+//     tiles into per-stage latency blame;
 //   - counter samples (Counter): a periodic reading of a bandwidth or
 //     occupancy value, rendered as a counter track.
 //
@@ -20,10 +20,7 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-
-	"github.com/disagg/smartds/internal/metrics"
 )
 
 // Kind classifies a span for critical-path blame: service time (the
@@ -75,7 +72,7 @@ type Event struct {
 	Value     float64 // counter reading
 }
 
-// Tracer is a bounded ring of events plus per-label span histograms.
+// Tracer is a bounded ring of events.
 // The open-span table is bounded too: a Begin with no matching End is
 // evicted once maxOpen spans are outstanding and counted in Leaked.
 type Tracer struct {
@@ -88,8 +85,6 @@ type Tracer struct {
 	open    map[spanKey]openSpan
 	maxOpen int
 	leaked  uint64
-
-	hists map[string]*metrics.Histogram
 
 	// Head sampling (see sampling.go). sampleSome is false until
 	// SetSampling configures a rate below 1, keeping the default path
@@ -131,7 +126,6 @@ func New(capacity int) *Tracer {
 		events:  make([]Event, 0, capacity),
 		open:    make(map[spanKey]openSpan),
 		maxOpen: defaultMaxOpen,
-		hists:   make(map[string]*metrics.Histogram),
 	}
 }
 
@@ -225,8 +219,7 @@ func keyLess(a, b spanKey) bool {
 	return a.id < b.id
 }
 
-// End closes a span, records it in the ring, and feeds the per-label
-// duration histogram under component/name.
+// End closes a span and records it in the ring.
 func (t *Tracer) End(at float64, component, name string, id uint64) {
 	if t == nil {
 		return
@@ -241,31 +234,17 @@ func (t *Tracer) End(at float64, component, name string, id uint64) {
 	delete(t.open, key)
 	t.record(Event{At: os.at, Component: component, Name: name, Dur: at - os.at, ID: id,
 		Req: os.req, PComp: os.pcomp, PName: os.pname, Kind: os.kind})
-	t.recordHist(component, name, at-os.at)
 }
 
 // Span records an already-completed span directly, bypassing the open
 // table: the caller knows both endpoints (straggler waits, wire/queue
-// splits, tail keeps). It feeds the component/name histogram exactly
-// like a Begin/End pair.
+// splits, tail keeps). It records exactly what a Begin/End pair would.
 func (t *Tracer) Span(start, end float64, component, name string, id, req uint64, pcomp, pname string, kind Kind, detail string) {
 	if t == nil {
 		return
 	}
 	t.record(Event{At: start, Component: component, Name: name, Detail: detail,
 		Dur: end - start, ID: id, Req: req, PComp: pcomp, PName: pname, Kind: kind})
-	t.recordHist(component, name, end-start)
-}
-
-// recordHist feeds the per-label duration histogram under component/name.
-func (t *Tracer) recordHist(component, name string, dur float64) {
-	label := component + "/" + name
-	h, ok := t.hists[label]
-	if !ok {
-		h = metrics.NewLatencyHistogram()
-		t.hists[label] = h
-	}
-	h.Record(dur)
 }
 
 // PurgeOpen drops every open span that began before the given time,
@@ -352,65 +331,6 @@ func (t *Tracer) EventsSince(cursor uint64) []Event {
 		return nil
 	}
 	return all[skip:]
-}
-
-// SpanStats summarizes one span label. Count, Mean and Max are exact;
-// the percentiles carry the histogram's bucket resolution.
-type SpanStats struct {
-	Label string
-	Count int
-	Mean  float64
-	Max   float64
-	P50   float64
-	P99   float64
-	P999  float64
-}
-
-// Spans returns per-label duration summaries, sorted by label.
-func (t *Tracer) Spans() []SpanStats {
-	if t == nil {
-		return nil
-	}
-	out := make([]SpanStats, 0, len(t.hists))
-	for label, h := range t.hists {
-		out = append(out, SpanStats{
-			Label: label,
-			Count: int(h.Count()),
-			Mean:  h.Mean(),
-			Max:   h.Max(),
-			P50:   h.P50(),
-			P99:   h.P99(),
-			P999:  h.P999(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
-}
-
-// Breakdown is Spans under the name the latency-attribution tables use.
-func (t *Tracer) Breakdown() []SpanStats { return t.Spans() }
-
-// Histogram returns the duration histogram for one span label (nil if
-// the label never completed a span).
-func (t *Tracer) Histogram(label string) *metrics.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hists[label]
-}
-
-// BreakdownTable renders the per-stage latency decomposition.
-func (t *Tracer) BreakdownTable(title string) *metrics.Table {
-	tbl := metrics.NewTable(title, "stage", "count", "mean", "p50", "p99", "max")
-	for _, s := range t.Spans() {
-		tbl.AddRow(s.Label, s.Count,
-			metrics.FormatDuration(s.Mean), metrics.FormatDuration(s.P50),
-			metrics.FormatDuration(s.P99), metrics.FormatDuration(s.Max))
-	}
-	if t != nil && t.leaked > 0 {
-		tbl.AddNote("%d spans leaked (Begin without End)", t.leaked)
-	}
-	return tbl
 }
 
 // Dump writes the event log in ring order.

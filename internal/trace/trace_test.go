@@ -12,7 +12,7 @@ func TestNilTracerNoOps(t *testing.T) {
 	tr.Emit(1, "c", "n", "")
 	tr.Begin(1, "c", "n", 1)
 	tr.End(2, "c", "n", 1)
-	if tr.Events() != nil || tr.Spans() != nil || tr.Dropped() != 0 {
+	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
 }
@@ -54,17 +54,35 @@ func TestSpans(t *testing.T) {
 	tr.End(2.0, "mt", "write", 1)  // 1.0s
 	tr.End(2.0, "mt", "write", 2)  // 0.5s
 	tr.End(9.9, "mt", "write", 99) // unmatched
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %+v", spans)
+	evs := tr.Events()
+	if len(evs) != 3 {
+		t.Fatalf("events = %+v", evs)
 	}
-	s := spans[0]
-	if s.Label != "mt/write" || s.Count != 2 {
-		t.Fatalf("span = %+v", s)
+	// Spans are recorded at End, stamped with their start time.
+	for i, want := range []struct {
+		at, dur float64
+		id      uint64
+	}{{1.0, 1.0, 1}, {1.5, 0.5, 2}} {
+		ev := evs[i]
+		if ev.Component != "mt" || ev.Name != "write" || ev.ID != want.id ||
+			ev.At != want.at || math.Abs(ev.Dur-want.dur) > 1e-12 {
+			t.Fatalf("span %d = %+v", i, ev)
+		}
 	}
-	if math.Abs(s.Mean-0.75) > 1e-12 || s.Max != 1.0 {
-		t.Fatalf("span stats = %+v", s)
+	if ev := evs[2]; ev.Name != "write:end-unmatched" || ev.Dur != 0 || ev.Detail != "id=99" {
+		t.Fatalf("unmatched End = %+v", ev)
 	}
+}
+
+// spanEvents returns the completed spans among the recorded events.
+func spanEvents(tr *Tracer) []Event {
+	var out []Event
+	for _, ev := range tr.Events() {
+		if ev.Dur > 0 {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 func TestDump(t *testing.T) {
@@ -89,19 +107,19 @@ func TestSpanPercentiles(t *testing.T) {
 		tr.Begin(0, "mt", "stage", uint64(i))
 		tr.End(1e-6*float64(i+1), "mt", "stage", uint64(i)) // 1us..1000us
 	}
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Count != 1000 {
-		t.Fatalf("spans = %+v", spans)
+	// Every duration is kept exactly, so percentiles over the ring are
+	// exact order statistics rather than histogram-bucket estimates.
+	spans := spanEvents(tr)
+	if len(spans) != 1000 {
+		t.Fatalf("recorded %d spans, want 1000", len(spans))
 	}
-	s := spans[0]
-	if s.P50 < 400e-6 || s.P50 > 600e-6 {
-		t.Fatalf("p50 = %g, want ~500us", s.P50)
+	for i, ev := range spans {
+		if ev.ID != uint64(i) || ev.Dur != 1e-6*float64(i+1) {
+			t.Fatalf("span %d = %+v, want dur %gus", i, ev, float64(i+1))
+		}
 	}
-	if s.P99 < 900e-6 || s.P99 > 1100e-6 {
-		t.Fatalf("p99 = %g, want ~990us", s.P99)
-	}
-	if s.Max != 1000e-6 {
-		t.Fatalf("max = %g, want 1000us exact", s.Max)
+	if p50, max := spans[499].Dur, spans[999].Dur; p50 != 500e-6 || max != 1000e-6 {
+		t.Fatalf("p50 = %g, max = %g, want 500us and 1000us exact", p50, max)
 	}
 }
 
@@ -149,7 +167,7 @@ func TestOpenTableBounded(t *testing.T) {
 	}
 	// The survivors are the newest spans: ending one still works.
 	tr.End(200, "c", "orphan", 99)
-	if got := tr.Spans(); len(got) != 1 || got[0].Count != 1 {
+	if got := spanEvents(tr); len(got) != 1 || got[0].ID != 99 || got[0].At != 99 {
 		t.Fatalf("newest span lost: %+v", got)
 	}
 }
@@ -162,8 +180,8 @@ func TestReBeginCountsLeak(t *testing.T) {
 	if tr.Leaked() != 1 {
 		t.Fatalf("re-begin leak = %d, want 1", tr.Leaked())
 	}
-	spans := tr.Spans()
-	if len(spans) != 1 || math.Abs(spans[0].Mean-1.0) > 1e-12 {
+	spans := spanEvents(tr)
+	if len(spans) != 1 || spans[0].At != 2 || math.Abs(spans[0].Dur-1.0) > 1e-12 {
 		t.Fatalf("span paired with wrong begin: %+v", spans)
 	}
 }
@@ -253,7 +271,7 @@ func TestNilTracerExportAndBreakdown(t *testing.T) {
 	}
 	tr.Counter(1, "x", 2)
 	tr.PurgeOpen(1)
-	if tr.Leaked() != 0 || tr.OpenSpans() != 0 || tr.Breakdown() != nil || tr.Histogram("x") != nil {
+	if tr.Leaked() != 0 || tr.OpenSpans() != 0 || tr.Events() != nil || tr.Recorded() != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
 }
