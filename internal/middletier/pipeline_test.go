@@ -2,6 +2,7 @@ package middletier
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,15 +25,28 @@ const (
 )
 
 // fakePath is a zero-cost datapath: every stage is a fixed sleep,
-// storage answers each replicate/fetch after fakeStorage, and client
-// replies are recorded. It drives the shared pipeline exactly as the
-// four real designs do.
+// storage answers each replicate/fetch after fakeStorage unless reply
+// scripts otherwise, and storage sends and client replies are recorded.
+// It drives the shared pipeline exactly as the four real designs do.
 type fakePath struct {
-	s       *Server
-	fetch   blockstore.Status // status storage answers fetches with
-	stored  []byte            // frame fetch replies carry (nil: modeled)
+	s      *Server
+	fetch  blockstore.Status // status storage answers fetches with
+	stored []byte            // frame fetch replies carry (nil: modeled)
+	// reply, when set, scripts storage server to's answer to one
+	// replicate or fetch: it arrives after delay with status st, or
+	// never when silent.
+	reply   func(hdr blockstore.Header, to int) (delay float64, st blockstore.Status, silent bool)
+	sends   []fakeSend
 	replies []blockstore.Header
 	at      []float64 // virtual time of each client reply
+}
+
+// fakeSend is one message the pipeline sent toward storage.
+type fakeSend struct {
+	op blockstore.Op
+	to int    // storage server index
+	id uint64 // the message's ReqID
+	at float64
 }
 
 func (f *fakePath) parse(p *sim.Proc, r *request) { p.Sleep(fakeParse) }
@@ -45,21 +59,41 @@ func (f *fakePath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 
 func (f *fakePath) send(p *sim.Proc, path int, qp *rdma.QP, hdr blockstore.Header, fr frame) *sim.Event {
 	s := f.s
-	switch hdr.Op {
-	case blockstore.OpReplicate:
-		s.env.After(fakeStorage, func() {
-			s.completePending(hdr.ReqID, -1, blockstore.StatusOK, nil, 0, blockstore.Header{})
-		})
-	case blockstore.OpFetch:
-		s.env.After(fakeStorage, func() {
-			rh := blockstore.Header{Status: f.fetch, Flags: blockstore.FlagCompressed, Version: 1}
-			s.completePending(hdr.ReqID, -1, f.fetch, f.stored, float64(len(f.stored)), rh)
-		})
-	default:
+	if hdr.Op != blockstore.OpReplicate && hdr.Op != blockstore.OpFetch {
 		f.replies = append(f.replies, hdr)
 		f.at = append(f.at, p.Now())
+		return s.env.NewEvent()
 	}
+	to := slices.Index(s.storagePaths[path], qp)
+	f.sends = append(f.sends, fakeSend{op: hdr.Op, to: to, id: hdr.ReqID, at: p.Now()})
+	delay, st := fakeStorage, blockstore.StatusOK
+	if hdr.Op == blockstore.OpFetch {
+		st = f.fetch
+	}
+	if f.reply != nil {
+		var silent bool
+		if delay, st, silent = f.reply(hdr, to); silent {
+			return s.env.NewEvent()
+		}
+	}
+	s.env.After(delay, func() {
+		if hdr.Op == blockstore.OpReplicate {
+			s.completePending(hdr.ReqID, to, st, nil, 0, blockstore.Header{})
+			return
+		}
+		rh := blockstore.Header{Status: st, Flags: blockstore.FlagCompressed, Version: 1}
+		s.completePending(hdr.ReqID, to, st, f.stored, float64(len(f.stored)), rh)
+	})
 	return s.env.NewEvent()
+}
+
+// sentTo lists the storage servers the sends from index i on went to.
+func (f *fakePath) sentTo(i int) []int {
+	var out []int
+	for _, sd := range f.sends[i:] {
+		out = append(out, sd.to)
+	}
+	return out
 }
 
 func (f *fakePath) poll(*sim.Proc, int) {}
@@ -77,16 +111,19 @@ func (f *fakePath) release(*sim.Proc, *request, frame, *sim.Event) {}
 func (f *fakePath) clientQP(int) *rdma.QP                          { return nil }
 func (f *fakePath) storageQP(int, int) *rdma.QP                    { return nil }
 
-// newFakePipeline builds a server of three storage servers whose
-// datapath is a fakePath, tracing every request.
-func newFakePipeline(t *testing.T, proto Protocol) (*Server, *fakePath, *trace.Tracer) {
+// newFakePipeline builds a server of n storage servers whose datapath
+// is a fakePath, tracing every request.
+func newFakePipeline(t *testing.T, proto Protocol, n int) (*Server, *fakePath, *trace.Tracer) {
 	t.Helper()
 	s := newTestServer(t, CPUOnly)
 	tr := trace.New(1 << 12)
 	s.cfg.Trace, s.cfg.Protocol = tr, proto
 	s.rep, s.trackAcks = newReplicator(proto), proto != ProtoPrimary
-	s.numStorage, s.serverDown = 3, make([]bool, 3)
-	s.storagePaths = [][]*rdma.QP{make([]*rdma.QP, 3)}
+	s.numStorage, s.serverDown = n, make([]bool, n)
+	s.storagePaths = [][]*rdma.QP{make([]*rdma.QP, n)}
+	for i := range s.storagePaths[0] {
+		s.storagePaths[0][i] = new(rdma.QP) // identity only: fakePath maps it back to i
+	}
 	f := &fakePath{s: s}
 	s.dp = f
 	return s, f, tr
@@ -160,7 +197,7 @@ func TestPipelineStagesTileExactly(t *testing.T) {
 	ps := func(sec float64) int64 { return int64(sec*1e12 + 0.5) }
 	for _, proto := range Protocols() {
 		t.Run(proto.String(), func(t *testing.T) {
-			s, f, tr := newFakePipeline(t, proto)
+			s, f, tr := newFakePipeline(t, proto, 3)
 			block := bytes.Repeat([]byte("pipeline "), 512)[:4096]
 			if st := drive(t, s, f, tr, blockstore.OpWrite, 1, block); st != blockstore.StatusOK {
 				t.Fatalf("write status %v", st)
@@ -236,7 +273,7 @@ func mustFrame(t *testing.T, block []byte) []byte {
 func TestPipelineReadErrorTails(t *testing.T) {
 	for _, proto := range Protocols() {
 		t.Run(proto.String(), func(t *testing.T) {
-			s, f, tr := newFakePipeline(t, proto)
+			s, f, tr := newFakePipeline(t, proto, 3)
 			block := bytes.Repeat([]byte{0x5a}, 4096)
 			if st := drive(t, s, f, tr, blockstore.OpWrite, 1, block); st != blockstore.StatusOK {
 				t.Fatalf("write status %v", st)
