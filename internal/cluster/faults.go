@@ -99,7 +99,7 @@ func (c *Cluster) CheckAckedWrites() error {
 					healthy = append(healthy, idx)
 				}
 			}
-			need := len(healthy) - c.MT.ReadQuorum(len(set)) + 1
+			need := len(healthy) - c.cfg.MT.Protocol.ReadQuorum(len(set)) + 1
 			if need < 1 {
 				need = 1
 			}

@@ -165,7 +165,7 @@ func (c *Cluster) Run(w Workload) Results {
 	var scope *telemetry.RunScope
 	if c.cfg.Telemetry != nil {
 		scope = c.cfg.Telemetry.NewRun(c.cfg.TelemetryExp, c.KindName(), c.cfg.Seed)
-		scope.SetProtocol(c.MT.ReplicatorName())
+		scope.SetProtocol(c.cfg.MT.Protocol.String())
 		c.instrument(scope)
 	}
 	ev0 := c.Env.Events()
@@ -351,7 +351,7 @@ func (c *Cluster) Run(w Workload) Results {
 			if scope != nil {
 				scope.RecordCritpath(critpathSummary(a))
 			}
-			c.cfg.CritpathFolded.Add(c.KindName()+":"+c.MT.ReplicatorName(), a)
+			c.cfg.CritpathFolded.Add(c.KindName()+":"+c.cfg.MT.Protocol.String(), a)
 		}
 	}
 	return res

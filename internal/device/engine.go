@@ -66,9 +66,6 @@ func (e *Engine) Utilization() sim.ResourceStats { return e.slot.Snapshot() }
 // compression-effort policy watches this).
 func (e *Engine) QueueLen() int { return e.slot.QueueLen() }
 
-// Busy reports whether the engine is processing a job.
-func (e *Engine) Busy() bool { return e.slot.InUse() > 0 }
-
 // SetDown fails (true) or restores (false) the engine. A down engine
 // rejects Compress/Decompress with ErrEngineDown.
 func (e *Engine) SetDown(down bool) { e.down = down }

@@ -55,9 +55,6 @@ func New(tgt Target, sched *Schedule) *Injector {
 	return &Injector{tgt: tgt, sched: sched}
 }
 
-// Schedule returns the bound schedule.
-func (inj *Injector) Schedule() *Schedule { return inj.sched }
-
 // Arm validates every event against the target and installs the loss
 // rules and virtual-time timers that fire the campaign. It must run
 // before the simulation clock passes the first event.

@@ -27,9 +27,6 @@ func (m *Monitor) OnCompletion(at, lat float64, err bool) {
 	m.completions = append(m.completions, completion{at: at, lat: lat, err: err})
 }
 
-// Completions returns how many completions were observed.
-func (m *Monitor) Completions() int { return len(m.completions) }
-
 // Recovery is the per-event view of how service came back.
 type Recovery struct {
 	Event Event

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/netsim"
 	"github.com/disagg/smartds/internal/rdma"
@@ -14,30 +13,11 @@ import (
 	"github.com/disagg/smartds/internal/storage"
 )
 
-// This file is the middle tier's failure-handling plane: bounded-retry
-// replication, compression-engine fail-over, transport reconnects, and
+// This file is the middle tier's failure-handling plane:
+// compression-engine fail-over, transport reconnects, and
 // crashed-server rebuild. The request pipeline (pipeline.go) calls into
 // it; the fault injector (internal/faults) and the failover tests drive
 // it from outside.
-
-// maxReplicateAttempts bounds how many times one write's fan-out is
-// re-issued before the client gets an error. Each retry refreshes the
-// replica set, so a crashed server is routed around on the second
-// attempt; repeated failure means the cluster itself is unhealthy.
-const maxReplicateAttempts = 4
-
-// replicateWait runs one write's replication through the configured
-// protocol (replicator.go). send must issue the replicate message to
-// every server in set, tagged with repID, through whatever front end
-// the design has; the protocol may call it several times, each with a
-// fresh repID and whatever subset its fan-out order dictates. The
-// returned status is what the client ack carries; stored is how many
-// replicas the deciding attempt shipped the frame to (the BytesStored
-// accounting factor).
-func (s *Server) replicateWait(p *sim.Proc, hdr blockstore.Header, frameSize float64,
-	send SendFn) (blockstore.Status, int) {
-	return s.rep.Replicate(s, p, hdr, frameSize, send)
-}
 
 // SetEngineDown fails (true) or restores (false) a compression engine:
 // index 0 for the Accel card and the BF2 SoC engine, the port index

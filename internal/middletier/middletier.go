@@ -81,7 +81,7 @@ type Config struct {
 	// failover tests enable it.
 	ReplicateTimeout float64
 
-	// Protocol selects the replication protocol (replicator.go): primary
+	// Protocol selects the replication protocol (replication.go): primary
 	// fan-out (the default, the seed behavior), chain, or ABD-style
 	// quorum. It is orthogonal to Kind — every design runs every
 	// protocol.
@@ -169,19 +169,15 @@ func DefaultConfig(kind Kind) Config {
 // single fetch.
 type pendingReq struct {
 	remaining int // replies still outstanding
-	expected  int // replies the fan-out was registered with
 	// need is how many more OK acks make the fan-out a success. Primary
-	// fan-out and single fetches start it at expected (all replies must
-	// be OK); the quorum protocol starts it at the write quorum, so the
-	// fan-out completes — and is unregistered, making later minority
-	// acks stale by construction — the moment the quorum is met.
-	need   int
-	done   *sim.Event
-	status blockstore.Status
-	// acks records per-reply statuses in arrival order when the server
-	// tracks ack sets (non-primary protocols); replicate-timeout traces
-	// embed them (ackset.go) for diagnosis.
-	acks    []blockstore.Status
+	// fan-out and single fetches start it at the reply count (all
+	// replies must be OK); the quorum protocol starts it at the write
+	// quorum, so the fan-out completes — and is unregistered, making
+	// later minority acks stale by construction — the moment the quorum
+	// is met.
+	need    int
+	done    *sim.Event
+	status  blockstore.Status
 	payload []byte  // fetch replies: the stored frame (real bytes)
 	size    float64 // fetch replies: modeled frame size
 	hdr     blockstore.Header
@@ -189,7 +185,7 @@ type pendingReq struct {
 	// fetched payload (SmartDS read path).
 	release func()
 
-	// Straggler attribution (critpath): the replicator stamps the
+	// Straggler attribution (critpath): replicate stamps the
 	// fan-out set and send-complete time, completePending stamps which
 	// reply decided the fan-out and when. set[slot] is the global
 	// storage-server index of replica slot; deciderSlot is the slot of
@@ -256,10 +252,6 @@ type Server struct {
 	pending map[uint64]*pendingReq
 	nextRep uint64
 
-	// rep is the active replication protocol (replicator.go); trackAcks
-	// enables per-reply status capture for its trace diagnostics.
-	rep       Replicator
-	trackAcks bool
 	// nextVer is the writer-assigned block version counter: every write
 	// gets one version before its fan-out, stable across retry attempts,
 	// so storage servers can refuse regressions and quorum reads can
@@ -334,8 +326,6 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 		pending:    make(map[uint64]*pendingReq),
 		placement:  make(map[chunkKey][]int),
 		engineDown: make([]bool, cfg.Ports),
-		rep:        newReplicator(cfg.Protocol),
-		trackAcks:  cfg.Protocol != ProtoPrimary,
 	}
 	s.StragglerAcks = make([]uint64, cfg.Replicas)
 	for i := 0; i < cfg.Workers; i++ {
@@ -454,16 +444,13 @@ func (s *Server) nextCore() *host.Core {
 	return c
 }
 
-// begin registers a fan-out of `expected` replies that succeeds at
-// `need` OK acks (need == expected: every reply must be OK).
-func (s *Server) begin(expected, need int) (uint64, *pendingReq) {
+// begin registers a fan-out of `replies` replies that succeeds at
+// `need` OK acks (need == replies: every reply must be OK).
+func (s *Server) begin(replies, need int) (uint64, *pendingReq) {
 	s.nextRep++
-	pr := &pendingReq{remaining: expected, expected: expected, need: need,
+	pr := &pendingReq{remaining: replies, need: need,
 		done: s.env.NewEvent(), status: blockstore.StatusOK,
 		sentAt: -1, decidedAt: -1, deciderSlot: -1, deciderIdx: -1}
-	if s.trackAcks {
-		pr.acks = make([]blockstore.Status, 0, expected)
-	}
 	s.pending[s.nextRep] = pr
 	return s.nextRep, pr
 }
@@ -483,9 +470,6 @@ func (s *Server) completePending(repID uint64, from int, st blockstore.Status, p
 	if !ok {
 		s.StaleAcks++
 		return
-	}
-	if pr.acks != nil {
-		pr.acks = append(pr.acks, st)
 	}
 	if st == blockstore.StatusOK {
 		pr.need--
@@ -518,7 +502,7 @@ func (s *Server) completePending(repID uint64, from int, st blockstore.Status, p
 func (s *Server) noteDecider(pr *pendingReq, from int) {
 	pr.decidedAt = s.now()
 	pr.deciderIdx = from
-	if pr.expected <= 1 || from < 0 {
+	if len(pr.set) <= 1 || from < 0 {
 		return
 	}
 	for slot, idx := range pr.set {
@@ -683,47 +667,6 @@ func (s *Server) substituteReplica(set []int) int {
 	return -1
 }
 
-// readReplicaFor picks a healthy holder of the request's chunk,
-// rotating across the replica set for balance. ok is false when every
-// replica of the chunk is down — the caller answers the client with an
-// error instead of the old panic.
-func (s *Server) readReplicaFor(hdr blockstore.Header) (int, bool) {
-	key := chunkKey{seg: hdr.SegmentID, chunk: hdr.ChunkID}
-	set, ok := s.placement[key]
-	if !ok {
-		// Never written through this server: fall back to any healthy
-		// server (the storage tier will answer not-found).
-		hs := s.healthyReplicas()
-		if len(hs) == 0 {
-			s.Unroutable++
-			return 0, false
-		}
-		return hs[0], true
-	}
-	if s.cfg.Protocol == ProtoChain {
-		// Chain replication serves reads from the tail: the tail only
-		// acked after every predecessor held the write, so its state is
-		// always the committed prefix. Walk backward to the last healthy
-		// member when the tail itself is down.
-		for i := len(set) - 1; i >= 0; i-- {
-			if !s.serverDown[set[i]] {
-				return set[i], true
-			}
-		}
-		s.Unroutable++
-		return 0, false
-	}
-	for i := 0; i < len(set); i++ {
-		idx := set[(s.readRR+i)%len(set)]
-		if !s.serverDown[idx] {
-			s.readRR++
-			return idx, true
-		}
-	}
-	s.Unroutable++
-	return 0, false
-}
-
 // healthyReplicas picks up to cfg.Replicas distinct healthy storage
 // servers, rotating the starting point for balance. Fewer healthy
 // servers than the replication factor yields a short (possibly empty)
@@ -768,13 +711,6 @@ func (s *Server) ConnectStorage(servers []*storage.Server) {
 	}
 }
 
-// ReplicatorName returns the active protocol's table label.
-func (s *Server) ReplicatorName() string { return s.rep.Name() }
-
-// ReadQuorum is how many replicas out of n a read consults under the
-// active protocol.
-func (s *Server) ReadQuorum(n int) int { return s.rep.ReadQuorum(n) }
-
 // nextWriteVersion hands out the writer-assigned version for one write.
 // It is assigned once per logical write, before the fan-out, so every
 // retry attempt re-sends the same version and the storage-side
@@ -782,36 +718,6 @@ func (s *Server) ReadQuorum(n int) int { return s.rep.ReadQuorum(n) }
 func (s *Server) nextWriteVersion() uint64 {
 	s.nextVer++
 	return s.nextVer
-}
-
-// replicatorHost implementation (replicator.go): the slice of Server a
-// Replicator drives.
-
-func (s *Server) replicaSet(hdr blockstore.Header) []int {
-	// Copy: replicasFor may return the live placement slice, which a
-	// concurrent write's substitution mutates in place. The replicator
-	// compares its attempt set against currentSet to detect exactly that,
-	// so it must hold a stable snapshot.
-	return append([]int(nil), s.replicasFor(hdr)...)
-}
-
-func (s *Server) currentSet(hdr blockstore.Header) []int {
-	return slices.Clone(s.placement[chunkKey{seg: hdr.SegmentID, chunk: hdr.ChunkID}])
-}
-
-func (s *Server) abandon(repID uint64) { delete(s.pending, repID) }
-
-func (s *Server) noteRetry(frameSize float64, replicas int) {
-	s.ReplicateRetries++
-	s.RetryBytes += frameSize * float64(replicas)
-}
-
-func (s *Server) replicateTimeout() float64 { return s.cfg.ReplicateTimeout }
-
-func (s *Server) replicas() int { return s.cfg.Replicas }
-
-func (s *Server) emit(now float64, event, detail string) {
-	s.cfg.Trace.Emit(now, "mt", event, detail)
 }
 
 // noteWait records one completed fan-out's straggler wait on the

@@ -250,7 +250,7 @@ func TestPlacementStableAcrossWritesAndReads(t *testing.T) {
 	// Reads target members of the set.
 	seen := map[int]bool{}
 	for i := 0; i < 12; i++ {
-		idx, ok := s.readReplicaFor(h)
+		idx, ok := readTarget(s, h)
 		if !ok {
 			t.Fatal("healthy chunk reported unroutable")
 		}
@@ -288,7 +288,7 @@ func TestPlacementFailoverSubstitutes(t *testing.T) {
 	}
 	// Reads avoid the down server too.
 	for i := 0; i < 6; i++ {
-		idx, ok := s.readReplicaFor(h)
+		idx, ok := readTarget(s, h)
 		if !ok {
 			t.Fatal("chunk with healthy replicas reported unroutable")
 		}
@@ -302,7 +302,7 @@ func TestReadReplicaUnknownChunkFallsBack(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
 	s.numStorage = 4
 	s.serverDown = make([]bool, 4)
-	idx, ok := s.readReplicaFor(blockstore.Header{SegmentID: 42, ChunkID: 42})
+	idx, ok := readTarget(s, blockstore.Header{SegmentID: 42, ChunkID: 42})
 	if !ok || idx < 0 || idx >= 4 {
 		t.Fatalf("fallback index %d ok=%v", idx, ok)
 	}
@@ -326,7 +326,7 @@ func TestAllReplicasDownReportsUnroutable(t *testing.T) {
 	for i := range s.serverDown {
 		s.serverDown[i] = true
 	}
-	if _, ok := s.readReplicaFor(h); ok {
+	if _, ok := readTarget(s, h); ok {
 		t.Fatal("fully-down chunk reported routable")
 	}
 	if set := s.replicasFor(h); set != nil {
@@ -334,5 +334,67 @@ func TestAllReplicasDownReportsUnroutable(t *testing.T) {
 	}
 	if s.Unroutable == 0 {
 		t.Fatal("unroutable requests not counted")
+	}
+}
+
+// readTarget is the one server a single-replica read of h fetches from;
+// ok is false when the read is unroutable.
+func readTarget(s *Server, h blockstore.Header) (int, bool) {
+	targets := s.readTargets(nil, h)
+	if len(targets) != 1 {
+		return -1, false
+	}
+	return targets[0], true
+}
+
+// TestReplicasForSubstitutionUnderCrashes exercises degraded-mode
+// substitution through the real Server: with 0, 1, and 2 simultaneous
+// crashes out of 5 servers, a 3-replica placement keeps its surviving
+// members, substitutes healthy servers for the dead, and only counts
+// the write degraded when the set actually shrank.
+func TestReplicasForSubstitutionUnderCrashes(t *testing.T) {
+	for _, crashes := range [][]int{nil, {1}, {1, 3}} {
+		s := newTestServer(t, CPUOnly)
+		s.numStorage = 5
+		s.serverDown = make([]bool, 5)
+		h := blockstore.Header{SegmentID: 7, ChunkID: 3}
+		orig := append([]int(nil), s.replicasFor(h)...) // pins placement
+		if len(orig) != 3 {
+			t.Fatalf("initial placement = %v, want 3 replicas", orig)
+		}
+		for _, idx := range crashes {
+			s.SetServerDown(idx, true)
+		}
+		got := s.replicasFor(h)
+		if len(got) != 3 {
+			t.Fatalf("%d crashes: set = %v, want full substitution from 5 servers", len(crashes), got)
+		}
+		down := map[int]bool{}
+		for _, idx := range crashes {
+			down[idx] = true
+		}
+		for _, idx := range got {
+			if down[idx] {
+				t.Fatalf("%d crashes: down server %d still in set %v", len(crashes), idx, got)
+			}
+		}
+		// Surviving original members keep their slots.
+		for _, o := range orig {
+			if down[o] {
+				continue
+			}
+			found := false
+			for _, g := range got {
+				if g == o {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("%d crashes: surviving member %d evicted: %v -> %v", len(crashes), o, orig, got)
+			}
+		}
+		if len(crashes) == 0 && s.Degraded != 0 {
+			t.Fatal("healthy write counted degraded")
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // protocol and differ only in where payload bytes live and which engine
 // touches them, so serveWrite/serveRead own everything protocol-shaped:
 // stage spans, the bypass decision, counters, version stamping, the
-// replicate header, quorum-vs-single fetch, the error-reply tails, and
-// the client reply. A design contributes a datapath (hostpaths.go for
+// replicate header, the error-reply tails, and the client reply;
+// replication.go decides who gets each replicate and fetch. A design contributes a datapath (hostpaths.go for
 // CPU-only and Acc, bf2.go, smartds.go) that supplies only what differs.
 
 // datapath is one middle-tier design's data plane.
@@ -216,7 +216,7 @@ func (s *Server) serveWrite(p *sim.Proc, r *request) {
 	if err == nil {
 		stageBegin(tr, p.Now(), "mt", "replicate", tid)
 		version := s.nextWriteVersion()
-		status, stored = s.replicateWait(p, r.hdr, f.size, func(repID uint64, set []int) {
+		status, stored = s.replicate(p, r.hdr, f.size, func(repID uint64, set []int) {
 			rh := blockstore.Header{
 				Op: blockstore.OpReplicate, Flags: flags, ReqID: repID,
 				VMID: r.hdr.VMID, SegmentID: r.hdr.SegmentID,
@@ -247,41 +247,22 @@ func (s *Server) serveWrite(p *sim.Proc, r *request) {
 	s.BytesStored += f.size * float64(stored)
 }
 
-// serveRead fetches the block (one replica, or a version-ranked read
-// quorum), decompresses it, and returns it to the client. Every failure
-// becomes an error reply: no reachable replica (StatusError), a non-OK
-// fetch (its status), or a frame that fails to decode (StatusCorrupt).
+// serveRead fetches the block from its read targets (replication.go),
+// decompresses it, and returns it to the client. Every failure becomes
+// an error reply: no reachable replica (StatusError), a non-OK fetch
+// (its status), or a frame that fails to decode (StatusCorrupt).
 func (s *Server) serveRead(p *sim.Proc, r *request) {
 	tr, tid := r.tr, r.tid
-	var pr *pendingReq
-	if s.cfg.Protocol == ProtoQuorum {
-		stageBegin(tr, p.Now(), "mt", "fetch", tid)
-		winner, ok := s.quorumFetch(p, r)
-		s.dp.poll(p, 1)
-		tr.End(p.Now(), "mt", "fetch", tid)
-		if !ok {
-			s.replyRead(p, r, nil, blockstore.StatusError, frame{})
-			return
-		}
-		pr = winner
-	} else {
-		idx, ok := s.readReplicaFor(r.hdr)
-		if !ok {
-			s.replyRead(p, r, nil, blockstore.StatusError, frame{})
-			return
-		}
-		repID, spr := s.begin(1, 1)
-		fh := blockstore.Header{
-			Op: blockstore.OpFetch, ReqID: repID,
-			SegmentID: r.hdr.SegmentID, ChunkID: r.hdr.ChunkID, BlockOff: r.hdr.BlockOff,
-		}
-		stageBegin(tr, p.Now(), "mt", "fetch", tid)
-		s.dp.send(p, r.path, s.storagePaths[r.path][idx], fh, frame{})
-		p.Wait(spr.done)
-		s.dp.poll(p, 1)
-		tr.End(p.Now(), "mt", "fetch", tid)
-		pr = spr
+	var buf [4]int // read quorums of up to 7 replicas pick without allocating
+	targets := s.readTargets(buf[:0], r.hdr)
+	if targets == nil {
+		s.replyRead(p, r, nil, blockstore.StatusError, frame{})
+		return
 	}
+	stageBegin(tr, p.Now(), "mt", "fetch", tid)
+	pr := s.fetch(p, r, targets)
+	s.dp.poll(p, 1)
+	tr.End(p.Now(), "mt", "fetch", tid)
 	if pr.status != blockstore.StatusOK {
 		s.replyRead(p, r, pr, pr.status, frame{})
 		return

@@ -118,7 +118,6 @@ func newFakePipeline(t *testing.T, proto Protocol, n int) (*Server, *fakePath, *
 	s := newTestServer(t, CPUOnly)
 	tr := trace.New(1 << 12)
 	s.cfg.Trace, s.cfg.Protocol = tr, proto
-	s.rep, s.trackAcks = newReplicator(proto), proto != ProtoPrimary
 	s.numStorage, s.serverDown = n, make([]bool, n)
 	s.storagePaths = [][]*rdma.QP{make([]*rdma.QP, n)}
 	for i := range s.storagePaths[0] {
@@ -299,12 +298,9 @@ func TestPipelineReadErrorTails(t *testing.T) {
 			if st := drive(t, s, f, tr, blockstore.OpRead, 4, nil); st != blockstore.StatusError {
 				t.Errorf("unroutable read replied %v, want %v", st, blockstore.StatusError)
 			}
-			// A single-replica read fails before fetching; a quorum read
-			// finds no read quorum inside its fetch stage.
+			// Every protocol picks its read targets before the fetch stage
+			// opens, so an unroutable read never fetches.
 			want := "net/request mt/parse net/reply"
-			if proto == ProtoQuorum {
-				want = "net/request mt/parse mt/fetch net/reply"
-			}
 			if seq, _ = stageSequence(t, tr, 4); strings.Join(seq, " ") != want {
 				t.Errorf("unroutable read stages %v, want %s", seq, want)
 			}

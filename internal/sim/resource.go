@@ -28,9 +28,6 @@ func (e *Env) NewResource(name string, slots int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Slots returns the total slot count.
-func (r *Resource) Slots() int { return r.slots }
-
 // InUse returns the number of currently held slots.
 func (r *Resource) InUse() int { return r.inUse }
 

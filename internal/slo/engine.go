@@ -99,15 +99,6 @@ func NewEngine(env *sim.Env, specs []Spec, interval float64) *Engine {
 	return e
 }
 
-// Specs returns the objectives under evaluation.
-func (e *Engine) Specs() []Spec {
-	out := make([]Spec, len(e.states))
-	for i, st := range e.states {
-		out[i] = st.spec
-	}
-	return out
-}
-
 // Observe feeds one request completion. The signature matches the
 // cluster's completion hook (virtual time, latency, errored); the
 // timestamp itself is unused because cells close on the grid. O(#specs)

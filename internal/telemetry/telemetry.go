@@ -127,14 +127,8 @@ type Metric struct {
 // Name returns the metric name.
 func (m *Metric) Name() string { return m.name }
 
-// Labels returns the metric's label set.
-func (m *Metric) Labels() LabelSet { return m.labels }
-
 // Kind returns the metric kind.
 func (m *Metric) Kind() Kind { return m.kind }
-
-// Hist returns the wrapped histogram (nil unless KindHistogram).
-func (m *Metric) Hist() *metrics.Histogram { return m.hist }
 
 // Add accumulates into a push counter. Negative deltas and non-counter
 // kinds panic: a counter is monotone by contract.
