@@ -140,7 +140,16 @@ func replyAfter(d float64, st blockstore.Status) func(blockstore.Header, int) (f
 	return func(blockstore.Header, int) (float64, blockstore.Status, bool) { return d, st, false }
 }
 
-// traced returns the details of the middle tier's name events.
+// replyInTurn scripts server i to answer with sts[i], (i+1)*10us after
+// each send.
+func replyInTurn(sts ...blockstore.Status) func(blockstore.Header, int) (float64, blockstore.Status, bool) {
+	return func(_ blockstore.Header, to int) (float64, blockstore.Status, bool) {
+		return float64(to+1) * 10e-6, sts[to], false
+	}
+}
+
+// traced returns the details of the middle tier's trace events called
+// name.
 func traced(tr *trace.Tracer, name string) []string {
 	var out []string
 	for _, ev := range tr.Events() {
@@ -205,9 +214,7 @@ func TestPrimaryReplicatorAcksWhenAllReply(t *testing.T) {
 
 func TestPrimaryReplicatorWorstStatusWins(t *testing.T) {
 	s, f, _ := newReplicateServer(t, ProtoPrimary, 3, 0) // no timeout: pure fan-in
-	f.reply = func(_ blockstore.Header, to int) (float64, blockstore.Status, bool) {
-		return float64(to+1) * 10e-6, []blockstore.Status{blockstore.StatusOK, blockstore.StatusCorrupt, blockstore.StatusOK}[to], false
-	}
+	f.reply = replyInTurn(blockstore.StatusOK, blockstore.StatusCorrupt, blockstore.StatusOK)
 	if st, _ := runReplicate(t, s); st != blockstore.StatusCorrupt {
 		t.Fatalf("status = %v, want Corrupt", st)
 	}
@@ -328,12 +335,7 @@ func TestChainReplicatorHopTimeoutRestartsChain(t *testing.T) {
 
 func TestChainReplicatorPropagatesWorstHopStatus(t *testing.T) {
 	s, f, _ := newReplicateServer(t, ProtoChain, 3, 0)
-	f.reply = func(_ blockstore.Header, to int) (float64, blockstore.Status, bool) {
-		if to == 1 {
-			return 10e-6, blockstore.StatusCorrupt, false
-		}
-		return 10e-6, blockstore.StatusOK, false
-	}
+	f.reply = replyInTurn(blockstore.StatusOK, blockstore.StatusCorrupt, blockstore.StatusOK)
 	if st, _ := runReplicate(t, s); st != blockstore.StatusCorrupt {
 		t.Fatalf("status = %v, want the middle hop's Corrupt", st)
 	}
@@ -373,9 +375,7 @@ func TestQuorumReplicatorFailsBelowWriteQuorum(t *testing.T) {
 
 func TestQuorumReplicatorMinorityErrorStillOK(t *testing.T) {
 	s, f, _ := newReplicateServer(t, ProtoQuorum, 3, 0)
-	f.reply = func(_ blockstore.Header, to int) (float64, blockstore.Status, bool) {
-		return float64(to+1) * 10e-6, []blockstore.Status{blockstore.StatusOK, blockstore.StatusError, blockstore.StatusOK}[to], false
-	}
+	f.reply = replyInTurn(blockstore.StatusOK, blockstore.StatusError, blockstore.StatusOK)
 	if st, _ := runReplicate(t, s); st != blockstore.StatusOK {
 		t.Fatalf("status = %v: a minority error must not fail a quorum write", st)
 	}
@@ -383,9 +383,7 @@ func TestQuorumReplicatorMinorityErrorStillOK(t *testing.T) {
 
 func TestQuorumReplicatorMajorityErrorFails(t *testing.T) {
 	s, f, _ := newReplicateServer(t, ProtoQuorum, 3, 0)
-	f.reply = func(_ blockstore.Header, to int) (float64, blockstore.Status, bool) {
-		return float64(to+1) * 10e-6, []blockstore.Status{blockstore.StatusError, blockstore.StatusError, blockstore.StatusOK}[to], false
-	}
+	f.reply = replyInTurn(blockstore.StatusError, blockstore.StatusError, blockstore.StatusOK)
 	if st, _ := runReplicate(t, s); st != blockstore.StatusError {
 		t.Fatalf("status = %v, want Error when the quorum cannot be met", st)
 	}
