@@ -101,7 +101,7 @@ func main() {
 				Op: blockstore.OpReplicate, ReqID: parsed.ReqID,
 				OrigLen: parsed.OrigLen, CRC: parsed.CRC,
 			}
-			copy(hBufSend.Bytes(), out.Encode())
+			out.EncodeTo(hBufSend.Bytes())
 
 			if parsed.Flags&blockstore.FlagLatencySensitive != 0 {
 				/* Directly send a latency-sensitive block to the storage

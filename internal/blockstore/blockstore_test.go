@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -47,7 +48,14 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 			CRC:       crc,
 		}
 		got, err := Decode(h.Encode())
-		return err == nil && got == h
+		if err != nil || got != h {
+			return false
+		}
+		// EncodeTo over a dirty buffer writes exactly Encode's bytes.
+		b := bytes.Repeat([]byte{0xA5}, HeaderSize+8)
+		h.EncodeTo(b)
+		got, err = Decode(b)
+		return err == nil && got == h && bytes.Equal(b[:HeaderSize], h.Encode())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -102,6 +102,15 @@ var ErrBadHeader = errors.New("blockstore: malformed header")
 // Encode serializes the header into a fresh 64-byte slice.
 func (h *Header) Encode() []byte {
 	b := make([]byte, HeaderSize)
+	h.EncodeTo(b)
+	return b
+}
+
+// EncodeTo serializes the header into the first HeaderSize bytes of b,
+// all of them: the reserved tail is zeroed, so a reused buffer encodes
+// exactly what Encode would. b must hold at least HeaderSize bytes.
+func (h *Header) EncodeTo(b []byte) {
+	b = b[:HeaderSize]
 	binary.LittleEndian.PutUint32(b[0:], headerMagic)
 	b[4] = uint8(h.Op)
 	b[5] = h.Flags
@@ -116,7 +125,7 @@ func (h *Header) Encode() []byte {
 	binary.LittleEndian.PutUint32(b[44:], h.OrigLen)
 	binary.LittleEndian.PutUint32(b[48:], h.CRC)
 	binary.LittleEndian.PutUint64(b[52:], h.Version)
-	return b
+	clear(b[60:])
 }
 
 // Decode parses a header from the first 64 bytes of b.
@@ -152,7 +161,7 @@ func Decode(b []byte) (Header, error) {
 func Message(h *Header, payload []byte) []byte {
 	h.PayloadLen = uint32(len(payload))
 	out := make([]byte, HeaderSize+len(payload))
-	copy(out, h.Encode())
+	h.EncodeTo(out)
 	copy(out[HeaderSize:], payload)
 	return out
 }

@@ -20,7 +20,7 @@ type rig struct {
 	peer    *rdma.Stack
 }
 
-func newRig(t *testing.T, ports int) *rig {
+func newRig(t testing.TB, ports int) *rig {
 	t.Helper()
 	e := sim.NewEnv()
 	f := netsim.NewFabric(e, netsim.DefaultConfig())
@@ -33,7 +33,7 @@ func newRig(t *testing.T, ports int) *rig {
 }
 
 // connect builds a QP pair between instance idx and the peer stack.
-func (r *rig) connect(t *testing.T, idx int) (*rdma.QP, *rdma.QP) {
+func (r *rig) connect(t testing.TB, idx int) (*rdma.QP, *rdma.QP) {
 	t.Helper()
 	inst, err := r.dev.OpenRoCEInstance(idx)
 	if err != nil {

@@ -62,6 +62,10 @@ type Device struct {
 
 	tr      *trace.Tracer
 	spanSeq uint64 // split/assemble span correlation ids
+
+	// compSlab hands out verb completions in bulk; see newCompletion.
+	compSlab []Completion
+	compPos  int
 }
 
 // NewDevice creates a SmartDS card attached to the fabric with one port

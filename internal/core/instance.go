@@ -8,6 +8,7 @@ import (
 	"github.com/disagg/smartds/internal/pcie"
 	"github.com/disagg/smartds/internal/rdma"
 	"github.com/disagg/smartds/internal/sim"
+	"github.com/disagg/smartds/internal/trace"
 )
 
 // Instance is one extended RoCE instance: transport stack + Split +
@@ -23,14 +24,19 @@ type Instance struct {
 	splitName, assembleName, devfuncName string
 
 	recvQ map[int]*qpRecvState
+
+	// Pooled op records of the split, assemble and devfunc procs.
+	freeSplits    []*splitOp
+	freeAssembles []*assembleOp
+	freeFuncs     []*funcOp
 }
 
 // qpRecvState is the Split module's per-QP descriptor table plus the
 // buffer of messages that arrived before a descriptor was posted
 // (receiver-not-ready, held by the transport in real RoCE).
 type qpRecvState struct {
-	descs []*recvDesc
-	msgs  []*rdma.Message
+	descs ring[recvDesc]
+	msgs  ring[*rdma.Message]
 }
 
 type recvDesc struct {
@@ -53,9 +59,12 @@ func (in *Instance) Engine() *device.LZ4Engine { return in.engine }
 // Device returns the owning card.
 func (in *Instance) Device() *Device { return in.dev }
 
-// Completion is the asynchronous event every Table 2 verb returns.
+// Completion is the asynchronous event every Table 2 verb returns. It
+// carries the verb's Result, written once just before the event fires;
+// the event fires with the *Completion itself as its value.
 type Completion struct {
-	ev *sim.Event
+	ev  sim.Event
+	res Result
 }
 
 // Result is the completion value: the verb-specific size (received
@@ -69,22 +78,48 @@ type Result struct {
 }
 
 // Event exposes the raw event for select-style composition.
-func (c *Completion) Event() *sim.Event { return c.ev }
+func (c *Completion) Event() *sim.Event { return &c.ev }
 
 // Done reports whether the completion fired.
 func (c *Completion) Done() bool { return c.ev.Done() }
 
+// Result returns the verb's result. It is the zero Result until the
+// completion fires and never changes afterwards.
+func (c *Completion) Result() Result { return c.res }
+
 // Poll implements poll(event): block until the verb completes.
 func Poll(p *sim.Proc, c *Completion) Result {
-	v := p.Wait(c.ev)
-	if v == nil {
-		return Result{}
-	}
-	return v.(Result)
+	p.Wait(&c.ev)
+	return c.res
 }
 
+// complete records the result and fires the event with the completion.
+func (c *Completion) complete(res Result) {
+	c.res = res
+	c.ev.Trigger(c)
+}
+
+// completionSlab is the chunk size completions are carved in, small
+// enough to keep a chunk under the runtime's 32 KiB large-object size.
+// A chunk is retained until every completion in it is unreachable;
+// completions are short-lived, so retention is bounded by a few chunks.
+const completionSlab = 128
+
+// newCompletion carves the verb's completion, its event inline, from
+// the device's slab. Like sim events, completions are one-shot and
+// never recycled: a caller may hold one, and read its Result, for as
+// long as it likes. The slab only amortizes the allocation.
 func (in *Instance) newCompletion() *Completion {
-	return &Completion{ev: in.dev.env.NewEvent()}
+	d := in.dev
+	if d.compPos == len(d.compSlab) {
+		//detcheck:hotalloc slab refill: one allocation per completionSlab completions
+		d.compSlab = make([]Completion, completionSlab)
+		d.compPos = 0
+	}
+	c := &d.compSlab[d.compPos]
+	d.compPos++
+	d.env.InitEvent(&c.ev)
+	return c
 }
 
 // CreateQP allocates a QP whose receive side feeds the Split module.
@@ -100,6 +135,8 @@ func (in *Instance) CreateQP() *rdma.QP {
 // first hsize bytes land in host memory and the remainder in device
 // memory. The completion's Size is the payload (device-side) byte
 // count.
+//
+//hot:per-message AAMS verb, pinned by TestAAMSRoundTripAllocs
 func (in *Instance) DevMixedRecv(qp *rdma.QP, hbuf *HostBuf, hsize int, dbuf *device.Buffer, dsize int) *Completion {
 	st, ok := in.recvQ[qp.ID().QPN]
 	if !ok {
@@ -112,87 +149,156 @@ func (in *Instance) DevMixedRecv(qp *rdma.QP, hbuf *HostBuf, hsize int, dbuf *de
 		panic("core: recv descriptor larger than its buffers")
 	}
 	comp := in.newCompletion()
-	st.descs = append(st.descs, &recvDesc{hbuf: hbuf, hsize: hsize, dbuf: dbuf, dsize: dsize, comp: comp})
+	st.descs.push(recvDesc{hbuf: hbuf, hsize: hsize, dbuf: dbuf, dsize: dsize, comp: comp})
 	in.matchRecv(st)
 	return comp
 }
 
 // onMessage is the Split module's input: an in-order RDMA message.
+//
+//hot:per-message AAMS input, pinned by TestAAMSRoundTripAllocs
 func (in *Instance) onMessage(st *qpRecvState, m *rdma.Message) {
-	st.msgs = append(st.msgs, m)
+	st.msgs.push(m)
 	in.matchRecv(st)
 }
 
 // matchRecv pairs queued messages with posted descriptors in FIFO
 // order and starts placement for each pair.
 func (in *Instance) matchRecv(st *qpRecvState) {
-	for len(st.msgs) > 0 && len(st.descs) > 0 {
-		m := st.msgs[0]
-		st.msgs = st.msgs[1:]
-		d := st.descs[0]
-		st.descs = st.descs[1:]
-		in.place(m, d)
+	for st.msgs.n > 0 && st.descs.n > 0 {
+		in.place(st.msgs.pop(), st.descs.pop())
 	}
 }
 
-// place performs the split: header bytes cross PCIe into host memory,
-// payload bytes go to device memory, then the host is notified.
-func (in *Instance) place(m *rdma.Message, d *recvDesc) {
+// splitOp carries one message and its descriptor into a split proc.
+type splitOp struct {
+	in    *Instance
+	m     *rdma.Message
+	d     recvDesc
+	span  uint64
+	runFn func(*sim.Proc)
+}
+
+// place starts the split of m into d in a fresh proc.
+func (in *Instance) place(m *rdma.Message, d recvDesc) {
 	dev := in.dev
 	dev.spanSeq++
-	span := dev.spanSeq
-	dev.env.Go(in.splitName, func(p *sim.Proc) {
-		// Head-sampled by span seq; identity at full rate.
-		tr := dev.tr.ForRequest(span)
-		tr.Begin(p.Now(), dev.name, "split", span)
-		defer func() { tr.End(p.Now(), dev.name, "split", span) }()
-		total := int(m.Size)
-		hdr := d.hsize
-		if hdr > total {
-			hdr = total
+	var op *splitOp
+	if n := len(in.freeSplits); n > 0 {
+		op = in.freeSplits[n-1]
+		in.freeSplits[n-1] = nil
+		in.freeSplits = in.freeSplits[:n-1]
+	} else {
+		//detcheck:hotalloc pool miss: warmup-only, bounded by the splits started in one instant
+		op = &splitOp{in: in}
+		op.runFn = op.run
+	}
+	op.m, op.d, op.span = m, d, dev.spanSeq
+	dev.env.Go(in.splitName, op.runFn)
+}
+
+// run is the split proc body. It copies the op out and returns it to
+// the pool before its first wait.
+//
+//hot:per-message AAMS split, pinned by TestAAMSRoundTripAllocs
+func (op *splitOp) run(p *sim.Proc) {
+	o := *op
+	*op = splitOp{in: o.in, runFn: o.runFn}
+	//detcheck:hotalloc free-list growth mirrors the pool-miss warmup; steady state reuses capacity
+	o.in.freeSplits = append(o.in.freeSplits, op)
+	dev := o.in.dev
+	// Head-sampled by span seq; identity at full rate.
+	tr := dev.tr.ForRequest(o.span)
+	dev.beginSpan(tr, p.Now(), "split", o.span)
+	o.d.comp.complete(o.in.split(p, o.m, &o.d))
+	dev.endSpan(tr, p.Now(), "split", o.span)
+}
+
+// split performs the split: header bytes cross PCIe into host memory,
+// payload bytes go to device memory, then the host is notified.
+func (in *Instance) split(p *sim.Proc, m *rdma.Message, d *recvDesc) Result {
+	dev := in.dev
+	total := int(m.Size)
+	hdr := min(d.hsize, total)
+	payload := total - hdr
+	if payload > d.dsize {
+		return splitOverflow(payload, d.dsize)
+	}
+	// Functional placement of whatever real bytes the message
+	// carries (modeled traffic materializes only its header).
+	placed := 0
+	if m.Data != nil {
+		copy(d.hbuf.data, m.Data[:min(hdr, len(m.Data))])
+		if d.dbuf != nil && len(m.Data) > hdr {
+			placed = copy(d.dbuf.Bytes(), m.Data[hdr:])
 		}
-		payload := total - hdr
-		if payload > d.dsize {
-			d.comp.ev.Trigger(Result{Err: fmt.Errorf("core: %d payload bytes exceed device buffer (%d)", payload, d.dsize)})
-			return
-		}
-		// Functional placement of whatever real bytes the message
-		// carries (modeled traffic materializes only its header).
-		placed := 0
-		if m.Data != nil {
-			n := hdr
-			if n > len(m.Data) {
-				n = len(m.Data)
-			}
-			copy(d.hbuf.data, m.Data[:n])
-			if d.dbuf != nil && len(m.Data) > hdr {
-				placed = copy(d.dbuf.Bytes(), m.Data[hdr:])
-			}
-		}
-		// Header -> host via PCIe D2H, landing in host DRAM.
-		var waits []*sim.Event
-		if hdr > 0 {
-			waits = append(waits, dev.pcieLink.StartDMA(pcie.D2H, float64(hdr)))
-			waits = append(waits, dev.hostMem.StartWrite(float64(hdr)))
-		}
-		// Payload -> device memory.
-		if payload > 0 {
-			waits = append(waits, dev.hbm.StartAccess(float64(payload)))
-		}
-		for _, ev := range waits {
-			p.Wait(ev)
-		}
-		// Completion record to the host (tiny D2H write).
-		p.Wait(dev.pcieLink.StartDMA(pcie.D2H, dev.cfg.CompletionBytes))
-		dev.hostMem.StartWrite(dev.cfg.CompletionBytes)
-		d.comp.ev.Trigger(Result{Size: payload, Placed: placed})
-	})
+	}
+	// Header -> host via PCIe D2H, landing in host DRAM; payload ->
+	// device memory.
+	var waits [3]*sim.Event
+	n := 0
+	if hdr > 0 {
+		waits[0] = dev.pcieLink.StartDMA(pcie.D2H, float64(hdr))
+		waits[1] = dev.hostMem.StartWrite(float64(hdr))
+		n = 2
+	}
+	if payload > 0 {
+		waits[n] = dev.hbm.StartAccess(float64(payload))
+		n++
+	}
+	p.WaitAll(waits[:n]...)
+	dev.notifyHost(p)
+	return Result{Size: payload, Placed: placed}
+}
+
+// splitOverflow is the result of a message too large for its
+// descriptor.
+//
+//cold:malformed traffic; the descriptor is dropped
+func splitOverflow(payload, dsize int) Result {
+	return Result{Err: fmt.Errorf("core: %d payload bytes exceed device buffer (%d)", payload, dsize)}
+}
+
+// beginSpan opens a split or assemble span on a sampled tracer; tr is
+// nil when the span is not sampled.
+//
+//cold:tracing is off on the measured path; sampled spans pay for their records
+func (d *Device) beginSpan(tr *trace.Tracer, at float64, name string, span uint64) {
+	tr.Begin(at, d.name, name, span)
+}
+
+// endSpan closes a span opened by beginSpan.
+//
+//cold:tracing is off on the measured path; sampled spans pay for their records
+func (d *Device) endSpan(tr *trace.Tracer, at float64, name string, span uint64) {
+	tr.End(at, d.name, name, span)
+}
+
+// notifyHost DMA-writes a completion record to host memory.
+func (d *Device) notifyHost(p *sim.Proc) {
+	p.Wait(d.pcieLink.StartDMA(pcie.D2H, d.cfg.CompletionBytes))
+	d.hostMem.StartWrite(d.cfg.CompletionBytes)
+}
+
+// assembleOp carries one send descriptor into an assemble proc.
+type assembleOp struct {
+	in    *Instance
+	qp    *rdma.QP
+	hbuf  *HostBuf
+	hsize int
+	dbuf  *device.Buffer
+	dsize int
+	comp  *Completion
+	span  uint64
+	runFn func(*sim.Proc)
 }
 
 // DevMixedSend implements dev_mixed_send: gather hsize bytes from host
 // memory and dsize bytes from device memory into one RDMA message. The
 // completion fires when the transport acknowledges delivery; Size is
 // the message size.
+//
+//hot:per-message AAMS verb, pinned by TestAAMSRoundTripAllocs
 func (in *Instance) DevMixedSend(qp *rdma.QP, hbuf *HostBuf, hsize int, dbuf *device.Buffer, dsize int) *Completion {
 	if dbuf == nil && dsize > 0 {
 		panic("core: send descriptor with payload bytes but no device buffer")
@@ -203,95 +309,154 @@ func (in *Instance) DevMixedSend(qp *rdma.QP, hbuf *HostBuf, hsize int, dbuf *de
 	comp := in.newCompletion()
 	dev := in.dev
 	dev.spanSeq++
-	span := dev.spanSeq
-	dev.env.Go(in.assembleName, func(p *sim.Proc) {
-		// Head-sampled by span seq; identity at full rate.
-		tr := dev.tr.ForRequest(span)
-		tr.Begin(p.Now(), dev.name, "assemble", span)
-		defer func() { tr.End(p.Now(), dev.name, "assemble", span) }()
-		// Gather both halves in parallel: PCIe H2D for the header,
-		// device memory for the payload.
-		var waits []*sim.Event
-		if hsize > 0 {
-			waits = append(waits, dev.pcieLink.StartDMA(pcie.H2D, float64(hsize)))
-			waits = append(waits, dev.hostMem.StartRead(float64(hsize)))
-		}
-		if dsize > 0 {
-			waits = append(waits, dev.hbm.StartAccess(float64(dsize)))
-		}
-		for _, ev := range waits {
-			p.Wait(ev)
-		}
-		data := make([]byte, hsize+dsize)
-		copy(data, hbuf.data[:hsize])
-		if dbuf != nil {
-			copy(data[hsize:], dbuf.Bytes()[:dsize])
-		}
-		v := p.Wait(qp.Send(data))
-		// Completion record to the host.
-		p.Wait(dev.pcieLink.StartDMA(pcie.D2H, dev.cfg.CompletionBytes))
-		dev.hostMem.StartWrite(dev.cfg.CompletionBytes)
-		if err, ok := v.(error); ok && err != nil {
-			comp.ev.Trigger(Result{Err: err})
-			return
-		}
-		comp.ev.Trigger(Result{Size: hsize + dsize})
-	})
+	var op *assembleOp
+	if n := len(in.freeAssembles); n > 0 {
+		op = in.freeAssembles[n-1]
+		in.freeAssembles[n-1] = nil
+		in.freeAssembles = in.freeAssembles[:n-1]
+	} else {
+		//detcheck:hotalloc pool miss: warmup-only, bounded by the sends posted in one instant
+		op = &assembleOp{in: in}
+		op.runFn = op.run
+	}
+	op.qp, op.hbuf, op.hsize, op.dbuf, op.dsize = qp, hbuf, hsize, dbuf, dsize
+	op.comp, op.span = comp, dev.spanSeq
+	dev.env.Go(in.assembleName, op.runFn)
 	return comp
+}
+
+// run is the assemble proc body. It copies the op out and returns it to
+// the pool before its first wait.
+//
+//hot:per-message AAMS assemble, pinned by TestAAMSRoundTripAllocs
+func (op *assembleOp) run(p *sim.Proc) {
+	o := *op
+	*op = assembleOp{in: o.in, runFn: o.runFn}
+	//detcheck:hotalloc free-list growth mirrors the pool-miss warmup; steady state reuses capacity
+	o.in.freeAssembles = append(o.in.freeAssembles, op)
+	dev := o.in.dev
+	// Head-sampled by span seq; identity at full rate.
+	tr := dev.tr.ForRequest(o.span)
+	dev.beginSpan(tr, p.Now(), "assemble", o.span)
+	// Gather both halves in parallel: PCIe H2D for the header,
+	// device memory for the payload.
+	var waits [3]*sim.Event
+	n := 0
+	if o.hsize > 0 {
+		waits[0] = dev.pcieLink.StartDMA(pcie.H2D, float64(o.hsize))
+		waits[1] = dev.hostMem.StartRead(float64(o.hsize))
+		n = 2
+	}
+	if o.dsize > 0 {
+		waits[n] = dev.hbm.StartAccess(float64(o.dsize))
+		n++
+	}
+	p.WaitAll(waits[:n]...)
+	//detcheck:hotalloc the message bytes outlive the send: the receiver keeps them
+	data := make([]byte, o.hsize+o.dsize)
+	copy(data, o.hbuf.data[:o.hsize])
+	if o.dbuf != nil {
+		copy(data[o.hsize:], o.dbuf.Bytes()[:o.dsize])
+	}
+	v := p.Wait(o.qp.Send(data))
+	// Completion record to the host.
+	dev.notifyHost(p)
+	if err, ok := v.(error); ok && err != nil {
+		o.comp.complete(Result{Err: err})
+	} else {
+		o.comp.complete(Result{Size: o.hsize + o.dsize})
+	}
+	dev.endSpan(tr, p.Now(), "assemble", o.span)
+}
+
+// funcOp carries one engine invocation into a devfunc proc: a
+// compression, or with decompress set, a decompression to origSize
+// bytes.
+type funcOp struct {
+	in         *Instance
+	src, dst   *device.Buffer
+	srcSize    int
+	level      lz4.Level
+	decompress bool
+	origSize   int
+	comp       *Completion
+	runFn      func(*sim.Proc)
 }
 
 // DevFunc implements dev_func: invoke the instance's hardware engine on
 // srcSize bytes of src, writing the result into dst. Size is the
 // result byte count.
+//
+//hot:per-request AAMS verb, pinned by TestAAMSRoundTripAllocs
 func (in *Instance) DevFunc(src *device.Buffer, srcSize int, dst *device.Buffer, level lz4.Level) *Completion {
 	if srcSize > src.Size() {
 		panic("core: DevFunc source size exceeds buffer")
 	}
-	comp := in.newCompletion()
-	dev := in.dev
-	dev.env.Go(in.devfuncName, func(p *sim.Proc) {
-		out, err := in.engine.Compress(p, src.Bytes()[:srcSize], level)
-		if err != nil {
-			comp.ev.Trigger(Result{Err: err})
-			return
-		}
-		if len(out) > dst.Size() {
-			comp.ev.Trigger(Result{Err: fmt.Errorf("core: compressed output %d exceeds destination %d", len(out), dst.Size())})
-			return
-		}
-		copy(dst.Bytes(), out)
-		// Notify the host CPU (paper: "writes the result ... and
-		// notifies the application running in the host CPU").
-		p.Wait(dev.pcieLink.StartDMA(pcie.D2H, dev.cfg.CompletionBytes))
-		dev.hostMem.StartWrite(dev.cfg.CompletionBytes)
-		comp.ev.Trigger(Result{Size: len(out)})
-	})
-	return comp
+	return in.startFunc(src, srcSize, dst, level, false, 0)
 }
 
 // DevFuncDecompress is the read-path twin of DevFunc: decompress
 // srcSize bytes of src (an LZ4 block) into dst, whose needed size is
 // origSize.
+//
+//hot:per-request AAMS verb, pinned by TestAAMSRoundTripAllocs
 func (in *Instance) DevFuncDecompress(src *device.Buffer, srcSize int, dst *device.Buffer, origSize int) *Completion {
 	if srcSize > src.Size() {
 		panic("core: DevFuncDecompress source size exceeds buffer")
 	}
+	return in.startFunc(src, srcSize, dst, 0, true, origSize)
+}
+
+// startFunc spawns a devfunc proc on a pooled op.
+func (in *Instance) startFunc(src *device.Buffer, srcSize int, dst *device.Buffer, level lz4.Level, decompress bool, origSize int) *Completion {
+	var op *funcOp
+	if n := len(in.freeFuncs); n > 0 {
+		op = in.freeFuncs[n-1]
+		in.freeFuncs[n-1] = nil
+		in.freeFuncs = in.freeFuncs[:n-1]
+	} else {
+		//detcheck:hotalloc pool miss: warmup-only, bounded by the engine calls started in one instant
+		op = &funcOp{in: in}
+		op.runFn = op.run
+	}
 	comp := in.newCompletion()
-	dev := in.dev
-	dev.env.Go(in.devfuncName, func(p *sim.Proc) {
-		if origSize > dst.Size() {
-			comp.ev.Trigger(Result{Err: fmt.Errorf("core: decompressed output %d exceeds destination %d", origSize, dst.Size())})
-			return
-		}
-		out, err := in.engine.Decompress(p, src.Bytes()[:srcSize], origSize)
-		if err != nil {
-			comp.ev.Trigger(Result{Err: err})
-			return
-		}
-		copy(dst.Bytes(), out)
-		p.Wait(dev.pcieLink.StartDMA(pcie.D2H, dev.cfg.CompletionBytes))
-		dev.hostMem.StartWrite(dev.cfg.CompletionBytes)
-		comp.ev.Trigger(Result{Size: origSize})
-	})
+	op.src, op.srcSize, op.dst, op.comp = src, srcSize, dst, comp
+	op.level, op.decompress, op.origSize = level, decompress, origSize
+	in.dev.env.Go(in.devfuncName, op.runFn)
 	return comp
+}
+
+// run is the devfunc proc body. It copies the op out and returns it to
+// the pool before its first wait.
+func (op *funcOp) run(p *sim.Proc) {
+	o := *op
+	*op = funcOp{in: o.in, runFn: o.runFn}
+	o.in.freeFuncs = append(o.in.freeFuncs, op)
+	in, comp, dst := o.in, o.comp, o.dst
+	src := o.src.Bytes()[:o.srcSize]
+	var (
+		out []byte
+		err error
+	)
+	if o.decompress {
+		if o.origSize > dst.Size() {
+			comp.complete(Result{Err: fmt.Errorf("core: decompressed output %d exceeds destination %d", o.origSize, dst.Size())})
+			return
+		}
+		out, err = in.engine.Decompress(p, src, o.origSize)
+	} else {
+		out, err = in.engine.Compress(p, src, o.level)
+		if err == nil && len(out) > dst.Size() {
+			err = fmt.Errorf("core: compressed output %d exceeds destination %d", len(out), dst.Size())
+		}
+	}
+	if err != nil {
+		comp.complete(Result{Err: err})
+		return
+	}
+	copy(dst.Bytes(), out)
+	// Notify the host CPU (paper: "writes the result ... and notifies
+	// the application running in the host CPU").
+	in.dev.notifyHost(p)
+	comp.complete(Result{Size: len(out)})
 }

@@ -51,7 +51,7 @@ func TestPipelinedDescriptorsManyMessages(t *testing.T) {
 	post = func(i int) {
 		comp := inst.DevMixedRecv(local, hbufs[i], hdrSize, dbufs[i], dbufs[i].Size())
 		comp.Event().OnTrigger(func(v interface{}) {
-			res := v.(Result)
+			res := v.(*Completion).Result()
 			if res.Err != nil {
 				mismatch = res.Err
 				return
@@ -169,7 +169,7 @@ func TestMultiPortConcurrentTraffic(t *testing.T) {
 		post = func() {
 			comp := inst.DevMixedRecv(local, hbuf, 64, dbuf, 4096)
 			comp.Event().OnTrigger(func(v interface{}) {
-				if v.(Result).Err == nil {
+				if v.(*Completion).Result().Err == nil {
 					counts[pi]++
 					if counts[pi] < 20 {
 						post()

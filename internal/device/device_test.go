@@ -67,6 +67,119 @@ func TestCoalescingMiddleFree(t *testing.T) {
 	if _, err := m.Alloc(300); err != nil {
 		t.Fatalf("full-arena alloc after scattered frees: %v", err)
 	}
+
+	// Every free order of four adjacent buffers, with and without a
+	// free tail after them, ends as one span; every intermediate list
+	// stays sorted and coalesced.
+	for _, tail := range []int{0, 50} {
+		forEachPermutation([]int{0, 1, 2, 3}, func(order []int) {
+			m := newMem(e, 400+tail)
+			var bufs [4]*Buffer
+			for i := range bufs {
+				bufs[i], _ = m.Alloc(100)
+			}
+			for _, i := range order {
+				bufs[i].Free()
+				checkFreeList(t, m)
+			}
+			if len(m.free) != 1 || m.free[0] != (span{0, 400 + tail}) {
+				t.Fatalf("tail %d, free order %v: free list %v, want one span", tail, order, m.free)
+			}
+		})
+	}
+}
+
+// forEachPermutation calls fn with every ordering of xs.
+func forEachPermutation(xs []int, fn func([]int)) {
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(xs) {
+			fn(xs)
+			return
+		}
+		for i := k; i < len(xs); i++ {
+			xs[k], xs[i] = xs[i], xs[k]
+			rec(k + 1)
+			xs[k], xs[i] = xs[i], xs[k]
+		}
+	}
+	rec(0)
+}
+
+// checkFreeList asserts the arena invariant: free spans are sorted by
+// address, never adjacent, and cover exactly what is not in use.
+func checkFreeList(t *testing.T, m *Memory) {
+	t.Helper()
+	total := 0
+	for i, s := range m.free {
+		if s.size <= 0 {
+			t.Fatalf("empty free span %v in %v", s, m.free)
+		}
+		if i > 0 && m.free[i-1].addr+m.free[i-1].size >= s.addr {
+			t.Fatalf("free list unsorted or uncoalesced: %v", m.free)
+		}
+		total += s.size
+	}
+	if total != m.cfg.Capacity-m.inUse {
+		t.Fatalf("free spans cover %d bytes, want %d", total, m.cfg.Capacity-m.inUse)
+	}
+}
+
+// TestFreeListInvariantRandom churns random allocations and frees and
+// checks the free list after every free.
+func TestFreeListInvariantRandom(t *testing.T) {
+	e := sim.NewEnv()
+	m := newMem(e, 1<<16)
+	g := rng.New(3)
+	var live []*Buffer
+	for i := 0; i < 4000; i++ {
+		if len(live) > 0 && g.Float64() < 0.5 {
+			k := g.Intn(len(live))
+			live[k].Free()
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			checkFreeList(t, m)
+			continue
+		}
+		if b, err := m.Alloc(1 + g.Intn(2048)); err == nil {
+			live = append(live, b)
+		}
+	}
+	for _, b := range live {
+		b.Free()
+		checkFreeList(t, m)
+	}
+	if len(m.free) != 1 {
+		t.Fatalf("drained arena has free list %v, want one span", m.free)
+	}
+}
+
+// TestFreeZeroAllocs pins Free's in-place insert: returning a buffer
+// to a warm free list allocates nothing.
+func TestFreeZeroAllocs(t *testing.T) {
+	e := sim.NewEnv()
+	m := newMem(e, 1<<20)
+	keep := make([]*Buffer, 8)
+	for i := range keep {
+		keep[i], _ = m.Alloc(64) // fragment the arena so frees insert mid-list
+	}
+	bufs := make([]*Buffer, 4)
+	for i := range bufs {
+		bufs[i], _ = m.Alloc(64)
+	}
+	for i := 0; i < len(keep); i += 2 {
+		keep[i].Free()
+	}
+	i := 0
+	got := testing.AllocsPerRun(100, func() {
+		bufs[i%4].Free()
+		bufs[i%4], _ = m.Alloc(64)
+		i++
+	})
+	// Alloc itself allocates the Buffer and its backing bytes.
+	if got > 2 {
+		t.Fatalf("Free+Alloc = %g allocs, want at most Alloc's 2", got)
+	}
 }
 
 func TestDoubleFreePanics(t *testing.T) {

@@ -117,18 +117,25 @@ func (b *Buffer) Free() {
 	}
 	delete(m.used, b.addr)
 	m.inUse -= b.size
-	m.free = append(m.free, span{b.addr, b.size})
-	sort.Slice(m.free, func(i, j int) bool { return m.free[i].addr < m.free[j].addr })
-	out := m.free[:1]
-	for _, s := range m.free[1:] {
-		last := &out[len(out)-1]
-		if last.addr+last.size == s.addr {
-			last.size += s.size
-		} else {
-			out = append(out, s)
-		}
+	// Insert in address order, then merge with the neighbours; the
+	// list stays sorted and coalesced.
+	i := sort.Search(len(m.free), func(i int) bool { return m.free[i].addr > b.addr })
+	s := span{b.addr, b.size}
+	mergePrev := i > 0 && m.free[i-1].addr+m.free[i-1].size == s.addr
+	mergeNext := i < len(m.free) && s.addr+s.size == m.free[i].addr
+	switch {
+	case mergePrev && mergeNext:
+		m.free[i-1].size += s.size + m.free[i].size
+		m.free = append(m.free[:i], m.free[i+1:]...)
+	case mergePrev:
+		m.free[i-1].size += s.size
+	case mergeNext:
+		m.free[i] = span{s.addr, s.size + m.free[i].size}
+	default:
+		m.free = append(m.free, span{})
+		copy(m.free[i+1:], m.free[i:])
+		m.free[i] = s
 	}
-	m.free = out
 }
 
 // Addr returns the buffer's device address.

@@ -60,14 +60,13 @@ func (n *NIC) CreateQP(onRecv func(*rdma.QP, *rdma.Message)) *rdma.QP {
 	qp := n.stack.CreateQP()
 	qp.OnRecv = func(m *rdma.Message) {
 		n.env.Go("nic.rxdma", func(p *sim.Proc) {
-			var waits []*sim.Event
-			waits = append(waits, n.link.StartDMA(pcie.D2H, m.Size))
+			waits := [2]*sim.Event{n.link.StartDMA(pcie.D2H, m.Size)}
+			k := 1
 			if w := m.Size * n.MemWriteFraction; w > 0 {
-				waits = append(waits, n.hostMem.StartWrite(w))
+				waits[1] = n.hostMem.StartWrite(w)
+				k = 2
 			}
-			for _, ev := range waits {
-				p.Wait(ev)
-			}
+			p.WaitAll(waits[:k]...)
 			if onRecv != nil {
 				onRecv(qp, m)
 			}
@@ -82,14 +81,13 @@ func (n *NIC) CreateQP(onRecv func(*rdma.QP, *rdma.Message)) *rdma.QP {
 func (n *NIC) Send(qp *rdma.QP, data []byte, size float64) *sim.Event {
 	done := n.env.NewEvent()
 	n.env.Go("nic.txdma", func(p *sim.Proc) {
-		var waits []*sim.Event
-		waits = append(waits, n.link.StartDMA(pcie.H2D, size))
+		waits := [2]*sim.Event{n.link.StartDMA(pcie.H2D, size)}
+		k := 1
 		if r := size * n.MemReadFraction; r > 0 {
-			waits = append(waits, n.hostMem.StartRead(r))
+			waits[1] = n.hostMem.StartRead(r)
+			k = 2
 		}
-		for _, ev := range waits {
-			p.Wait(ev)
-		}
+		p.WaitAll(waits[:k]...)
 		// SendSized keeps the modeled wire size even when only header
 		// bytes are materialized (modeled-payload runs).
 		done.Trigger(p.Wait(qp.SendSized(data, size)))

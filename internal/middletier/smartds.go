@@ -23,10 +23,61 @@ type sdsPath struct {
 	*Server
 	insts []*core.Instance // one RoCE instance (port + engine) per path
 	// Consecutive sends of one header (a fan-out) share its host buffer:
-	// the Assemble module copies it asynchronously, and it is never
-	// rewritten, so equal bytes may be gathered from one buffer.
-	lastHdr blockstore.Header
-	lastBuf *core.HostBuf
+	// the Assemble module copies it asynchronously, and it is not
+	// rewritten while any send still gathers it, so equal bytes may be
+	// gathered from one buffer.
+	lastHdr  blockstore.Header
+	last     *hdrBuf
+	freeHdrs []*hdrBuf
+}
+
+// hdrBuf is a host buffer holding one encoded outgoing header. It goes
+// back to the pool once every send gathering it has completed (the
+// Assemble gather copied it before the send left) and a newer header
+// has taken its place as the shared one.
+type hdrBuf struct {
+	d      *sdsPath
+	buf    *core.HostBuf
+	sends  int // posted sends whose completion has not fired
+	doneFn func(interface{})
+}
+
+// sendDone is a send completion's callback.
+func (h *hdrBuf) sendDone(interface{}) {
+	h.sends--
+	h.d.recycleHdr(h)
+}
+
+// recycleHdr pools h if nothing gathers it and it is not the shared
+// buffer.
+func (d *sdsPath) recycleHdr(h *hdrBuf) {
+	if h.sends == 0 && h != d.last {
+		d.freeHdrs = append(d.freeHdrs, h)
+	}
+}
+
+// hdrBufFor returns the shared header buffer for hdr, encoding hdr into
+// a pooled buffer when it differs from the last one sent.
+func (d *sdsPath) hdrBufFor(hdr blockstore.Header) *hdrBuf {
+	if d.last != nil && hdr == d.lastHdr {
+		return d.last
+	}
+	var h *hdrBuf
+	if n := len(d.freeHdrs); n > 0 {
+		h = d.freeHdrs[n-1]
+		d.freeHdrs[n-1] = nil
+		d.freeHdrs = d.freeHdrs[:n-1]
+	} else {
+		h = &hdrBuf{d: d, buf: d.sds.HostAlloc(blockstore.HeaderSize)}
+		h.doneFn = h.sendDone
+	}
+	hdr.EncodeTo(h.buf.Bytes())
+	old := d.last
+	d.lastHdr, d.last = hdr, h
+	if old != nil {
+		d.recycleHdr(old)
+	}
+	return h
 }
 
 // completionCPUTime is the host cost of handling one completion event
@@ -65,8 +116,22 @@ type sdsClientConn struct {
 	d     *sdsPath
 	inst  *core.Instance
 	qp    *rdma.QP
-	hbufs []*core.HostBuf
-	dbufs []*device.Buffer
+	slots []*sdsSlot
+}
+
+// sdsSlot is one receive descriptor of a client connection, with its
+// completion handler and request proc bound once.
+type sdsSlot struct {
+	c    *sdsClientConn
+	i    int
+	hbuf *core.HostBuf
+	dbuf *device.Buffer
+	// res carries a split result from the handler to the request proc
+	// it spawns. Only that proc reposts the slot, so the slot cannot
+	// complete again before the proc has read res.
+	res      core.Result
+	onRecvFn func(interface{})
+	serveFn  func(*sim.Proc)
 }
 
 // clientQP attaches a new client connection to a port, round-robin.
@@ -79,10 +144,11 @@ func (d *sdsPath) clientQP(conn int) *rdma.QP {
 		if err != nil {
 			panic(fmt.Sprintf("middletier: HBM exhausted sizing descriptor pool: %v", err))
 		}
-		c.hbufs = append(c.hbufs, d.sds.HostAlloc(d.cfg.SplitBytes))
-		c.dbufs = append(c.dbufs, dbuf)
+		sl := &sdsSlot{c: c, i: i, hbuf: d.sds.HostAlloc(d.cfg.SplitBytes), dbuf: dbuf}
+		sl.onRecvFn, sl.serveFn = sl.onRecv, sl.serve
+		c.slots = append(c.slots, sl)
 	}
-	for i := range c.hbufs {
+	for i := range c.slots {
 		c.post(i)
 	}
 	return c.qp
@@ -94,18 +160,27 @@ func (d *sdsPath) clientQP(conn int) *rdma.QP {
 // reads), which keeps the receive pipeline deep during the replication
 // round trip; requests that never consume it rearm it on exit.
 func (c *sdsClientConn) post(i int) {
-	comp := c.inst.DevMixedRecv(c.qp, c.hbufs[i], c.d.cfg.SplitBytes, c.dbufs[i], c.dbufs[i].Size())
-	comp.Event().OnTrigger(func(v interface{}) {
-		res := v.(core.Result)
-		c.d.env.Go("sds.req", func(p *sim.Proc) {
-			r := c.d.newRequest()
-			if c.request(r, i, res) {
-				c.d.serve(p, r)
-			}
-			c.d.repost(r)
-			c.d.freeRequest(r)
-		})
-	})
+	sl := c.slots[i]
+	comp := c.inst.DevMixedRecv(c.qp, sl.hbuf, c.d.cfg.SplitBytes, sl.dbuf, sl.dbuf.Size())
+	comp.Event().OnTrigger(sl.onRecvFn)
+}
+
+// onRecv is the slot's split completion handler: it serves the message
+// in a fresh request proc.
+func (sl *sdsSlot) onRecv(v interface{}) {
+	sl.res = v.(*core.Completion).Result()
+	sl.c.d.env.Go("sds.req", sl.serveFn)
+}
+
+// serve is the request proc body.
+func (sl *sdsSlot) serve(p *sim.Proc) {
+	c := sl.c
+	r := c.d.newRequest()
+	if c.request(r, sl.i, sl.res) {
+		c.d.serve(p, r)
+	}
+	c.d.repost(r)
+	c.d.freeRequest(r)
 }
 
 // request fills r from descriptor slot i's split completion; false
@@ -115,14 +190,15 @@ func (c *sdsClientConn) request(r *request, i int, res core.Result) bool {
 	if res.Err != nil {
 		return false
 	}
-	hdr, err := blockstore.Decode(c.hbufs[i].Bytes())
+	sl := c.slots[i]
+	hdr, err := blockstore.Decode(sl.hbuf.Bytes())
 	if err != nil {
 		return false
 	}
-	r.hdr, r.size, r.dev = hdr, float64(res.Size), c.dbufs[i]
+	r.hdr, r.size, r.dev = hdr, float64(res.Size), sl.dbuf
 	r.qp, r.path = c.qp, c.inst.Index()
 	if res.Placed > 0 {
-		r.payload = c.dbufs[i].Bytes()[:res.Placed]
+		r.payload = sl.dbuf.Bytes()[:res.Placed]
 	}
 	// With an oversized split (ablation), part of the payload landed in
 	// host memory; account for it in the request size.
@@ -214,13 +290,10 @@ func (d *sdsPath) send(p *sim.Proc, path int, qp *rdma.QP, hdr blockstore.Header
 	if f.host {
 		total := int(blockstore.HeaderSize + f.size)
 		big := d.sds.HostAlloc(total)
-		copy(big.Bytes(), hdr.Encode())
+		hdr.EncodeTo(big.Bytes())
 		return inst.DevMixedSend(qp, big, total, nil, 0).Event()
 	}
-	if d.lastBuf == nil || hdr != d.lastHdr {
-		d.lastHdr, d.lastBuf = hdr, d.sds.HostAlloc(blockstore.HeaderSize)
-		copy(d.lastBuf.Bytes(), hdr.Encode())
-	}
+	h := d.hdrBufFor(hdr)
 	buf := f.dev
 	if buf == nil && f.size > 0 {
 		var err error
@@ -229,7 +302,9 @@ func (d *sdsPath) send(p *sim.Proc, path int, qp *rdma.QP, hdr blockstore.Header
 		}
 		copy(buf.Bytes(), f.data)
 	}
-	comp := inst.DevMixedSend(qp, d.lastBuf, blockstore.HeaderSize, buf, int(f.size))
+	comp := inst.DevMixedSend(qp, h.buf, blockstore.HeaderSize, buf, int(f.size))
+	h.sends++
+	comp.Event().OnTrigger(h.doneFn)
 	if buf != f.dev {
 		comp.Event().OnTrigger(func(interface{}) { buf.Free() })
 	}
@@ -283,42 +358,61 @@ func (d *sdsPath) storageQP(path, from int) *rdma.QP {
 	const ackDepth = 64
 	maxFrame := lz4.CompressBound(d.cfg.BlockSize) + lz4.FrameHeaderSize
 	for i := 0; i < ackDepth; i++ {
-		hbuf := d.sds.HostAlloc(blockstore.HeaderSize)
 		dbuf, err := d.sds.DevAlloc(maxFrame)
 		if err != nil {
 			panic(err)
 		}
-		d.postAckDesc(inst, qp, from, hbuf, dbuf)
+		a := &sdsAckSlot{d: d, inst: inst, qp: qp, from: from,
+			hbuf: d.sds.HostAlloc(blockstore.HeaderSize), dbuf: dbuf}
+		a.onRecvFn, a.postFn = a.onRecv, a.post
+		a.post()
 	}
 	return qp
 }
 
-// postAckDesc arms one storage-reply descriptor. Replicate acks repost
+// sdsAckSlot is one storage-reply descriptor of a storage connection,
+// with its completion handler and repost bound once.
+type sdsAckSlot struct {
+	d        *sdsPath
+	inst     *core.Instance
+	qp       *rdma.QP
+	from     int
+	hbuf     *core.HostBuf
+	dbuf     *device.Buffer
+	onRecvFn func(interface{})
+	postFn   func()
+}
+
+// post arms the storage-reply descriptor. Replicate acks repost
 // immediately; fetch replies hand the device buffer to the waiting
 // read request and repost on release.
-func (d *sdsPath) postAckDesc(inst *core.Instance, qp *rdma.QP, from int, hbuf *core.HostBuf, dbuf *device.Buffer) {
-	comp := inst.DevMixedRecv(qp, hbuf, blockstore.HeaderSize, dbuf, dbuf.Size())
-	comp.Event().OnTrigger(func(v interface{}) {
-		res := v.(core.Result)
-		h, err := blockstore.Decode(hbuf.Bytes())
-		switch {
-		case res.Err != nil || err != nil:
-		case h.Op == blockstore.OpReplicateReply:
-			d.completePending(h.ReqID, from, h.Status, nil, 0, h)
-		case h.Op != blockstore.OpFetchReply:
-		case d.pending[h.ReqID] == nil:
-			// Stale fetch reply (its read already timed out and moved on):
-			// count it like any other stale ack, repost immediately.
-			d.StaleAcks++
-		default:
-			var payload []byte
-			if res.Placed > 0 {
-				payload = dbuf.Bytes()[:res.Placed]
-			}
-			d.pending[h.ReqID].release = func() { d.postAckDesc(inst, qp, from, hbuf, dbuf) }
-			d.completePending(h.ReqID, from, h.Status, payload, float64(res.Size), h)
-			return
+func (a *sdsAckSlot) post() {
+	comp := a.inst.DevMixedRecv(a.qp, a.hbuf, blockstore.HeaderSize, a.dbuf, a.dbuf.Size())
+	comp.Event().OnTrigger(a.onRecvFn)
+}
+
+// onRecv is the descriptor's split completion handler.
+func (a *sdsAckSlot) onRecv(v interface{}) {
+	d := a.d
+	res := v.(*core.Completion).Result()
+	h, err := blockstore.Decode(a.hbuf.Bytes())
+	switch {
+	case res.Err != nil || err != nil:
+	case h.Op == blockstore.OpReplicateReply:
+		d.completePending(h.ReqID, a.from, h.Status, nil, 0, h)
+	case h.Op != blockstore.OpFetchReply:
+	case d.pending[h.ReqID] == nil:
+		// Stale fetch reply (its read already timed out and moved on):
+		// count it like any other stale ack, repost immediately.
+		d.StaleAcks++
+	default:
+		var payload []byte
+		if res.Placed > 0 {
+			payload = a.dbuf.Bytes()[:res.Placed]
 		}
-		d.postAckDesc(inst, qp, from, hbuf, dbuf)
-	})
+		d.pending[h.ReqID].release = a.postFn
+		d.completePending(h.ReqID, a.from, h.Status, payload, float64(res.Size), h)
+		return
+	}
+	a.post()
 }

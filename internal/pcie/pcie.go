@@ -69,6 +69,43 @@ type Link struct {
 	d2hBytes *metrics.Meter
 
 	outstanding [2]float64 // in-flight bytes per direction
+	freeOps     []*dmaOp
+}
+
+// dmaOp is one in-flight DMA: the bandwidth share on its direction's
+// PS link, then the sampled completion latency. Ops are pooled per link
+// and their callbacks are bound once per op, so a steady-state StartDMA
+// allocates nothing beyond its slab-carved completion event.
+type dmaOp struct {
+	l      *Link
+	dir    Direction
+	n      float64
+	lat    float64
+	done   *sim.Event
+	xferFn func()
+	fireFn func()
+}
+
+// xfer runs when the transfer's bytes have crossed the link, at the
+// point where Start's event would fire: the bytes stop counting toward
+// the load curve and the completion latency starts.
+//
+//hot:per-DMA transfer completion, pinned by TestStartDMAZeroAllocs
+func (op *dmaOp) xfer() {
+	op.l.outstanding[op.dir] -= op.n
+	op.l.env.After(op.lat, op.fireFn)
+}
+
+// fire completes the DMA. The op returns to the pool before the
+// trigger, since waiters routinely start the next DMA.
+//
+//hot:per-DMA completion, pinned by TestStartDMAZeroAllocs
+func (op *dmaOp) fire() {
+	l, done := op.l, op.done
+	op.done = nil
+	//detcheck:hotalloc free-list growth mirrors the pool-miss warmup; steady state reuses capacity
+	l.freeOps = append(l.freeOps, op)
+	done.Trigger(nil)
 }
 
 // New creates a link. Name distinguishes multiple endpoints.
@@ -124,12 +161,15 @@ func (l *Link) Latency(dir Direction) float64 {
 
 // StartDMA begins a transfer of n bytes in the given direction and
 // returns its completion event. Latency is sampled at issue time.
+//
+//hot:per-DMA issue, pinned by TestStartDMAZeroAllocs
 func (l *Link) StartDMA(dir Direction, n float64) *sim.Event {
-	done := l.env.NewEvent()
 	if n < 0 {
 		n = 0
 	}
-	lat := l.Latency(dir)
+	op := l.getOp()
+	done := l.env.NewEvent()
+	op.dir, op.n, op.lat, op.done = dir, n, l.Latency(dir), done
 	link := l.h2d
 	meter := l.h2dBytes
 	if dir == D2H {
@@ -138,12 +178,23 @@ func (l *Link) StartDMA(dir Direction, n float64) *sim.Event {
 	}
 	meter.Add(n)
 	l.outstanding[dir] += n
-	xfer := link.Start(n)
-	xfer.OnTrigger(func(interface{}) {
-		l.outstanding[dir] -= n
-		l.env.After(lat, func() { done.Trigger(nil) })
-	})
+	link.StartFunc(n, op.xferFn)
 	return done
+}
+
+// getOp takes a DMA op from the pool.
+func (l *Link) getOp() *dmaOp {
+	if n := len(l.freeOps); n > 0 {
+		op := l.freeOps[n-1]
+		l.freeOps[n-1] = nil
+		l.freeOps = l.freeOps[:n-1]
+		return op
+	}
+	//detcheck:hotalloc pool miss: warmup-only, bounded by the peak number of DMAs in flight
+	op := &dmaOp{l: l}
+	op.xferFn = op.xfer
+	op.fireFn = op.fire
+	return op
 }
 
 // DMARead blocks while the device reads n bytes from host memory (H2D).

@@ -148,3 +148,66 @@ func TestLatencyInterpolationMonotone(t *testing.T) {
 		prev = cur
 	}
 }
+
+// TestStartDMAZeroAllocs pins the steady-state DMA path: issuing a DMA
+// and running it to completion draws a pooled op and a slab event and
+// allocates nothing else.
+func TestStartDMAZeroAllocs(t *testing.T) {
+	e := sim.NewEnv()
+	l := New(e, "nic", DefaultConfig())
+	round := func() {
+		l.StartDMA(H2D, 4096)
+		l.StartDMA(D2H, 64)
+		e.Run(0)
+	}
+	for i := 0; i < 1024; i++ { // warm the op pool, the event slab and the calendar
+		round()
+	}
+	if got := testing.AllocsPerRun(1000, round); got != 0 {
+		t.Fatalf("StartDMA round = %g allocs, want 0", got)
+	}
+}
+
+// TestStartDMAPoolsOps checks op reuse cannot cross completions: many
+// overlapping DMAs each fire their own event exactly once, at an
+// instant no earlier than their issue latency.
+func TestStartDMAPoolsOps(t *testing.T) {
+	e := sim.NewEnv()
+	l := New(e, "nic", Config{BytesPerSec: 1e9, BaseLatency: 1e-6})
+	const n = 64
+	var fired [n]int
+	for round := 0; round < 3; round++ {
+		for i := 0; i < n; i++ {
+			i := i
+			issued := e.Now()
+			dir := Direction(i % 2)
+			lat := l.Latency(dir)
+			ev := l.StartDMA(dir, float64(64*(i+1)))
+			ev.OnTrigger(func(interface{}) {
+				fired[i]++
+				if e.Now() < issued+lat {
+					t.Errorf("DMA %d fired at %g, before issue %g + latency %g", i, e.Now(), issued, lat)
+				}
+			})
+		}
+		e.Run(0)
+		for i, c := range fired {
+			if c != round+1 {
+				t.Fatalf("round %d: DMA %d fired %d times", round, i, c)
+			}
+		}
+	}
+	if l.outstanding != [2]float64{} {
+		t.Fatalf("outstanding bytes after drain = %v, want zero", l.outstanding)
+	}
+}
+
+func BenchmarkStartDMA(b *testing.B) {
+	e := sim.NewEnv()
+	l := New(e, "nic", DefaultConfig())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.StartDMA(D2H, 64)
+		e.Run(0)
+	}
+}

@@ -82,10 +82,11 @@ type Stack struct {
 
 	// freeWires pools fabric datagrams; see wire.
 	freeWires []*wire
-}
 
-// traceName is the stack's trace track ("rdma.<addr>").
-func (s *Stack) traceName() string { return "rdma." + string(s.port.Addr()) }
+	// traceName is the stack's trace track ("rdma.<addr>"), built once
+	// so sampled spans format nothing.
+	traceName string
+}
 
 // packet is the on-fabric representation.
 type packet struct {
@@ -145,7 +146,8 @@ func NewStack(env *sim.Env, port *netsim.Port, cfg Config) *Stack {
 	if cfg.HeaderBytes < 0 {
 		cfg.HeaderBytes = def.HeaderBytes
 	}
-	s := &Stack{env: env, port: port, cfg: cfg, qps: make(map[int]*QP), next: 1}
+	s := &Stack{env: env, port: port, cfg: cfg, qps: make(map[int]*QP), next: 1,
+		traceName: "rdma." + string(port.Addr())}
 	port.SetHandler(s.receive)
 	return s
 }
@@ -407,7 +409,7 @@ func (qp *QP) beginSendSpan(tr *trace.Tracer, ps *pendingSend) {
 	if st := tr.ForRequest(qp.stack.spanSeq); st != nil {
 		ps.span = qp.stack.spanSeq
 		ps.postedAt = qp.stack.env.Now()
-		st.Begin(ps.postedAt, qp.stack.traceName(), "send", ps.span)
+		st.Begin(ps.postedAt, qp.stack.traceName, "send", ps.span)
 	}
 }
 
@@ -427,7 +429,7 @@ func (qp *QP) endSendSpan(ps *pendingSend) {
 	s := qp.stack
 	now := s.env.Now()
 	tr := s.cfg.Trace
-	tr.End(now, s.traceName(), "send", ps.span)
+	tr.End(now, s.traceName, "send", ps.span)
 	dur := now - ps.postedAt
 	if dur <= 0 {
 		return
@@ -436,11 +438,11 @@ func (qp *QP) endSendSpan(ps *pendingSend) {
 	if wire > dur {
 		wire = dur
 	}
-	tr.Span(ps.postedAt, ps.postedAt+wire, s.traceName(), "send.wire",
-		ps.span, 0, s.traceName(), "send", trace.KindService, "")
+	tr.Span(ps.postedAt, ps.postedAt+wire, s.traceName, "send.wire",
+		ps.span, 0, s.traceName, "send", trace.KindService, "")
 	if dur > wire {
-		tr.Span(ps.postedAt+wire, now, s.traceName(), "send.qwait",
-			ps.span, 0, s.traceName(), "send", trace.KindWait, "")
+		tr.Span(ps.postedAt+wire, now, s.traceName, "send.qwait",
+			ps.span, 0, s.traceName, "send", trace.KindWait, "")
 	}
 }
 
@@ -533,7 +535,7 @@ func (qp *QP) onTimeout(timed *pendingSend) {
 		ps.retries++
 		qp.retransmits++
 		if tr != nil {
-			tr.Emit(qp.stack.env.Now(), qp.stack.traceName(), "retransmit",
+			tr.Emit(qp.stack.env.Now(), qp.stack.traceName, "retransmit",
 				fmt.Sprintf("seq %d retry %d", ps.seq, ps.retries))
 		}
 		qp.transmit(ps)

@@ -39,6 +39,12 @@ func (e *Env) NewEvent() *Event {
 	return ev
 }
 
+// InitEvent readies a zero Event embedded in the caller's own record,
+// for owners that carve events from their own slabs. The event is then
+// exactly what NewEvent would return. Like any event it is one-shot, so
+// the record holding it must never be reused.
+func (e *Env) InitEvent(ev *Event) { ev.env = e }
+
 // eventSlab is the slab chunk size. A chunk is retained until every
 // event in it is unreachable; events are short-lived, so retention is
 // bounded by a few chunks.
@@ -55,6 +61,7 @@ func (ev *Event) addWaiter(tk wakeToken) {
 	if ev.nw == 0 {
 		ev.w0 = tk
 	} else {
+		//detcheck:hotalloc second and later waiters only; the first lives inline
 		ev.more = append(ev.more, tk)
 	}
 	ev.nw++

@@ -53,6 +53,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		p.fn = fn
 		p.done = false
 	} else {
+		//detcheck:hotalloc pool miss: warmup-only, bounded by the peak number of live procs
 		p = &Proc{env: e, name: name, fn: fn}
 		p.next, _ = iter.Pull(p.loop)
 	}

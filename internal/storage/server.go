@@ -83,6 +83,11 @@ type Server struct {
 	disk  *Disk
 	store *ChunkStore
 
+	// serveName names the per-request procs; freeServes pools their op
+	// records.
+	serveName  string
+	freeServes []*serveOp
+
 	// Writes and Reads count served requests; NotFound counts the reads
 	// answered StatusNotFound (the block was never stored here, or was
 	// lost in a crash).
@@ -126,11 +131,12 @@ func (s *Server) diskRead(p *sim.Proc, n float64) {
 func NewServer(env *sim.Env, fabric *netsim.Fabric, addr netsim.Addr, portRate float64,
 	transport rdma.Config, disk DiskConfig) *Server {
 	s := &Server{
-		env:   env,
-		name:  string(addr),
-		stack: rdma.NewStack(env, fabric.NewPort(addr, portRate), transport),
-		disk:  NewDisk(env, string(addr), disk),
-		store: NewChunkStore(),
+		env:       env,
+		name:      string(addr),
+		serveName: string(addr) + ".serve",
+		stack:     rdma.NewStack(env, fabric.NewPort(addr, portRate), transport),
+		disk:      NewDisk(env, string(addr), disk),
+		store:     NewChunkStore(),
 	}
 	return s
 }
@@ -167,54 +173,84 @@ func (s *Server) AcceptQP() *rdma.QP {
 	return qp
 }
 
-// serve handles one request message.
+// serveOp carries one request message into its serve proc.
+type serveOp struct {
+	s     *Server
+	qp    *rdma.QP
+	m     *rdma.Message
+	runFn func(*sim.Proc)
+}
+
+// run is the serve proc body. It copies the op out and returns it to
+// the pool before its first wait.
+func (op *serveOp) run(p *sim.Proc) {
+	s, qp, m := op.s, op.qp, op.m
+	op.qp, op.m = nil, nil
+	s.freeServes = append(s.freeServes, op)
+	s.handle(p, qp, m)
+}
+
+// serve handles one request message in a fresh proc.
 func (s *Server) serve(qp *rdma.QP, m *rdma.Message) {
 	if s.down {
 		return
 	}
-	s.env.Go(s.name+".serve", func(p *sim.Proc) {
-		if m.Data == nil {
-			// Modeled-only traffic: charge the disk for the payload and
-			// reply with a bare success header.
-			s.Writes++
-			s.diskWrite(p, m.Size)
-			h := blockstore.Header{Op: blockstore.OpReplicateReply, Status: blockstore.StatusOK}
-			p.Wait(qp.Send(h.Encode()))
-			return
-		}
-		h, err := blockstore.Decode(m.Data)
-		if err != nil {
-			reply := blockstore.Header{Op: blockstore.OpReplicateReply, Status: blockstore.StatusError}
-			p.Wait(qp.Send(reply.Encode()))
-			return
-		}
-		payload := m.Data[blockstore.HeaderSize:]
-		// A header-only message whose header promises a payload is
-		// modeled-size traffic: charge the disk, skip the store.
-		if len(payload) == 0 && h.PayloadLen > 0 && h.Op == blockstore.OpReplicate {
-			s.Writes++
-			s.diskWrite(p, float64(h.PayloadLen))
-			key := BlockKey{SegmentID: h.SegmentID, ChunkID: h.ChunkID, BlockOff: h.BlockOff}
-			s.store.AppendModeledVersioned(key, h.PayloadLen, h.Flags, h.Version)
-			reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: blockstore.StatusOK}
-			p.Wait(qp.Send(reply.Encode()))
-			return
-		}
-		if int(h.PayloadLen) != len(payload) {
-			reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: blockstore.StatusError}
-			p.Wait(qp.Send(reply.Encode()))
-			return
-		}
-		switch h.Op {
-		case blockstore.OpReplicate:
-			s.serveWrite(p, qp, h, payload)
-		case blockstore.OpFetch:
-			s.serveRead(p, qp, h)
-		default:
-			reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: blockstore.StatusError}
-			p.Wait(qp.Send(reply.Encode()))
-		}
-	})
+	var op *serveOp
+	if n := len(s.freeServes); n > 0 {
+		op = s.freeServes[n-1]
+		s.freeServes[n-1] = nil
+		s.freeServes = s.freeServes[:n-1]
+	} else {
+		op = &serveOp{s: s}
+		op.runFn = op.run
+	}
+	op.qp, op.m = qp, m
+	s.env.Go(s.serveName, op.runFn)
+}
+
+// handle serves one request message.
+func (s *Server) handle(p *sim.Proc, qp *rdma.QP, m *rdma.Message) {
+	if m.Data == nil {
+		// Modeled-only traffic: charge the disk for the payload and
+		// reply with a bare success header.
+		s.Writes++
+		s.diskWrite(p, m.Size)
+		h := blockstore.Header{Op: blockstore.OpReplicateReply, Status: blockstore.StatusOK}
+		p.Wait(qp.Send(h.Encode()))
+		return
+	}
+	h, err := blockstore.Decode(m.Data)
+	if err != nil {
+		reply := blockstore.Header{Op: blockstore.OpReplicateReply, Status: blockstore.StatusError}
+		p.Wait(qp.Send(reply.Encode()))
+		return
+	}
+	payload := m.Data[blockstore.HeaderSize:]
+	// A header-only message whose header promises a payload is
+	// modeled-size traffic: charge the disk, skip the store.
+	if len(payload) == 0 && h.PayloadLen > 0 && h.Op == blockstore.OpReplicate {
+		s.Writes++
+		s.diskWrite(p, float64(h.PayloadLen))
+		key := BlockKey{SegmentID: h.SegmentID, ChunkID: h.ChunkID, BlockOff: h.BlockOff}
+		s.store.AppendModeledVersioned(key, h.PayloadLen, h.Flags, h.Version)
+		reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: blockstore.StatusOK}
+		p.Wait(qp.Send(reply.Encode()))
+		return
+	}
+	if int(h.PayloadLen) != len(payload) {
+		reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: blockstore.StatusError}
+		p.Wait(qp.Send(reply.Encode()))
+		return
+	}
+	switch h.Op {
+	case blockstore.OpReplicate:
+		s.serveWrite(p, qp, h, payload)
+	case blockstore.OpFetch:
+		s.serveRead(p, qp, h)
+	default:
+		reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: blockstore.StatusError}
+		p.Wait(qp.Send(reply.Encode()))
+	}
 }
 
 func (s *Server) serveWrite(p *sim.Proc, qp *rdma.QP, h blockstore.Header, payload []byte) {

@@ -94,8 +94,8 @@ type CritpathStage struct {
 // critical-path attribution over every sampled request, with p99/p999
 // exemplar drill-downs (mirrors critpath.Analysis without importing it).
 type CritpathSummary struct {
-	Requests int             `json:"requests"`
-	Stages   []CritpathStage `json:"stages"`
+	Requests int               `json:"requests"`
+	Stages   []CritpathStage   `json:"stages"`
 	P99      *CritpathExemplar `json:"p99,omitempty"`
 	P999     *CritpathExemplar `json:"p999,omitempty"`
 }
