@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/disagg/smartds/internal/device"
@@ -357,5 +359,37 @@ func TestSmartDSHBMExhaustionFailsRequests(t *testing.T) {
 	}
 	if c.MT.BypassHits == 0 || c.MT.ReadsDone == 0 {
 		t.Fatalf("bypass writes %d, reads %d: both paths must run", c.MT.BypassHits, c.MT.ReadsDone)
+	}
+}
+
+// TestCodecLookaheadInvisible: the designs that prefetch writes into
+// the codec lookahead (CPU-only, BF2) return the same results with no
+// helper core (GOMAXPROCS=1) and with several (4), and Run returns
+// with no helper alive and no job queued or running, so nothing a
+// caller measures after Run overlaps helper work.
+func TestCodecLookaheadInvisible(t *testing.T) {
+	run := func(kind middletier.Kind, procs int) Results {
+		//detcheck:finalizer the lookahead sizes its helper pool from GOMAXPROCS; the test pins it
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cfg := smallCfg(kind)
+		if kind == middletier.CPUOnly {
+			cfg.MT.Workers = 16
+		}
+		before := lz4.ReadLookaheadStats()
+		res := New(cfg).Run(Workload{Window: 128, Warmup: 0.2e-3, Measure: 0.6e-3})
+		after := lz4.ReadLookaheadStats()
+		if after.Helpers != 0 || after.Queued != 0 || after.Running != 0 {
+			t.Fatalf("%v at GOMAXPROCS=%d: Run returned with helper work left: %+v", kind, procs, after)
+		}
+		if started := after.Started - before.Started; (started > 0) != (procs > 1) {
+			t.Fatalf("%v at GOMAXPROCS=%d started %d helpers", kind, procs, started)
+		}
+		return res
+	}
+	for _, kind := range []middletier.Kind{middletier.CPUOnly, middletier.BF2} {
+		one, four := run(kind, 1), run(kind, 4)
+		if one.Requests == 0 || !reflect.DeepEqual(one, four) {
+			t.Fatalf("%v: results differ between GOMAXPROCS=1 and 4:\n%+v\n%+v", kind, one, four)
+		}
 	}
 }

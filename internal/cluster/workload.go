@@ -300,6 +300,9 @@ func (c *Cluster) Run(w Workload) Results {
 	})
 	// Drain grace period so inflight requests unwind.
 	c.Env.Run(end + 5e-3)
+	// No helper core may keep encoding once Run returns: callers time
+	// and measure the host around Run.
+	c.MT.Quiesce()
 
 	res := Results{Duration: w.Measure}
 	lat := metrics.NewLatencyHistogram()

@@ -45,9 +45,10 @@ func (a *aamsRound) run() {
 // and the recv queues are pooled, and completions come from a slab.
 // What remains is data that outlives the verbs:
 //   - 1 assembled message buffer: the receiver keeps its bytes;
-//   - 2 delivered *rdma.Message records, one per direction;
-//   - 1 engine output block (LZ4Engine.Compress).
-const aamsRoundAllocs = 4
+//   - 2 delivered *rdma.Message records, one per direction.
+//
+// The engine encodes straight into the devfunc destination buffer.
+const aamsRoundAllocs = 3
 
 // TestAAMSRoundTripAllocs pins the AAMS verbs' steady-state allocations
 // to the records that outlive them.

@@ -384,8 +384,8 @@ type funcOp struct {
 }
 
 // DevFunc implements dev_func: invoke the instance's hardware engine on
-// srcSize bytes of src, writing the result into dst. Size is the
-// result byte count.
+// srcSize bytes of src, writing the result into dst, which must hold
+// lz4.CompressBound(srcSize) bytes. Size is the result byte count.
 //
 //hot:per-request AAMS verb, pinned by TestAAMSRoundTripAllocs
 func (in *Instance) DevFunc(src *device.Buffer, srcSize int, dst *device.Buffer, level lz4.Level) *Completion {
@@ -435,7 +435,7 @@ func (op *funcOp) run(p *sim.Proc) {
 	in, comp, dst := o.in, o.comp, o.dst
 	src := o.src.Bytes()[:o.srcSize]
 	var (
-		out []byte
+		n   int
 		err error
 	)
 	if o.decompress {
@@ -443,20 +443,19 @@ func (op *funcOp) run(p *sim.Proc) {
 			comp.complete(Result{Err: fmt.Errorf("core: decompressed output %d exceeds destination %d", o.origSize, dst.Size())})
 			return
 		}
+		var out []byte
 		out, err = in.engine.Decompress(p, src, o.origSize)
+		n = copy(dst.Bytes(), out)
 	} else {
-		out, err = in.engine.Compress(p, src, o.level)
-		if err == nil && len(out) > dst.Size() {
-			err = fmt.Errorf("core: compressed output %d exceeds destination %d", len(out), dst.Size())
-		}
+		// The engine writes straight into the destination buffer.
+		n, err = in.engine.Compress(p, dst.Bytes(), src, o.level)
 	}
 	if err != nil {
 		comp.complete(Result{Err: err})
 		return
 	}
-	copy(dst.Bytes(), out)
 	// Notify the host CPU (paper: "writes the result ... and notifies
 	// the application running in the host CPU").
 	in.dev.notifyHost(p)
-	comp.complete(Result{Size: len(out)})
+	comp.complete(Result{Size: n})
 }

@@ -342,10 +342,12 @@ func TestLZ4EngineFunctional(t *testing.T) {
 	var comp, back []byte
 	var compErr, decErr error
 	e.Go("p", func(p *sim.Proc) {
-		comp, compErr = eng.Compress(p, src, lz4.LevelDefault)
-		if compErr != nil {
+		comp = make([]byte, lz4.CompressBound(len(src)))
+		var n int
+		if n, compErr = eng.Compress(p, comp, src, lz4.LevelDefault); compErr != nil {
 			return
 		}
+		comp = comp[:n]
 		back, decErr = eng.Decompress(p, comp, len(src))
 	})
 	e.Run(0)
@@ -370,7 +372,7 @@ func TestLZ4EngineGrowsBuffer(t *testing.T) {
 	eng := NewLZ4Engine(e, "lz4", m, 12.5e9, 1024) // maxBlock smaller than input
 	src := bytes.Repeat([]byte("x"), 100000)
 	e.Go("p", func(p *sim.Proc) {
-		if _, err := eng.Compress(p, src, lz4.LevelFast); err != nil {
+		if _, err := eng.Compress(p, make([]byte, lz4.CompressBound(len(src))), src, lz4.LevelFast); err != nil {
 			t.Errorf("compress: %v", err)
 		}
 	})
@@ -430,7 +432,7 @@ func TestEngineDownRejectsWork(t *testing.T) {
 	src := bytes.Repeat([]byte("x"), 4096)
 	var compErr, decErr error
 	e.Go("p", func(p *sim.Proc) {
-		_, compErr = eng.Compress(p, src, lz4.LevelDefault)
+		_, compErr = eng.Compress(p, make([]byte, lz4.CompressBound(len(src))), src, lz4.LevelDefault)
 		_, decErr = eng.Decompress(p, src, len(src))
 	})
 	e.Run(0)
@@ -442,12 +444,13 @@ func TestEngineDownRejectsWork(t *testing.T) {
 	compErr, decErr = nil, nil
 	var back []byte
 	e.Go("p2", func(p *sim.Proc) {
-		comp, err := eng.Compress(p, src, lz4.LevelDefault)
+		comp := make([]byte, lz4.CompressBound(len(src)))
+		n, err := eng.Compress(p, comp, src, lz4.LevelDefault)
 		if err != nil {
 			compErr = err
 			return
 		}
-		back, decErr = eng.Decompress(p, comp, len(src))
+		back, decErr = eng.Decompress(p, comp[:n], len(src))
 	})
 	e.Run(0)
 	if compErr != nil || decErr != nil {

@@ -119,39 +119,34 @@ func (e *Engine) Run(p *sim.Proc, inBytes, outBytes float64) {
 // changes ratio, not engine throughput — which the model mirrors.
 type LZ4Engine struct {
 	*Engine
-	enc *lz4.Encoder
-	dst []byte
+	codec *lz4.Lookahead
 }
 
 // NewLZ4Engine creates a compression engine.
 func NewLZ4Engine(env *sim.Env, name string, mem *Memory, bytesPerSec float64, maxBlock int) *LZ4Engine {
 	return &LZ4Engine{
 		Engine: NewEngine(env, name, mem, bytesPerSec),
-		enc:    lz4.NewEncoder(maxBlock),
-		dst:    make([]byte, lz4.CompressBound(maxBlock)),
+		codec:  lz4.NewLookahead(maxBlock),
 	}
 }
 
+// SetLookahead makes the engine encode through la, which its owner
+// feeds with prefetches; the bytes are the same either way.
+func (e *LZ4Engine) SetLookahead(la *lz4.Lookahead) { e.codec = la }
+
 // Compress functionally compresses src (device-memory resident bytes)
-// and charges engine timing. It returns a fresh slice with the
-// compressed bytes.
-func (e *LZ4Engine) Compress(p *sim.Proc, src []byte, level lz4.Level) ([]byte, error) {
+// into dst, which must hold lz4.CompressBound(len(src)) bytes, and
+// charges engine timing. It returns the compressed size.
+func (e *LZ4Engine) Compress(p *sim.Proc, dst, src []byte, level lz4.Level) (int, error) {
 	if e.down {
-		return nil, ErrEngineDown
+		return 0, ErrEngineDown
 	}
-	if len(e.dst) < lz4.CompressBound(len(src)) {
-		e.dst = make([]byte, lz4.CompressBound(len(src)))
-	}
-	n, err := e.enc.Compress(e.dst, src, level)
+	n, err := e.codec.Compress(dst, src, level)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	// Copy out before charging engine time: Run parks this process, and
-	// a concurrent invocation would overwrite the shared scratch buffer.
-	out := make([]byte, n)
-	copy(out, e.dst[:n])
 	e.Run(p, float64(len(src)), float64(n))
-	return out, nil
+	return n, nil
 }
 
 // Decompress functionally decompresses src into a buffer of origSize

@@ -49,12 +49,33 @@ func WrapFrame(src, comp []byte) []byte {
 		payload = src // store raw
 	}
 	out := make([]byte, FrameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:], frameMagic)
-	binary.LittleEndian.PutUint32(out[4:], uint32(len(src)))
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[12:], Checksum(src))
+	putFrameHeader(out, src, len(payload))
 	copy(out[FrameHeaderSize:], payload)
 	return out
+}
+
+// FrameInPlace turns buf, whose first n bytes are src compressed, into
+// the frame WrapFrame(src, buf[:n]) would build and returns its length.
+// The compressed bytes move up behind the header (or src is stored raw
+// when they are not smaller), so buf must hold FrameHeaderSize+
+// min(n, len(src)) bytes; CompressBound(len(src)) always suffices.
+func FrameInPlace(buf, src []byte, n int) int {
+	if n >= len(src) && len(src) > 0 {
+		n = copy(buf[FrameHeaderSize:], src) // store raw
+	} else {
+		copy(buf[FrameHeaderSize:], buf[:n])
+	}
+	putFrameHeader(buf, src, n)
+	return FrameHeaderSize + n
+}
+
+// putFrameHeader writes the header of a frame of src whose payload is
+// payloadLen bytes.
+func putFrameHeader(out, src []byte, payloadLen int) {
+	binary.LittleEndian.PutUint32(out[0:], frameMagic)
+	binary.LittleEndian.PutUint32(out[4:], uint32(len(src)))
+	binary.LittleEndian.PutUint32(out[8:], uint32(payloadLen))
+	binary.LittleEndian.PutUint32(out[12:], Checksum(src))
 }
 
 // FrameInfo describes a parsed frame header.

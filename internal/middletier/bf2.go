@@ -74,11 +74,14 @@ func (d *bf2Path) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 	e0 := p.Now()
 	f := frame{size: r.size / d.cfg.ModelRatio}
 	if r.payload != nil {
-		out, err := d.engine.Compress(p, r.payload, d.cfg.Level)
+		// The engine writes into the frame's own buffer (the frame lives
+		// until the request's replicas are sent); the header goes in front.
+		data := make([]byte, lz4.CompressBound(len(r.payload)))
+		n, err := d.engine.Compress(p, data, r.payload, d.cfg.Level)
 		if err != nil {
 			return frame{}, 0, err
 		}
-		data := lz4.WrapFrame(r.payload, out)
+		data = data[:lz4.FrameInPlace(data, r.payload, n)]
 		f = frame{data: data, size: float64(len(data))}
 	} else {
 		d.engine.Run(p, r.size, f.size)

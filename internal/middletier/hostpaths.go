@@ -17,15 +17,14 @@ import (
 // or by bouncing it over PCIe through the FPGA card (Acc). Every
 // outgoing byte is DMA-read back out of host memory by the NIC.
 //
-// One encoder serves every worker core and the Acc card. Sharing it is
-// safe: Encoder.Compress never parks a proc, the simulation runs one
-// goroutine at a time, and the encoder's output depends only on the
+// The server's codec serves every worker core and the Acc card.
+// Sharing it is safe: its Compress never parks a proc, the simulation
+// runs one goroutine at a time, and the output depends only on the
 // block and the level, never on the blocks before it.
 type hostPath struct {
 	*Server
 	accelSlot *sim.Resource // the Acc card's single engine slot
-	enc       *lz4.Encoder
-	encBuf    []byte // compressed scratch; WrapFrame copies out of it
+	encBuf    []byte        // compressed scratch; WrapFrame copies out of it
 	out       wireCache
 }
 
@@ -33,7 +32,6 @@ func newHostPath(s *Server) *hostPath {
 	cfg := s.cfg
 	d := &hostPath{
 		Server: s,
-		enc:    lz4.NewEncoder(cfg.BlockSize),
 		encBuf: make([]byte, lz4.CompressBound(cfg.BlockSize)),
 	}
 	s.nic = host.NewNIC(s.env, s.fabric, "mt-nic", cfg.PortRate, cfg.PCIe, cfg.Transport, s.Mem)
@@ -185,18 +183,25 @@ func (d *hostPath) softwareCompress(r *request, level lz4.Level) ([]byte, float6
 	return frame, float64(len(frame)), err
 }
 
-// encodeFrame is lz4.EncodeFrame on the shared encoder and scratch
+// encodeFrame is lz4.EncodeFrame on the shared codec and scratch
 // buffer; the returned frame is the only allocation.
 func (d *hostPath) encodeFrame(block []byte, level lz4.Level) ([]byte, error) {
-	if !level.Valid() {
-		level = lz4.LevelDefault
-	}
+	level = validLevel(level)
 	if n := lz4.CompressBound(len(block)); len(d.encBuf) < n {
 		d.encBuf = make([]byte, n)
 	}
-	n, err := d.enc.Compress(d.encBuf, block, level)
+	n, err := d.codec.Compress(d.encBuf, block, level)
 	if err != nil {
 		return nil, err
 	}
 	return lz4.WrapFrame(block, d.encBuf[:n]), nil
+}
+
+// validLevel maps an invalid level to the default, as the software
+// paths compress.
+func validLevel(level lz4.Level) lz4.Level {
+	if !level.Valid() {
+		return lz4.LevelDefault
+	}
+	return level
 }

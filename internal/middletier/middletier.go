@@ -216,6 +216,10 @@ type Server struct {
 	// (pipeline.go); freeReqs recycles request contexts.
 	dp       datapath
 	freeReqs []*request
+	// codec is the functional LZ4 encoder of every software path and
+	// hardware engine of this server. The pipeline prefetches each
+	// write's payload into it on arrival (see prefetch).
+	codec *lz4.Lookahead
 
 	// Host resources (unused by BF2's data path but always present:
 	// the machine still exists).
@@ -326,6 +330,7 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 		pending:    make(map[uint64]*pendingReq),
 		placement:  make(map[chunkKey][]int),
 		engineDown: make([]bool, cfg.Ports),
+		codec:      lz4.NewLookahead(cfg.BlockSize),
 	}
 	s.StragglerAcks = make([]uint64, cfg.Replicas)
 	for i := 0; i < cfg.Workers; i++ {
@@ -346,8 +351,18 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 	default:
 		panic(fmt.Sprintf("middletier: unknown kind %d", cfg.Kind))
 	}
+	for _, e := range s.engines {
+		e.SetLookahead(s.codec)
+	}
 	return s
 }
+
+// Quiesce stops the host-side compression helpers: it waits for every
+// block a helper is encoding and drops every prefetch still queued.
+// Simulated state is untouched (a dropped block is encoded inline when
+// its write reaches the compress stage), so callers run it whenever
+// the simulation pauses and host time is measured.
+func (s *Server) Quiesce() { s.codec.Stop() }
 
 // orDefault replaces a non-positive setting with its default.
 func orDefault[T ~int | ~float64](v *T, def T) {

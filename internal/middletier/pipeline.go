@@ -116,6 +116,8 @@ type request struct {
 	conn     *sdsClientConn
 	slot     int
 	reposted bool
+
+	prefetch uint64 // the codec's ticket for payload, 0 when none was filed
 }
 
 // raw is the request payload as received, stored uncompressed.
@@ -150,6 +152,7 @@ func (s *Server) recv(name string, qp *rdma.QP, path int, m *rdma.Message) {
 	r := s.newRequest()
 	*r = req
 	r.qp, r.path = qp, path
+	s.prefetch(r)
 	s.env.Go(name, func(p *sim.Proc) {
 		s.serve(p, r)
 		s.freeRequest(r)
@@ -169,8 +172,33 @@ func (s *Server) newRequest() *request {
 }
 
 func (s *Server) freeRequest(r *request) {
+	s.codec.Forget(r.payload, r.prefetch)
 	*r = request{}
 	s.freeReqs = append(s.freeReqs, r)
+}
+
+// prefetch hands a write's payload to the codec as soon as the middle
+// tier holds it, at the level its compress stage will use unless the
+// adaptive-effort policy picks another, so a helper core may encode it
+// while the event loop simulates everything up to that stage. Only
+// designs whose writes queue before their functional encode do so:
+// CPU-only encodes after its core's compress time and BF2 after the
+// Arm cores' parse queue, while Acc and SmartDS encode right after a
+// short parse, too soon for a helper to have started. Bypass writes
+// and modeled payloads are never compressed. The codec verifies bytes
+// and level before it uses a prefetched result, so what a request gets
+// never depends on whether or when a helper ran.
+func (s *Server) prefetch(r *request) {
+	kind := s.cfg.Kind
+	if kind != CPUOnly && kind != BF2 || r.payload == nil ||
+		r.hdr.Op != blockstore.OpWrite || r.hdr.Flags&blockstore.FlagLatencySensitive != 0 {
+		return
+	}
+	level := s.cfg.Level
+	if kind == CPUOnly {
+		level = validLevel(lz4.Level(max(r.hdr.Level, uint8(level)))) // softwareCompress's level
+	}
+	r.prefetch = s.codec.Prefetch(r.payload, level)
 }
 
 // serve runs one client request through the pipeline: the parse stage,

@@ -264,9 +264,7 @@ func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 			return frame{}, 0, res.Err
 		}
 		// Wrap as a frame in place: the storage server persists frames.
-		data := lz4.WrapFrame(r.payload, dst.Bytes()[:res.Size])
-		copy(dst.Bytes(), data)
-		f.size = float64(len(data))
+		f.size = float64(lz4.FrameInPlace(dst.Bytes(), r.payload, res.Size))
 	} else {
 		eng.Engine().Run(p, r.size, r.size/d.cfg.ModelRatio)
 	}
