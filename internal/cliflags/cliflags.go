@@ -52,7 +52,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.TraceFile, "trace", "", "write a Chrome trace-event JSON file (view in Perfetto / chrome://tracing)")
 	fs.Float64Var(&c.TraceSample, "trace-sample", 1, "head-sampling rate for trace spans in [0,1]; errors and p999 outliers are kept regardless")
 	fs.StringVar(&c.FoldedFile, "critpath-folded", "", "write per-request critical-path blame as folded stacks (flamegraph.pl / speedscope input) to this file; implies tracing")
-	fs.BoolVar(&c.Breakdown, "breakdown", false, "print per-stage latency attribution tables (critpath blame; turns on the telemetry registry, so results match a -report run, not a bare run)")
+	fs.BoolVar(&c.Breakdown, "breakdown", false, "print per-stage latency attribution tables (critpath blame; turns on the telemetry registry)")
 	fs.StringVar(&c.FaultSpec, "faults", "", "fault campaign spec (kind:target@start+duration[:param];... — see internal/faults)")
 	fs.StringVar(&c.Replication, "replication", "primary", "replication protocol: primary | chain | quorum")
 	fs.StringVar(&c.SLOSpec, "slo", "", "SLO specs evaluated by a burn-rate engine (kind:value[@opt=val,...];... — see internal/slo)")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,5 +139,28 @@ func TestTelemetryGoldenDeterminism(t *testing.T) {
 	}
 	if om1 != om2 {
 		t.Fatalf("same-seed OpenMetrics snapshots differ:\n--- first ---\n%.2000s\n--- second ---\n%.2000s", om1, om2)
+	}
+}
+
+// TestTelemetryInvisibleDeterminism runs every design in both payload
+// modes bare and with a telemetry registry, whose sampler reads every
+// gauge on a 100 µs grid, and requires identical results: observing
+// the simulation must not move it.
+func TestTelemetryInvisibleDeterminism(t *testing.T) {
+	for _, kind := range []middletier.Kind{middletier.CPUOnly, middletier.Accel, middletier.BF2, middletier.SmartDS} {
+		for _, functional := range []bool{true, false} {
+			run := func(reg *telemetry.Registry) Results {
+				cfg := smallCfg(kind)
+				cfg.Functional = functional
+				cfg.Telemetry = reg
+				cfg.TelemetryExp = "invisible"
+				return New(cfg).Run(Workload{Window: 64, Warmup: 0.3e-3, Measure: 1.5e-3})
+			}
+			bare, observed := run(nil), run(telemetry.NewRegistry())
+			if !reflect.DeepEqual(bare, observed) {
+				t.Errorf("%v functional=%v: registry run differs from the bare run\nbare:     %+v\nobserved: %+v",
+					kind, functional, bare, observed)
+			}
+		}
 	}
 }

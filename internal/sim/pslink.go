@@ -458,14 +458,28 @@ type LinkStats struct {
 }
 
 // Snapshot returns cumulative counters at the current instant. Callers
-// diff two snapshots to compute bandwidth over a window.
+// diff two snapshots to compute bandwidth over a window. It is a pure
+// read: the progress since the last update is added to the reported
+// work without being applied, so sampling a link never splits its
+// virtual-time integration and cannot move a later completion.
 func (l *PSLink) Snapshot() LinkStats {
-	l.advance()
+	work := l.work
+	if dt := l.env.now - l.last; dt > 0 && len(l.jobs) > 0 {
+		if l.flowCap <= 0 {
+			if l.weightSum > 0 {
+				work += l.rate * dt
+			}
+		} else {
+			for i, r := range l.jobRates() {
+				work += min(dt*r, l.jobs[i].remaining)
+			}
+		}
+	}
 	busy := l.busy
 	if len(l.jobs) > 0 {
 		busy += l.env.now - l.busySince
 	}
-	return LinkStats{Work: l.work, BusyTime: busy, At: l.env.now}
+	return LinkStats{Work: work, BusyTime: busy, At: l.env.now}
 }
 
 // BandwidthBetween returns the average bytes/second moved between two

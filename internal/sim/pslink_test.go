@@ -247,3 +247,40 @@ func TestPSLinkBadRatePanics(t *testing.T) {
 	}()
 	e.NewPSLink("bad", 0, 0)
 }
+
+// TestPSLinkSnapshotIsPure samples a busy link between every pair of
+// events and checks that no completion moves by even one ulp: a
+// snapshot reads the link's progress without applying it.
+func TestPSLinkSnapshotIsPure(t *testing.T) {
+	for _, flowCap := range []float64{0, 30} {
+		run := func(sample bool) []Time {
+			e := NewEnv()
+			l := e.NewPSLink("l", 100, flowCap)
+			var done []Time
+			for i := 0; i < 6; i++ {
+				delay, size := 0.137*float64(i), 37.3+float64(i*i)*11.1
+				e.Go("p", func(p *Proc) {
+					p.Sleep(delay)
+					l.TransferWeighted(p, size, 1+float64(i%3))
+					done = append(done, p.Now())
+				})
+			}
+			if sample {
+				for k := 1; k < 100; k++ {
+					e.After(0.0731*float64(k), func() { l.Snapshot() })
+				}
+			}
+			e.Run(0)
+			return done
+		}
+		bare, sampled := run(false), run(true)
+		if len(bare) != 6 || len(sampled) != 6 {
+			t.Fatalf("flowCap=%g: %d and %d completions, want 6", flowCap, len(bare), len(sampled))
+		}
+		for i := range bare {
+			if bare[i] != sampled[i] { //detcheck:floateq the sampled run must replay the bare one exactly
+				t.Fatalf("flowCap=%g: completion %d at %v sampled vs %v bare", flowCap, i, sampled[i], bare[i])
+			}
+		}
+	}
+}
