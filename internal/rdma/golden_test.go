@@ -23,17 +23,17 @@ var lossSweepGolden = map[string]string{
 	"loss=0.00/seed=2": "21daeea3332d820a5f9acda387b3a5caf69bec709a068757d17f77a25d840181",
 	"loss=0.00/seed=3": "e1284e80582afac96fb2c93579a5e509ad0d8cef39b44bae4d6076fd29e6f201",
 	"loss=0.05/seed=1": "85ee63b804a54a77e422e21903bd1591c6e742788d6c7b363ee3454b80b31e2c",
-	"loss=0.05/seed=2": "5b9198503e5e34b73d1c7c7b6aa260889d23c0d779e034e0f890e8a82fb7fd98",
+	"loss=0.05/seed=2": "5a632988c247a1f447bdf65340f291cd6a73432e0f35e9dd145ef354f999f193",
 	"loss=0.05/seed=3": "8a312e0adf4688f845b6f788b37ca8912323f4d4ef5f265d11ca1d9fc0814115",
-	"loss=0.10/seed=1": "786db4654aabde261c040cf7c8d607bcd06d648e3bd39bdff856f010b663f734",
-	"loss=0.10/seed=2": "746c14671ed652df073e242eed7a192e5a02c39ae2ed773a9fefefea0fb4d68c",
-	"loss=0.10/seed=3": "982320b6c43fd9184d550beaa050f18678d54b5b32ecf19d2a23f1bed7263950",
-	"loss=0.15/seed=1": "3b131cb803079bb1c3bf7825d2950683cdfd6ea8626240fb40c5145781a7a15d",
-	"loss=0.15/seed=2": "6c3f0d4c60ea2ae11de256abd3e2f6dcbfba85c71578937558bfd0abd7379d03",
-	"loss=0.15/seed=3": "b329e8c49626d7b3ef2cb87348ac442fc439e4f00aa02a345fb843b5f4ff42d8",
-	"loss=0.20/seed=1": "0f8dded1e261d38ab008619298b162352c70b96fcfa71fc501838252ecc0e820",
-	"loss=0.20/seed=2": "fd7164a74883258f4f133139821607501a3771cf972ed4a70d0252b6a6eaf316",
-	"loss=0.20/seed=3": "0c50f7716076c2f3f39ea93f5740d4417146309bca9a276260deb57b48497163",
+	"loss=0.10/seed=1": "fc2123089ad14e76965462a3792f2cfd3e980e971542a8ef271533b6abb9bb8e",
+	"loss=0.10/seed=2": "bc74db35bb5f23143bcd4dd1c13d58e8d5f8b81f47b90db1d581eeec7461b6ec",
+	"loss=0.10/seed=3": "6454998c16eea29865065072fa32c8f110e5ed3dec426a8c030c22c32c582d9f",
+	"loss=0.15/seed=1": "dc3559ae540bfffe6560f000130b95ed37bf4924390e479e82b33015aa9997e6",
+	"loss=0.15/seed=2": "4ecd571153f7c20d80785070c92f9d6b78e113620354e99371e2e63d74ee62ca",
+	"loss=0.15/seed=3": "02eb598287f390e486c2267a2e33a781e6edf0c8904d48d22b02d36b1c57d7bb",
+	"loss=0.20/seed=1": "a08d701ca7dca2f1d8f64b92ac2251aadedda39821cfff965b44c00a299d93f5",
+	"loss=0.20/seed=2": "28aabd7b9f65016a8ef8b7ced4203ba64f9c05af700b674dd378019e815fd76c",
+	"loss=0.20/seed=3": "1bdf3126c225df4c9d9aac3786721a41d1b841e7b33e941acb6556ef2ac7fd20",
 }
 
 // runLossSweepCell drives bidirectional windowed traffic between two

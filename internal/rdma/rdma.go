@@ -205,6 +205,12 @@ type QP struct {
 	// the missing sequence. Every outstanding and subsequent send fails
 	// until Reconnect resets the pair.
 	broken bool
+	// timeouts counts the retransmission timeouts since the window last
+	// advanced. The retry budget is the QP's, not each message's: under
+	// go-back-N every timeout resends the whole window behind the timed
+	// message, so a per-message count would charge each earlier
+	// message's timeout to every later one.
+	timeouts int
 
 	// retransmits counts go-back-N resends (loss-sweep tests bound it).
 	retransmits uint64
@@ -335,6 +341,7 @@ func (qp *QP) reset(epoch uint32) {
 	qp.sendSeq = 0
 	qp.recvNext = 0
 	qp.broken = false
+	qp.timeouts = 0
 	qp.epoch = epoch
 	for _, ps := range failed {
 		if ps.resolved {
@@ -489,10 +496,11 @@ func fabricSize(s *Stack, payload float64) float64 {
 }
 
 // onTimeout handles a retransmission timeout for one message: go-back-N
-// resends it and every later unacked message. If any message has
-// exhausted its retries the whole window fails and the QP turns broken:
-// go-back-N cannot skip the lost sequence, so no later send could ever
-// be delivered (previously such sends would silently hang the peer).
+// resends it and every later unacked message. Once MaxRetries timeouts
+// in a row have passed without the window advancing, the whole window
+// fails and the QP turns broken: go-back-N cannot skip the lost
+// sequence, so no later send could ever be delivered (previously such
+// sends would silently hang the peer).
 func (qp *QP) onTimeout(timed *pendingSend) {
 	if Debug != nil {
 		Debug("timeout", qp.ID(), timed.seq)
@@ -513,12 +521,9 @@ func (qp *QP) onTimeout(timed *pendingSend) {
 	if idx < 0 {
 		return
 	}
-	for _, ps := range qp.unacked[idx:] {
-		if ps.retries+1 > qp.stack.cfg.MaxRetries {
-			qp.broken = true
-		}
-	}
-	if qp.broken {
+	qp.timeouts++
+	if qp.timeouts > qp.stack.cfg.MaxRetries {
+		qp.broken = true
 		failed := qp.unacked
 		qp.unacked = nil
 		for _, ps := range failed {
@@ -620,6 +625,7 @@ func (qp *QP) onAck(next uint64) {
 	if n == 0 {
 		return
 	}
+	qp.timeouts = 0
 	//detcheck:hotalloc scratch growth: capacity is retained in qp.acked across acks
 	acked := append(qp.acked[:0], qp.unacked[:n]...)
 	kept := copy(qp.unacked, qp.unacked[n:])
