@@ -33,17 +33,17 @@ func newBF2Path(s *Server) *bf2Path {
 	d := &bf2Path{Server: s}
 	d.mem = device.NewMemory(s.env, "bf2", device.MemoryConfig{
 		Capacity:      16 << 30,
-		BytesPerSec:   cfg.BF2MemRate,
+		BytesPerSec:   bf2MemRate,
 		AccessLatency: 150e-9,
 	})
-	d.engine = device.NewLZ4Engine(s.env, "bf2.lz4", d.mem, cfg.BF2EngineRate, 64<<10)
+	d.engine = device.NewLZ4Engine(s.env, "bf2.lz4", d.mem, bf2EngineRate, 64<<10)
 	d.engine.SetTrace(cfg.Trace)
 	s.cardMem, s.engines = d.mem, []*device.LZ4Engine{d.engine}
 	for i := 0; i < cfg.Ports; i++ {
 		port := s.fabric.NewPort(netsim.Addr(fmt.Sprintf("mt-bf2-p%d", i)), cfg.PortRate)
 		s.stacks = append(s.stacks, rdma.NewStack(s.env, port, cfg.Transport))
 	}
-	armCfg := host.CPUConfig{PhysCores: 4, ParseTime: cfg.BF2ParseTime,
+	armCfg := host.CPUConfig{PhysCores: 4, ParseTime: bf2ParseTime,
 		CompressBytesPerSec: 0.6e9, SMTPairBytesPerSec: 0.8e9}
 	arm := host.NewPool(s.env, armCfg)
 	for i := 0; i < 8; i++ {
@@ -72,7 +72,7 @@ func (d *bf2Path) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 	// The engine reads and writes SoC DRAM itself (device.Engine
 	// charges both inside Run).
 	e0 := p.Now()
-	f := frame{size: r.size / d.cfg.ModelRatio}
+	f := frame{size: r.size / modelRatio}
 	if r.payload != nil {
 		// The engine writes into the frame's own buffer (the frame lives
 		// until the request's replicas are sent); the header goes in front.

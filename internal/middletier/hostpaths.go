@@ -38,7 +38,7 @@ func newHostPath(s *Server) *hostPath {
 	// The NIC's DRAM traffic shares follow the LLC model: retained buffers
 	// always evict (write fraction ~1), while TX reads hit the LLC only
 	// when DDIO holds the just-produced data.
-	retained := mem.RetainedWorkingSet(cfg.PortRate, cfg.BufferLifetime) // worst-case retained traffic
+	retained := mem.RetainedWorkingSet(cfg.PortRate, bufferLifetime) // worst-case retained traffic
 	s.nic.MemWriteFraction = s.Mem.WriteEvictFraction(retained)
 	if cfg.DDIO {
 		s.nic.MemReadFraction = 0
@@ -78,7 +78,7 @@ func (d *hostPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		d.EngineFallbacks++
 		return r.raw(), 0, nil
 	}
-	f := frame{size: r.size / d.cfg.ModelRatio}
+	f := frame{size: r.size / modelRatio}
 	if r.payload != nil {
 		data, err := d.encodeFrame(r.payload, d.cfg.Level)
 		if err != nil {
@@ -105,14 +105,14 @@ func (d *hostPath) accelOffload(p *sim.Proc, r *request, stage string, in, out f
 	// and that DMA stream stalls under DRAM contention: fully with DDIO
 	// off, partly (the LLC absorbs some traffic) with DDIO on. Sub-span
 	// names are static strings so recording stays allocation-free.
-	busy := out / d.cfg.AccelEngineRate
+	busy := out / accelEngineRate
 	qname, ename := "decompress.qwait", "decompress.engine"
 	if stage == "compress" {
 		memF := d.Mem.ContentionFactor()
 		if d.cfg.DDIO {
 			memF = 1 + (memF-1)*0.6
 		}
-		busy = in * memF / d.cfg.AccelEngineRate
+		busy = in * memF / accelEngineRate
 		qname, ename = "compress.qwait", "compress.engine"
 	}
 	q0 := p.Now()
@@ -174,10 +174,10 @@ func (d *hostPath) storageQP(_, from int) *rdma.QP {
 
 // softwareCompress runs functional LZ4 at the given effort (a request
 // header may demand a higher minimum) and returns the frame and its
-// size. Modeled-only payloads use ModelRatio.
+// size. Modeled-only payloads use modelRatio.
 func (d *hostPath) softwareCompress(r *request, level lz4.Level) ([]byte, float64, error) {
 	if r.payload == nil {
-		return nil, r.size / d.cfg.ModelRatio, nil
+		return nil, r.size / modelRatio, nil
 	}
 	frame, err := d.encodeFrame(r.payload, lz4.Level(max(r.hdr.Level, uint8(level))))
 	return frame, float64(len(frame)), err

@@ -68,9 +68,8 @@ type Config struct {
 	// compressors spend more effort (better ratio), loaded ones fall
 	// back to the fastest level. Level is then the mid-load setting.
 	AdaptiveEffort bool
-	Replicas       int     // write replication factor (3 in the paper)
-	BlockSize      int     // I/O block size (4 KB)
-	ModelRatio     float64 // compression ratio assumed for modeled-only payloads
+	Replicas       int // write replication factor (3 in the paper)
+	BlockSize      int // I/O block size (4 KB)
 
 	// ReplicateTimeout bounds how long a write waits for its replication
 	// fan-out before re-issuing it against a refreshed healthy replica
@@ -89,9 +88,6 @@ type Config struct {
 
 	// DDIO mirrors the BIOS toggle for the Accel baseline (Fig. 8).
 	DDIO bool
-	// BufferLifetime drives the retained-working-set DDIO computation
-	// (§3.2 measures ~32 ms).
-	BufferLifetime float64
 
 	PortRate  float64
 	CPU       host.CPUConfig
@@ -99,16 +95,9 @@ type Config struct {
 	PCIe      pcie.Config
 	Transport rdma.Config
 
-	// AccelEngineRate is the U280 card's compression throughput.
-	AccelEngineRate float64
 	// SDSEngineRate overrides the per-port SmartDS engine throughput
 	// (default 100 Gbps; the engine-rate ablation sweeps it).
 	SDSEngineRate float64
-	// BF2EngineRate is the SoC's compression engine (~40 Gbps); its
-	// DRAM is BF2MemRate (§3.4: two weak DDR channels).
-	BF2EngineRate float64
-	BF2MemRate    float64
-	BF2ParseTime  float64
 
 	// SmartDSInflight is the recv-descriptor pool depth per client
 	// connection.
@@ -131,6 +120,24 @@ type Config struct {
 	Log *evlog.Logger
 }
 
+// Fixed parameters of the testbed hardware and the payload model.
+const (
+	// modelRatio is the compression ratio assumed for modeled payloads
+	// (the corpus's Silesia-like LZ4 ratio).
+	modelRatio = 2.1
+	// bufferLifetime drives the retained-working-set DDIO computation
+	// (§3.2 measures ~32 ms).
+	bufferLifetime = 32e-3
+	// accelEngineRate is the U280 card's compression throughput.
+	accelEngineRate = 12.5e9
+	// bf2EngineRate is the SoC's compression engine (~40 Gbps); its
+	// DRAM runs at bf2MemRate (§3.4: two weak DDR channels), and each
+	// Arm core parses a request in bf2ParseTime.
+	bf2EngineRate = 5e9
+	bf2MemRate    = 19e9
+	bf2ParseTime  = 600e-9
+)
+
 // DefaultConfig returns the paper's testbed parameters for a kind.
 func DefaultConfig(kind Kind) Config {
 	cfg := Config{
@@ -140,18 +147,12 @@ func DefaultConfig(kind Kind) Config {
 		Level:           lz4.LevelDefault,
 		Replicas:        3,
 		BlockSize:       4096,
-		ModelRatio:      2.1,
 		DDIO:            true,
-		BufferLifetime:  32e-3,
 		PortRate:        12.5e9,
 		CPU:             host.DefaultCPUConfig(),
 		Mem:             mem.DefaultConfig(),
 		PCIe:            pcie.DefaultConfig(),
 		Transport:       rdma.DefaultConfig(),
-		AccelEngineRate: 12.5e9,
-		BF2EngineRate:   5e9,
-		BF2MemRate:      19e9,
-		BF2ParseTime:    600e-9,
 		SmartDSInflight: 64,
 		SplitBytes:      blockstore.HeaderSize,
 		HBM:             device.DefaultHBM(),
@@ -310,13 +311,7 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 	}
 	orDefault(&cfg.Replicas, def.Replicas)
 	orDefault(&cfg.BlockSize, def.BlockSize)
-	orDefault(&cfg.ModelRatio, def.ModelRatio)
-	orDefault(&cfg.BufferLifetime, def.BufferLifetime)
 	orDefault(&cfg.PortRate, def.PortRate)
-	orDefault(&cfg.AccelEngineRate, def.AccelEngineRate)
-	orDefault(&cfg.BF2EngineRate, def.BF2EngineRate)
-	orDefault(&cfg.BF2MemRate, def.BF2MemRate)
-	orDefault(&cfg.BF2ParseTime, def.BF2ParseTime)
 	orDefault(&cfg.SmartDSInflight, def.SmartDSInflight)
 	orDefault(&cfg.SplitBytes, def.SplitBytes)
 	cfg.Mem.DDIOEnabled = cfg.DDIO

@@ -256,7 +256,7 @@ func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		p.Wait(d.sds.HBM().StartAccess(r.hostResident))
 	}
 	e0 := p.Now()
-	f := frame{size: r.size/d.cfg.ModelRatio + lz4.FrameHeaderSize, dev: dst, own: true}
+	f := frame{size: r.size/modelRatio + lz4.FrameHeaderSize, dev: dst, own: true}
 	if r.payload != nil {
 		res := core.Poll(p, eng.DevFunc(r.dev, len(r.payload), dst, d.cfg.Level))
 		if res.Err != nil {
@@ -266,7 +266,7 @@ func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		// Wrap as a frame in place: the storage server persists frames.
 		f.size = float64(lz4.FrameInPlace(dst.Bytes(), r.payload, res.Size))
 	} else {
-		eng.Engine().Run(p, r.size, r.size/d.cfg.ModelRatio)
+		eng.Engine().Run(p, r.size, r.size/modelRatio)
 	}
 	// Engine occupancy inside the compress stage; the device-track
 	// job.qwait/job.run spans carry the slot-wait split.
