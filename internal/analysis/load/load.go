@@ -8,6 +8,7 @@ package load
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -185,16 +186,56 @@ func (l *Loader) DirAs(dir, pkgPath string) ([]*Package, error) {
 	for n := range byName {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	sort.Strings(names) // the package under test sorts before its external test
 	var out []*Package
+	imp := l.imp
 	for _, n := range names {
 		path := pkgPath
 		if strings.HasSuffix(n, "_test") {
 			path += "_test"
 		}
-		out = append(out, l.check(dir, path, byName[n]))
+		out = append(out, l.check(dir, path, byName[n], imp))
+		imp = &testImporter{l: l, dir: dir, under: pkgPath, variant: byName[n], pkgs: map[string]*types.Package{}}
 	}
 	return out, nil
+}
+
+// testImporter resolves an external test package's imports as the go
+// tool builds the test: the package under test is its test variant
+// (in-package test files such as export_test.go included), and every
+// other package outside the standard library is re-checked from source
+// against it, so the test sees one set of types.
+type testImporter struct {
+	l          *Loader
+	dir, under string
+	variant    []*ast.File
+	pkgs       map[string]*types.Package
+}
+
+func (t *testImporter) Import(path string) (*types.Package, error) {
+	if p, ok := t.pkgs[path]; ok {
+		return p, nil
+	}
+	files := t.variant
+	if path != t.under {
+		ctxt := build.Default
+		ctxt.Dir = t.dir // resolve in the test's module
+		bp, err := ctxt.Import(path, t.dir, 0)
+		if err != nil || bp.Goroot {
+			return t.l.imp.Import(path)
+		}
+		files = nil
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(t.l.Fset, filepath.Join(bp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+	}
+	p, err := (&types.Config{Importer: t}).Check(path, t.l.Fset, files, nil)
+	t.pkgs[path] = p
+	return p, err
 }
 
 // rejectCgo turns a cgo file into an explicit, actionable error. The
@@ -228,8 +269,8 @@ func ignoredByBuildConstraint(f *ast.File) bool {
 	return false
 }
 
-// check type-checks one group of files.
-func (l *Loader) check(dir, pkgPath string, files []*ast.File) *Package {
+// check type-checks one group of files, resolving imports through imp.
+func (l *Loader) check(dir, pkgPath string, files []*ast.File, imp types.Importer) *Package {
 	p := &Package{
 		Dir:     dir,
 		PkgPath: pkgPath,
@@ -244,7 +285,7 @@ func (l *Loader) check(dir, pkgPath string, files []*ast.File) *Package {
 		},
 	}
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: imp,
 		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}
 	// Check returns the (possibly incomplete) package even on error;

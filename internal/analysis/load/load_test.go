@@ -114,3 +114,29 @@ func TestImportPathForOutsideModule(t *testing.T) {
 		t.Skip("a go.mod exists above the temp dir on this machine; cannot pin the failure")
 	}
 }
+
+// TestExternalTestSeesExportTest: an external test package type-checks
+// against the test variant of the package under test, so it can call
+// what export_test.go exports, and against module packages re-checked
+// for that variant, so their types and the variant's agree.
+func TestExternalTestSeesExportTest(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod":           "module example.com/xt\n",
+		"p/p.go":           "package p\n\ntype T struct{ n int }\n",
+		"p/export_test.go": "package p\n\nfunc N(t *T) int { return t.n }\n",
+		"q/q.go":           "package q\n\nimport \"example.com/xt/p\"\n\nfunc Make() *p.T { return new(p.T) }\n",
+		"p/p_test.go":      "package p_test\n\nimport (\n\t\"example.com/xt/p\"\n\t\"example.com/xt/q\"\n)\n\nvar _ = p.N(q.Make())\n",
+	})
+	pkgs, err := NewLoader().Dir(filepath.Join(dir, "p"))
+	if err != nil {
+		t.Fatalf("Dir: %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[1].PkgPath != "example.com/xt/p_test" {
+		t.Fatalf("got %d packages, want p and p_test", len(pkgs))
+	}
+	for _, p := range pkgs {
+		if len(p.TypeErrors) != 0 {
+			t.Errorf("%s: %v", p.PkgPath, p.TypeErrors)
+		}
+	}
+}

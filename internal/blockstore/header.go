@@ -160,6 +160,13 @@ func Decode(b []byte) (Header, error) {
 // Message assembles header + payload into one wire buffer.
 func Message(h *Header, payload []byte) []byte {
 	h.PayloadLen = uint32(len(payload))
+	return SizedMessage(*h, payload, h.PayloadLen)
+}
+
+// SizedMessage is Message for a payload of size bytes that carries
+// payload's bytes, none for a modeled payload: the header records size.
+func SizedMessage(h Header, payload []byte, size uint32) []byte {
+	h.PayloadLen = size
 	out := make([]byte, HeaderSize+len(payload))
 	h.EncodeTo(out)
 	copy(out[HeaderSize:], payload)

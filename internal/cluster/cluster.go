@@ -139,13 +139,10 @@ func New(cfg Config) *Cluster {
 	}
 	c.MT.ConnectStorage(c.Storage)
 
-	// SmartDS with multiple ports serves clients per port; give every
-	// port at least one client so all ports carry load.
+	// SmartDS and BF2 serve clients per port; give every port at least
+	// one client so all ports carry load.
 	clients := cfg.NumClients
-	if cfg.MT.Kind == middletier.SmartDS && clients < cfg.MT.Ports {
-		clients = cfg.MT.Ports
-	}
-	if cfg.MT.Kind == middletier.BF2 && clients < cfg.MT.Ports {
+	if kind := cfg.MT.Kind; (kind == middletier.SmartDS || kind == middletier.BF2) && clients < cfg.MT.Ports {
 		clients = cfg.MT.Ports
 	}
 	for i := 0; i < clients; i++ {
@@ -217,9 +214,6 @@ func (c *Cluster) newClient(id int) *Client {
 
 // onReply completes one request: record latency, verify read data.
 func (cl *Client) onReply(m *rdma.Message) {
-	if m.Data == nil || len(m.Data) < blockstore.HeaderSize {
-		return
-	}
 	h, err := blockstore.Decode(m.Data)
 	if err != nil {
 		return

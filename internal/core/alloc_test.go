@@ -10,7 +10,8 @@ import (
 
 // aamsRound drives one AAMS round trip on an instance: a split receive
 // of a header+payload message, an assemble send of header+payload back
-// to the peer, and one engine compression, run to quiescence.
+// to the peer, one engine compression and one sized engine job (the
+// middle tier's), run to quiescence.
 type aamsRound struct {
 	r             *rig
 	inst          *Instance
@@ -37,6 +38,10 @@ func (a *aamsRound) run() {
 	a.remote.Send(a.msg)
 	a.inst.DevMixedSend(a.local, a.hbuf, 64, a.dbuf, 4096)
 	a.inst.DevFunc(a.dbuf, 4096, a.dst, lz4.LevelDefault)
+	a.r.env.Run(0)
+	// The sized job runs alone, as a middle-tier write's does: a job
+	// queued behind another for the engine slot waits on a fresh event.
+	a.inst.DevFuncSized(4096, 2048)
 	a.r.env.Run(0)
 }
 

@@ -261,6 +261,79 @@ func TestDevFuncCompressesInDeviceMemory(t *testing.T) {
 	}
 }
 
+// TestDevFuncSizedTimesLikeDevFunc: a sized job whose result the
+// caller produced takes exactly as long as DevFunc compressing the same
+// block, pays the same completion DMA, and reports the given size; a
+// down engine rejects it.
+func TestDevFuncSizedTimesLikeDevFunc(t *testing.T) {
+	run := func(sized bool, n int) (Result, float64, float64) {
+		r := newRig(t, 1)
+		inst, _ := r.dev.OpenRoCEInstance(0)
+		src, _ := r.dev.DevAlloc(4096)
+		dst, _ := r.dev.DevAlloc(lz4.CompressBound(4096))
+		for i := range src.Bytes() {
+			src.Bytes()[i] = byte(i % 7)
+		}
+		var res Result
+		var at float64
+		r.env.Go("host", func(p *sim.Proc) {
+			var comp *Completion
+			if sized {
+				comp = inst.DevFuncSized(4096, float64(n))
+			} else {
+				comp = inst.DevFunc(src, 4096, dst, lz4.LevelDefault)
+			}
+			res, at = Poll(p, comp), p.Now()
+		})
+		r.env.Run(0)
+		return res, at, r.dev.PCIe().Snapshot().D2HBytes
+	}
+	want, wantAt, wantD2H := run(false, 0)
+	got, at, d2h := run(true, want.Size)
+	if want.Err != nil || got != want || at != wantAt || d2h != wantD2H {
+		t.Fatalf("sized job %+v at %g with %g D2H bytes, DevFunc %+v at %g with %g", got, at, d2h, want, wantAt, wantD2H)
+	}
+
+	r := newRig(t, 1)
+	inst, _ := r.dev.OpenRoCEInstance(0)
+	inst.Engine().SetDown(true)
+	r.env.Go("host", func(p *sim.Proc) { got = Poll(p, inst.DevFuncSized(4096, 2048)) })
+	r.env.Run(0)
+	if got.Err == nil {
+		t.Fatal("sized job on a down engine succeeded")
+	}
+}
+
+// TestDevMixedSendModeledPayload: a send with no device buffer times
+// its payload as gathered but carries only the header's bytes, with
+// the message sized for the whole payload.
+func TestDevMixedSendModeledPayload(t *testing.T) {
+	run := func(modeled bool) (*rdma.Message, float64) {
+		r := newRig(t, 1)
+		inst, _ := r.dev.OpenRoCEInstance(0)
+		local, remote := r.connect(t, 0)
+		var got *rdma.Message
+		remote.OnRecv = func(m *rdma.Message) { got = m }
+		hbuf := r.dev.HostAlloc(64)
+		dbuf, _ := r.dev.DevAlloc(1024)
+		if modeled {
+			dbuf = nil
+		}
+		var at float64
+		r.env.Go("host", func(p *sim.Proc) {
+			Poll(p, inst.DevMixedSend(local, hbuf, 64, dbuf, 1024))
+			at = p.Now()
+		})
+		r.env.Run(0)
+		return got, at
+	}
+	full, fullAt := run(false)
+	m, at := run(true)
+	if m == nil || len(m.Data) != 64 || m.Size != full.Size || len(full.Data) != 64+1024 || at != fullAt {
+		t.Fatalf("modeled send delivered %v at %g, gathered send %v at %g", m, at, full, fullAt)
+	}
+}
+
 func TestDevFuncDecompressRoundTrip(t *testing.T) {
 	r := newRig(t, 1)
 	inst, _ := r.dev.OpenRoCEInstance(0)

@@ -296,13 +296,11 @@ type assembleOp struct {
 // DevMixedSend implements dev_mixed_send: gather hsize bytes from host
 // memory and dsize bytes from device memory into one RDMA message. The
 // completion fires when the transport acknowledges delivery; Size is
-// the message size.
+// the message size. With no dbuf, dsize bytes of modeled payload are
+// timed as gathered but not carried.
 //
 //hot:per-message AAMS verb, pinned by TestAAMSRoundTripAllocs
 func (in *Instance) DevMixedSend(qp *rdma.QP, hbuf *HostBuf, hsize int, dbuf *device.Buffer, dsize int) *Completion {
-	if dbuf == nil && dsize > 0 {
-		panic("core: send descriptor with payload bytes but no device buffer")
-	}
 	if hsize > len(hbuf.data) || (dbuf != nil && dsize > dbuf.Size()) {
 		panic("core: send descriptor larger than its buffers")
 	}
@@ -357,8 +355,10 @@ func (op *assembleOp) run(p *sim.Proc) {
 	copy(data, o.hbuf.data[:o.hsize])
 	if o.dbuf != nil {
 		copy(data[o.hsize:], o.dbuf.Bytes()[:o.dsize])
+	} else {
+		data = data[:o.hsize] // modeled: the payload is sized, not carried
 	}
-	v := p.Wait(o.qp.Send(data))
+	v := p.Wait(o.qp.SendSized(data, float64(o.hsize+o.dsize)))
 	// Completion record to the host.
 	dev.notifyHost(p)
 	if err, ok := v.(error); ok && err != nil {
@@ -371,16 +371,18 @@ func (op *assembleOp) run(p *sim.Proc) {
 
 // funcOp carries one engine invocation into a devfunc proc: a
 // compression, or with decompress set, a decompression to origSize
-// bytes.
+// bytes, or with no src a job of inBytes in and outBytes out whose
+// result the caller produced.
 type funcOp struct {
-	in         *Instance
-	src, dst   *device.Buffer
-	srcSize    int
-	level      lz4.Level
-	decompress bool
-	origSize   int
-	comp       *Completion
-	runFn      func(*sim.Proc)
+	in                *Instance
+	src, dst          *device.Buffer
+	srcSize           int
+	level             lz4.Level
+	decompress        bool
+	origSize          int
+	inBytes, outBytes float64
+	comp              *Completion
+	runFn             func(*sim.Proc)
 }
 
 // DevFunc implements dev_func: invoke the instance's hardware engine on
@@ -392,7 +394,7 @@ func (in *Instance) DevFunc(src *device.Buffer, srcSize int, dst *device.Buffer,
 	if srcSize > src.Size() {
 		panic("core: DevFunc source size exceeds buffer")
 	}
-	return in.startFunc(src, srcSize, dst, level, false, 0)
+	return in.startFunc(funcOp{src: src, srcSize: srcSize, dst: dst, level: level})
 }
 
 // DevFuncDecompress is the read-path twin of DevFunc: decompress
@@ -404,11 +406,20 @@ func (in *Instance) DevFuncDecompress(src *device.Buffer, srcSize int, dst *devi
 	if srcSize > src.Size() {
 		panic("core: DevFuncDecompress source size exceeds buffer")
 	}
-	return in.startFunc(src, srcSize, dst, 0, true, origSize)
+	return in.startFunc(funcOp{src: src, srcSize: srcSize, dst: dst, decompress: true, origSize: origSize})
 }
 
-// startFunc spawns a devfunc proc on a pooled op.
-func (in *Instance) startFunc(src *device.Buffer, srcSize int, dst *device.Buffer, level lz4.Level, decompress bool, origSize int) *Completion {
+// DevFuncSized is DevFunc for a compression whose result the caller
+// produced (or, for a modeled payload, sized): the same proc, engine
+// job and completion record, for inBytes in and outBytes (Size) out.
+//
+//hot:per-request AAMS verb, pinned by TestAAMSRoundTripAllocs
+func (in *Instance) DevFuncSized(inBytes, outBytes float64) *Completion {
+	return in.startFunc(funcOp{inBytes: inBytes, outBytes: outBytes})
+}
+
+// startFunc spawns a devfunc proc running job on a pooled op.
+func (in *Instance) startFunc(job funcOp) *Completion {
 	var op *funcOp
 	if n := len(in.freeFuncs); n > 0 {
 		op = in.freeFuncs[n-1]
@@ -419,11 +430,10 @@ func (in *Instance) startFunc(src *device.Buffer, srcSize int, dst *device.Buffe
 		op = &funcOp{in: in}
 		op.runFn = op.run
 	}
-	comp := in.newCompletion()
-	op.src, op.srcSize, op.dst, op.comp = src, srcSize, dst, comp
-	op.level, op.decompress, op.origSize = level, decompress, origSize
+	job.in, job.runFn, job.comp = in, op.runFn, in.newCompletion()
+	*op = job
 	in.dev.env.Go(in.devfuncName, op.runFn)
-	return comp
+	return job.comp
 }
 
 // run is the devfunc proc body. It copies the op out and returns it to
@@ -432,23 +442,25 @@ func (op *funcOp) run(p *sim.Proc) {
 	o := *op
 	*op = funcOp{in: o.in, runFn: o.runFn}
 	o.in.freeFuncs = append(o.in.freeFuncs, op)
-	in, comp, dst := o.in, o.comp, o.dst
-	src := o.src.Bytes()[:o.srcSize]
+	in, comp := o.in, o.comp
 	var (
 		n   int
 		err error
 	)
-	if o.decompress {
-		if o.origSize > dst.Size() {
-			comp.complete(Result{Err: fmt.Errorf("core: decompressed output %d exceeds destination %d", o.origSize, dst.Size())})
+	switch {
+	case o.src == nil:
+		n, err = int(o.outBytes), in.engine.Job(p, o.inBytes, o.outBytes)
+	case o.decompress:
+		if o.origSize > o.dst.Size() {
+			comp.complete(Result{Err: fmt.Errorf("core: decompressed output %d exceeds destination %d", o.origSize, o.dst.Size())})
 			return
 		}
 		var out []byte
-		out, err = in.engine.Decompress(p, src, o.origSize)
-		n = copy(dst.Bytes(), out)
-	} else {
+		out, err = in.engine.Decompress(p, o.src.Bytes()[:o.srcSize], o.origSize)
+		n = copy(o.dst.Bytes(), out)
+	default:
 		// The engine writes straight into the destination buffer.
-		n, err = in.engine.Compress(p, dst.Bytes(), src, o.level)
+		n, err = in.engine.Compress(p, o.dst.Bytes(), o.src.Bytes()[:o.srcSize], o.level)
 	}
 	if err != nil {
 		comp.complete(Result{Err: err})

@@ -130,9 +130,16 @@ func NewLZ4Engine(env *sim.Env, name string, mem *Memory, bytesPerSec float64, m
 	}
 }
 
-// SetLookahead makes the engine encode through la, which its owner
-// feeds with prefetches; the bytes are the same either way.
-func (e *LZ4Engine) SetLookahead(la *lz4.Lookahead) { e.codec = la }
+// Job charges one compression whose functional result the caller
+// produced: inBytes read and outBytes written, timed as Compress times
+// them. A down engine rejects it with ErrEngineDown.
+func (e *LZ4Engine) Job(p *sim.Proc, inBytes, outBytes float64) error {
+	if e.down {
+		return ErrEngineDown
+	}
+	e.Run(p, inBytes, outBytes)
+	return nil
+}
 
 // Compress functionally compresses src (device-memory resident bytes)
 // into dst, which must hold lz4.CompressBound(len(src)) bytes, and

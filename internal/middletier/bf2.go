@@ -6,7 +6,6 @@ import (
 	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/device"
 	"github.com/disagg/smartds/internal/host"
-	"github.com/disagg/smartds/internal/lz4"
 	"github.com/disagg/smartds/internal/netsim"
 	"github.com/disagg/smartds/internal/rdma"
 	"github.com/disagg/smartds/internal/sim"
@@ -56,7 +55,7 @@ func newBF2Path(s *Server) *bf2Path {
 
 func (d *bf2Path) parse(p *sim.Proc, r *request) {
 	// Network-in: the message is written into SoC DRAM.
-	d.mem.Access(p, blockstore.HeaderSize+r.size)
+	d.mem.Access(p, blockstore.HeaderSize+r.in.size)
 	core := d.arm[d.armRR%len(d.arm)]
 	d.armRR++
 	core.Parse(p)
@@ -67,24 +66,17 @@ func (d *bf2Path) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		// The SoC engine failed: store raw — the Arm cores have no
 		// spare cycles for software LZ4, so availability wins.
 		d.EngineFallbacks++
-		return r.raw(), 0, nil
+		return r.in, 0, nil
 	}
 	// The engine reads and writes SoC DRAM itself (device.Engine
 	// charges both inside Run).
 	e0 := p.Now()
-	f := frame{size: r.size / modelRatio}
-	if r.payload != nil {
-		// The engine writes into the frame's own buffer (the frame lives
-		// until the request's replicas are sent); the header goes in front.
-		data := make([]byte, lz4.CompressBound(len(r.payload)))
-		n, err := d.engine.Compress(p, data, r.payload, d.cfg.Level)
-		if err != nil {
-			return frame{}, 0, err
-		}
-		data = data[:lz4.FrameInPlace(data, r.payload, n)]
-		f = frame{data: data, size: float64(len(data))}
-	} else {
-		d.engine.Run(p, r.size, f.size)
+	f, comp, err := d.ownFrame(r, d.cfg.Level)
+	if err == nil {
+		err = d.engine.Job(p, r.in.size, comp)
+	}
+	if err != nil {
+		return frame{}, 0, err
 	}
 	// Engine occupancy inside the compress stage (queueing for the
 	// engine slot is inside Run; the device-track job.qwait span
@@ -114,7 +106,7 @@ func (d *bf2Path) decompress(p *sim.Proc, r *request, pr *pendingReq) (frame, bl
 	}
 	if pr.hdr.Flags&blockstore.FlagCompressed != 0 {
 		// Engine decompression timing (reads the frame, writes the block).
-		d.engine.Run(p, pr.size, block.size)
+		d.engine.Run(p, pr.f.size, block.size)
 	}
 	// Network-out read of the reply payload.
 	d.mem.Access(p, block.size)

@@ -24,16 +24,12 @@ import (
 type hostPath struct {
 	*Server
 	accelSlot *sim.Resource // the Acc card's single engine slot
-	encBuf    []byte        // compressed scratch; WrapFrame copies out of it
 	out       wireCache
 }
 
 func newHostPath(s *Server) *hostPath {
 	cfg := s.cfg
-	d := &hostPath{
-		Server: s,
-		encBuf: make([]byte, lz4.CompressBound(cfg.BlockSize)),
-	}
+	d := &hostPath{Server: s}
 	s.nic = host.NewNIC(s.env, s.fabric, "mt-nic", cfg.PortRate, cfg.PCIe, cfg.Transport, s.Mem)
 	// The NIC's DRAM traffic shares follow the LLC model: retained buffers
 	// always evict (write fraction ~1), while TX reads hit the LLC only
@@ -62,31 +58,28 @@ func (d *hostPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		// Software LZ4: read the block from DRAM, burn core time (slowed
 		// by DRAM latency amplification when the bus is contended, and
 		// scaled by the chosen compression effort), write the frame back.
+		// A request header may demand a higher minimum effort.
 		level := d.chooseLevel(r.core.QueueLen())
-		d.Mem.Read(p, r.size)
-		r.core.CompressSlowed(p, r.size, d.Mem.ContentionFactor()*effortTimeFactor(level))
-		data, size, err := d.softwareCompress(r, level)
+		d.Mem.Read(p, r.in.size)
+		r.core.CompressSlowed(p, r.in.size, d.Mem.ContentionFactor()*effortTimeFactor(level))
+		f, _, err := d.ownFrame(r, lz4.Level(max(r.hdr.Level, uint8(level))))
 		if err != nil {
 			return frame{}, 0, err
 		}
-		d.Mem.Write(p, size)
-		return frame{data: data, size: size}, blockstore.FlagCompressed, nil
+		d.Mem.Write(p, f.size)
+		return f, blockstore.FlagCompressed, nil
 	case !d.engineAvailable(0): // Accel, card failed
 		// Store raw rather than stall the write path: software LZ4 on
 		// the control cores would collapse throughput, so availability
 		// wins and the frame goes out uncompressed.
 		d.EngineFallbacks++
-		return r.raw(), 0, nil
+		return r.in, 0, nil
 	}
-	f := frame{size: r.size / modelRatio}
-	if r.payload != nil {
-		data, err := d.encodeFrame(r.payload, d.cfg.Level)
-		if err != nil {
-			return frame{}, 0, err
-		}
-		f = frame{data: data, size: float64(len(data))}
+	f, _, err := d.ownFrame(r, d.cfg.Level)
+	if err != nil {
+		return frame{}, 0, err
 	}
-	d.accelOffload(p, r, "compress", r.size, f.size)
+	d.accelOffload(p, r, "compress", r.in.size, f.size)
 	return f, blockstore.FlagCompressed, nil
 }
 
@@ -148,11 +141,11 @@ func (d *hostPath) decompress(p *sim.Proc, r *request, pr *pendingReq) (frame, b
 	switch {
 	case pr.hdr.Flags&blockstore.FlagCompressed == 0:
 	case d.cfg.Kind == CPUOnly:
-		d.Mem.Read(p, pr.size)
+		d.Mem.Read(p, pr.f.size)
 		r.core.Decompress(p, block.size)
 		d.Mem.Write(p, block.size)
-	case pr.payload != nil: // Accel; a modeled frame costs the card nothing
-		d.accelOffload(p, r, "decompress", pr.size, block.size)
+	default: // Accel
+		d.accelOffload(p, r, "decompress", pr.f.size, block.size)
 	}
 	if status != blockstore.StatusOK {
 		return frame{}, status
@@ -170,38 +163,4 @@ func (d *hostPath) clientQP(int) *rdma.QP {
 
 func (d *hostPath) storageQP(_, from int) *rdma.QP {
 	return d.nic.CreateQP(func(_ *rdma.QP, m *rdma.Message) { d.onStorageReplyFrom(from, m) })
-}
-
-// softwareCompress runs functional LZ4 at the given effort (a request
-// header may demand a higher minimum) and returns the frame and its
-// size. Modeled-only payloads use modelRatio.
-func (d *hostPath) softwareCompress(r *request, level lz4.Level) ([]byte, float64, error) {
-	if r.payload == nil {
-		return nil, r.size / modelRatio, nil
-	}
-	frame, err := d.encodeFrame(r.payload, lz4.Level(max(r.hdr.Level, uint8(level))))
-	return frame, float64(len(frame)), err
-}
-
-// encodeFrame is lz4.EncodeFrame on the shared codec and scratch
-// buffer; the returned frame is the only allocation.
-func (d *hostPath) encodeFrame(block []byte, level lz4.Level) ([]byte, error) {
-	level = validLevel(level)
-	if n := lz4.CompressBound(len(block)); len(d.encBuf) < n {
-		d.encBuf = make([]byte, n)
-	}
-	n, err := d.codec.Compress(d.encBuf, block, level)
-	if err != nil {
-		return nil, err
-	}
-	return lz4.WrapFrame(block, d.encBuf[:n]), nil
-}
-
-// validLevel maps an invalid level to the default, as the software
-// paths compress.
-func validLevel(level lz4.Level) lz4.Level {
-	if !level.Valid() {
-		return lz4.LevelDefault
-	}
-	return level
 }

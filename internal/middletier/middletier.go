@@ -176,12 +176,11 @@ type pendingReq struct {
 	// quorum, so the fan-out completes — and is unregistered, making
 	// later minority acks stale by construction — the moment the quorum
 	// is met.
-	need    int
-	done    *sim.Event
-	status  blockstore.Status
-	payload []byte  // fetch replies: the stored frame (real bytes)
-	size    float64 // fetch replies: modeled frame size
-	hdr     blockstore.Header
+	need   int
+	done   *sim.Event
+	status blockstore.Status
+	f      frame // fetch replies: the stored frame
+	hdr    blockstore.Header
 	// release, when set, returns the receive descriptor holding the
 	// fetched payload (SmartDS read path).
 	release func()
@@ -220,7 +219,12 @@ type Server struct {
 	// codec is the functional LZ4 encoder of every software path and
 	// hardware engine of this server. The pipeline prefetches each
 	// write's payload into it on arrival (see prefetch).
-	codec *lz4.Lookahead
+	codec  *lz4.Lookahead
+	encBuf []byte // ownFrame's compression scratch
+	// replay is the modeled-replay differential test's seam, nil outside
+	// it (export_test.go): a functional compression records its length
+	// under the request's trace id, and a modeled one takes it from there.
+	replay map[uint64]float64
 
 	// Host resources (unused by BF2's data path but always present:
 	// the machine still exists).
@@ -345,9 +349,6 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 		s.dp = newSDSPath(s)
 	default:
 		panic(fmt.Sprintf("middletier: unknown kind %d", cfg.Kind))
-	}
-	for _, e := range s.engines {
-		e.SetLookahead(s.codec)
 	}
 	return s
 }
@@ -475,7 +476,7 @@ func (s *Server) begin(replies, need int) (uint64, *pendingReq) {
 // when unknown). Reply headers carry no sender identity — it is the
 // per-connection receive closure, bound at ConnectStorage time, that
 // knows which server a reply came down from.
-func (s *Server) completePending(repID uint64, from int, st blockstore.Status, payload []byte, size float64, hdr blockstore.Header) {
+func (s *Server) completePending(repID uint64, from int, st blockstore.Status, f frame, hdr blockstore.Header) {
 	pr, ok := s.pending[repID]
 	if !ok {
 		s.StaleAcks++
@@ -486,11 +487,7 @@ func (s *Server) completePending(repID uint64, from int, st blockstore.Status, p
 	} else {
 		pr.status = st
 	}
-	if payload != nil || size > 0 {
-		pr.payload = payload
-		pr.size = size
-		pr.hdr = hdr
-	}
+	pr.f, pr.hdr = f, hdr
 	pr.remaining--
 	if pr.need <= 0 {
 		// Enough OK acks: the fan-out succeeds even if a minority
@@ -532,24 +529,9 @@ func (s *Server) noteDecider(pr *pendingReq, from int) {
 // host and BF2 datapaths; SmartDS routes through recv descriptors
 // (see smartds.go).
 func (s *Server) onStorageReplyFrom(from int, m *rdma.Message) {
-	if m.Data == nil || len(m.Data) < blockstore.HeaderSize {
-		return
-	}
 	h, err := blockstore.Decode(m.Data)
-	if err != nil {
-		return
-	}
-	switch h.Op {
-	case blockstore.OpReplicateReply:
-		s.completePending(h.ReqID, from, h.Status, nil, 0, h)
-	case blockstore.OpFetchReply:
-		payload := m.Data[blockstore.HeaderSize:]
-		size := float64(len(payload))
-		if len(payload) == 0 {
-			payload = nil
-			size = float64(h.PayloadLen) // modeled frame
-		}
-		s.completePending(h.ReqID, from, h.Status, payload, size, h)
+	if err == nil && (h.Op == blockstore.OpReplicateReply || h.Op == blockstore.OpFetchReply) {
+		s.completePending(h.ReqID, from, h.Status, frame{data: m.Data[blockstore.HeaderSize:], size: float64(h.PayloadLen)}, h)
 	}
 }
 

@@ -99,12 +99,12 @@ func TestHealthyReplicasShortWhenInsufficient(t *testing.T) {
 func TestPendingFanInCountsReplies(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
 	id, pr := s.begin(3, 3)
-	s.completePending(id, -1, blockstore.StatusOK, nil, 0, blockstore.Header{})
-	s.completePending(id, -1, blockstore.StatusOK, nil, 0, blockstore.Header{})
+	s.completePending(id, -1, blockstore.StatusOK, frame{}, blockstore.Header{})
+	s.completePending(id, -1, blockstore.StatusOK, frame{}, blockstore.Header{})
 	if pr.done.Done() {
 		t.Fatal("pending completed early")
 	}
-	s.completePending(id, -1, blockstore.StatusOK, nil, 0, blockstore.Header{})
+	s.completePending(id, -1, blockstore.StatusOK, frame{}, blockstore.Header{})
 	if !pr.done.Done() {
 		t.Fatal("pending did not complete after all replies")
 	}
@@ -112,14 +112,14 @@ func TestPendingFanInCountsReplies(t *testing.T) {
 		t.Fatalf("status = %v", pr.status)
 	}
 	// Stale completion for a finished id is ignored.
-	s.completePending(id, -1, blockstore.StatusError, nil, 0, blockstore.Header{})
+	s.completePending(id, -1, blockstore.StatusError, frame{}, blockstore.Header{})
 }
 
 func TestPendingRecordsWorstStatus(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
 	id, pr := s.begin(2, 2)
-	s.completePending(id, -1, blockstore.StatusOK, nil, 0, blockstore.Header{})
-	s.completePending(id, -1, blockstore.StatusCorrupt, nil, 0, blockstore.Header{})
+	s.completePending(id, -1, blockstore.StatusOK, frame{}, blockstore.Header{})
+	s.completePending(id, -1, blockstore.StatusCorrupt, frame{}, blockstore.Header{})
 	if pr.status != blockstore.StatusCorrupt {
 		t.Fatalf("fan-in status = %v, want Corrupt", pr.status)
 	}
@@ -132,14 +132,14 @@ func TestParseRequestFunctionalAndModeled(t *testing.T) {
 	// Functional: header + real payload.
 	m := &rdma.Message{Data: blockstore.Message(&h, block), Size: float64(blockstore.HeaderSize + 4096)}
 	req, ok := parseRequest(m)
-	if !ok || req.hdr.ReqID != 7 || req.size != 4096 || req.payload == nil {
+	if !ok || req.hdr.ReqID != 7 || req.in.size != 4096 || !bytes.Equal(req.in.data, block) {
 		t.Fatalf("functional parse: %+v ok=%v", req, ok)
 	}
 
 	// Modeled: header only, size implies the payload.
 	m = &rdma.Message{Data: h.Encode(), Size: float64(blockstore.HeaderSize + 4096)}
 	req, ok = parseRequest(m)
-	if !ok || req.size != 4096 || req.payload != nil {
+	if !ok || req.in.size != 4096 || len(req.in.data) != 0 {
 		t.Fatalf("modeled parse: %+v ok=%v", req, ok)
 	}
 
@@ -152,24 +152,23 @@ func TestParseRequestFunctionalAndModeled(t *testing.T) {
 	}
 }
 
-func TestSoftwareCompressRoundTrips(t *testing.T) {
+func TestCompressFrameRoundTrips(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
-	d := s.dp.(*hostPath)
 	block := bytes.Repeat([]byte("compressible "), 400)[:4096]
-	req := &request{payload: block, size: 4096}
-	frame, size, err := d.softwareCompress(req, s.cfg.Level)
-	if err != nil || float64(len(frame)) != size {
-		t.Fatalf("frame size mismatch: %d vs %g (%v)", len(frame), size, err)
+	f, comp, err := s.ownFrame(&request{in: frame{data: block, size: 4096}}, s.cfg.Level)
+	if err != nil || float64(len(f.data)) != f.size || f.size != lz4.FrameHeaderSize+comp {
+		t.Fatalf("frame of %d bytes, size %g, comp %g (%v)", len(f.data), f.size, comp, err)
 	}
-	got, err := lz4.DecodeFrame(frame)
+	got, err := lz4.DecodeFrame(f.data)
 	if err != nil || !bytes.Equal(got, block) {
-		t.Fatalf("software frame corrupt: %v", err)
+		t.Fatalf("frame corrupt: %v", err)
 	}
 
-	// Modeled request uses the configured ratio.
-	_, msize, _ := d.softwareCompress(&request{size: 4096}, s.cfg.Level)
-	if msize <= 0 || msize >= 4096 {
-		t.Fatalf("modeled compressed size %g", msize)
+	// A modeled payload compresses at the model ratio, and its frame
+	// carries the header like a functional one.
+	f, comp, _ = s.ownFrame(&request{in: frame{size: 4096}}, s.cfg.Level)
+	if comp != 4096/modelRatio || f.size != lz4.FrameHeaderSize+comp || len(f.data) != 0 {
+		t.Fatalf("modeled frame: size %g, comp %g, %d bytes", f.size, comp, len(f.data))
 	}
 }
 

@@ -1,6 +1,8 @@
 package middletier
 
 import (
+	"slices"
+
 	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/device"
 	"github.com/disagg/smartds/internal/host"
@@ -54,9 +56,11 @@ type datapath interface {
 	storageQP(path, from int) *rdma.QP
 }
 
-// frame is one message payload as a design holds it.
+// frame is one message payload as a design holds it: always its size,
+// and its bytes when the payload has them. Timing sees only the size,
+// so both payload modes run the same calls and schedule the same events.
 type frame struct {
-	data []byte  // real bytes; nil when modeled
+	data []byte  // real bytes; empty when modeled
 	size float64 // payload bytes on the wire
 	// dev is the device-memory buffer holding the payload (SmartDS); own
 	// marks a buffer allocated for this request, freed after use.
@@ -65,16 +69,6 @@ type frame struct {
 	// host marks payload living in host memory rather than where the
 	// design keeps request payloads (maintenance output).
 	host bool
-}
-
-// wire encodes hdr followed by f's bytes (or the header alone, carrying
-// the modeled length, when f is modeled).
-func wire(hdr blockstore.Header, f frame) []byte {
-	if f.data != nil {
-		return blockstore.Message(&hdr, f.data)
-	}
-	hdr.PayloadLen = uint32(f.size)
-	return hdr.Encode()
 }
 
 // wireCache reuses the last encoded message when the same header and
@@ -90,21 +84,21 @@ type wireCache struct {
 func (c *wireCache) encode(hdr blockstore.Header, f frame) []byte {
 	same := len(f.data) == len(c.data) && (len(f.data) == 0 || &f.data[0] == &c.data[0])
 	if c.msg == nil || !same || hdr != c.hdr || f.size != c.size { //detcheck:floateq cache key: the same size value passed again, never computed
-		c.hdr, c.data, c.size, c.msg = hdr, f.data, f.size, wire(hdr, f)
+		c.hdr, c.data, c.size, c.msg = hdr, f.data, f.size, blockstore.SizedMessage(hdr, f.data, uint32(f.size))
 	}
 	return c.msg
 }
 
 // request is one in-flight client I/O and its pipeline context.
 type request struct {
-	hdr     blockstore.Header
-	payload []byte  // real block bytes (nil when modeled-only)
-	size    float64 // modeled payload size
+	hdr blockstore.Header
+	// in is the request payload as received; on SmartDS it lives in the
+	// receive descriptor's device buffer.
+	in frame
 	// hostResident counts payload bytes that AAMS placed in host memory
 	// because the configured split exceeds the header (ablation only);
 	// they must be fetched back before device-side compression.
 	hostResident float64
-	dev          *device.Buffer // SmartDS: the receive descriptor's payload buffer
 
 	qp   *rdma.QP   // middle-tier side of the client connection
 	path int        // port index storage traffic leaves from
@@ -120,26 +114,15 @@ type request struct {
 	prefetch uint64 // the codec's ticket for payload, 0 when none was filed
 }
 
-// raw is the request payload as received, stored uncompressed.
-func (r *request) raw() frame { return frame{data: r.payload, size: r.size, dev: r.dev} }
-
 // parseRequest extracts the request from an incoming message. Modeled
 // traffic carries a real 64-byte header with the payload size implied
 // by the message size.
 func parseRequest(m *rdma.Message) (request, bool) {
-	if m.Data == nil || len(m.Data) < blockstore.HeaderSize {
-		return request{}, false
-	}
 	h, err := blockstore.Decode(m.Data)
 	if err != nil {
 		return request{}, false
 	}
-	req := request{hdr: h, size: m.Size - blockstore.HeaderSize}
-	if len(m.Data) > blockstore.HeaderSize {
-		req.payload = m.Data[blockstore.HeaderSize:]
-		req.size = float64(len(req.payload))
-	}
-	return req, true
+	return request{hdr: h, in: frame{data: m.Data[blockstore.HeaderSize:], size: m.Size - blockstore.HeaderSize}}, true
 }
 
 // recv serves one client message that arrived whole on qp (host NIC or
@@ -172,7 +155,7 @@ func (s *Server) newRequest() *request {
 }
 
 func (s *Server) freeRequest(r *request) {
-	s.codec.Forget(r.payload, r.prefetch)
+	s.codec.Forget(r.in.data, r.prefetch)
 	*r = request{}
 	s.freeReqs = append(s.freeReqs, r)
 }
@@ -190,15 +173,15 @@ func (s *Server) freeRequest(r *request) {
 // never depends on whether or when a helper ran.
 func (s *Server) prefetch(r *request) {
 	kind := s.cfg.Kind
-	if kind != CPUOnly && kind != BF2 || r.payload == nil ||
+	if kind != CPUOnly && kind != BF2 || len(r.in.data) == 0 ||
 		r.hdr.Op != blockstore.OpWrite || r.hdr.Flags&blockstore.FlagLatencySensitive != 0 {
 		return
 	}
 	level := s.cfg.Level
 	if kind == CPUOnly {
-		level = validLevel(lz4.Level(max(r.hdr.Level, uint8(level)))) // softwareCompress's level
+		level = validLevel(lz4.Level(max(r.hdr.Level, uint8(level)))) // the CPU-only compress level
 	}
-	r.prefetch = s.codec.Prefetch(r.payload, level)
+	r.prefetch = s.codec.Prefetch(r.in.data, level)
 }
 
 // serve runs one client request through the pipeline: the parse stage,
@@ -227,14 +210,14 @@ func (s *Server) serve(p *sim.Proc, r *request) {
 // the configured protocol, and acknowledges the client.
 func (s *Server) serveWrite(p *sim.Proc, r *request) {
 	tr, tid := r.tr, r.tid
-	s.BytesIn += r.size
+	s.BytesIn += r.in.size
 	stageBegin(tr, p.Now(), "mt", "compress", tid)
 	var f frame
 	var flags uint8
 	var err error
 	if r.hdr.Flags&blockstore.FlagLatencySensitive != 0 {
 		s.BypassHits++
-		f = r.raw()
+		f = r.in
 	} else {
 		f, flags, err = s.dp.compress(p, r)
 	}
@@ -249,7 +232,7 @@ func (s *Server) serveWrite(p *sim.Proc, r *request) {
 				Op: blockstore.OpReplicate, Flags: flags, ReqID: repID,
 				VMID: r.hdr.VMID, SegmentID: r.hdr.SegmentID,
 				ChunkID: r.hdr.ChunkID, BlockOff: r.hdr.BlockOff,
-				OrigLen: uint32(r.size), CRC: r.hdr.CRC, Version: version,
+				OrigLen: uint32(r.in.size), CRC: r.hdr.CRC, Version: version,
 			}
 			a0 := p.Now()
 			for _, idx := range set {
@@ -305,28 +288,71 @@ func (s *Server) serveRead(p *sim.Proc, r *request) {
 	s.replyRead(p, r, pr, status, block)
 }
 
-// storedBlock decodes a fetched stored frame into the block it holds.
-// Modeled frames carry sizes only: a raw one its stored size, a
-// compressed one the configured block size. A frame that fails to
-// decode yields StatusCorrupt and the size its header claims, if
-// readable.
+// storedBlock decodes a fetched stored frame into the block it holds:
+// a raw frame is the block, a modeled compressed one a block of the
+// configured size. A frame that fails to decode yields StatusCorrupt
+// and the size its header claims, if readable.
 func (s *Server) storedBlock(pr *pendingReq) (frame, blockstore.Status) {
-	switch compressed := pr.hdr.Flags&blockstore.FlagCompressed != 0; {
-	case !compressed && pr.payload != nil:
-		return frame{data: pr.payload, size: float64(len(pr.payload))}, blockstore.StatusOK
-	case !compressed:
-		return frame{size: pr.size}, blockstore.StatusOK
-	case pr.payload == nil:
-		return frame{size: float64(s.cfg.BlockSize)}, blockstore.StatusOK
+	block := frame{size: float64(s.cfg.BlockSize)}
+	switch {
+	case pr.hdr.Flags&blockstore.FlagCompressed == 0:
+		return pr.f, blockstore.StatusOK
+	case len(pr.f.data) == 0:
+		return block, blockstore.StatusOK
 	}
-	if data, err := lz4.DecodeFrame(pr.payload); err == nil {
+	if data, err := lz4.DecodeFrame(pr.f.data); err == nil {
 		return frame{data: data, size: float64(len(data))}, blockstore.StatusOK
 	}
-	claimed := frame{size: float64(s.cfg.BlockSize)}
-	if fi, err := lz4.ParseFrameHeader(pr.payload); err == nil {
-		claimed.size = float64(fi.OrigSize)
+	if fi, err := lz4.ParseFrameHeader(pr.f.data); err == nil {
+		block.size = float64(fi.OrigSize)
 	}
-	return claimed, blockstore.StatusCorrupt
+	return block, blockstore.StatusCorrupt
+}
+
+// compressFrame encodes r's payload at level into its stored frame,
+// built in place in buf (lz4.CompressBound bytes of the payload), and
+// returns it with comp, the encoder output length engines are charged
+// for. It is the only place a compressed frame gets its sizes: comp is
+// size/modelRatio for a modeled payload, which is not encoded, and the
+// frame length is lz4.FrameInPlace's: header plus comp, or plus the raw
+// payload when comp is not smaller.
+func (s *Server) compressFrame(r *request, buf []byte, level lz4.Level) (frame, float64, error) {
+	var data []byte
+	comp := r.in.size / modelRatio
+	if len(r.in.data) > 0 {
+		n, err := s.codec.Compress(buf, r.in.data, validLevel(level))
+		if err != nil {
+			return frame{}, 0, err
+		}
+		data, comp = buf[:lz4.FrameInPlace(buf, r.in.data, n)], float64(n)
+	}
+	if rec, ok := s.replay[r.tid]; ok && len(data) == 0 {
+		comp = rec
+	} else if s.replay != nil {
+		s.replay[r.tid] = comp
+	}
+	return frame{data: data, size: lz4.FrameHeaderSize + min(comp, r.in.size)}, comp, nil
+}
+
+// ownFrame is compressFrame through the server's scratch buffer, with
+// the frame's bytes copied out to a slice of their own: the frame is
+// sent on after the next write has reused the scratch.
+func (s *Server) ownFrame(r *request, level lz4.Level) (frame, float64, error) {
+	if n := lz4.CompressBound(len(r.in.data)); len(s.encBuf) < n {
+		s.encBuf = make([]byte, n)
+	}
+	f, comp, err := s.compressFrame(r, s.encBuf, level)
+	f.data = slices.Clone(f.data)
+	return f, comp, err
+}
+
+// validLevel maps an invalid level to the default, as the software
+// paths compress.
+func validLevel(level lz4.Level) lz4.Level {
+	if !level.Valid() {
+		return lz4.LevelDefault
+	}
+	return level
 }
 
 // replyRead answers a read with status and (on success) the block, then

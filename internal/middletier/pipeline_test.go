@@ -53,7 +53,7 @@ func (f *fakePath) parse(p *sim.Proc, r *request) { p.Sleep(fakeParse) }
 
 func (f *fakePath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 	p.Sleep(fakeCompress)
-	data, err := lz4.EncodeFrame(r.payload, lz4.LevelDefault)
+	data, err := lz4.EncodeFrame(r.in.data, lz4.LevelDefault)
 	return frame{data: data, size: float64(len(data))}, blockstore.FlagCompressed, err
 }
 
@@ -78,11 +78,11 @@ func (f *fakePath) send(p *sim.Proc, path int, qp *rdma.QP, hdr blockstore.Heade
 	}
 	s.env.After(delay, func() {
 		if hdr.Op == blockstore.OpReplicate {
-			s.completePending(hdr.ReqID, to, st, nil, 0, blockstore.Header{})
+			s.completePending(hdr.ReqID, to, st, frame{}, blockstore.Header{})
 			return
 		}
 		rh := blockstore.Header{Status: st, Flags: blockstore.FlagCompressed, Version: 1}
-		s.completePending(hdr.ReqID, to, st, f.stored, float64(len(f.stored)), rh)
+		s.completePending(hdr.ReqID, to, st, frame{data: f.stored, size: float64(len(f.stored))}, rh)
 	})
 	return s.env.NewEvent()
 }
@@ -100,7 +100,7 @@ func (f *fakePath) poll(*sim.Proc, int) {}
 
 func (f *fakePath) decompress(p *sim.Proc, r *request, pr *pendingReq) (frame, blockstore.Status) {
 	p.Sleep(fakeDecompress)
-	block, err := lz4.DecodeFrame(pr.payload)
+	block, err := lz4.DecodeFrame(pr.f.data)
 	if err != nil {
 		return frame{}, blockstore.StatusCorrupt
 	}
@@ -144,7 +144,7 @@ func drive(t *testing.T, s *Server, f *fakePath, tr *trace.Tracer, op blockstore
 	tr.BeginReq(start, "net", "request", tid, tid, trace.KindService)
 	r := s.newRequest()
 	r.hdr = blockstore.Header{Op: op, ReqID: id, SegmentID: 7, ChunkID: 1, BlockOff: 2, OrigLen: uint32(len(payload))}
-	r.payload, r.size = payload, float64(len(payload))
+	r.in = frame{data: payload, size: float64(len(payload))}
 	n := len(f.replies)
 	s.env.Go("test.req", func(p *sim.Proc) {
 		p.Sleep(fakeNet)
@@ -320,7 +320,7 @@ func TestDecompressCorruptFramePerDesign(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			s := newTestServer(t, kind)
 			r := &request{hdr: blockstore.Header{Op: blockstore.OpRead}, core: s.cores[0]}
-			pr := &pendingReq{payload: []byte("garbage frame bytes"), size: 19,
+			pr := &pendingReq{f: frame{data: []byte("garbage frame bytes"), size: 19},
 				hdr: blockstore.Header{Flags: blockstore.FlagCompressed}}
 			var st blockstore.Status
 			s.env.Go("test.decompress", func(p *sim.Proc) { _, st = s.dp.decompress(p, r, pr) })

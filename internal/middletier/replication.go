@@ -288,10 +288,6 @@ func (s *Server) fetch(p *sim.Proc, r *request, targets []int) *pendingReq {
 	if winner.status != blockstore.StatusOK || winner.hdr.Version == 0 {
 		return winner
 	}
-	repairSize := winner.size
-	if winner.payload != nil {
-		repairSize = float64(len(winner.payload))
-	}
 	for i, pr := range prs {
 		stale := pr.status == blockstore.StatusNotFound ||
 			(pr.status == blockstore.StatusOK && pr.hdr.Version < winner.hdr.Version)
@@ -310,14 +306,14 @@ func (s *Server) fetch(p *sim.Proc, r *request, targets []int) *pendingReq {
 			BlockOff:  hdr.BlockOff,
 			OrigLen:   winner.hdr.OrigLen,
 			Version:   winner.hdr.Version,
-		}, frame{data: winner.payload, size: repairSize})
+		}, winner.f)
 		if sent == nil {
 			delete(s.pending, repID)
 			winner.status = blockstore.StatusError
 			break
 		}
 		s.ReadRepairs++
-		s.RepairBytes += repairSize
+		s.RepairBytes += winner.f.size
 	}
 	return winner
 }

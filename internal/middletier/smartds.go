@@ -195,18 +195,15 @@ func (c *sdsClientConn) request(r *request, i int, res core.Result) bool {
 	if err != nil {
 		return false
 	}
-	r.hdr, r.size, r.dev = hdr, float64(res.Size), sl.dbuf
+	r.hdr, r.in = hdr, frame{data: sl.dbuf.Bytes()[:res.Placed], size: float64(res.Size), dev: sl.dbuf}
 	r.qp, r.path = c.qp, c.inst.Index()
-	if res.Placed > 0 {
-		r.payload = sl.dbuf.Bytes()[:res.Placed]
-	}
 	// With an oversized split (ablation), part of the payload landed in
-	// host memory; account for it in the request size.
+	// host memory: account for it in the request size, and compress it
+	// as a modeled payload (real bytes need the header-only split).
 	if extra := c.d.cfg.SplitBytes - blockstore.HeaderSize; extra > 0 &&
 		hdr.Op == blockstore.OpWrite && hdr.OrigLen > 0 {
-		r.size = float64(hdr.OrigLen)
-		r.hostResident = min(float64(extra), r.size)
-		r.payload = nil // functional path requires the header-only split
+		r.in = frame{size: float64(hdr.OrigLen), dev: sl.dbuf}
+		r.hostResident = min(float64(extra), r.in.size)
 	}
 	return true
 }
@@ -228,7 +225,9 @@ func (d *sdsPath) parse(p *sim.Proc, r *request) {
 }
 
 // compress runs the port's engine inside HBM, or a surviving port's
-// engine through the shared HBM when ours is down.
+// engine through the shared HBM when ours is down. The frame is built
+// in place in a fresh HBM buffer, and the engine job is the dev_func
+// verb's, host notification included, for modeled payloads too.
 func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 	eng := d.insts[r.path]
 	if !d.engineAvailable(r.path) {
@@ -237,7 +236,7 @@ func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 			// Every port engine is down: store raw. The descriptor's HBM
 			// buffer carries the payload out, exactly like bypass.
 			d.EngineFallbacks++
-			return r.raw(), 0, nil
+			return r.in, 0, nil
 		}
 		eng = d.insts[alt]
 		d.EngineReroutes++
@@ -256,18 +255,15 @@ func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		p.Wait(d.sds.HBM().StartAccess(r.hostResident))
 	}
 	e0 := p.Now()
-	f := frame{size: r.size/modelRatio + lz4.FrameHeaderSize, dev: dst, own: true}
-	if r.payload != nil {
-		res := core.Poll(p, eng.DevFunc(r.dev, len(r.payload), dst, d.cfg.Level))
-		if res.Err != nil {
-			dst.Free()
-			return frame{}, 0, res.Err
-		}
-		// Wrap as a frame in place: the storage server persists frames.
-		f.size = float64(lz4.FrameInPlace(dst.Bytes(), r.payload, res.Size))
-	} else {
-		eng.Engine().Run(p, r.size, r.size/modelRatio)
+	f, comp, err := d.compressFrame(r, dst.Bytes(), d.cfg.Level)
+	if err == nil {
+		err = core.Poll(p, eng.DevFuncSized(r.in.size, comp)).Err
 	}
+	if err != nil {
+		dst.Free()
+		return frame{}, 0, err
+	}
+	f.dev, f.own = dst, true
 	// Engine occupancy inside the compress stage; the device-track
 	// job.qwait/job.run spans carry the slot-wait split.
 	if e1 := p.Now(); r.tr != nil && e1 > e0 {
@@ -281,7 +277,8 @@ func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 // Payload held elsewhere is staged first: bytes (a quorum read's repair
 // frame) are copied into a scratch HBM buffer freed on completion, and
 // host-resident maintenance output crosses PCIe as part of the host
-// half.
+// half. A modeled frame is gathered as its size alone: the HBM holds
+// no bytes of it worth sending.
 func (d *sdsPath) send(p *sim.Proc, path int, qp *rdma.QP, hdr blockstore.Header, f frame) *sim.Event {
 	inst := d.insts[path]
 	hdr.PayloadLen = uint32(f.size)
@@ -300,7 +297,11 @@ func (d *sdsPath) send(p *sim.Proc, path int, qp *rdma.QP, hdr blockstore.Header
 		}
 		copy(buf.Bytes(), f.data)
 	}
-	comp := inst.DevMixedSend(qp, h.buf, blockstore.HeaderSize, buf, int(f.size))
+	src := buf
+	if len(f.data) == 0 {
+		src = nil
+	}
+	comp := inst.DevMixedSend(qp, h.buf, blockstore.HeaderSize, src, int(f.size))
 	h.sends++
 	comp.Event().OnTrigger(h.doneFn)
 	if buf != f.dev {
@@ -328,7 +329,7 @@ func (d *sdsPath) decompress(p *sim.Proc, r *request, pr *pendingReq) (frame, bl
 	copy(block.dev.Bytes(), block.data)
 	if pr.hdr.Flags&blockstore.FlagCompressed != 0 {
 		// Engine decompression timing inside HBM.
-		d.insts[r.path].Engine().Run(p, pr.size, block.size)
+		d.insts[r.path].Engine().Run(p, pr.f.size, block.size)
 	}
 	return block, blockstore.StatusOK
 }
@@ -397,19 +398,15 @@ func (a *sdsAckSlot) onRecv(v interface{}) {
 	switch {
 	case res.Err != nil || err != nil:
 	case h.Op == blockstore.OpReplicateReply:
-		d.completePending(h.ReqID, a.from, h.Status, nil, 0, h)
+		d.completePending(h.ReqID, a.from, h.Status, frame{}, h)
 	case h.Op != blockstore.OpFetchReply:
 	case d.pending[h.ReqID] == nil:
 		// Stale fetch reply (its read already timed out and moved on):
 		// count it like any other stale ack, repost immediately.
 		d.StaleAcks++
 	default:
-		var payload []byte
-		if res.Placed > 0 {
-			payload = a.dbuf.Bytes()[:res.Placed]
-		}
 		d.pending[h.ReqID].release = a.postFn
-		d.completePending(h.ReqID, a.from, h.Status, payload, float64(res.Size), h)
+		d.completePending(h.ReqID, a.from, h.Status, frame{data: a.dbuf.Bytes()[:res.Placed], size: float64(res.Size)}, h)
 		return
 	}
 	a.post()

@@ -205,11 +205,9 @@ type QP struct {
 	// the missing sequence. Every outstanding and subsequent send fails
 	// until Reconnect resets the pair.
 	broken bool
-	// timeouts counts the retransmission timeouts since the window last
-	// advanced. The retry budget is the QP's, not each message's: under
-	// go-back-N every timeout resends the whole window behind the timed
-	// message, so a per-message count would charge each earlier
-	// message's timeout to every later one.
+	// timeouts counts retransmission timeouts since the window last
+	// advanced: the retry budget is the QP's, because every go-back-N
+	// timeout resends the whole window behind the timed message.
 	timeouts int
 
 	// retransmits counts go-back-N resends (loss-sweep tests bound it).

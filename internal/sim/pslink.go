@@ -175,34 +175,40 @@ func (l *PSLink) jobRates() []float64 {
 	return rates
 }
 
-// advance applies progress for the time since the last update. In the
+// advance applies progress for the time since the last update.
+func (l *PSLink) advance() {
+	now := l.env.now
+	l.work += l.progress(now-l.last, true)
+	l.last = now
+}
+
+// progress returns the bytes the link moves in the dt after its last
+// update, and with apply set applies that progress to the jobs. In the
 // uncapped mode this is O(1): between events every in-flight job has
 // work left, so the link moves bytes at its full rate and the
 // normalized service grows at rate/weightSum.
-func (l *PSLink) advance() {
-	now := l.env.now
-	dt := now - l.last
-	l.last = now
+func (l *PSLink) progress(dt float64, apply bool) float64 {
 	if dt <= 0 || len(l.jobs) == 0 {
-		return
+		return 0
 	}
 	if l.flowCap <= 0 {
 		if l.weightSum <= 0 {
-			return
+			return 0
 		}
-		l.virt += l.rate / l.weightSum * dt
-		l.work += l.rate * dt
-		return
-	}
-	rates := l.jobRates()
-	for i, j := range l.jobs {
-		prog := dt * rates[i]
-		if prog > j.remaining {
-			prog = j.remaining
+		if apply {
+			l.virt += l.rate / l.weightSum * dt
 		}
-		j.remaining -= prog
-		l.work += prog
+		return l.rate * dt
 	}
+	moved := 0.0
+	for i, r := range l.jobRates() {
+		prog := min(dt*r, l.jobs[i].remaining)
+		if apply {
+			l.jobs[i].remaining -= prog
+		}
+		moved += prog
+	}
+	return moved
 }
 
 // reschedule moves the pending completion check to the earliest
@@ -459,22 +465,10 @@ type LinkStats struct {
 
 // Snapshot returns cumulative counters at the current instant. Callers
 // diff two snapshots to compute bandwidth over a window. It is a pure
-// read: the progress since the last update is added to the reported
-// work without being applied, so sampling a link never splits its
-// virtual-time integration and cannot move a later completion.
+// read: progress since the last update is reported, not applied, so
+// sampling never splits the virtual-time integration.
 func (l *PSLink) Snapshot() LinkStats {
-	work := l.work
-	if dt := l.env.now - l.last; dt > 0 && len(l.jobs) > 0 {
-		if l.flowCap <= 0 {
-			if l.weightSum > 0 {
-				work += l.rate * dt
-			}
-		} else {
-			for i, r := range l.jobRates() {
-				work += min(dt*r, l.jobs[i].remaining)
-			}
-		}
-	}
+	work := l.work + l.progress(l.env.now-l.last, false)
 	busy := l.busy
 	if len(l.jobs) > 0 {
 		busy += l.env.now - l.busySince

@@ -278,7 +278,7 @@ func TestPSLinkSnapshotIsPure(t *testing.T) {
 			t.Fatalf("flowCap=%g: %d and %d completions, want 6", flowCap, len(bare), len(sampled))
 		}
 		for i := range bare {
-			if bare[i] != sampled[i] { //detcheck:floateq the sampled run must replay the bare one exactly
+			if bare[i] != sampled[i] {
 				t.Fatalf("flowCap=%g: completion %d at %v sampled vs %v bare", flowCap, i, sampled[i], bare[i])
 			}
 		}

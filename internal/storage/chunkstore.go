@@ -75,21 +75,7 @@ func (s *ChunkStore) AppendFlagged(key BlockKey, data []byte, flags uint8) *Reco
 // duplicate retry must never clobber a newer write. Unversioned
 // appends always land (legacy behavior).
 func (s *ChunkStore) AppendVersioned(key BlockKey, data []byte, flags uint8, version uint64) *Record {
-	if old, ok := s.index[key]; ok && version > 0 && old.WriteVersion >= version {
-		return old
-	}
-	s.version++
-	rec := &Record{Key: key, Data: append([]byte(nil), data...), SizeHint: uint32(len(data)),
-		Flags: flags, Version: s.version, WriteVersion: version, live: true}
-	if old, ok := s.index[key]; ok {
-		old.live = false
-		s.liveBytes -= int64(len(old.Data))
-		s.deadBytes += int64(len(old.Data))
-	}
-	s.records = append(s.records, rec)
-	s.index[key] = rec
-	s.liveBytes += int64(len(data))
-	return rec
+	return s.appendRecord(key, data, uint32(len(data)), flags, version)
 }
 
 // AppendModeled stores a sizes-only record (modeled payload runs).
@@ -100,11 +86,18 @@ func (s *ChunkStore) AppendModeled(key BlockKey, size uint32, flags uint8) *Reco
 // AppendModeledVersioned is AppendModeled with the same regression
 // guard as AppendVersioned.
 func (s *ChunkStore) AppendModeledVersioned(key BlockKey, size uint32, flags uint8, version uint64) *Record {
+	return s.appendRecord(key, nil, size, flags, version)
+}
+
+// appendRecord appends a record of size bytes holding a copy of data
+// (none for a sizes-only record), under AppendVersioned's guard.
+func (s *ChunkStore) appendRecord(key BlockKey, data []byte, size uint32, flags uint8, version uint64) *Record {
 	if old, ok := s.index[key]; ok && version > 0 && old.WriteVersion >= version {
 		return old
 	}
 	s.version++
-	rec := &Record{Key: key, SizeHint: size, Flags: flags, Version: s.version, WriteVersion: version, live: true}
+	rec := &Record{Key: key, Data: append([]byte(nil), data...), SizeHint: size,
+		Flags: flags, Version: s.version, WriteVersion: version, live: true}
 	if old, ok := s.index[key]; ok {
 		old.live = false
 		s.liveBytes -= int64(len(old.Data))
@@ -112,6 +105,7 @@ func (s *ChunkStore) AppendModeledVersioned(key BlockKey, size uint32, flags uin
 	}
 	s.records = append(s.records, rec)
 	s.index[key] = rec
+	s.liveBytes += int64(len(data))
 	return rec
 }
 

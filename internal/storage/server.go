@@ -225,19 +225,10 @@ func (s *Server) handle(p *sim.Proc, qp *rdma.QP, m *rdma.Message) {
 		p.Wait(qp.Send(reply.Encode()))
 		return
 	}
+	// A header-only message whose header promises a payload is modeled
+	// traffic, served by its size alone.
 	payload := m.Data[blockstore.HeaderSize:]
-	// A header-only message whose header promises a payload is
-	// modeled-size traffic: charge the disk, skip the store.
-	if len(payload) == 0 && h.PayloadLen > 0 && h.Op == blockstore.OpReplicate {
-		s.Writes++
-		s.diskWrite(p, float64(h.PayloadLen))
-		key := BlockKey{SegmentID: h.SegmentID, ChunkID: h.ChunkID, BlockOff: h.BlockOff}
-		s.store.AppendModeledVersioned(key, h.PayloadLen, h.Flags, h.Version)
-		reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: blockstore.StatusOK}
-		p.Wait(qp.Send(reply.Encode()))
-		return
-	}
-	if int(h.PayloadLen) != len(payload) {
+	if len(payload) != 0 && int(h.PayloadLen) != len(payload) {
 		reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: blockstore.StatusError}
 		p.Wait(qp.Send(reply.Encode()))
 		return
@@ -259,15 +250,15 @@ func (s *Server) serveWrite(p *sim.Proc, qp *rdma.QP, h blockstore.Header, paylo
 	// CRC==0 means the sender had no checksum to offer (read-repair and
 	// other middle-tier-internal traffic): integrity is then enforced by
 	// the version guard, not a CRC it never carried.
-	if s.Verify && h.Flags&blockstore.FlagCompressed != 0 && h.CRC != 0 {
+	if s.Verify && h.Flags&blockstore.FlagCompressed != 0 && h.CRC != 0 && len(payload) != 0 {
 		if orig, err := lz4.DecodeFrame(payload); err != nil || lz4.Checksum(orig) != h.CRC {
 			status = blockstore.StatusCorrupt
 		}
 	}
 	if status == blockstore.StatusOK {
 		key := BlockKey{SegmentID: h.SegmentID, ChunkID: h.ChunkID, BlockOff: h.BlockOff}
-		s.diskWrite(p, float64(len(payload)))
-		s.store.AppendVersioned(key, payload, h.Flags, h.Version)
+		s.diskWrite(p, float64(h.PayloadLen))
+		s.store.appendRecord(key, payload, h.PayloadLen, h.Flags, h.Version)
 	}
 	reply := blockstore.Header{Op: blockstore.OpReplicateReply, ReqID: h.ReqID, Status: status}
 	p.Wait(qp.Send(reply.Encode()))
@@ -291,11 +282,6 @@ func (s *Server) serveRead(p *sim.Proc, qp *rdma.QP, h blockstore.Header) {
 		Flags:   rec.Flags,
 		Version: rec.WriteVersion,
 	}
-	if rec.Data == nil {
-		// Modeled record: header-only reply with the modeled frame size.
-		reply.PayloadLen = rec.SizeHint
-		p.Wait(qp.SendSized(reply.Encode(), float64(blockstore.HeaderSize)+float64(rec.SizeHint)))
-		return
-	}
-	p.Wait(qp.Send(blockstore.Message(&reply, rec.Data)))
+	msg := blockstore.SizedMessage(reply, rec.Data, rec.SizeHint) // header only for a modeled record
+	p.Wait(qp.SendSized(msg, float64(blockstore.HeaderSize)+float64(rec.SizeHint)))
 }

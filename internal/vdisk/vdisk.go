@@ -158,9 +158,6 @@ func (d *Disk) Outstanding() int { return len(d.pending) }
 
 // onReply completes requests as middle-tier replies arrive.
 func (d *Disk) onReply(m *rdma.Message) {
-	if m.Data == nil || len(m.Data) < blockstore.HeaderSize {
-		return
-	}
 	h, err := blockstore.Decode(m.Data)
 	if err != nil {
 		return
