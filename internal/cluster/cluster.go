@@ -139,10 +139,13 @@ func New(cfg Config) *Cluster {
 	}
 	c.MT.ConnectStorage(c.Storage)
 
-	// SmartDS and BF2 serve clients per port; give every port at least
-	// one client so all ports carry load.
+	// SmartDS with multiple ports serves clients per port; give every
+	// port at least one client so all ports carry load.
 	clients := cfg.NumClients
-	if kind := cfg.MT.Kind; (kind == middletier.SmartDS || kind == middletier.BF2) && clients < cfg.MT.Ports {
+	if cfg.MT.Kind == middletier.SmartDS && clients < cfg.MT.Ports {
+		clients = cfg.MT.Ports
+	}
+	if cfg.MT.Kind == middletier.BF2 && clients < cfg.MT.Ports {
 		clients = cfg.MT.Ports
 	}
 	for i := 0; i < clients; i++ {

@@ -152,8 +152,7 @@ func (e *LZ4Engine) Compress(p *sim.Proc, dst, src []byte, level lz4.Level) (int
 	if err != nil {
 		return 0, err
 	}
-	e.Run(p, float64(len(src)), float64(n))
-	return n, nil
+	return n, e.Job(p, float64(len(src)), float64(n))
 }
 
 // Decompress functionally decompresses src into a buffer of origSize
