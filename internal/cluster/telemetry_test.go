@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -149,18 +150,19 @@ func TestTelemetryGoldenDeterminism(t *testing.T) {
 func TestTelemetryInvisibleDeterminism(t *testing.T) {
 	for _, kind := range []middletier.Kind{middletier.CPUOnly, middletier.Accel, middletier.BF2, middletier.SmartDS} {
 		for _, functional := range []bool{true, false} {
-			run := func(reg *telemetry.Registry) Results {
-				cfg := smallCfg(kind)
-				cfg.Functional = functional
-				cfg.Telemetry = reg
-				cfg.TelemetryExp = "invisible"
-				return New(cfg).Run(Workload{Window: 64, Warmup: 0.3e-3, Measure: 1.5e-3})
-			}
-			bare, observed := run(nil), run(telemetry.NewRegistry())
-			if !reflect.DeepEqual(bare, observed) {
-				t.Errorf("%v functional=%v: registry run differs from the bare run\nbare:     %+v\nobserved: %+v",
-					kind, functional, bare, observed)
-			}
+			t.Run(fmt.Sprintf("%v/functional=%v", kind, functional), func(t *testing.T) {
+				t.Parallel()
+				run := func(reg *telemetry.Registry) Results {
+					cfg := smallCfg(kind)
+					cfg.Functional = functional
+					cfg.Telemetry = reg
+					cfg.TelemetryExp = "invisible"
+					return New(cfg).Run(Workload{Window: 64, Warmup: 0.3e-3, Measure: 1.5e-3})
+				}
+				if bare, observed := run(nil), run(telemetry.NewRegistry()); !reflect.DeepEqual(bare, observed) {
+					t.Errorf("registry run differs from the bare run\nbare:     %+v\nobserved: %+v", bare, observed)
+				}
+			})
 		}
 	}
 }
