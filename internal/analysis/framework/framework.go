@@ -172,27 +172,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// ImportedAs returns the local name under which the file imports the
-// given path ("" when the file does not import it). A dot import
-// returns "."; an underscore import returns "_".
-func ImportedAs(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		// Default local name: last path element.
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
-
 // PathHasSegment reports whether slash-separated path contains the
 // given segment (e.g. PathHasSegment("a/internal/b", "internal")).
 func PathHasSegment(path, segment string) bool {

@@ -58,7 +58,7 @@ func run(pass *framework.Pass) error {
 					report(pass, n.Pos(), "raw channel receive synchronizes in host time; use Proc.Wait")
 				}
 			case *ast.SelectStmt:
-				report(pass, n.Pos(), "select races channels in host time; use Env.AnyOf/WaitTimeout")
+				report(pass, n.Pos(), "select races channels in host time; use Proc.WaitTimeout")
 			case *ast.CallExpr:
 				if isMakeChan(pass, n) {
 					report(pass, n.Pos(), "channel construction in simulation code; use Env.NewEvent")

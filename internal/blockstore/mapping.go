@@ -1,7 +1,5 @@
 package blockstore
 
-import "fmt"
-
 // Geometry captures the paper's address hierarchy: a virtual disk is
 // carved into segments (32 GB), each segment into chunks (64 MB), each
 // I/O targets one block (4 KB) within a chunk.
@@ -43,25 +41,4 @@ func (g Geometry) Resolve(lba uint64) Location {
 		ChunkID:   uint32(chunkIdx % chunksPerSeg),
 		BlockOff:  uint32(lba % blocksPerChunk),
 	}
-}
-
-// LBA inverts Resolve.
-func (g Geometry) LBA(loc Location) uint64 {
-	blocksPerChunk := uint64(g.BlocksPerChunk())
-	chunksPerSeg := uint64(g.ChunksPerSegment())
-	return (loc.SegmentID*chunksPerSeg+uint64(loc.ChunkID))*blocksPerChunk + uint64(loc.BlockOff)
-}
-
-// Validate sanity-checks the geometry.
-func (g Geometry) Validate() error {
-	if g.BlockSize <= 0 || g.ChunkBytes <= 0 || g.SegmentBytes <= 0 {
-		return fmt.Errorf("blockstore: non-positive geometry %+v", g)
-	}
-	if g.ChunkBytes%int64(g.BlockSize) != 0 {
-		return fmt.Errorf("blockstore: chunk size %d not a multiple of block size %d", g.ChunkBytes, g.BlockSize)
-	}
-	if g.SegmentBytes%g.ChunkBytes != 0 {
-		return fmt.Errorf("blockstore: segment size %d not a multiple of chunk size %d", g.SegmentBytes, g.ChunkBytes)
-	}
-	return nil
 }

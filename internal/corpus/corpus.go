@@ -96,7 +96,6 @@ type Option func(*config)
 
 type config struct {
 	bytesPerClass int
-	mix           map[Class]float64
 }
 
 // WithStreamSize sets the per-class stream length in bytes.
@@ -104,16 +103,11 @@ func WithStreamSize(n int) Option {
 	return func(c *config) { c.bytesPerClass = n }
 }
 
-// WithMix overrides the class sampling weights.
-func WithMix(mix map[Class]float64) Option {
-	return func(c *config) { c.mix = mix }
-}
-
 // New builds a corpus from a seed. The default stream size (256 KiB per
 // class) keeps construction cheap while giving 4 KB blocks plenty of
 // distinct offsets.
 func New(seed uint64, opts ...Option) *Corpus {
-	cfg := config{bytesPerClass: 256 << 10, mix: DefaultMix()}
+	cfg := config{bytesPerClass: 256 << 10}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -137,14 +131,12 @@ func New(seed uint64, opts ...Option) *Corpus {
 	// Walk classes in id order rather than ranging over the mix map, so
 	// the weight table (and every Choice draw from it) is independent of
 	// Go's map iteration seed.
+	mix := DefaultMix()
 	for cl := Class(0); cl < numClasses; cl++ {
-		if w := cfg.mix[cl]; w > 0 {
+		if w := mix[cl]; w > 0 {
 			c.classes = append(c.classes, cl)
 			c.weights = append(c.weights, w)
 		}
-	}
-	if len(c.classes) == 0 {
-		panic("corpus: empty mix")
 	}
 	return c
 }
@@ -173,9 +165,6 @@ func (c *Corpus) BlockOf(class Class, size int) []byte {
 	}
 	return out
 }
-
-// Stream exposes a class's raw stream (read-only by convention).
-func (c *Corpus) Stream(class Class) []byte { return c.streams[class] }
 
 // --- class generators -------------------------------------------------
 

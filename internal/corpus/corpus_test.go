@@ -28,7 +28,7 @@ func classRatio(t *testing.T, c *Corpus, cl Class, n int) float64 {
 func TestDeterministicConstruction(t *testing.T) {
 	a, b := New(42), New(42)
 	for _, cl := range Classes() {
-		if !bytes.Equal(a.Stream(cl), b.Stream(cl)) {
+		if !bytes.Equal(a.streams[cl], b.streams[cl]) {
 			t.Fatalf("class %v streams differ for same seed", cl)
 		}
 	}
@@ -42,7 +42,7 @@ func TestDeterministicConstruction(t *testing.T) {
 
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
-	if bytes.Equal(a.Stream(Text), b.Stream(Text)) {
+	if bytes.Equal(a.streams[Text], b.streams[Text]) {
 		t.Fatal("different seeds produced identical text streams")
 	}
 }
@@ -71,7 +71,7 @@ func TestBlockIsACopy(t *testing.T) {
 	_ = blk2
 	// The stream must be untouched: resampling can't return 0xFF-filled data
 	// unless the generator made it, which Text never does.
-	stream := c.Stream(Text)
+	stream := c.streams[Text]
 	for _, b := range stream[:64] {
 		if b == 0xFF {
 			t.Fatal("corpus stream was mutated through a returned block")
@@ -142,27 +142,6 @@ func TestDefaultMixRatioNearSilesia(t *testing.T) {
 	if ratio < 1.7 || ratio > 2.6 {
 		t.Fatalf("mixed corpus ratio %.2f outside Silesia-like band [1.7, 2.6]", ratio)
 	}
-}
-
-func TestWithMixRestriction(t *testing.T) {
-	c := New(7, WithMix(map[Class]float64{Zero: 1}))
-	for i := 0; i < 10; i++ {
-		blk := c.Block(128)
-		for _, b := range blk {
-			if b != 0 {
-				t.Fatal("zero-only mix returned nonzero data")
-			}
-		}
-	}
-}
-
-func TestEmptyMixPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty mix did not panic")
-		}
-	}()
-	New(1, WithMix(map[Class]float64{}))
 }
 
 func TestClassString(t *testing.T) {

@@ -395,7 +395,7 @@ func TestFPGAResourceTable3(t *testing.T) {
 		if math.Abs(r.LUTs-c.wantLUTs) > 2 {
 			t.Errorf("SmartDS-%d LUTs = %g, want ~%g", c.ports, r.LUTs, c.wantLUTs)
 		}
-		if !r.FitsIn(board) {
+		if lut, reg, bram := r.Percent(board); lut > 100 || reg > 100 || bram > 100 {
 			t.Errorf("SmartDS-%d does not fit the VCU128", c.ports)
 		}
 	}
@@ -403,15 +403,8 @@ func TestFPGAResourceTable3(t *testing.T) {
 
 func TestFPGAResourceOps(t *testing.T) {
 	a := FPGAResources{1, 2, 3}
-	b := FPGAResources{10, 20, 30}
-	if got := a.Add(b); got != (FPGAResources{11, 22, 33}) {
-		t.Fatalf("Add = %+v", got)
-	}
 	if got := a.Scale(3); got != (FPGAResources{3, 6, 9}) {
 		t.Fatalf("Scale = %+v", got)
-	}
-	if b.FitsIn(a) {
-		t.Fatal("FitsIn inverted")
 	}
 	defer func() {
 		if recover() == nil {

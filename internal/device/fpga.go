@@ -10,20 +10,10 @@ type FPGAResources struct {
 	BRAMs float64 // blocks
 }
 
-// Add returns the component-wise sum.
-func (r FPGAResources) Add(o FPGAResources) FPGAResources {
-	return FPGAResources{r.LUTs + o.LUTs, r.Regs + o.Regs, r.BRAMs + o.BRAMs}
-}
-
 // Scale returns the resources multiplied by n.
 func (r FPGAResources) Scale(n int) FPGAResources {
 	f := float64(n)
 	return FPGAResources{r.LUTs * f, r.Regs * f, r.BRAMs * f}
-}
-
-// FitsIn reports whether the design fits the board.
-func (r FPGAResources) FitsIn(board FPGAResources) bool {
-	return r.LUTs <= board.LUTs && r.Regs <= board.Regs && r.BRAMs <= board.BRAMs
 }
 
 // VCU128 is the prototype board's capacity (Virtex UltraScale+ HBM

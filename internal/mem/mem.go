@@ -149,24 +149,6 @@ func (s *System) DDIOCapacity() float64 {
 	return s.cfg.LLCBytes * float64(s.cfg.DDIOWays) / float64(s.cfg.TotalWays)
 }
 
-// ReadHitFraction estimates the fraction of device reads served from
-// the LLC when the *in-flight* working set (bytes written by DMA and
-// read back within the processing window) is ws bytes. With DDIO off,
-// DMA cannot allocate into the LLC, so every device read misses.
-func (s *System) ReadHitFraction(ws float64) float64 {
-	cap := s.DDIOCapacity()
-	if cap <= 0 || ws <= 0 {
-		if ws <= 0 && cap > 0 {
-			return 1
-		}
-		return 0
-	}
-	if ws <= cap {
-		return 1
-	}
-	return cap / ws
-}
-
 // WriteEvictFraction estimates the fraction of DMA-written bytes that
 // eventually reach DRAM because the buffers are *retained* (the paper
 // measures a ~32 ms buffer lifetime => ~400 MB working set at 100 Gbps,

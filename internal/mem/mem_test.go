@@ -96,22 +96,6 @@ func TestDDIOCapacity(t *testing.T) {
 	}
 }
 
-func TestReadHitFraction(t *testing.T) {
-	e := sim.NewEnv()
-	s := New(e, Config{DDIOEnabled: true})
-	cap := s.DDIOCapacity()
-	if f := s.ReadHitFraction(cap / 2); f != 1 {
-		t.Fatalf("small WS hit fraction = %g, want 1", f)
-	}
-	if f := s.ReadHitFraction(cap * 4); math.Abs(f-0.25) > 1e-9 {
-		t.Fatalf("4x WS hit fraction = %g, want 0.25", f)
-	}
-	off := New(e, Config{DDIOEnabled: false})
-	if f := off.ReadHitFraction(1024); f != 0 {
-		t.Fatalf("DDIO-off hit fraction = %g, want 0", f)
-	}
-}
-
 func TestWriteEvictFraction(t *testing.T) {
 	e := sim.NewEnv()
 	s := New(e, Config{DDIOEnabled: true})
@@ -176,10 +160,10 @@ func TestMLCStopTerminates(t *testing.T) {
 	mlc.Start()
 	e.After(0.01, func() { mlc.Stop() })
 	e.Run(1)
-	if !mlc.StoppedEvent().Done() {
+	if e.Pending() != 0 {
 		t.Fatal("MLC workers did not stop")
 	}
-	if mlc.Moved() <= 0 {
+	if mlc.moved.Total() <= 0 {
 		t.Fatal("MLC moved no bytes")
 	}
 	// Double Start after stop is a fresh run.

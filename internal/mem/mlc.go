@@ -17,8 +17,6 @@ type MLC struct {
 	chunk   float64
 
 	running bool
-	stopped *sim.Event
-	live    int
 	moved   *metrics.Meter
 }
 
@@ -53,8 +51,6 @@ func (m *MLC) Start() {
 		return
 	}
 	m.running = true
-	m.stopped = m.env.NewEvent()
-	m.live = m.workers
 	for i := 0; i < m.workers; i++ {
 		m.env.Go("mlc-worker", func(p *sim.Proc) {
 			for m.running {
@@ -68,22 +64,12 @@ func (m *MLC) Start() {
 					p.Yield()
 				}
 			}
-			m.live--
-			if m.live == 0 {
-				m.stopped.Trigger(nil)
-			}
 		})
 	}
 }
 
 // Stop asks the workers to exit after their current iteration.
 func (m *MLC) Stop() { m.running = false }
-
-// StoppedEvent fires once all workers have exited after Stop.
-func (m *MLC) StoppedEvent() *sim.Event { return m.stopped }
-
-// Moved returns total injected bytes.
-func (m *MLC) Moved() float64 { return m.moved.Total() }
 
 // MarkWindow returns the injector's achieved bytes/second since the
 // previous mark — the "MLC bandwidth" series of Figures 4 and 9.

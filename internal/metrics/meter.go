@@ -5,15 +5,14 @@ import "fmt"
 // Meter accumulates a monotone quantity (bytes, requests) and reports
 // rates over explicit windows in virtual time.
 type Meter struct {
-	total   float64
-	mark    float64
-	markAt  float64
-	started float64
+	total  float64
+	mark   float64
+	markAt float64
 }
 
 // NewMeter creates a meter with its window opened at time t.
 func NewMeter(t float64) *Meter {
-	return &Meter{markAt: t, started: t}
+	return &Meter{markAt: t}
 }
 
 // Add accumulates an amount.
@@ -41,28 +40,6 @@ func (m *Meter) MarkWindow(t float64) float64 {
 	m.mark = m.total
 	m.markAt = t
 	return rate
-}
-
-// RateSince returns the average rate between time t and the last mark
-// without closing the window. Zero-width (or backwards) windows report
-// a rate of 0, never Inf/NaN.
-func (m *Meter) RateSince(t float64) float64 {
-	dt := t - m.markAt
-	if dt <= 0 {
-		return 0
-	}
-	return (m.total - m.mark) / dt
-}
-
-// LifetimeRate returns the average rate from the meter's creation to
-// time t, independent of any window marks. Querying at (or before) the
-// creation instant reports 0, never Inf/NaN.
-func (m *Meter) LifetimeRate(t float64) float64 {
-	dt := t - m.started
-	if dt <= 0 {
-		return 0
-	}
-	return m.total / dt
 }
 
 // Byte-rate formatting helpers. The paper reports Gbps (decimal giga),

@@ -137,9 +137,6 @@ func TestMeterWindows(t *testing.T) {
 		t.Fatalf("window rate = %g, want 50", r)
 	}
 	m.Add(30)
-	if r := m.RateSince(3); r != 30 {
-		t.Fatalf("RateSince = %g, want 30", r)
-	}
 	if r := m.MarkWindow(3); r != 30 {
 		t.Fatalf("second window = %g, want 30", r)
 	}
@@ -148,22 +145,6 @@ func TestMeterWindows(t *testing.T) {
 	}
 	if r := m.MarkWindow(3); r != 0 {
 		t.Fatalf("zero-width window = %g, want 0", r)
-	}
-}
-
-func TestMeterLifetimeRate(t *testing.T) {
-	m := NewMeter(1) // opened at t=1
-	m.Add(100)
-	m.MarkWindow(2) // closing windows must not affect the lifetime rate
-	m.Add(100)
-	if r := m.LifetimeRate(5); r != 50 {
-		t.Fatalf("LifetimeRate(5) = %g, want 200/(5-1) = 50", r)
-	}
-	if r := m.LifetimeRate(1); r != 0 {
-		t.Fatalf("LifetimeRate at creation time = %g, want 0", r)
-	}
-	if r := m.LifetimeRate(0.5); r != 0 {
-		t.Fatalf("LifetimeRate before creation = %g, want 0", r)
 	}
 }
 
@@ -362,18 +343,6 @@ func TestMeterZeroWidthWindows(t *testing.T) {
 	m.Add(10)
 	if r := m.MarkWindow(4.0); r != 10 {
 		t.Fatalf("window after backwards mark = %g, want 10 (mark must not move back)", r)
-	}
-
-	// RateSince / LifetimeRate at the mark/creation instant.
-	m2 := NewMeter(5.0)
-	m2.Add(42)
-	for _, r := range []float64{m2.RateSince(5.0), m2.RateSince(4.0), m2.LifetimeRate(5.0)} {
-		if r != 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			t.Fatalf("zero-width query = %g, want 0", r)
-		}
-	}
-	if r := m2.LifetimeRate(7.0); r != 21 {
-		t.Fatalf("lifetime rate = %g, want 21", r)
 	}
 }
 

@@ -74,11 +74,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Exp returns an exponentially distributed value with the given mean.
 // Used for Poisson inter-arrival times in open-loop workloads.
 func (s *Source) Exp(mean float64) float64 {
@@ -99,19 +94,6 @@ func (s *Source) Norm(mean, stddev float64) float64 {
 	u2 := s.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + stddev*z
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Bytes fills b with random bytes.

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterministicSequence(t *testing.T) {
@@ -123,25 +122,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint16) bool {
-		s := New(uint64(seed))
-		n := int(seed%20) + 1
-		p := s.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBytesDeterministicAndFull(t *testing.T) {
 	a, b := New(21), New(21)
 	ba, bb := make([]byte, 37), make([]byte, 37)
@@ -191,14 +171,5 @@ func TestChoicePanics(t *testing.T) {
 			}()
 			s.Choice(w)
 		}()
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	s := New(99)
-	for i := 0; i < 1000; i++ {
-		if s.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
 	}
 }

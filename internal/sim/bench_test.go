@@ -28,49 +28,37 @@ func BenchmarkEnvRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEnvSleepWakeup measures the proc park/resume path: two
-// processes ping-ponging through a queue, each handoff crossing the
-// scheduler twice.
+// BenchmarkEnvSleepWakeup measures the proc park/resume path: a
+// consumer parks on an InitEvent-readied Event and a producer triggers
+// it, the handoff the middle tier's fan-outs use, each handoff crossing
+// the scheduler twice.
 func BenchmarkEnvSleepWakeup(b *testing.B) {
 	env := NewEnv()
-	q := env.NewQueue("ping")
-	done := env.NewQueue("done")
+	var slab []Event
+	var cur *Event
+	got := 0
 	env.Go("consumer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			q.Get(p)
+			if len(slab) == 0 {
+				slab = make([]Event, eventSlab)
+			}
+			cur, slab = &slab[0], slab[1:]
+			env.InitEvent(cur)
+			p.Wait(cur)
+			got++
 		}
-		done.Put(nil)
 	})
 	env.Go("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			q.Put(i)
+			cur.Trigger(nil)
 			p.Yield()
 		}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	env.Run(0)
-	if _, ok := done.TryGet(); !ok {
-		b.Fatal("consumer did not finish")
-	}
-}
-
-// BenchmarkQueuePutGet measures the buffered ring path without proc
-// switches: the acceptance target is zero allocations per cycle in
-// steady state.
-func BenchmarkQueuePutGet(b *testing.B) {
-	env := NewEnv()
-	q := env.NewQueue("bench")
-	payload := interface{}(&struct{}{})
-	for i := 0; i < 64; i++ { // establish ring capacity
-		q.Put(payload)
-		q.TryGet()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Put(payload)
-		q.TryGet()
+	if got != b.N {
+		b.Fatalf("consumer finished %d handoffs, want %d", got, b.N)
 	}
 }
 

@@ -14,7 +14,6 @@
 //   - Event: a one-shot completion that carries a value.
 //   - PSLink: a processor-sharing bandwidth resource (bus, link, port).
 //   - Resource: a counted FIFO resource (server pool).
-//   - Queue: an unbounded FIFO mailbox between processes.
 //
 // All time values are float64 seconds of virtual time.
 package sim

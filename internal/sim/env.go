@@ -24,10 +24,9 @@ type Env struct {
 	// denominator of the simulator-performance metrics.
 	events uint64
 
-	freeItems   []*item
-	freeWaiters *qWaiter
-	freeProcs   []*Proc
-	tickers     map[float64]*Ticker
+	freeItems []*item
+	freeProcs []*Proc
+	tickers   map[float64]*Ticker
 
 	// evSlab hands out Events in bulk; see NewEvent.
 	evSlab []Event

@@ -234,20 +234,6 @@ func TestWaitTimeoutCompletes(t *testing.T) {
 	}
 }
 
-func TestAnyOf(t *testing.T) {
-	e := NewEnv()
-	a, b := e.NewEvent(), e.NewEvent()
-	any := e.AnyOf(a, b)
-	var idx interface{}
-	e.Go("w", func(p *Proc) { idx = p.Wait(any) })
-	e.After(1, func() { b.Trigger(nil) })
-	e.After(2, func() { a.Trigger(nil) })
-	e.Run(0)
-	if idx != 1 {
-		t.Fatalf("AnyOf index = %v, want 1", idx)
-	}
-}
-
 func TestOnTriggerAlreadyDone(t *testing.T) {
 	e := NewEnv()
 	ev := e.NewEvent()
@@ -332,16 +318,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestAnyOfAlreadyFired(t *testing.T) {
-	e := NewEnv()
-	a, b := e.NewEvent(), e.NewEvent()
-	b.Trigger("early")
-	any := e.AnyOf(a, b)
-	if !any.Done() || any.Value() != 1 {
-		t.Fatalf("AnyOf over fired event: done=%v val=%v", any.Done(), any.Value())
-	}
-}
-
 func TestWaitAllMixedStates(t *testing.T) {
 	e := NewEnv()
 	a, b, c := e.NewEvent(), e.NewEvent(), e.NewEvent()
@@ -359,29 +335,11 @@ func TestWaitAllMixedStates(t *testing.T) {
 	}
 }
 
-func TestQueueMeanLen(t *testing.T) {
-	e := NewEnv()
-	q := e.NewQueue("q")
-	// 2 items buffered for [0, 1], then drained.
-	q.Put(1)
-	q.Put(2)
-	e.Go("c", func(p *Proc) {
-		p.Sleep(1)
-		q.Get(p)
-		q.Get(p)
-		p.Sleep(1)
-	})
-	e.Run(0)
-	if m := q.MeanLen(); m < 0.9 || m > 1.1 {
-		t.Fatalf("mean queue length = %g, want ~1.0", m)
-	}
-}
-
 func TestResourceWaitTimeAccounting(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("r", 1)
-	e.Go("a", func(p *Proc) { r.Process(p, 2) })
-	e.Go("b", func(p *Proc) { r.Process(p, 1) }) // waits 2s
+	e.Go("a", func(p *Proc) { hold(p, r, 2) })
+	e.Go("b", func(p *Proc) { hold(p, r, 1) }) // waits 2s
 	e.Run(0)
 	s := r.Snapshot()
 	if s.Acquires != 2 {

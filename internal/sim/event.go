@@ -174,18 +174,3 @@ func (p *Proc) WaitAll(evs ...*Event) {
 		p.Wait(ev)
 	}
 }
-
-// AnyOf returns an event that fires as soon as any input event fires,
-// carrying the index of the first one.
-func (e *Env) AnyOf(evs ...*Event) *Event {
-	out := e.NewEvent()
-	for i, ev := range evs {
-		i := i
-		ev.OnTrigger(func(interface{}) {
-			if !out.done {
-				out.Trigger(i)
-			}
-		})
-	}
-	return out
-}

@@ -7,7 +7,7 @@ import (
 
 // TestTimerCancelBoundedCalendar pins the slow-leak fix: a cancelled
 // heap entry is removed in place, so a schedule/cancel churn loop —
-// the shape every GetTimeout and retransmission timer produces — keeps
+// the shape every WaitTimeout and retransmission timer produces — keeps
 // the calendar flat instead of accumulating a million dead entries
 // that only a pop could reclaim.
 func TestTimerCancelBoundedCalendar(t *testing.T) {
@@ -153,151 +153,6 @@ func TestEventsCounter(t *testing.T) {
 	}
 }
 
-// TestQueueMeanLenMidRunCreation pins the MeanLen divisor fix: a queue
-// created at t=10 holding one item for five seconds has mean occupancy
-// 1.0 — not 1/3, which dividing by absolute now would report.
-func TestQueueMeanLenMidRunCreation(t *testing.T) {
-	env := NewEnv()
-	var mean float64
-	env.Go("w", func(p *Proc) {
-		p.Sleep(10)
-		q := env.NewQueue("mid")
-		q.Put(1)
-		p.Sleep(5)
-		mean = q.MeanLen()
-	})
-	env.Run(0)
-	if !almostEq(mean, 1.0, 1e-9) {
-		t.Fatalf("MeanLen = %g, want 1.0 (occupancy since creation, not since t=0)", mean)
-	}
-}
-
-// TestQueueMeanLenEmptyWindow checks the zero-duration guard.
-func TestQueueMeanLenEmptyWindow(t *testing.T) {
-	env := NewEnv()
-	q := env.NewQueue("fresh")
-	if got := q.MeanLen(); got != 0 {
-		t.Fatalf("MeanLen on a zero-age queue = %g", got)
-	}
-}
-
-// TestQueueGetTimeoutSameInstantRace pins the lost-item fix for both
-// same-instant orderings: whether the Put lands before or after the
-// deadline callback at the exact timeout instant, the getter reports
-// failure AND the value survives at the head of the queue.
-func TestQueueGetTimeoutSameInstantRace(t *testing.T) {
-	for _, putFirst := range []bool{true, false} {
-		name := "put-scheduled-first"
-		if !putFirst {
-			name = "timer-scheduled-first"
-		}
-		t.Run(name, func(t *testing.T) {
-			env := NewEnv()
-			q := env.NewQueue("race")
-			if putFirst {
-				// The Put callback holds a smaller seq than the timeout
-				// timer, so it dispatches first at t=1.
-				env.At(1, func() { q.Put(42) })
-			}
-			var got interface{}
-			var ok bool
-			env.Go("getter", func(p *Proc) {
-				got, ok = q.GetTimeout(p, 1)
-			})
-			if !putFirst {
-				// Scheduled after the proc exists: the timeout timer wins
-				// the seq race and fires before the Put callback.
-				env.At(1, func() { q.Put(42) })
-			}
-			env.Run(0)
-			if ok {
-				t.Fatalf("GetTimeout won a tie it must lose: got %v", got)
-			}
-			v, have := q.TryGet()
-			if !have || v != 42 {
-				t.Fatalf("raced value lost: TryGet = (%v, %v), want (42, true)", v, have)
-			}
-			if q.Len() != 0 {
-				t.Fatalf("queue holds %d extra items", q.Len())
-			}
-		})
-	}
-}
-
-// TestQueueGetTimeoutLateDelivery checks the plain miss: the value
-// arrives after the deadline and goes to the buffer, not the timed-out
-// waiter.
-func TestQueueGetTimeoutLateDelivery(t *testing.T) {
-	env := NewEnv()
-	q := env.NewQueue("late")
-	var ok bool
-	env.Go("getter", func(p *Proc) {
-		_, ok = q.GetTimeout(p, 1)
-	})
-	env.At(2, func() { q.Put("v") })
-	env.Run(0)
-	if ok {
-		t.Fatal("GetTimeout succeeded past its deadline")
-	}
-	if v, have := q.TryGet(); !have || v != "v" {
-		t.Fatalf("late value lost: (%v, %v)", v, have)
-	}
-}
-
-// TestQueueRingNilsPoppedSlots pins the GC-pinning fix: after a pop the
-// ring slot must not retain the payload pointer.
-func TestQueueRingNilsPoppedSlots(t *testing.T) {
-	env := NewEnv()
-	q := env.NewQueue("ring")
-	for i := 0; i < 20; i++ {
-		q.Put(&struct{ pad [64]byte }{})
-	}
-	for {
-		if _, ok := q.TryGet(); !ok {
-			break
-		}
-	}
-	for i, s := range q.buf {
-		if s != nil {
-			t.Fatalf("ring slot %d still pins a popped payload", i)
-		}
-	}
-}
-
-// TestQueueWrapAround exercises the ring across several grow/wrap
-// cycles with interleaved puts and gets, checking FIFO order.
-func TestQueueWrapAround(t *testing.T) {
-	env := NewEnv()
-	q := env.NewQueue("wrap")
-	next, want := 0, 0
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 7; i++ {
-			q.Put(next)
-			next++
-		}
-		for i := 0; i < 5; i++ {
-			v, ok := q.TryGet()
-			if !ok || v != want {
-				t.Fatalf("round %d: got (%v,%v), want %d", round, v, ok, want)
-			}
-			want++
-		}
-	}
-	for {
-		v, ok := q.TryGet()
-		if !ok {
-			break
-		}
-		if v != want {
-			t.Fatalf("drain: got %v, want %d", v, want)
-		}
-		want++
-	}
-	if want != next {
-		t.Fatalf("drained %d items, put %d", want, next)
-	}
-}
-
 // TestTimerChurnZeroAllocs verifies the pooled calendar: a warmed-up
 // schedule/cancel cycle allocates nothing.
 func TestTimerChurnZeroAllocs(t *testing.T) {
@@ -315,52 +170,37 @@ func TestTimerChurnZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestQueueSteadyStateZeroAllocs verifies the ring buffer: once the
-// ring has grown to cover the working set, put/get cycles are
-// allocation-free.
-func TestQueueSteadyStateZeroAllocs(t *testing.T) {
-	env := NewEnv()
-	q := env.NewQueue("steady")
-	payload := interface{}(&struct{}{})
-	cycle := func() {
-		q.Put(payload)
-		if _, ok := q.TryGet(); !ok {
-			t.Fatal("TryGet failed on non-empty queue")
-		}
-	}
-	for i := 0; i < 64; i++ {
-		cycle() // establish ring capacity
-	}
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Fatalf("queue put/get allocates %.2f objects per cycle, want 0", allocs)
-	}
-}
-
 // TestProcSpawnParkZeroAllocs pins the coroutine handoff: once the
-// proc pool is warm, a spawn, a Sleep park, a Queue.Get park woken by a
-// Put, and the finish back onto the free list allocate nothing. Only a
-// pool miss creates a coroutine.
+// proc pool is warm, a spawn, a Sleep park, a Wait park on an
+// InitEvent-readied Event woken by its Trigger (how the middle tier's
+// fan-outs park), and the finish back onto the free list allocate
+// nothing. Only a pool miss creates a coroutine.
 func TestProcSpawnParkZeroAllocs(t *testing.T) {
 	env := NewEnv()
-	q := env.NewQueue("handoff")
+	// One-shot events carved from the test's own slab, one per cycle:
+	// 64 warm-up cycles plus AllocsPerRun's 1000 runs and its warm-up.
+	slab := make([]Event, 64+1001)
+	var ev *Event
 	payload := interface{}(&struct{}{})
 	waiter := func(p *Proc) {
 		p.Sleep(1)
-		if q.Get(p) != payload {
-			t.Error("Get returned the wrong item")
+		if p.Wait(ev) != payload {
+			t.Error("Wait returned the wrong value")
 		}
 	}
-	putter := func(p *Proc) {
+	trigger := func(p *Proc) {
 		p.Sleep(2)
-		q.Put(payload)
+		ev.Trigger(payload)
 	}
 	cycle := func() {
+		ev, slab = &slab[0], slab[1:]
+		env.InitEvent(ev)
 		env.Go("waiter", waiter)
-		env.Go("putter", putter)
+		env.Go("trigger", trigger)
 		env.Run(0)
 	}
 	for i := 0; i < 64; i++ {
-		cycle() // warm the proc, item, and wait-node pools
+		cycle() // warm the proc and item pools
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Fatalf("spawn/park/wake/finish allocates %.2f objects per cycle, want 0", allocs)

@@ -451,11 +451,6 @@ func (l *PSLink) Transfer(p *Proc, bytes float64) {
 	p.Wait(l.Start(bytes))
 }
 
-// TransferWeighted moves bytes with a given PS weight.
-func (l *PSLink) TransferWeighted(p *Proc, bytes, weight float64) {
-	p.Wait(l.StartWeighted(bytes, weight))
-}
-
 // Stats is a snapshot of the link's activity counters.
 type LinkStats struct {
 	Work     float64 // bytes moved so far (fluid progress)

@@ -75,8 +75,8 @@ func TestPSLinkFlowCapWaterFilling(t *testing.T) {
 	e := NewEnv()
 	l := e.NewPSLink("l", 100, 70)
 	var tHeavy, tLight Time
-	e.Go("heavy", func(p *Proc) { l.TransferWeighted(p, 70, 9); tHeavy = p.Now() })
-	e.Go("light", func(p *Proc) { l.TransferWeighted(p, 30, 1); tLight = p.Now() })
+	e.Go("heavy", func(p *Proc) { p.Wait(l.StartWeighted(70, 9)); tHeavy = p.Now() })
+	e.Go("light", func(p *Proc) { p.Wait(l.StartWeighted(30, 1)); tLight = p.Now() })
 	e.Run(0)
 	if !almostEq(tHeavy, 1.0, 1e-9) {
 		t.Fatalf("capped flow finished at %g, want 1.0 (70 B/s)", tHeavy)
@@ -101,9 +101,9 @@ func TestPSLinkWaterFillingCascade(t *testing.T) {
 	e := NewEnv()
 	l := e.NewPSLink("l", 100, 40)
 	var ta, tb, tc Time
-	e.Go("a", func(p *Proc) { l.TransferWeighted(p, 40, 6); ta = p.Now() })
-	e.Go("b", func(p *Proc) { l.TransferWeighted(p, 40, 3); tb = p.Now() })
-	e.Go("c", func(p *Proc) { l.TransferWeighted(p, 20, 1); tc = p.Now() })
+	e.Go("a", func(p *Proc) { p.Wait(l.StartWeighted(40, 6)); ta = p.Now() })
+	e.Go("b", func(p *Proc) { p.Wait(l.StartWeighted(40, 3)); tb = p.Now() })
+	e.Go("c", func(p *Proc) { p.Wait(l.StartWeighted(20, 1)); tc = p.Now() })
 	e.Run(0)
 	for i, got := range []Time{ta, tb, tc} {
 		if !almostEq(got, 1.0, 1e-9) {
@@ -136,8 +136,8 @@ func TestPSLinkWeights(t *testing.T) {
 	e := NewEnv()
 	l := e.NewPSLink("l", 100, 0)
 	var th, tl Time
-	e.Go("heavy", func(p *Proc) { l.TransferWeighted(p, 150, 3); th = p.Now() })
-	e.Go("light", func(p *Proc) { l.TransferWeighted(p, 150, 1); tl = p.Now() })
+	e.Go("heavy", func(p *Proc) { p.Wait(l.StartWeighted(150, 3)); th = p.Now() })
+	e.Go("light", func(p *Proc) { p.Wait(l.StartWeighted(150, 1)); tl = p.Now() })
 	e.Run(0)
 	if !almostEq(th, 2.0, 1e-9) {
 		t.Fatalf("heavy finished at %g, want 2.0", th)
@@ -261,7 +261,7 @@ func TestPSLinkSnapshotIsPure(t *testing.T) {
 				delay, size := 0.137*float64(i), 37.3+float64(i*i)*11.1
 				e.Go("p", func(p *Proc) {
 					p.Sleep(delay)
-					l.TransferWeighted(p, size, 1+float64(i%3))
+					p.Wait(l.StartWeighted(size, 1+float64(i%3)))
 					done = append(done, p.Now())
 				})
 			}

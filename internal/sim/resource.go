@@ -56,17 +56,6 @@ func (r *Resource) Acquire(p *Proc) {
 	r.waitTime += r.env.now - start
 }
 
-// TryAcquire takes a slot if one is free, reporting success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.slots && len(r.queue) == 0 {
-		r.account()
-		r.inUse++
-		r.acquires++
-		return true
-	}
-	return false
-}
-
 // Release frees a slot, handing it to the oldest waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
@@ -82,13 +71,6 @@ func (r *Resource) Release() {
 		return
 	}
 	r.inUse--
-}
-
-// Process acquires a slot, holds it for d seconds, then releases it.
-func (r *Resource) Process(p *Proc, d float64) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
 }
 
 // ResourceStats is a snapshot of utilization counters.

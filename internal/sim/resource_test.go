@@ -2,6 +2,13 @@ package sim
 
 import "testing"
 
+// hold acquires a slot of r, keeps it for d seconds and releases it.
+func hold(p *Proc, r *Resource, d float64) {
+	r.Acquire(p)
+	p.Sleep(d)
+	r.Release()
+}
+
 func TestResourceBasicAcquireRelease(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("r", 1)
@@ -38,7 +45,7 @@ func TestResourceMultipleSlots(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Go("p", func(p *Proc) {
-			r.Process(p, 2)
+			hold(p, r, 2)
 			finish[i] = p.Now()
 		})
 	}
@@ -53,7 +60,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("r", 1)
 	var got []int
-	e.Go("holder", func(p *Proc) { r.Process(p, 1) })
+	e.Go("holder", func(p *Proc) { hold(p, r, 1) })
 	for i := 0; i < 5; i++ {
 		i := i
 		e.Go("w", func(p *Proc) {
@@ -71,21 +78,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource("r", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on free resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on busy resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestReleaseIdlePanics(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("r", 1)
@@ -100,8 +92,8 @@ func TestReleaseIdlePanics(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("r", 2)
-	e.Go("a", func(p *Proc) { r.Process(p, 4) })
-	e.Go("b", func(p *Proc) { r.Process(p, 2) })
+	e.Go("a", func(p *Proc) { hold(p, r, 4) })
+	e.Go("b", func(p *Proc) { hold(p, r, 2) })
 	e.Run(0)
 	s := r.Snapshot()
 	// Slot-seconds: 4 + 2 = 6 over 4 seconds => mean 1.5.
@@ -110,91 +102,5 @@ func TestResourceUtilization(t *testing.T) {
 	}
 	if u := UtilizationBetween(ResourceStats{}, s); !almostEq(u, 1.5, 1e-9) {
 		t.Fatalf("utilization = %g, want 1.5", u)
-	}
-}
-
-func TestQueuePutGet(t *testing.T) {
-	e := NewEnv()
-	q := e.NewQueue("q")
-	var got []interface{}
-	e.Go("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(1)
-			q.Put(i)
-		}
-	})
-	e.Run(0)
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestQueueBufferedThenDrained(t *testing.T) {
-	e := NewEnv()
-	q := e.NewQueue("q")
-	q.Put("a")
-	q.Put("b")
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	v, ok := q.TryGet()
-	if !ok || v != "a" {
-		t.Fatalf("TryGet = %v, %v", v, ok)
-	}
-	var second interface{}
-	e.Go("c", func(p *Proc) { second = q.Get(p) })
-	e.Run(0)
-	if second != "b" {
-		t.Fatalf("second = %v", second)
-	}
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue succeeded")
-	}
-}
-
-func TestQueueGetTimeout(t *testing.T) {
-	e := NewEnv()
-	q := e.NewQueue("q")
-	var ok1, ok2 bool
-	var v2 interface{}
-	e.Go("c", func(p *Proc) {
-		_, ok1 = q.GetTimeout(p, 1)
-		v2, ok2 = q.GetTimeout(p, 10)
-	})
-	e.After(2, func() { q.Put("late") })
-	e.Run(0)
-	if ok1 {
-		t.Fatal("first GetTimeout should have timed out")
-	}
-	if !ok2 || v2 != "late" {
-		t.Fatalf("second GetTimeout = %v, %v", v2, ok2)
-	}
-}
-
-func TestQueueMultipleWaitersFIFO(t *testing.T) {
-	e := NewEnv()
-	q := e.NewQueue("q")
-	var got []int
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Go("c", func(p *Proc) {
-			p.Sleep(float64(i) * 0.001)
-			v := q.Get(p)
-			got = append(got, v.(int)*10+i)
-		})
-	}
-	e.After(1, func() { q.Put(0); q.Put(1); q.Put(2) })
-	e.Run(0)
-	// Waiter i receives item i.
-	want := []int{0, 11, 22}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
 	}
 }

@@ -99,9 +99,9 @@ func (ls LabelSet) Map() map[string]string {
 	return m
 }
 
-// Metric is one registered instrument. Counters and gauges hold either
-// a pushed value (Add/Set) or a pull callback (read at sample/export
-// time); histograms wrap a metrics.Histogram.
+// Metric is one registered instrument. Counters and gauges read a pull
+// callback at sample and export time (a roll-up holds its summed
+// value); histograms wrap a metrics.Histogram.
 type Metric struct {
 	name   string
 	help   string
@@ -129,26 +129,6 @@ func (m *Metric) Name() string { return m.name }
 
 // Kind returns the metric kind.
 func (m *Metric) Kind() Kind { return m.kind }
-
-// Add accumulates into a push counter. Negative deltas and non-counter
-// kinds panic: a counter is monotone by contract.
-func (m *Metric) Add(v float64) {
-	if m.kind != KindCounter || m.read != nil {
-		panic("telemetry: Add on a non-push-counter metric " + m.name)
-	}
-	if v < 0 {
-		panic("telemetry: negative counter increment on " + m.name)
-	}
-	m.value += v
-}
-
-// Set stores a push gauge reading.
-func (m *Metric) Set(v float64) {
-	if m.kind != KindGauge || m.read != nil {
-		panic("telemetry: Set on a non-push-gauge metric " + m.name)
-	}
-	m.value = v
-}
 
 // Value reads the metric's current scalar value (histograms report
 // their sample count).
@@ -213,20 +193,10 @@ func (r *Registry) register(m *Metric) *Metric {
 	return m
 }
 
-// Counter registers a push counter (accumulate with Add).
-func (r *Registry) Counter(name, help string, labels LabelSet) *Metric {
-	return r.register(&Metric{name: name, help: help, kind: KindCounter, labels: labels})
-}
-
 // CounterFunc registers a pull counter whose value is read from fn at
 // sample and export time. fn must be monotone non-decreasing.
 func (r *Registry) CounterFunc(name, help string, labels LabelSet, fn func() float64) *Metric {
 	return r.register(&Metric{name: name, help: help, kind: KindCounter, labels: labels, read: fn})
-}
-
-// Gauge registers a push gauge (update with Set).
-func (r *Registry) Gauge(name, help string, labels LabelSet) *Metric {
-	return r.register(&Metric{name: name, help: help, kind: KindGauge, labels: labels})
 }
 
 // GaugeFunc registers a pull gauge read from fn.

@@ -34,14 +34,14 @@ func TestLabelSetCanonical(t *testing.T) {
 
 func TestRegistryBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reqs_total", "requests", nil)
-	c.Add(3)
-	c.Add(2)
+	reqs := 3.0
+	c := r.CounterFunc("reqs_total", "requests", nil, func() float64 { return reqs })
+	reqs += 2
 	if c.Value() != 5 {
 		t.Fatalf("counter = %g", c.Value())
 	}
-	g := r.Gauge("depth", "queue depth", MakeLabels(map[string]string{"port": "0"}))
-	g.Set(7)
+	depth := 7.0
+	g := r.GaugeFunc("depth", "queue depth", MakeLabels(map[string]string{"port": "0"}), func() float64 { return depth })
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %g", g.Value())
 	}
@@ -64,11 +64,11 @@ func TestRegistryBasics(t *testing.T) {
 		}
 	}
 
-	// Duplicate registration and counter contract violations panic.
-	mustPanic(t, func() { r.Counter("reqs_total", "", nil) })
-	mustPanic(t, func() { c.Add(-1) })
-	mustPanic(t, func() { c.Set(1) })
-	mustPanic(t, func() { g.Add(1) })
+	// Duplicate registration and a nil histogram panic.
+	mustPanic(t, func() { r.CounterFunc("reqs_total", "", nil, func() float64 { return 0 }) })
+	mustPanic(t, func() {
+		r.GaugeFunc("depth", "", MakeLabels(map[string]string{"port": "0"}), func() float64 { return 0 })
+	})
 	mustPanic(t, func() { r.Histogram("h", "", nil, nil) })
 }
 
@@ -133,8 +133,7 @@ func TestSamplerVirtualTimeGrid(t *testing.T) {
 
 func TestOpenMetricsSnapshot(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("smartds_requests_total", "Completed requests.", MakeLabels(map[string]string{"design": "SmartDS-1"}))
-	c.Add(12)
+	r.CounterFunc("smartds_requests_total", "Completed requests.", MakeLabels(map[string]string{"design": "SmartDS-1"}), func() float64 { return 12 })
 	h := metrics.NewLatencyHistogram()
 	h.Record(5e-6)
 	h.Record(5e-6)

@@ -247,21 +247,6 @@ func (t *Tracer) Span(start, end float64, component, name string, id, req uint64
 		Dur: end - start, ID: id, Req: req, PComp: pcomp, PName: pname, Kind: kind})
 }
 
-// PurgeOpen drops every open span that began before the given time,
-// counting them leaked. Call at the end of a run to detect Begin calls
-// whose End never fired.
-func (t *Tracer) PurgeOpen(before float64) {
-	if t == nil {
-		return
-	}
-	for k, os := range t.open {
-		if os.at < before {
-			delete(t.open, k)
-			t.leaked++
-		}
-	}
-}
-
 // OpenSpans reports spans begun but not yet ended.
 func (t *Tracer) OpenSpans() int {
 	if t == nil {
@@ -271,7 +256,7 @@ func (t *Tracer) OpenSpans() int {
 }
 
 // Leaked reports spans that were opened but could never complete:
-// evicted from a full open table, re-begun while open, or purged.
+// evicted from a full open table or re-begun while open.
 func (t *Tracer) Leaked() uint64 {
 	if t == nil {
 		return 0
@@ -331,24 +316,6 @@ func (t *Tracer) EventsSince(cursor uint64) []Event {
 		return nil
 	}
 	return all[skip:]
-}
-
-// Dump writes the event log in ring order.
-func (t *Tracer) Dump(w io.Writer) {
-	for _, ev := range t.Events() {
-		switch {
-		case ev.Counter:
-			fmt.Fprintf(w, "%12.6fms %-12s %-24s %g\n", ev.At*1e3, ev.Component, ev.Name, ev.Value)
-		case ev.Dur > 0:
-			fmt.Fprintf(w, "%12.6fms %-12s %-24s id=%d dur=%.3gus\n",
-				ev.At*1e3, ev.Component, ev.Name, ev.ID, ev.Dur*1e6)
-		default:
-			fmt.Fprintf(w, "%12.6fms %-12s %-24s %s\n", ev.At*1e3, ev.Component, ev.Name, ev.Detail)
-		}
-	}
-	if d := t.Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d earlier events dropped)\n", d)
-	}
 }
 
 // WriteChromeTrace exports the ring as Chrome trace-event JSON (the

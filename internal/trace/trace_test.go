@@ -85,22 +85,6 @@ func spanEvents(tr *Tracer) []Event {
 	return out
 }
 
-func TestDump(t *testing.T) {
-	tr := New(2)
-	tr.Emit(0.001, "c", "ev1", "d1")
-	tr.Emit(0.002, "c", "ev2", "d2")
-	tr.Emit(0.003, "c", "ev3", "d3") // drops ev1
-	var b strings.Builder
-	tr.Dump(&b)
-	out := b.String()
-	if strings.Contains(out, "ev1") || !strings.Contains(out, "ev3") {
-		t.Fatalf("dump wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "1 earlier events dropped") {
-		t.Fatalf("dropped note missing:\n%s", out)
-	}
-}
-
 func TestSpanPercentiles(t *testing.T) {
 	tr := New(1 << 12)
 	for i := 0; i < 1000; i++ {
@@ -123,23 +107,16 @@ func TestSpanPercentiles(t *testing.T) {
 	}
 }
 
-func TestLeakedAndPurge(t *testing.T) {
+func TestOpenSpansBalanced(t *testing.T) {
 	tr := New(64)
 	tr.Begin(1.0, "mt", "write", 1)
 	tr.Begin(1.1, "mt", "write", 2)
 	tr.End(2.0, "mt", "write", 1)
 	if got := tr.Leaked(); got != 0 {
-		t.Fatalf("leaked before purge = %d", got)
+		t.Fatalf("leaked with one span still open = %d", got)
 	}
 	if got := tr.OpenSpans(); got != 1 {
 		t.Fatalf("open spans = %d, want 1", got)
-	}
-	tr.PurgeOpen(10.0)
-	if got := tr.Leaked(); got != 1 {
-		t.Fatalf("leaked after purge = %d, want 1", got)
-	}
-	if got := tr.OpenSpans(); got != 0 {
-		t.Fatalf("open spans after purge = %d", got)
 	}
 	// Balanced Begin/End traffic never leaks.
 	tr2 := New(64)
@@ -147,9 +124,8 @@ func TestLeakedAndPurge(t *testing.T) {
 		tr2.Begin(float64(i), "c", "s", uint64(i))
 		tr2.End(float64(i)+0.5, "c", "s", uint64(i))
 	}
-	tr2.PurgeOpen(math.Inf(1))
-	if tr2.Leaked() != 0 {
-		t.Fatalf("balanced spans leaked %d", tr2.Leaked())
+	if tr2.Leaked() != 0 || tr2.OpenSpans() != 0 {
+		t.Fatalf("balanced spans leaked %d, left %d open", tr2.Leaked(), tr2.OpenSpans())
 	}
 }
 
@@ -270,7 +246,6 @@ func TestNilTracerExportAndBreakdown(t *testing.T) {
 		t.Fatalf("nil export = %q err=%v", b.String(), err)
 	}
 	tr.Counter(1, "x", 2)
-	tr.PurgeOpen(1)
 	if tr.Leaked() != 0 || tr.OpenSpans() != 0 || tr.Events() != nil || tr.Recorded() != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
