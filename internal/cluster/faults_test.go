@@ -102,6 +102,11 @@ func TestRebuildServerRestoresCrashedStore(t *testing.T) {
 	if c.MT.RebuildBytes != rebuilt {
 		t.Fatalf("RebuildBytes counter %v != returned %v", c.MT.RebuildBytes, rebuilt)
 	}
+	// The rebuild is charged the stored bytes it restored, not a count
+	// of records.
+	if live := float64(srv.Store().LiveBytes()); rebuilt != live {
+		t.Fatalf("RebuildServer charged %v bytes, restored store holds %v", rebuilt, live)
+	}
 	if after := srv.Store().Records(); after != before {
 		t.Fatalf("rebuild restored %d records, crashed server held %d", after, before)
 	}

@@ -91,7 +91,7 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 		nil, func() float64 { return float64(mt.EngineFallbacks) })
 	sc.CounterFunc("smartds_mt_engine_reroutes_total", "SmartDS writes compressed by a surviving port's engine.",
 		nil, func() float64 { return float64(mt.EngineReroutes) })
-	sc.CounterFunc("smartds_mt_rebuild_bytes_total", "Snapshot bytes streamed rebuilding crashed servers.",
+	sc.CounterFunc("smartds_mt_rebuild_bytes_total", "Stored bytes streamed rebuilding crashed servers.",
 		nil, func() float64 { return mt.RebuildBytes })
 	sc.CounterFunc("smartds_mt_stale_acks_total", "Storage acks arriving after their fan-out completed or was abandoned.",
 		nil, func() float64 { return float64(mt.StaleAcks) })
@@ -109,7 +109,7 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 		nil, func() float64 { return float64(mt.ReadRepairs) })
 	sc.CounterFunc("smartds_mt_repair_bytes_total", "Frame bytes pushed by quorum read-repairs.",
 		nil, func() float64 { return mt.RepairBytes })
-	sc.CounterFunc("smartds_mt_backfill_bytes_total", "Chunk snapshot bytes copied onto substituted replicas.",
+	sc.CounterFunc("smartds_mt_backfill_bytes_total", "Stored chunk bytes copied onto substituted replicas.",
 		nil, func() float64 { return mt.BackfillBytes })
 	sc.GaugeFunc("smartds_mt_inflight_fanouts", "Client requests with replication fan-outs outstanding.",
 		nil, func() float64 { return float64(mt.InflightFanouts()) })

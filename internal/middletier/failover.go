@@ -99,8 +99,8 @@ func (s *Server) ReconnectStorage(idx int, srv *storage.Server) {
 }
 
 // copyChunk copies one chunk's snapshot from src's store into dst's and
-// returns the snapshot bytes. Restore is versioned, so a block newer on
-// dst than in the snapshot is never clobbered.
+// returns the stored bytes of the records copied. Restore is versioned,
+// so a block newer on dst than in the snapshot is never clobbered.
 func (s *Server) copyChunk(src, dst *storage.Server, key chunkKey) (int, error) {
 	var buf bytes.Buffer
 	n, err := src.Store().SnapshotChunk(&buf, key.seg, key.chunk, s.cfg.Level)
@@ -112,8 +112,8 @@ func (s *Server) copyChunk(src, dst *storage.Server, key chunkKey) (int, error) 
 
 // RebuildServer streams surviving replicas' chunk snapshots into a
 // recovered server's empty store (the re-replication phase of
-// fail-over). It charges the transfer at the middle tier's port rate
-// and returns the snapshot bytes moved. Chunks are rebuilt in sorted
+// fail-over). It charges the records' stored bytes at the middle
+// tier's port rate and returns them. Chunks are rebuilt in sorted
 // (segment, chunk) order so same-seed runs replay identically.
 func (s *Server) RebuildServer(p *sim.Proc, idx int, servers []*storage.Server) float64 {
 	var keys []chunkKey

@@ -289,11 +289,11 @@ type Server struct {
 	RetryBytes       float64 // payload bytes re-sent by those retries
 	EngineFallbacks  uint64  // writes stored raw because an engine was down
 	EngineReroutes   uint64  // SmartDS writes compressed by a surviving port's engine
-	RebuildBytes     float64 // snapshot bytes streamed rebuilding crashed servers
+	RebuildBytes     float64 // stored bytes streamed rebuilding crashed servers
 	StaleAcks        uint64  // storage acks arriving after their fan-out completed or was abandoned
 	ReadRepairs      uint64  // stale replicas rewritten by quorum reads
 	RepairBytes      float64 // frame bytes those read-repairs pushed
-	BackfillBytes    float64 // chunk snapshot bytes copied onto substituted replicas
+	BackfillBytes    float64 // stored chunk bytes copied onto substituted replicas
 
 	// StragglerAcks[i] counts multi-replica fan-outs whose deciding ack
 	// — the one the middle tier actually waited for — came from replica

@@ -27,23 +27,27 @@ import (
 
 const modeledMark = ^uint32(0)
 
-// SnapshotChunk writes a consistent image of one chunk's live records.
+// SnapshotChunk writes a consistent image of one chunk's live records
+// and returns their stored size: the payload length of each record, or
+// its size hint for a modeled record. That, not the image length, is
+// what copying the chunk moves, and it is the same in functional and
+// modeled runs.
 func (s *ChunkStore) SnapshotChunk(w io.Writer, seg uint64, chunk uint32, level lz4.Level) (int, error) {
 	sw, err := lz4.NewWriter(w, level, 0)
 	if err != nil {
 		return 0, err
 	}
-	count := 0
+	stored := 0
 	for _, rec := range s.records {
 		if !rec.live || rec.Key.SegmentID != seg || rec.Key.ChunkID != chunk {
 			continue
 		}
 		if err := writeSnapshotRecord(sw, rec); err != nil {
-			return count, err
+			return stored, err
 		}
-		count++
+		stored += int(rec.SizeHint) // len(rec.Data) for a record with bytes
 	}
-	return count, sw.Close()
+	return stored, sw.Close()
 }
 
 // Snapshot writes an image of every live record in the store.

@@ -63,9 +63,15 @@ func TestSnapshotChunkFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Records with i%2==0 && i%3==0: i in {0,6,12,18,24} => 5.
-	if n != 5 {
-		t.Fatalf("chunk snapshot has %d records, want 5", n)
+	// Records with i%2==0 && i%3==0: i in {0,6,12,18,24} => 5, and the
+	// snapshot reports their stored bytes.
+	want := 0
+	for _, i := range []int{0, 6, 12, 18, 24} {
+		rec, _ := src.Lookup(BlockKey{BlockOff: uint32(i)})
+		want += len(rec.Data)
+	}
+	if n != want {
+		t.Fatalf("chunk snapshot reports %d stored bytes, want %d", n, want)
 	}
 	dst := NewChunkStore()
 	if _, err := dst.RestoreSnapshot(bytes.NewReader(img.Bytes())); err != nil {

@@ -69,8 +69,10 @@ func TestSnapshotPreservesWriteVersion(t *testing.T) {
 	src.AppendModeledVersioned(mkey, 512, 0, 43)
 
 	var img bytes.Buffer
-	if _, err := src.SnapshotChunk(&img, 4, 1, lz4.LevelFast); err != nil {
-		t.Fatal(err)
+	// The copy is charged at the records' stored sizes: 7 payload bytes
+	// plus the modeled record's 512.
+	if n, err := src.SnapshotChunk(&img, 4, 1, lz4.LevelFast); err != nil || n != 7+512 {
+		t.Fatalf("snapshot reports %d stored bytes, err %v; want %d", n, err, 7+512)
 	}
 	dst := NewChunkStore()
 	if n, err := dst.RestoreSnapshot(bytes.NewReader(img.Bytes())); err != nil || n != 2 {
