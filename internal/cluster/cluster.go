@@ -170,7 +170,7 @@ type Client struct {
 	measuring  bool
 	Lat        *metrics.Histogram
 	Done       uint64  // completed requests while measuring
-	BytesMoved float64 // payload bytes of completed requests while measuring
+	BytesMoved float64 // payload bytes of requests served OK while measuring
 	Errors     uint64
 	verifyMism uint64
 
@@ -272,7 +272,9 @@ func (cl *Client) onReply(m *rdma.Message) {
 	if cl.measuring {
 		cl.Lat.Record(lat)
 		cl.Done++
-		cl.BytesMoved += iss.size
+		if !errored {
+			cl.BytesMoved += iss.size
+		}
 		if tr != nil && cl.latMetric != nil {
 			// Exemplar: link this latency bucket to a kept trace id.
 			cl.latMetric.RecordExemplar(lat, tid, now)

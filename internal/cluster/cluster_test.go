@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -345,6 +346,19 @@ func TestOpenLoopOverload(t *testing.T) {
 // panic, while latency-sensitive writes (which ship straight from the
 // descriptor buffer) still succeed.
 func TestSmartDSHBMExhaustionFailsRequests(t *testing.T) {
+	c := New(hbmStarvedCfg())
+	res := c.Run(hbmStarvedLoad)
+	if res.Requests == 0 || res.Errors == 0 || res.Errors == res.Requests {
+		t.Fatalf("want a mix of failed and served requests, got %d requests, %d errors", res.Requests, res.Errors)
+	}
+	if c.MT.BypassHits == 0 || c.MT.ReadsDone == 0 {
+		t.Fatalf("bypass writes %d, reads %d: both paths must run", c.MT.BypassHits, c.MT.ReadsDone)
+	}
+}
+
+// hbmStarvedCfg is a modeled SmartDS cluster whose HBM holds its
+// receive-descriptor pools and almost nothing else.
+func hbmStarvedCfg() Config {
 	cfg := smallCfg(middletier.SmartDS)
 	cfg.Functional = false
 	cfg.MT.SmartDSInflight = 8
@@ -352,13 +366,33 @@ func TestSmartDSHBMExhaustionFailsRequests(t *testing.T) {
 	pools := cfg.MT.SmartDSInflight*(bs+1024) +
 		cfg.NumStorage*64*(lz4.CompressBound(bs)+lz4.FrameHeaderSize)
 	cfg.MT.HBM = device.MemoryConfig{Capacity: pools + 1024}
+	return cfg
+}
+
+var hbmStarvedLoad = Workload{Window: 8, Warmup: 0.5e-3, Measure: 2e-3, ReadFraction: 0.3, BypassFraction: 0.3}
+
+// TestThroughputCountsServedRequestsOnly: in a run where some requests
+// fail, throughput is the bytes of the requests served OK inside the
+// measurement window; a failed request moves no bytes.
+func TestThroughputCountsServedRequestsOnly(t *testing.T) {
+	cfg := hbmStarvedCfg()
 	c := New(cfg)
-	res := c.Run(Workload{Window: 8, Warmup: 0.5e-3, Measure: 2e-3, ReadFraction: 0.3, BypassFraction: 0.3})
-	if res.Requests == 0 || res.Errors == 0 || res.Errors == res.Requests {
-		t.Fatalf("want a mix of failed and served requests, got %d requests, %d errors", res.Requests, res.Errors)
+	var failed uint64
+	for _, cl := range c.Clients {
+		cl := cl
+		cl.completionHook = func(_, _ float64, err bool) {
+			if err && cl.measuring {
+				failed++
+			}
+		}
 	}
-	if c.MT.BypassHits == 0 || c.MT.ReadsDone == 0 {
-		t.Fatalf("bypass writes %d, reads %d: both paths must run", c.MT.BypassHits, c.MT.ReadsDone)
+	res := c.Run(hbmStarvedLoad)
+	if failed == 0 || failed == res.Requests {
+		t.Fatalf("want a mix of failed and served requests in the window, got %d of %d failed", failed, res.Requests)
+	}
+	served := float64(res.Requests-failed) * float64(cfg.MT.BlockSize)
+	if got := res.Throughput * res.Duration; math.Abs(got-served) > 1e-9*served {
+		t.Fatalf("throughput counts %.0f bytes, want %.0f: the %d served requests only", got, served, res.Requests-failed)
 	}
 }
 

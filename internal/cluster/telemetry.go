@@ -31,7 +31,7 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 			return float64(n)
 		})
 	sc.CounterFunc("smartds_client_bytes_total",
-		"Payload bytes completed by all clients inside the measurement window.",
+		"Payload bytes served OK to all clients inside the measurement window.",
 		nil, func() float64 {
 			var b float64
 			for _, cl := range c.Clients {
