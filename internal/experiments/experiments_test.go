@@ -2,14 +2,83 @@ package experiments
 
 import (
 	"math"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/disagg/smartds/internal/metrics"
-	"github.com/disagg/smartds/internal/middletier"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 42} }
+
+// quickRuns memoizes one quick run per experiment id for the whole test
+// binary: every test that asserts on an experiment reads its tables
+// from here instead of running it again.
+var quickRuns struct {
+	sync.Mutex
+	tables map[string][]*metrics.Table
+}
+
+// quickTables returns experiment id's quick tables, running it on the
+// first call.
+func quickTables(t *testing.T, id string) []*metrics.Table {
+	t.Helper()
+	quickRuns.Lock()
+	defer quickRuns.Unlock()
+	if tables, ok := quickRuns.tables[id]; ok {
+		return tables
+	}
+	tables, err := Run(id, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quickRuns.tables == nil {
+		quickRuns.tables = make(map[string][]*metrics.Table)
+	}
+	quickRuns.tables[id] = tables
+	return tables
+}
+
+// quickTable returns the single table of a one-table experiment.
+func quickTable(t *testing.T, id string) *metrics.Table {
+	t.Helper()
+	tables := quickTables(t, id)
+	if len(tables) != 1 {
+		t.Fatalf("%s produced %d tables, want 1", id, len(tables))
+	}
+	return tables[0]
+}
+
+// rowOf returns the row whose first cell is label.
+func rowOf(t *testing.T, tbl *metrics.Table, label string) []string {
+	t.Helper()
+	for _, row := range tbl.Rows {
+		if row[0] == label {
+			return row
+		}
+	}
+	t.Fatalf("%q has no row %q:\n%s", tbl.Title, label, tbl.String())
+	return nil
+}
+
+// number parses a table cell: a bare number, or one followed by a unit
+// (Gbps, or the metrics.FormatDuration units, which it scales to
+// seconds).
+func number(t *testing.T, cell string) float64 {
+	t.Helper()
+	num, unit, _ := strings.Cut(cell, " ")
+	v, err := strconv.ParseFloat(num, 64)
+	if err != nil {
+		t.Fatalf("cell %q: %v", cell, err)
+	}
+	scale := map[string]float64{"": 1, "Gbps": 1, "s": 1, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
+	f, ok := scale[unit]
+	if !ok {
+		t.Fatalf("cell %q: unknown unit %q", cell, unit)
+	}
+	return v * f
+}
 
 // skipInShort gates the full-load driver tests: each one runs real
 // cluster workloads for tens of seconds, and race instrumentation
@@ -41,8 +110,10 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable1MatchesPaperCalibration(t *testing.T) {
-	idleH, idleD := table1Point(false)
-	loadH, loadD := table1Point(true)
+	tbl := quickTable(t, "table1")
+	idle, loaded := rowOf(t, tbl, "Under Loaded"), rowOf(t, tbl, "Heavily Loaded")
+	idleH, idleD := number(t, idle[1]), number(t, idle[2])
+	loadH, loadD := number(t, loaded[1]), number(t, loaded[2])
 	if math.Abs(idleH-1.4e-6) > 0.2e-6 || math.Abs(idleD-1.4e-6) > 0.2e-6 {
 		t.Fatalf("idle latencies %v/%v, want ~1.4us", idleH, idleD)
 	}
@@ -58,7 +129,7 @@ func TestTable1MatchesPaperCalibration(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	tbl := Table3(quickOpts())
+	tbl := quickTable(t, "table3")
 	out := tbl.String()
 	for _, want := range []string{"Acc", "SmartDS-6", "941", "112"} {
 		if !strings.Contains(out, want) {
@@ -68,78 +139,72 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestFig4PressureShape(t *testing.T) {
-	opt := quickOpts()
-	free, _ := fig4Point(opt, math.Inf(1))
-	loaded, mlcRate := fig4Point(opt, 0)
-	if free < metrics.GbpsToBytesPerSec(80) {
-		t.Fatalf("uncontended RDMA only %s", metrics.FormatGbps(free))
+	tbl := quickTable(t, "fig4")
+	idle, saturated := rowOf(t, tbl, "none"), rowOf(t, tbl, "0")
+	free, loaded := number(t, idle[1]), number(t, saturated[1])
+	mlcGBps := number(t, saturated[2])
+	if free < 80 {
+		t.Fatalf("uncontended RDMA only %.3g Gbps", free)
 	}
 	frac := loaded / free
 	if frac > 0.75 || frac < 0.2 {
 		t.Fatalf("pressure drop to %.0f%%, want the paper's collapse toward ~46%%", frac*100)
 	}
-	if mlcRate < 50e9 {
-		t.Fatalf("MLC only sustained %.1f GB/s under its own saturation", mlcRate/1e9)
+	if mlcGBps < 50 {
+		t.Fatalf("MLC only sustained %.1f GB/s under its own saturation", mlcGBps)
 	}
 }
 
 func TestFig7HeadlineShapes(t *testing.T) {
 	skipInShort(t)
-	opt := quickOpts()
-	cpu2 := opt.runFig7Point(fig7Config{middletier.CPUOnly, 2, "", 16})
-	cpu48 := opt.runFig7Point(fig7Config{middletier.CPUOnly, 48, "", 8 * 48})
-	sds := opt.runFig7Point(fig7Config{middletier.SmartDS, 2, "", 192})
-	bf2 := opt.runFig7Point(fig7Config{middletier.BF2, 0, "", 192})
+	tbl := quickTable(t, "fig7")
+	gbps := func(label string) float64 { return number(t, rowOf(t, tbl, label)[1]) }
+	cpu2, cpu48 := gbps("CPU-only/2"), gbps("CPU-only/48")
+	sds, bf2 := gbps("SmartDS-1/2"), gbps("BF2")
 
 	// CPU-only scales with cores but stays compression-bound.
-	if cpu48.Throughput < 5*cpu2.Throughput {
-		t.Fatalf("CPU-only scaling broken: %s -> %s",
-			metrics.FormatGbps(cpu2.Throughput), metrics.FormatGbps(cpu48.Throughput))
+	if cpu48 < 5*cpu2 {
+		t.Fatalf("CPU-only scaling broken: %.2f Gbps -> %.2f Gbps", cpu2, cpu48)
 	}
 	// SmartDS-1 with 2 cores beats CPU-only with 2 cores by a wide margin
 	// and at least matches CPU-only peak.
-	if sds.Throughput < 5*cpu2.Throughput {
-		t.Fatalf("SmartDS-1 (%s) should dwarf 2-core CPU-only (%s)",
-			metrics.FormatGbps(sds.Throughput), metrics.FormatGbps(cpu2.Throughput))
+	if sds < 5*cpu2 {
+		t.Fatalf("SmartDS-1 (%.2f Gbps) should dwarf 2-core CPU-only (%.2f Gbps)", sds, cpu2)
 	}
 	// Paper §5.2: SmartDS-1 with 2 cores reaches "the same throughput"
 	// CPU-only needs all 48 logical cores for (both are bounded by the
 	// port's replication egress / compression capacity).
-	if sds.Throughput < 0.9*cpu48.Throughput {
-		t.Fatalf("SmartDS-1 (%s) well below CPU-only peak (%s)",
-			metrics.FormatGbps(sds.Throughput), metrics.FormatGbps(cpu48.Throughput))
+	if sds < 0.9*cpu48 {
+		t.Fatalf("SmartDS-1 (%.2f Gbps) well below CPU-only peak (%.2f Gbps)", sds, cpu48)
 	}
 	// BF2 is bounded by its ~40 Gbps engine.
-	bf2Gbps := metrics.BytesPerSecToGbps(bf2.Throughput)
-	if bf2Gbps > 45 {
-		t.Fatalf("BF2 exceeded its engine bound: %.1f Gbps", bf2Gbps)
+	if bf2 > 45 {
+		t.Fatalf("BF2 exceeded its engine bound: %.1f Gbps", bf2)
 	}
-	if bf2Gbps < 15 {
-		t.Fatalf("BF2 implausibly slow: %.1f Gbps", bf2Gbps)
+	if bf2 < 15 {
+		t.Fatalf("BF2 implausibly slow: %.1f Gbps", bf2)
 	}
 }
 
 func TestFig10LinearScaling(t *testing.T) {
 	skipInShort(t)
-	opt := quickOpts()
-	r1 := opt.runFig10Point(1)
-	r2 := opt.runFig10Point(2)
-	ratio := r2.Throughput / r1.Throughput
+	tbl := quickTable(t, "fig10")
+	r1, r2 := rowOf(t, tbl, "SmartDS-1"), rowOf(t, tbl, "SmartDS-2")
+	ratio := number(t, r2[1]) / number(t, r1[1])
 	if ratio < 1.7 {
 		t.Fatalf("port scaling 1->2 gave %.2fx, want ~2x", ratio)
 	}
 	// Latency stays in the same regime.
-	if r2.Lat.Mean > 3*r1.Lat.Mean {
-		t.Fatalf("multi-port latency exploded: %v vs %v", r2.Lat.Mean, r1.Lat.Mean)
+	if mean1, mean2 := number(t, r1[2]), number(t, r2[2]); mean2 > 3*mean1 {
+		t.Fatalf("multi-port latency exploded: %v vs %v", mean2, mean1)
 	}
 }
 
 func TestFig9IsolationShape(t *testing.T) {
 	skipInShort(t)
 	// Under full MLC pressure, CPU-only loses significant throughput;
-	// SmartDS barely changes. Run the minimal two-point version inline.
-	opt := quickOpts()
-	tbl := Fig9(opt)
+	// SmartDS barely changes.
+	tbl := quickTable(t, "fig9")
 	out := tbl.String()
 	if !strings.Contains(out, "CPU-only") || !strings.Contains(out, "SmartDS-1") {
 		t.Fatalf("fig9 table malformed:\n%s", out)
@@ -148,18 +213,24 @@ func TestFig9IsolationShape(t *testing.T) {
 
 func TestSec55TableShape(t *testing.T) {
 	skipInShort(t)
-	tbl := Sec55(quickOpts())
+	tbl := quickTable(t, "sec55")
 	out := tbl.String()
 	if !strings.Contains(out, "cards") || !strings.Contains(out, "speedup over CPU-only") {
 		t.Fatalf("sec55 table malformed:\n%s", out)
 	}
 }
 
-func TestRunAllQuickProducesTables(t *testing.T) {
+// TestQuickRunsProduceTables runs every registered experiment in quick
+// mode (reusing the runs the shape tests made) and checks that each
+// yields non-empty tables.
+func TestQuickRunsProduceTables(t *testing.T) {
 	skipInShort(t)
-	tables := RunAll(quickOpts())
+	var tables []*metrics.Table
+	for _, id := range Names() {
+		tables = append(tables, quickTables(t, id)...)
+	}
 	if len(tables) < 10 {
-		t.Fatalf("RunAll produced %d tables", len(tables))
+		t.Fatalf("quick runs produced %d tables", len(tables))
 	}
 	for _, tb := range tables {
 		if len(tb.Rows) == 0 {
@@ -170,7 +241,7 @@ func TestRunAllQuickProducesTables(t *testing.T) {
 
 func TestExtFailoverZeroErrors(t *testing.T) {
 	skipInShort(t)
-	tbl := ExtFailover(quickOpts())
+	tbl := quickTable(t, "ext-failover")
 	out := tbl.String()
 	if !strings.Contains(out, "server 0 down") || !strings.Contains(out, "recovered") {
 		t.Fatalf("failover table malformed:\n%s", out)
@@ -190,7 +261,7 @@ func TestExtFailoverZeroErrors(t *testing.T) {
 
 func TestExtReadsServesBothOps(t *testing.T) {
 	skipInShort(t)
-	tbl := ExtReads(quickOpts())
+	tbl := quickTable(t, "ext-reads")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

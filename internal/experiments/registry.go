@@ -46,13 +46,3 @@ func Run(name string, opt Options) ([]*metrics.Table, error) {
 	opt.exp = name
 	return r(opt), nil
 }
-
-// RunAll executes every experiment in order.
-func RunAll(opt Options) []*metrics.Table {
-	var out []*metrics.Table
-	for _, name := range Names() {
-		tables, _ := Run(name, opt)
-		out = append(out, tables...)
-	}
-	return out
-}
