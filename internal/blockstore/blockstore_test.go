@@ -155,3 +155,77 @@ func TestResolveKnownValues(t *testing.T) {
 		t.Fatalf("Resolve(segment boundary) = %+v", loc)
 	}
 }
+
+// TestSizedMessageModeledPayload checks that a modeled payload carries
+// no bytes on the wire while its header records the full size.
+func TestSizedMessageModeledPayload(t *testing.T) {
+	h := Header{Op: OpWrite, ReqID: 9}
+	b := SizedMessage(h, nil, 4096)
+	if len(b) != HeaderSize {
+		t.Fatalf("modeled message is %d bytes, want the header only", len(b))
+	}
+	got, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.PayloadLen != 4096 || got.ReqID != 9 {
+		t.Fatalf("decoded %+v, want PayloadLen 4096 and ReqID 9", got)
+	}
+	if _, _, err := SplitMessage(b); err == nil {
+		t.Fatal("SplitMessage accepted a header whose payload is not on the wire")
+	}
+	payload := []byte("abcd")
+	hm := h
+	if !bytes.Equal(SizedMessage(h, payload, 4), Message(&hm, payload)) {
+		t.Fatal("SizedMessage with the real length differs from Message")
+	}
+}
+
+// TestResolveConsecutive checks that the next LBA is the next block of
+// the same chunk, or block 0 of the next chunk (and segment) at a
+// boundary.
+func TestResolveConsecutive(t *testing.T) {
+	g := DefaultGeometry()
+	bpc, cps := uint64(g.BlocksPerChunk()), uint64(g.ChunksPerSegment())
+	for _, lba := range []uint64{0, bpc - 1, bpc, bpc*cps - 1, bpc * cps, 7*bpc*cps + 12345} {
+		a, b := g.Resolve(lba), g.Resolve(lba+1)
+		switch {
+		case a.BlockOff+1 < uint32(bpc):
+			if b != (Location{a.SegmentID, a.ChunkID, a.BlockOff + 1}) {
+				t.Fatalf("Resolve(%d)=%+v, Resolve(+1)=%+v: want the next block", lba, a, b)
+			}
+		case uint64(a.ChunkID)+1 < cps:
+			if b != (Location{a.SegmentID, a.ChunkID + 1, 0}) {
+				t.Fatalf("Resolve(%d)=%+v, Resolve(+1)=%+v: want the next chunk", lba, a, b)
+			}
+		default:
+			if b != (Location{a.SegmentID + 1, 0, 0}) {
+				t.Fatalf("Resolve(%d)=%+v, Resolve(+1)=%+v: want the next segment", lba, a, b)
+			}
+		}
+	}
+}
+
+// TestResolveCustomGeometry checks Resolve on a small non-default
+// geometry: 8 blocks per chunk, 4 chunks per segment.
+func TestResolveCustomGeometry(t *testing.T) {
+	g := Geometry{BlockSize: 512, ChunkBytes: 4096, SegmentBytes: 16384}
+	if g.BlocksPerChunk() != 8 || g.ChunksPerSegment() != 4 {
+		t.Fatalf("blocks/chunk = %d, chunks/segment = %d; want 8, 4", g.BlocksPerChunk(), g.ChunksPerSegment())
+	}
+	for _, c := range []struct {
+		lba  uint64
+		want Location
+	}{
+		{0, Location{0, 0, 0}},
+		{7, Location{0, 0, 7}},
+		{8, Location{0, 1, 0}},
+		{31, Location{0, 3, 7}},
+		{32, Location{1, 0, 0}},
+		{77, Location{2, 1, 5}},
+	} {
+		if got := g.Resolve(c.lba); got != c.want {
+			t.Errorf("Resolve(%d) = %+v, want %+v", c.lba, got, c.want)
+		}
+	}
+}

@@ -152,3 +152,44 @@ func TestClassString(t *testing.T) {
 		t.Fatal("unknown class should stringify")
 	}
 }
+
+// TestZeroClassAllZero checks the all-zero generator, which models
+// sparse and freshly allocated blocks.
+func TestZeroClassAllZero(t *testing.T) {
+	c := New(7, WithStreamSize(1024))
+	for _, size := range []int{1, 512, 4096} {
+		for _, b := range c.BlockOf(Zero, size) {
+			if b != 0 {
+				t.Fatalf("Zero block of %d bytes holds nonzero data", size)
+			}
+		}
+	}
+}
+
+// TestBlockSequenceDeterministic checks that two same-seed corpora draw
+// the same block sequence.
+func TestBlockSequenceDeterministic(t *testing.T) {
+	a, b := New(42, WithStreamSize(8192)), New(42, WithStreamSize(8192))
+	for i := 0; i < 50; i++ {
+		if !bytes.Equal(a.Block(4096), b.Block(4096)) {
+			t.Fatalf("same-seed corpora diverge at block %d", i)
+		}
+	}
+}
+
+// TestBlockOfWrapsStream checks that a block longer than its class
+// stream repeats the stream cyclically from the sampled offset.
+func TestBlockOfWrapsStream(t *testing.T) {
+	const stream = 1000
+	c := New(5, WithStreamSize(stream))
+	blk := c.BlockOf(Text, 2500)
+	for i := stream; i < len(blk); i++ {
+		if blk[i] != blk[i-stream] {
+			t.Fatalf("byte %d = %q, want the byte one stream earlier (%q)", i, blk[i], blk[i-stream])
+		}
+	}
+	twice := append(append([]byte(nil), c.streams[Text]...), c.streams[Text]...)
+	if !bytes.Contains(twice, blk[:stream]) {
+		t.Fatal("block is not a rotation of the class stream")
+	}
+}

@@ -413,3 +413,21 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 		t.Fatalf("Sum = %g, want %g", h.Sum(), want)
 	}
 }
+
+// TestMeterTotalSurvivesWindows checks that closing windows only moves
+// the window mark: Total stays the lifetime sum.
+func TestMeterTotalSurvivesWindows(t *testing.T) {
+	m := NewMeter(1)
+	m.Add(100)
+	if r := m.MarkWindow(2); r != 100 {
+		t.Fatalf("first window = %g, want 100", r)
+	}
+	m.Add(50)
+	m.MarkWindow(2) // zero-width: no-op
+	if r := m.MarkWindow(4); r != 25 {
+		t.Fatalf("second window = %g, want 25", r)
+	}
+	if m.Total() != 150 {
+		t.Fatalf("Total = %g, want 150", m.Total())
+	}
+}

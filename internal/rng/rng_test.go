@@ -173,3 +173,36 @@ func TestChoicePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestIntnUniform checks that every residue of Intn is drawn close to
+// its share.
+func TestIntnUniform(t *testing.T) {
+	s := New(17)
+	const n, draws = 10, 100000
+	var counts [n]int
+	for i := 0; i < draws; i++ {
+		counts[s.Intn(n)]++
+	}
+	for v, c := range counts {
+		if math.Abs(float64(c)-draws/n) > 0.05*draws/n {
+			t.Fatalf("Intn(%d) drew %d %d times, want ~%d", n, v, c, draws/n)
+		}
+	}
+}
+
+// TestSplitDeterministic checks that a child stream depends only on the
+// parent's seed and position, and that Split advances the parent.
+func TestSplitDeterministic(t *testing.T) {
+	a, b := New(31).Split(), New(31).Split()
+	for i := 0; i < 100; i++ {
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("same-seed children diverge at draw %d", i)
+		}
+	}
+	split, plain := New(31), New(31)
+	split.Split()
+	plain.Uint64()
+	if split.Uint64() != plain.Uint64() {
+		t.Fatal("Split did not consume exactly one parent draw")
+	}
+}

@@ -365,3 +365,235 @@ func TestPSLinkInFlightGauge(t *testing.T) {
 		t.Fatalf("in flight after drain = %d", l.InFlight())
 	}
 }
+
+// TestWaitTimeoutSameInstantRace pins the deadline instant: when the
+// trigger and the timeout land at the same virtual time, the entry
+// dispatched first decides, and the waiter reports what it sees when it
+// resumes. Either way the value is never lost — the event stays done
+// and a later Wait returns it without parking.
+func TestWaitTimeoutSameInstantRace(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		triggerFirst bool
+		wantOK       bool
+	}{
+		{"trigger-scheduled-first", true, true},
+		{"timer-scheduled-first", false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEnv()
+			ev := e.NewEvent()
+			if c.triggerFirst {
+				e.At(1, func() { ev.Trigger("v") })
+			}
+			var ok bool
+			var val, again interface{}
+			var resumed, after Time
+			e.Go("w", func(p *Proc) {
+				val, ok = p.WaitTimeout(ev, 1)
+				resumed = p.Now()
+				again = p.Wait(ev)
+				after = p.Now()
+			})
+			if !c.triggerFirst {
+				// Scheduled after the waiter's timer is armed (at t=0),
+				// so the timer entry precedes it at t=1.
+				e.After(0.5, func() { e.At(1, func() { ev.Trigger("v") }) })
+			}
+			e.Run(0)
+			if ok != c.wantOK {
+				t.Fatalf("WaitTimeout ok = %v, want %v", ok, c.wantOK)
+			}
+			if ok && val != "v" {
+				t.Fatalf("completed with value %v, want v", val)
+			}
+			if !ok && val != nil {
+				t.Fatalf("timed out with value %v, want nil", val)
+			}
+			if resumed != 1 || after != 1 {
+				t.Fatalf("resumed at %g, second wait returned at %g; want both at 1", resumed, after)
+			}
+			if again != "v" {
+				t.Fatalf("later Wait = %v, want the triggered value", again)
+			}
+		})
+	}
+}
+
+// TestWaitTimeoutStaleTokenIgnored checks that a trigger arriving after
+// a timeout cannot wake the process out of its next, unrelated park.
+func TestWaitTimeoutStaleTokenIgnored(t *testing.T) {
+	e := NewEnv()
+	ev := e.NewEvent()
+	var woke Time
+	e.Go("w", func(p *Proc) {
+		if _, ok := p.WaitTimeout(ev, 1); ok {
+			t.Error("WaitTimeout completed before the trigger")
+		}
+		p.Sleep(5)
+		woke = p.Now()
+	})
+	e.After(2, func() { ev.Trigger(nil) })
+	e.Run(0)
+	if woke != 6 {
+		t.Fatalf("sleep after timeout ended at %g, want 6 (the late trigger must not cut it short)", woke)
+	}
+}
+
+// TestEventWaitersWakeInArrivalOrder pins FIFO wake-up: the first
+// waiter lives inline, later ones in the overflow slice, and Trigger
+// resumes them in the order they parked.
+func TestEventWaitersWakeInArrivalOrder(t *testing.T) {
+	e := NewEnv()
+	ev := e.NewEvent()
+	var got []int
+	for i := 0; i < 4; i++ {
+		i := i
+		e.Go("w", func(p *Proc) {
+			p.Sleep(float64(i) * 0.001)
+			p.Wait(ev)
+			got = append(got, i)
+		})
+	}
+	e.After(1, func() { ev.Trigger(nil) })
+	e.Run(0)
+	want := []int{0, 1, 2, 3}
+	if len(got) != len(want) {
+		t.Fatalf("woke %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("woke %v, want %v", got, want)
+		}
+	}
+}
+
+// TestWaitTimeoutKeepsOtherWaitersOrder checks that a waiter that times
+// out — inline or from the overflow slice — leaves the event, and the
+// remaining waiters still wake once each, in arrival order.
+func TestWaitTimeoutKeepsOtherWaitersOrder(t *testing.T) {
+	for _, quitter := range []int{0, 1, 2} {
+		e := NewEnv()
+		ev := e.NewEvent()
+		var got []int
+		timedOut := -1
+		for i := 0; i < 3; i++ {
+			i := i
+			e.Go("w", func(p *Proc) {
+				p.Sleep(float64(i) * 0.001)
+				if i == quitter {
+					if _, ok := p.WaitTimeout(ev, 0.5); !ok {
+						timedOut = i
+					}
+					return
+				}
+				p.Wait(ev)
+				got = append(got, i)
+			})
+		}
+		e.After(1, func() { ev.Trigger(nil) })
+		e.Run(0)
+		if timedOut != quitter {
+			t.Fatalf("quitter %d: timed out %d", quitter, timedOut)
+		}
+		var want []int
+		for i := 0; i < 3; i++ {
+			if i != quitter {
+				want = append(want, i)
+			}
+		}
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("quitter %d: woke %v, want %v", quitter, got, want)
+		}
+	}
+}
+
+// TestOnTriggerCallbacksInOrder checks that callbacks run once each, in
+// registration order, with the trigger value, and that Trigger clears
+// them so the event holds no references afterwards.
+func TestOnTriggerCallbacksInOrder(t *testing.T) {
+	e := NewEnv()
+	ev := e.NewEvent()
+	var got []string
+	for _, name := range []string{"a", "b", "c"} {
+		name := name
+		ev.OnTrigger(func(v interface{}) { got = append(got, name+v.(string)) })
+	}
+	ev.Trigger("!")
+	if len(got) != 3 || got[0] != "a!" || got[1] != "b!" || got[2] != "c!" {
+		t.Fatalf("callbacks ran %v, want [a! b! c!]", got)
+	}
+	if ev.ncb != 0 || ev.cb0 != nil || ev.cbs != nil {
+		t.Fatal("Trigger left callbacks registered")
+	}
+}
+
+// TestInitEventBehavesLikeNewEvent checks that a zero Event readied by
+// InitEvent parks, wakes and reports its value exactly like one from
+// NewEvent.
+func TestInitEventBehavesLikeNewEvent(t *testing.T) {
+	e := NewEnv()
+	var rec struct {
+		id   int
+		done Event
+	}
+	e.InitEvent(&rec.done)
+	if rec.done.Done() || rec.done.Value() != nil {
+		t.Fatal("fresh event is already done")
+	}
+	var got interface{}
+	var at Time
+	e.Go("w", func(p *Proc) { got = p.Wait(&rec.done); at = p.Now() })
+	e.After(2, func() { rec.done.Trigger(9) })
+	e.Run(0)
+	if got != 9 || at != 2 || !rec.done.Done() || rec.done.Value() != 9 {
+		t.Fatalf("InitEvent event: got %v at %g, done=%v", got, at, rec.done.Done())
+	}
+}
+
+// TestNewEventAcrossSlabBoundary checks that events carved from
+// consecutive slab chunks are distinct: triggering one never completes
+// another, and the slab never hands out the same storage twice.
+func TestNewEventAcrossSlabBoundary(t *testing.T) {
+	e := NewEnv()
+	evs := make([]*Event, 2*eventSlab+3)
+	seen := make(map[*Event]bool, len(evs))
+	for i := range evs {
+		evs[i] = e.NewEvent()
+		if seen[evs[i]] {
+			t.Fatalf("event %d reuses storage", i)
+		}
+		seen[evs[i]] = true
+	}
+	for i := 0; i < len(evs); i += 2 {
+		evs[i].Trigger(i)
+	}
+	for i, ev := range evs {
+		if want := i%2 == 0; ev.Done() != want {
+			t.Fatalf("event %d done = %v, want %v", i, ev.Done(), want)
+		}
+		if ev.Done() && ev.Value() != i {
+			t.Fatalf("event %d value = %v", i, ev.Value())
+		}
+	}
+}
+
+// TestYieldLetsSameInstantWorkRun checks that Yield parks for zero time
+// behind work already scheduled at the current instant.
+func TestYieldLetsSameInstantWorkRun(t *testing.T) {
+	e := NewEnv()
+	var order []string
+	e.Go("a", func(p *Proc) {
+		order = append(order, "a1")
+		p.Yield()
+		order = append(order, "a2")
+	})
+	e.Go("b", func(p *Proc) { order = append(order, "b") })
+	e.Run(0)
+	if len(order) != 3 || order[0] != "a1" || order[1] != "b" || order[2] != "a2" {
+		t.Fatalf("order = %v, want [a1 b a2]", order)
+	}
+	if e.Now() != 0 {
+		t.Fatalf("Yield advanced the clock to %g", e.Now())
+	}
+}

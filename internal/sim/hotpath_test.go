@@ -333,3 +333,36 @@ func TestSameInstantCascadeOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitTimeoutZeroAllocs pins the bounded-wait park the middle
+// tier's replication fan-outs use: once the pools are warm, a
+// WaitTimeout that completes (its timer cancelled) and one that expires
+// (its token withdrawn from the event) allocate nothing.
+func TestWaitTimeoutZeroAllocs(t *testing.T) {
+	env := NewEnv()
+	slab := make([]Event, 2*(64+1001))
+	var hit, miss *Event
+	waiter := func(p *Proc) {
+		if _, ok := p.WaitTimeout(hit, 5); !ok {
+			t.Error("WaitTimeout on a triggered event timed out")
+		}
+		if _, ok := p.WaitTimeout(miss, 1); ok {
+			t.Error("WaitTimeout on an idle event completed")
+		}
+	}
+	trigger := func() { hit.Trigger(nil) }
+	cycle := func() {
+		hit, miss, slab = &slab[0], &slab[1], slab[2:]
+		env.InitEvent(hit)
+		env.InitEvent(miss)
+		env.Go("waiter", waiter)
+		env.After(2, trigger)
+		env.Run(0)
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // warm the proc and item pools
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("WaitTimeout complete/expire allocates %.2f objects per cycle, want 0", allocs)
+	}
+}

@@ -104,3 +104,86 @@ func TestResourceUtilization(t *testing.T) {
 		t.Fatalf("utilization = %g, want 1.5", u)
 	}
 }
+
+// TestResourceReleaseUnpinsWaiter pins the slice-head fix: Release nils
+// the popped waiter's slot, so the backing array does not keep fired
+// events reachable.
+func TestResourceReleaseUnpinsWaiter(t *testing.T) {
+	e := NewEnv()
+	r := e.NewResource("r", 1)
+	e.Go("holder", func(p *Proc) { hold(p, r, 1) })
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *Proc) { hold(p, r, 1) })
+	}
+	e.Run(0.5)
+	if r.QueueLen() != 3 {
+		t.Fatalf("queue length = %d, want 3", r.QueueLen())
+	}
+	backing := r.queue
+	e.Run(1.5) // the holder releases at 1, handing the slot to waiter 0
+	if backing[0] != nil {
+		t.Fatal("Release left the handed-off waiter's event in the backing array")
+	}
+	if backing[1] == nil || backing[2] == nil {
+		t.Fatal("Release cleared slots of waiters still queued")
+	}
+}
+
+// TestResourceQueueLenAndInUse follows the occupancy accessors through
+// contention and drain.
+func TestResourceQueueLenAndInUse(t *testing.T) {
+	e := NewEnv()
+	r := e.NewResource("r", 2)
+	for i := 0; i < 5; i++ {
+		e.Go("p", func(p *Proc) { hold(p, r, 1) })
+	}
+	type obs struct{ inUse, queued int }
+	var got []obs
+	for _, at := range []Time{0.5, 1.5, 2.5, 3.5} {
+		e.At(at, func() { got = append(got, obs{r.InUse(), r.QueueLen()}) })
+	}
+	e.Run(0)
+	want := []obs{{2, 3}, {2, 1}, {1, 0}, {0, 0}}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("occupancy = %v, want %v", got, want)
+		}
+	}
+	if r.Name() != "r" {
+		t.Fatalf("Name = %q", r.Name())
+	}
+}
+
+func TestNewResourceNonPositivePanics(t *testing.T) {
+	for _, slots := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewResource with %d slots did not panic", slots)
+				}
+			}()
+			NewEnv().NewResource("r", slots)
+		}()
+	}
+}
+
+// TestUtilizationBetweenZeroWidth checks that a zero-width or backwards
+// snapshot pair reports 0 rather than NaN or a negative rate.
+func TestUtilizationBetweenZeroWidth(t *testing.T) {
+	e := NewEnv()
+	r := e.NewResource("r", 1)
+	e.Go("p", func(p *Proc) { hold(p, r, 2) })
+	e.Run(1)
+	a := r.Snapshot()
+	if u := UtilizationBetween(a, a); u != 0 {
+		t.Fatalf("zero-width utilization = %g, want 0", u)
+	}
+	e.Run(0)
+	b := r.Snapshot()
+	if u := UtilizationBetween(b, a); u != 0 {
+		t.Fatalf("backwards utilization = %g, want 0", u)
+	}
+	if u := UtilizationBetween(a, b); u != 1 {
+		t.Fatalf("utilization over [1, 2] = %g, want 1", u)
+	}
+}

@@ -260,3 +260,45 @@ func TestDefaultCapacity(t *testing.T) {
 		t.Fatalf("default capacity = %d events", len(tr.Events()))
 	}
 }
+
+// TestRecordedCountsOverwritten checks that Recorded is a monotone
+// cursor: it counts every event ever recorded, overwritten ones too.
+func TestRecordedCountsOverwritten(t *testing.T) {
+	tr := New(2)
+	for i := 0; i < 5; i++ {
+		if got := tr.Recorded(); got != uint64(i) {
+			t.Fatalf("Recorded before event %d = %d", i, got)
+		}
+		tr.Emit(float64(i), "c", "n", "")
+	}
+	if tr.Recorded() != 5 || tr.Dropped() != 3 || len(tr.Events()) != 2 {
+		t.Fatalf("recorded %d, dropped %d, kept %d; want 5, 3, 2",
+			tr.Recorded(), tr.Dropped(), len(tr.Events()))
+	}
+}
+
+// TestEventsSinceCursor slices per-run windows out of the ring with a
+// Recorded cursor, before and after the ring wraps.
+func TestEventsSinceCursor(t *testing.T) {
+	tr := New(4)
+	tr.Emit(0, "c", "a", "")
+	cur := tr.Recorded()
+	tr.Emit(1, "c", "b", "")
+	tr.Emit(2, "c", "c", "")
+	if got := tr.EventsSince(cur); len(got) != 2 || got[0].Name != "b" || got[1].Name != "c" {
+		t.Fatalf("EventsSince before wrap = %+v, want [b c]", got)
+	}
+	if got := tr.EventsSince(tr.Recorded()); got != nil {
+		t.Fatalf("EventsSince(Recorded()) = %+v, want nil", got)
+	}
+	for i := 3; i < 7; i++ {
+		tr.Emit(float64(i), "c", string(rune('a'+i)), "")
+	}
+	// Events 0..2 are overwritten; the cursor at 1 now sees every survivor.
+	if got := tr.EventsSince(cur); len(got) != 4 || got[0].Name != "d" {
+		t.Fatalf("EventsSince past the ring = %+v, want the 4 survivors from d", got)
+	}
+	if got := tr.EventsSince(5); len(got) != 2 || got[0].Name != "f" || got[1].Name != "g" {
+		t.Fatalf("EventsSince(5) after wrap = %+v, want [f g]", got)
+	}
+}
