@@ -171,7 +171,7 @@ type Client struct {
 	Lat        *metrics.Histogram
 	Done       uint64  // completed requests while measuring
 	BytesMoved float64 // payload bytes of requests served OK while measuring
-	Errors     uint64
+	Errors     uint64  // requests completed with a non-OK status while measuring
 	verifyMism uint64
 
 	// onComplete refills the closed-loop window.
@@ -239,16 +239,17 @@ func (cl *Client) onReply(m *rdma.Message) {
 	tr := cl.c.cfg.Trace.ForRequest(tid)
 	tr.End(now, "net", "reply", tid)
 	tr.End(now, cl.comp, op, h.ReqID)
-	if errored {
-		cl.Errors++
-	} else if iss.isRead {
+	switch {
+	case errored:
+		// Counted below, inside the measurement window only.
+	case iss.isRead:
 		if iss.block != nil && len(m.Data) > blockstore.HeaderSize {
 			got := m.Data[blockstore.HeaderSize:]
 			if lz4.Checksum(got) != lz4.Checksum(iss.block) {
 				cl.verifyMism++
 			}
 		}
-	} else {
+	default:
 		// The write is durable; reads may target it now (block is nil
 		// for modeled payloads: the read then skips verification).
 		cl.rememberWrite(iss.lba, iss.block)
@@ -272,7 +273,9 @@ func (cl *Client) onReply(m *rdma.Message) {
 	if cl.measuring {
 		cl.Lat.Record(lat)
 		cl.Done++
-		if !errored {
+		if errored {
+			cl.Errors++
+		} else {
 			cl.BytesMoved += iss.size
 		}
 		if tr != nil && cl.latMetric != nil {

@@ -396,6 +396,37 @@ func TestThroughputCountsServedRequestsOnly(t *testing.T) {
 	}
 }
 
+// TestErrorsCountMeasurementWindowOnly: Results.Errors counts the
+// failed completions inside this Run's measurement window, as Requests
+// counts completions, and none from warm-up, the drain or an earlier
+// Run on the same cluster.
+func TestErrorsCountMeasurementWindowOnly(t *testing.T) {
+	c := New(hbmStarvedCfg())
+	var inWindow, outside uint64
+	for _, cl := range c.Clients {
+		cl.completionHook = func(_, _ float64, err bool) {
+			switch {
+			case !err:
+			case cl.measuring:
+				inWindow++
+			default:
+				outside++
+			}
+		}
+	}
+	for run := 0; run < 2; run++ {
+		inWindow, outside = 0, 0
+		res := c.Run(hbmStarvedLoad)
+		if inWindow == 0 || outside == 0 {
+			t.Fatalf("run %d: want failures inside and outside the window, got %d and %d", run, inWindow, outside)
+		}
+		if res.Errors != inWindow {
+			t.Fatalf("run %d: Results.Errors = %d, want the %d failures inside its window (%d fell outside)",
+				run, res.Errors, inWindow, outside)
+		}
+	}
+}
+
 // TestCodecLookaheadInvisible: the designs that prefetch writes into
 // the codec lookahead (CPU-only, BF2) return the same results with no
 // helper core (GOMAXPROCS=1) and with several (4), and Run returns

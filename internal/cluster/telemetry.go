@@ -40,7 +40,7 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 			return b
 		})
 	sc.CounterFunc("smartds_client_errors_total",
-		"Requests completed with a non-OK status.",
+		"Requests completed with a non-OK status inside the measurement window.",
 		nil, func() float64 {
 			var n uint64
 			for _, cl := range c.Clients {

@@ -114,10 +114,16 @@ func (cl *Client) issue(w Workload) {
 	iss := &issued{at: c.Env.Now(), size: float64(blockSize), lba: lba}
 	cl.inflight[id] = iss
 	if c.cfg.Functional {
-		block := c.corpus.Block(blockSize)
+		// Sample the block straight into the wire message's payload; the
+		// client keeps that slice to verify later reads of this LBA.
+		msg := make([]byte, blockstore.HeaderSize+blockSize)
+		block := msg[blockstore.HeaderSize:]
+		c.corpus.Fill(block)
 		h.CRC = lz4.Checksum(block)
+		h.PayloadLen = uint32(blockSize)
+		h.EncodeTo(msg)
 		iss.block = block
-		cl.qp.Send(blockstore.Message(&h, block))
+		cl.qp.Send(msg)
 	} else {
 		cl.qp.SendSized(h.Encode(), float64(blockstore.HeaderSize+blockSize))
 	}
@@ -157,6 +163,7 @@ func (c *Cluster) Run(w Workload) Results {
 		cl.Lat.Reset()
 		cl.Done = 0
 		cl.BytesMoved = 0
+		cl.Errors = 0
 	}
 
 	// Open a telemetry run scope: one record per Run invocation, with

@@ -15,6 +15,11 @@ package corpus
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"github.com/disagg/smartds/internal/rng"
 )
@@ -111,23 +116,17 @@ func New(seed uint64, opts ...Option) *Corpus {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	// The sampler takes root's first child and class cl its (cl+2)th.
+	// Splitting them all up front draws what an interleaved Split per
+	// class would: no generator touches root.
 	root := rng.New(seed)
 	c := &Corpus{r: root.Split()}
-	gens := [numClasses]func(*rng.Source, []byte){
-		Text:     genText,
-		Source:   genSource,
-		XML:      genXML,
-		Database: genDatabase,
-		Binary:   genBinary,
-		Medical:  genMedical,
-		Random:   genRandom,
-		Zero:     genZero,
+	var srcs [numClasses]*rng.Source
+	for cl := range srcs {
+		srcs[cl] = root.Split()
+		c.streams[cl] = make([]byte, cfg.bytesPerClass)
 	}
-	for cl := Class(0); cl < numClasses; cl++ {
-		buf := make([]byte, cfg.bytesPerClass)
-		gens[cl](root.Split(), buf)
-		c.streams[cl] = buf
-	}
+	generate(func(cl Class) { gens[cl](srcs[cl], c.streams[cl]) })
 	// Walk classes in id order rather than ranging over the mix map, so
 	// the weight table (and every Choice draw from it) is independent of
 	// Go's map iteration seed.
@@ -141,11 +140,70 @@ func New(seed uint64, opts ...Option) *Corpus {
 	return c
 }
 
+var gens = [numClasses]func(*rng.Source, []byte){
+	Text:     genText,
+	Source:   genSource,
+	XML:      genXML,
+	Database: genDatabase,
+	Binary:   genBinary,
+	Medical:  genMedical,
+	Random:   genRandom,
+	Zero:     genZero,
+}
+
+// buildOrder lists the classes longest generation first, so the last
+// class a worker picks up is a short one.
+var buildOrder = [numClasses]Class{Medical, Text, Database, Source, XML, Random, Binary, Zero}
+
+// generate runs fill once per class on up to min(GOMAXPROCS, classes)
+// goroutines, the caller's included. Each fill writes only its own
+// class's stream from its own source, so the streams do not depend on
+// which goroutine ran which class or when.
+func generate(fill func(Class)) {
+	//detcheck:finalizer reads GOMAXPROCS (n=0 changes nothing) to size the generator pool
+	workers := min(runtime.GOMAXPROCS(0), int(numClasses))
+	if workers <= 1 {
+		for _, cl := range buildOrder {
+			fill(cl)
+		}
+		return
+	}
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(buildOrder) {
+				return
+			}
+			fill(buildOrder[i])
+		}
+	}
+	wg.Add(workers)
+	for k := 1; k < workers; k++ {
+		//detcheck:spawn corpus generator: fills classes that share no state, before any simulation exists; generate waits for all of them
+		go work()
+	}
+	work()
+	wg.Wait()
+}
+
 // Block returns a fresh buffer of the given size sampled from the class
 // mix at a random stream offset.
 func (c *Corpus) Block(size int) []byte {
-	cl := c.classes[c.r.Choice(c.weights)]
-	return c.BlockOf(cl, size)
+	var out []byte
+	if size > 0 {
+		out = make([]byte, size)
+	}
+	c.Fill(out)
+	return out
+}
+
+// Fill overwrites dst with a block sampled from the class mix at a
+// random stream offset. It makes the same draws as Block(len(dst)).
+func (c *Corpus) Fill(dst []byte) {
+	c.fillOf(c.classes[c.r.Choice(c.weights)], dst)
 }
 
 // BlockOf samples a block from one specific class.
@@ -153,17 +211,26 @@ func (c *Corpus) BlockOf(class Class, size int) []byte {
 	if class < 0 || class >= numClasses {
 		panic(fmt.Sprintf("corpus: invalid class %d", class))
 	}
-	stream := c.streams[class]
 	if size <= 0 {
 		return nil
 	}
 	out := make([]byte, size)
-	off := c.r.Intn(len(stream))
-	n := copy(out, stream[off:])
-	for n < size { // wrap around
-		n += copy(out[n:], stream)
-	}
+	c.fillOf(class, out)
 	return out
+}
+
+// fillOf copies len(dst) bytes of class's stream into dst, starting at
+// a random offset and wrapping around; an empty dst draws nothing.
+func (c *Corpus) fillOf(class Class, dst []byte) {
+	if len(dst) == 0 {
+		return
+	}
+	stream := c.streams[class]
+	off := c.r.Intn(len(stream))
+	n := copy(dst, stream[off:])
+	for n < len(dst) { // wrap around
+		n += copy(dst[n:], stream)
+	}
 }
 
 // --- class generators -------------------------------------------------
@@ -179,20 +246,42 @@ var words = []string{
 	"pleasant", "gentle", "curious", "remarkable", "certainly", "however",
 }
 
+// zipfCum[i] is the sum of the first i+1 Zipf word weights 1/(k+1),
+// added in index order: the partial sums rng.Choice forms on every
+// call, so zipfWord picks the index Choice would.
+var zipfCum = func() []float64 {
+	cum := make([]float64, len(words))
+	acc := 0.0
+	for i := range cum {
+		acc += 1.0 / float64(i+1)
+		cum[i] = acc
+	}
+	return cum
+}()
+
+// zipfWord draws a word index exactly as r.Choice over the Zipf weights
+// does: one Float64 scaled by the total, then the first partial sum
+// above it.
+func zipfWord(r *rng.Source) int {
+	target := r.Float64() * zipfCum[len(zipfCum)-1]
+	lo, hi := 0, len(zipfCum)-1
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); target < zipfCum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // genText emits Zipf-weighted English-like prose.
 func genText(r *rng.Source, buf []byte) {
-	w := make([]float64, len(words))
-	for i := range w {
-		w[i] = 1.0 / float64(i+1) // Zipf
-	}
 	i := 0
 	col := 0
 	for i < len(buf) {
-		word := words[r.Choice(w)]
-		for k := 0; k < len(word) && i < len(buf); k++ {
-			buf[i] = word[k]
-			i++
-		}
+		word := words[zipfWord(r)]
+		i += copy(buf[i:], word)
 		if i < len(buf) {
 			if col += len(word) + 1; col > 72 {
 				buf[i] = '\n'
@@ -207,10 +296,12 @@ func genText(r *rng.Source, buf []byte) {
 	}
 }
 
-// genSource emits C-like source code.
-func genSource(r *rng.Source, buf []byte) {
-	idents := []string{"ret", "buf", "len", "ctx", "req", "err", "ptr", "idx", "off", "dev"}
-	templates := []string{
+var sourceIdents = []string{"ret", "buf", "len", "ctx", "req", "err", "ptr", "idx", "off", "dev"}
+
+// sourceTemplates are C-like lines split at their %s verbs: each line
+// is its pieces with one identifier between each pair.
+var sourceTemplates = func() [][]string {
+	lines := []string{
 		"static int %s_handle(struct %s *%s, int %s)\n{\n",
 		"\tif (%s->%s == NULL)\n\t\treturn -EINVAL;\n",
 		"\t%s = %s_alloc(%s, sizeof(*%s));\n",
@@ -219,42 +310,108 @@ func genSource(r *rng.Source, buf []byte) {
 		"\treturn %s;\n}\n\n",
 		"/* %s: process one %s from the %s queue */\n",
 	}
+	out := make([][]string, len(lines))
+	for k, l := range lines {
+		out[k] = strings.Split(l, "%s")
+	}
+	return out
+}()
+
+// genSource emits C-like source code.
+//
+// Each line draws four identifiers whatever its template. The streams
+// were first made by fmt.Sprintf with all four as arguments, which
+// appends "%!(EXTRA string=a, string=b)" for the ones a template with
+// fewer verbs leaves unused. That suffix is kept, byte for byte:
+// dropping it would change every source block, its compressed size and
+// so every functional golden, which only a deliberate re-pin should do.
+func genSource(r *rng.Source, buf []byte) {
+	const args = 4
+	var line []byte
+	var ids [args]string
 	i := 0
 	for i < len(buf) {
-		tmpl := templates[r.Intn(len(templates))]
-		args := make([]interface{}, 4)
-		for k := range args {
-			args[k] = idents[r.Intn(len(idents))]
+		tmpl := sourceTemplates[r.Intn(len(sourceTemplates))]
+		for k := range ids {
+			ids[k] = sourceIdents[r.Intn(len(sourceIdents))]
 		}
-		s := fmt.Sprintf(tmpl, args...)
-		n := copy(buf[i:], s)
-		i += n
+		line = append(line[:0], tmpl[0]...)
+		verbs := len(tmpl) - 1
+		for k := 0; k < verbs; k++ {
+			line = append(line, ids[k]...)
+			line = append(line, tmpl[k+1]...)
+		}
+		if verbs < args {
+			line = append(line, "%!(EXTRA "...)
+			for k := verbs; k < args; k++ {
+				if k > verbs {
+					line = append(line, ", "...)
+				}
+				line = append(line, "string="...)
+				line = append(line, ids[k]...)
+			}
+			line = append(line, ')')
+		}
+		i += copy(buf[i:], line)
 	}
 }
 
+// appendPadded appends n in decimal, zero-padded to width digits, as
+// fmt's %0<width>d does for n >= 0.
+func appendPadded(b []byte, n, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for k := len(d); k < width; k++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}
+
+var xmlTags = []string{"record", "entry", "item", "node", "field"}
+
 // genXML emits markup with heavily repeated tags and attributes.
 func genXML(r *rng.Source, buf []byte) {
-	tags := []string{"record", "entry", "item", "node", "field"}
+	var line []byte
 	i := 0
 	for i < len(buf) {
-		tag := tags[r.Intn(len(tags))]
-		s := fmt.Sprintf("<%s id=\"%06d\" type=\"%s\"><value>%d</value></%s>\n",
-			tag, r.Intn(1000000), tags[r.Intn(len(tags))], r.Intn(100), tag)
-		i += copy(buf[i:], s)
+		tag := xmlTags[r.Intn(len(xmlTags))]
+		id := r.Intn(1000000)
+		typ := xmlTags[r.Intn(len(xmlTags))]
+		val := r.Intn(100)
+		line = append(line[:0], '<')
+		line = append(line, tag...)
+		line = append(line, ` id="`...)
+		line = appendPadded(line, id, 6)
+		line = append(line, `" type="`...)
+		line = append(line, typ...)
+		line = append(line, `"><value>`...)
+		line = strconv.AppendInt(line, int64(val), 10)
+		line = append(line, "</value></"...)
+		line = append(line, tag...)
+		line = append(line, ">\n"...)
+		i += copy(buf[i:], line)
 	}
 }
+
+var dbStatuses = []string{"ACTIVE ", "CLOSED ", "PENDING", "ARCHIVE"}
 
 // genDatabase emits fixed-width records: sequential keys, enum fields,
 // and a few random payload bytes, like nci/osdb table dumps.
 func genDatabase(r *rng.Source, buf []byte) {
 	const recLen = 64
-	statuses := []string{"ACTIVE ", "CLOSED ", "PENDING", "ARCHIVE"}
 	rec := make([]byte, recLen)
+	var head []byte
 	key := 1000000
 	i := 0
 	for i < len(buf) {
-		s := fmt.Sprintf("K%09d|%s|REGION%02d|", key, statuses[r.Intn(len(statuses))], r.Intn(8))
-		n := copy(rec, s)
+		head = append(head[:0], 'K')
+		head = appendPadded(head, key, 9)
+		head = append(head, '|')
+		head = append(head, dbStatuses[r.Intn(len(dbStatuses))]...)
+		head = append(head, "|REGION"...)
+		head = appendPadded(head, r.Intn(8), 2)
+		head = append(head, '|')
+		n := copy(rec, head)
 		for k := n; k < recLen-1; k++ {
 			if r.Float64() < 0.2 {
 				rec[k] = byte('0' + r.Intn(10))

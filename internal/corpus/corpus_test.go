@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"bytes"
+	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"github.com/disagg/smartds/internal/lz4"
@@ -191,5 +193,79 @@ func TestBlockOfWrapsStream(t *testing.T) {
 	twice := append(append([]byte(nil), c.streams[Text]...), c.streams[Text]...)
 	if !bytes.Contains(twice, blk[:stream]) {
 		t.Fatal("block is not a rotation of the class stream")
+	}
+}
+
+// TestStreamsGolden pins every class stream of two seeds. The streams
+// feed every functional block, so a generator that emits other bytes
+// moves every functional golden; it must fail here first.
+func TestStreamsGolden(t *testing.T) {
+	want := map[uint64][numClasses]uint64{
+		42: {
+			Text: 0xc39384e33b7edd4b, Source: 0x4c72ac4d305f5177,
+			XML: 0xf203f947cc499dfe, Database: 0xdc103cc918455511,
+			Binary: 0x409df492586d7e38, Medical: 0xe4243b296fdc0442,
+			Random: 0x77cae9707998bd4e, Zero: 0x9c735bed0a722325,
+		},
+		7: {
+			Text: 0x4293b9808fc89ebf, Source: 0xe6ec34852be75344,
+			XML: 0xff06af5ea0cd21eb, Database: 0x244ae09e7f215429,
+			Binary: 0x3947c7e209e1b510, Medical: 0x8b5c1a546ba35b84,
+			Random: 0xa1372af7daf5acf8, Zero: 0x9c735bed0a722325,
+		},
+	}
+	for _, seed := range []uint64{42, 7} {
+		c := New(seed)
+		for _, cl := range Classes() {
+			h := fnv.New64a()
+			h.Write(c.streams[cl])
+			if got := h.Sum64(); got != want[seed][cl] {
+				t.Errorf("seed %d %v stream FNV-64a %#016x, want %#016x", seed, cl, got, want[seed][cl])
+			}
+		}
+	}
+}
+
+// TestStreamsDeterministicAcrossGOMAXPROCS builds the corpus inline
+// (GOMAXPROCS=1) and on a pool of generator goroutines (GOMAXPROCS=4):
+// the streams must be equal. It stays on under -short so the race
+// detector watches the pool.
+func TestStreamsDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	build := func(procs int) *Corpus {
+		//detcheck:finalizer New sizes its generator pool from GOMAXPROCS; the test pins it to cover the inline path and the pool
+		old := runtime.GOMAXPROCS(procs)
+		//detcheck:finalizer restores the test process's GOMAXPROCS
+		defer runtime.GOMAXPROCS(old)
+		return New(42, WithStreamSize(64<<10))
+	}
+	inline, pooled := build(1), build(4)
+	for _, cl := range Classes() {
+		if !bytes.Equal(inline.streams[cl], pooled.streams[cl]) {
+			t.Errorf("%v stream differs between GOMAXPROCS 1 and 4", cl)
+		}
+	}
+}
+
+// TestFillDrawsAsBlock checks that Fill makes Block's draws: two
+// same-seed corpora, one sampled by Block and one by Fill, yield the
+// same blocks, including across an empty request.
+func TestFillDrawsAsBlock(t *testing.T) {
+	a, b := New(9, WithStreamSize(8192)), New(9, WithStreamSize(8192))
+	for i, size := range []int{4096, 0, 512, 20000, 4096} {
+		want := a.Block(size)
+		got := make([]byte, size)
+		b.Fill(got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("draw %d: Fill(%d bytes) differs from Block", i, size)
+		}
+	}
+}
+
+// BenchmarkCorpusNew measures one default-size corpus build, the
+// set-up every functional cluster pays in cluster.New.
+func BenchmarkCorpusNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(uint64(i))
 	}
 }
