@@ -248,7 +248,7 @@ func run(args []string) (int, error) {
 		}
 		return 0, nil
 	}
-	if res.Errors > 0 || res.VerifyMismatches > 0 {
+	if res.RunErrors > 0 || res.VerifyMismatches > 0 {
 		return 1, nil
 	}
 	return 0, nil
@@ -288,6 +288,7 @@ func printResults(c *cluster.Cluster, res cluster.Results) {
 	tbl.AddRow("requests/s", fmt.Sprintf("%.0f", res.ReqPerSec))
 	tbl.AddRow("requests measured", res.Requests)
 	tbl.AddRow("errors", res.Errors)
+	tbl.AddRow("errors (whole run)", res.RunErrors)
 	tbl.AddRow("avg latency", metrics.FormatDuration(res.Lat.Mean))
 	tbl.AddRow("p50", metrics.FormatDuration(res.Lat.P50))
 	tbl.AddRow("p99", metrics.FormatDuration(res.Lat.P99))

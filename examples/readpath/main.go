@@ -34,9 +34,10 @@ func main() {
 	fmt.Printf("  latency:    avg %s  p99 %s\n",
 		metrics.FormatDuration(res.Lat.Mean), metrics.FormatDuration(res.Lat.P99))
 	fmt.Printf("  served:     %d writes, %d reads\n", c.MT.WritesDone, c.MT.ReadsDone)
-	fmt.Printf("  errors: %d, verification mismatches: %d\n", res.Errors, res.VerifyMismatches)
+	fmt.Printf("  errors: %d (%d in the whole run), verification mismatches: %d\n",
+		res.Errors, res.RunErrors, res.VerifyMismatches)
 
-	if res.Errors > 0 || res.VerifyMismatches > 0 {
+	if res.RunErrors > 0 || res.VerifyMismatches > 0 {
 		fmt.Println("DATA INTEGRITY FAILURE")
 		os.Exit(1)
 	}

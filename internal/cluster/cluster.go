@@ -172,6 +172,7 @@ type Client struct {
 	Done       uint64  // completed requests while measuring
 	BytesMoved float64 // payload bytes of requests served OK while measuring
 	Errors     uint64  // requests completed with a non-OK status while measuring
+	runErrors  uint64  // non-OK completions at any point of the current Run
 	verifyMism uint64
 
 	// onComplete refills the closed-loop window.
@@ -241,7 +242,7 @@ func (cl *Client) onReply(m *rdma.Message) {
 	tr.End(now, cl.comp, op, h.ReqID)
 	switch {
 	case errored:
-		// Counted below, inside the measurement window only.
+		cl.runErrors++ // Errors counts it below, inside the window only
 	case iss.isRead:
 		if iss.block != nil && len(m.Data) > blockstore.HeaderSize {
 			got := m.Data[blockstore.HeaderSize:]

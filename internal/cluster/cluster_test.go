@@ -399,7 +399,7 @@ func TestThroughputCountsServedRequestsOnly(t *testing.T) {
 // TestErrorsCountMeasurementWindowOnly: Results.Errors counts the
 // failed completions inside this Run's measurement window, as Requests
 // counts completions, and none from warm-up, the drain or an earlier
-// Run on the same cluster.
+// Run on the same cluster; Results.RunErrors counts all of this Run's.
 func TestErrorsCountMeasurementWindowOnly(t *testing.T) {
 	c := New(hbmStarvedCfg())
 	var inWindow, outside uint64
@@ -423,6 +423,10 @@ func TestErrorsCountMeasurementWindowOnly(t *testing.T) {
 		if res.Errors != inWindow {
 			t.Fatalf("run %d: Results.Errors = %d, want the %d failures inside its window (%d fell outside)",
 				run, res.Errors, inWindow, outside)
+		}
+		if res.RunErrors != inWindow+outside {
+			t.Fatalf("run %d: Results.RunErrors = %d, want all %d failures of the run",
+				run, res.RunErrors, inWindow+outside)
 		}
 	}
 }

@@ -41,7 +41,8 @@ func DefaultWorkload() Workload {
 type Results struct {
 	Duration   float64
 	Requests   uint64
-	Errors     uint64
+	Errors     uint64  // non-OK completions inside the measurement window
+	RunErrors  uint64  // non-OK completions anywhere in the Run, warm-up and drain included
 	Throughput float64 // payload bytes/second (the paper's Gbps axis)
 	ReqPerSec  float64
 	Lat        metrics.Summary
@@ -164,6 +165,7 @@ func (c *Cluster) Run(w Workload) Results {
 		cl.Done = 0
 		cl.BytesMoved = 0
 		cl.Errors = 0
+		cl.runErrors = 0
 	}
 
 	// Open a telemetry run scope: one record per Run invocation, with
@@ -316,6 +318,7 @@ func (c *Cluster) Run(w Workload) Results {
 	for _, cl := range c.Clients {
 		res.Requests += cl.Done
 		res.Errors += cl.Errors
+		res.RunErrors += cl.runErrors
 		res.Throughput += cl.BytesMoved / w.Measure
 		res.VerifyMismatches += cl.VerifyMismatches()
 		lat.Merge(cl.Lat)

@@ -156,18 +156,13 @@ var gens = [numClasses]func(*rng.Source, []byte){
 var buildOrder = [numClasses]Class{Medical, Text, Database, Source, XML, Random, Binary, Zero}
 
 // generate runs fill once per class on up to min(GOMAXPROCS, classes)
-// goroutines, the caller's included. Each fill writes only its own
-// class's stream from its own source, so the streams do not depend on
-// which goroutine ran which class or when.
+// goroutines, the caller's included; with one worker it starts none and
+// the caller fills every class. Each fill writes only its own class's
+// stream from its own source, so the streams do not depend on which
+// goroutine ran which class or when.
 func generate(fill func(Class)) {
 	//detcheck:finalizer reads GOMAXPROCS (n=0 changes nothing) to size the generator pool
 	workers := min(runtime.GOMAXPROCS(0), int(numClasses))
-	if workers <= 1 {
-		for _, cl := range buildOrder {
-			fill(cl)
-		}
-		return
-	}
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	work := func() {
@@ -261,18 +256,15 @@ var zipfCum = func() []float64 {
 
 // zipfWord draws a word index exactly as r.Choice over the Zipf weights
 // does: one Float64 scaled by the total, then the first partial sum
-// above it.
+// above it, found by Choice's own linear scan.
 func zipfWord(r *rng.Source) int {
 	target := r.Float64() * zipfCum[len(zipfCum)-1]
-	lo, hi := 0, len(zipfCum)-1
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); target < zipfCum[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
+	for i, c := range zipfCum {
+		if target < c {
+			return i
 		}
 	}
-	return lo
+	return len(zipfCum) - 1
 }
 
 // genText emits Zipf-weighted English-like prose.

@@ -226,21 +226,21 @@ func TestStreamsGolden(t *testing.T) {
 	}
 }
 
-// TestStreamsDeterministicAcrossGOMAXPROCS builds the corpus inline
-// (GOMAXPROCS=1) and on a pool of generator goroutines (GOMAXPROCS=4):
-// the streams must be equal. It stays on under -short so the race
-// detector watches the pool.
+// TestStreamsDeterministicAcrossGOMAXPROCS builds the corpus on the
+// caller's goroutine alone (GOMAXPROCS=1) and on a pool of generator
+// goroutines (GOMAXPROCS=4): the streams must be equal. It stays on
+// under -short so the race detector watches the pool.
 func TestStreamsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	build := func(procs int) *Corpus {
-		//detcheck:finalizer New sizes its generator pool from GOMAXPROCS; the test pins it to cover the inline path and the pool
+		//detcheck:finalizer New sizes its generator pool from GOMAXPROCS; the test pins it to cover one worker and the pool
 		old := runtime.GOMAXPROCS(procs)
 		//detcheck:finalizer restores the test process's GOMAXPROCS
 		defer runtime.GOMAXPROCS(old)
 		return New(42, WithStreamSize(64<<10))
 	}
-	inline, pooled := build(1), build(4)
+	single, pooled := build(1), build(4)
 	for _, cl := range Classes() {
-		if !bytes.Equal(inline.streams[cl], pooled.streams[cl]) {
+		if !bytes.Equal(single.streams[cl], pooled.streams[cl]) {
 			t.Errorf("%v stream differs between GOMAXPROCS 1 and 4", cl)
 		}
 	}
