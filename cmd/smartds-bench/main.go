@@ -20,8 +20,6 @@
 //	-trace-sample 0.01       # head-sample 1% of trace spans (tail kept)
 //	-breakdown               # critical-path blame tables for every run
 //	-slo "avail:99.9;ttr:10ms"  # burn-rate alerts into the report
-//	-log-level info          # structured sim-time event log on stderr
-//	-label-budget 64         # fold excess label sets into overflow series
 //
 // Profiling: -cpuprofile / -memprofile write pprof files covering the
 // experiment execution.
@@ -91,18 +89,6 @@ func main() {
 	opt.Trace = common.NewTracer()
 	opt.CritpathFolded = common.NewFolded()
 	opt.Telemetry = common.NewRegistry()
-	// The event-log clock must follow whichever cluster is currently
-	// running; experiments swap the active env in as they build them.
-	var clock func() float64
-	opt.Log = common.NewLogger(os.Stderr, func() float64 {
-		if clock == nil {
-			return 0
-		}
-		return clock()
-	})
-	if opt.Log != nil {
-		opt.OnCluster = func(now func() float64) { clock = now }
-	}
 	start := time.Now()
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)

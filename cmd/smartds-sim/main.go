@@ -7,11 +7,11 @@
 //	smartds-sim -kind cpu -workers 48 -reads 0.2 -open-rate 1e6
 //	smartds-sim -config examples/scenarios/smartds-mixed.json -report run.json
 //
-// The observability flags (-trace, -trace-sample, -slo, -log-level,
-// -report, -metrics, -series-*, -label-budget) and -faults, -replication
-// and -seed are shared with smartds-bench via internal/cliflags and
-// behave identically, with or without -config. A scenario file's own
-// seed, when set, takes precedence over -seed.
+// The observability flags (-trace, -trace-sample, -critpath-folded,
+// -breakdown, -slo, -report, -metrics, -series-*) and -faults,
+// -replication and -seed are shared with smartds-bench via
+// internal/cliflags and behave identically, with or without -config. A
+// scenario file's own seed, when set, takes precedence over -seed.
 package main
 
 import (
@@ -149,8 +149,6 @@ func run(args []string) (int, error) {
 	reg := common.NewRegistry()
 	cfg.Telemetry = reg
 	cfg.TelemetryExp = "sim"
-	var c *cluster.Cluster
-	cfg.Log = common.NewLogger(os.Stderr, func() float64 { return c.Env.Now() })
 	var sched *faults.Schedule
 	if common.FaultSpec != "" {
 		sched, err = faults.Parse(common.FaultSpec)
@@ -163,9 +161,9 @@ func run(args []string) (int, error) {
 			cfg.MT.ReplicateTimeout = 1.5e-3
 		}
 	}
-	c = cluster.New(cfg)
+	c := cluster.New(cfg)
 	if *maintenance {
-		m := c.MT.StartMaintenance(middletier.MaintenanceConfig{}, c.Storage)
+		m := c.MT.StartMaintenance(c.Storage)
 		defer m.Stop()
 	}
 	var inj *faults.Injector

@@ -101,7 +101,6 @@ func render(w io.Writer, reportPath, seriesPath string, topK int) error {
 	renderAlerts(w, rep)
 	renderBlame(w, rep)
 	renderTop(w, rep, series, topK)
-	renderExemplars(w, rep)
 	return nil
 }
 
@@ -247,19 +246,6 @@ func renderTop(w io.Writer, rep *telemetry.Report, series []seriesFile, topK int
 			fmt.Sprintf("%.4g", e.digest.Mean),
 			fmt.Sprintf("%.4g", e.digest.Max),
 			sparkline(e.points, 24))
-	}
-	fmt.Fprintln(w, tbl.String())
-}
-
-// renderExemplars lists bucket→trace links when the report carries any.
-func renderExemplars(w io.Writer, rep *telemetry.Report) {
-	if len(rep.Exemplars) == 0 {
-		return
-	}
-	tbl := metrics.NewTable("exemplars (latency bucket → kept trace)",
-		"metric", "le", "value", "trace_id")
-	for _, ex := range rep.Exemplars {
-		tbl.AddRow(ex.Name+labelString(ex.Labels), ex.Le, fmt.Sprintf("%.4g", ex.Value), ex.TraceID)
 	}
 	fmt.Fprintln(w, tbl.String())
 }

@@ -1,8 +1,8 @@
 // Package evlogger violates the maporder invariant the way a naive
 // structured logger would: formatting a label map straight into the
-// line buffer leaks Go's randomized iteration order into log bytes,
-// which breaks the event log's byte-determinism contract (the real
-// internal/evlog takes ordered key/value pairs instead).
+// line buffer leaks Go's randomized iteration order into its bytes,
+// which breaks the byte-determinism contract every artifact keeps (the
+// telemetry package sorts label sets before it renders them).
 package evlogger
 
 import "strings"

@@ -1,8 +1,7 @@
 // Package cliflags holds the flag set shared by the smartds-bench and
 // smartds-sim commands, so the observability surface — tracing and its
-// sampling rate, SLO specs, event-log level, telemetry artifacts and
-// label budgets — is declared once and behaves identically in both
-// binaries.
+// sampling rate, critpath blame, SLO specs and telemetry artifacts — is
+// declared once and behaves identically in both binaries.
 package cliflags
 
 import (
@@ -10,7 +9,6 @@ import (
 	"io"
 
 	"github.com/disagg/smartds/internal/critpath"
-	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/middletier"
 	"github.com/disagg/smartds/internal/slo"
 	"github.com/disagg/smartds/internal/telemetry"
@@ -35,8 +33,6 @@ type Common struct {
 	FaultSpec   string
 	Replication string
 	SLOSpec     string
-	LogLevel    string
-	LabelBudget int
 
 	ReportFile  string
 	MetricsFile string
@@ -56,8 +52,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.FaultSpec, "faults", "", "fault campaign spec (kind:target@start+duration[:param];... — see internal/faults)")
 	fs.StringVar(&c.Replication, "replication", "primary", "replication protocol: primary | chain | quorum")
 	fs.StringVar(&c.SLOSpec, "slo", "", "SLO specs evaluated by a burn-rate engine (kind:value[@opt=val,...];... — see internal/slo)")
-	fs.StringVar(&c.LogLevel, "log-level", "", "emit the structured sim-time event log to stderr at this level (debug|info|warn|error); empty disables")
-	fs.IntVar(&c.LabelBudget, "label-budget", 0, "max label sets per metric name per run scope; extras fold into an overflow=\"other\" series (0 = unlimited)")
 	fs.StringVar(&c.ReportFile, "report", "", "write the machine-readable run report (JSON) to this file")
 	fs.StringVar(&c.MetricsFile, "metrics", "", "write an OpenMetrics snapshot to this file")
 	fs.StringVar(&c.SeriesCSV, "series-csv", "", "write sampled time series as CSV to this file")
@@ -104,26 +98,14 @@ func (c *Common) NewTracer() *trace.Tracer {
 }
 
 // NewRegistry builds the telemetry registry implied by the flags (nil
-// when neither an artifact nor -breakdown was requested), with
-// -label-budget applied. -breakdown reads each run's blame profile
-// from the registry's run records.
+// when neither an artifact nor -breakdown was requested). -breakdown
+// reads each run's blame profile from the registry's run records.
 func (c *Common) NewRegistry() *telemetry.Registry {
 	artifacts := c.ReportFile != "" || c.MetricsFile != "" || c.SeriesCSV != "" || c.SeriesJSON != ""
 	if !artifacts && !c.Breakdown {
 		return nil
 	}
-	reg := telemetry.NewRegistry()
-	reg.LabelBudget = c.LabelBudget
-	return reg
-}
-
-// NewLogger builds the structured event logger implied by -log-level
-// (nil when unset), writing to w and stamped by the virtual clock.
-func (c *Common) NewLogger(w io.Writer, clock func() float64) *evlog.Logger {
-	if c.LogLevel == "" {
-		return nil
-	}
-	return evlog.New(w, evlog.ParseLevel(c.LogLevel), clock)
+	return telemetry.NewRegistry()
 }
 
 // WriteArtifacts writes the metrics/series artifacts the flags request

@@ -1,10 +1,12 @@
 package cliflags
 
 import (
-	"bytes"
 	"flag"
 	"io"
+	"strings"
 	"testing"
+
+	"github.com/disagg/smartds/internal/middletier"
 )
 
 func parse(t *testing.T, args ...string) *Common {
@@ -27,9 +29,6 @@ func TestDefaults(t *testing.T) {
 	}
 	if c.NewRegistry() != nil {
 		t.Fatal("registry built with no artifact flags")
-	}
-	if c.NewLogger(io.Discard, func() float64 { return 0 }) != nil {
-		t.Fatal("logger built with no -log-level")
 	}
 	if specs, err := c.SLO(); err != nil || specs != nil {
 		t.Fatalf("empty -slo parsed to %v, %v", specs, err)
@@ -61,21 +60,11 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
-func TestSLOAndLogger(t *testing.T) {
-	c := parse(t, "-slo", "avail:99.9;ttr:10ms", "-log-level", "warn")
+func TestSLO(t *testing.T) {
+	c := parse(t, "-slo", "avail:99.9;ttr:10ms")
 	specs, err := c.SLO()
 	if err != nil || len(specs) != 2 {
 		t.Fatalf("SLO() = %v, %v", specs, err)
-	}
-	var buf bytes.Buffer
-	log := c.NewLogger(&buf, func() float64 { return 0 })
-	if log == nil {
-		t.Fatal("no logger despite -log-level")
-	}
-	log.Info("dropped")
-	log.Warn("kept")
-	if got := buf.String(); got != "0.000000 WARN  kept\n" {
-		t.Fatalf("level filter wrong: %q", got)
 	}
 	if _, err := parse(t, "-slo", "bogus:1").SLO(); err == nil {
 		t.Fatal("bad -slo accepted")
@@ -83,10 +72,10 @@ func TestSLOAndLogger(t *testing.T) {
 }
 
 func TestRegistryAndArtifacts(t *testing.T) {
-	c := parse(t, "-metrics", "m.prom", "-label-budget", "3")
+	c := parse(t, "-metrics", "m.prom")
 	reg := c.NewRegistry()
-	if reg == nil || reg.LabelBudget != 3 {
-		t.Fatalf("registry %+v, want label budget 3", reg)
+	if reg == nil {
+		t.Fatal("-metrics set but no registry")
 	}
 	wrote := map[string]bool{}
 	err := c.WriteArtifacts(reg, func(path string, fn func(io.Writer) error) error {
@@ -98,5 +87,20 @@ func TestRegistryAndArtifacts(t *testing.T) {
 	}
 	if !wrote["m.prom"] || len(wrote) != 1 {
 		t.Fatalf("wrote %v, want just m.prom", wrote)
+	}
+}
+
+func TestProtocolFlag(t *testing.T) {
+	for name, want := range map[string]middletier.Protocol{
+		"primary": middletier.ProtoPrimary,
+		"chain":   middletier.ProtoChain,
+		"quorum":  middletier.ProtoQuorum,
+	} {
+		if got, err := parse(t, "-replication", name).Protocol(); err != nil || got != want {
+			t.Errorf("-replication %s = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := parse(t, "-replication", "paxos").Protocol(); err == nil || !strings.Contains(err.Error(), "paxos") {
+		t.Fatalf("-replication paxos = %v, want an error naming it", err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/corpus"
 	"github.com/disagg/smartds/internal/critpath"
-	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/faults"
 	"github.com/disagg/smartds/internal/lz4"
 	"github.com/disagg/smartds/internal/metrics"
@@ -61,9 +60,6 @@ type Config struct {
 	// 100 µs grid and fault recoveries are checked against TTR ceilings.
 	// Fired alerts land in Results.Alerts and the telemetry run record.
 	SLO []slo.Spec
-	// Log, when set, receives structured sim-time events from every
-	// layer (cluster runs, middle-tier rebuilds, fault transitions).
-	Log *evlog.Logger
 }
 
 // DefaultConfig wires the paper's testbed: one middle-tier server,
@@ -128,7 +124,6 @@ func New(cfg Config) *Cluster {
 	// assemble, engine occupancy, transport sends, and disk IOs.
 	cfg.MT.Trace = cfg.Trace
 	cfg.MT.Transport.Trace = cfg.Trace
-	cfg.MT.Log = cfg.Log.With("mt")
 
 	c.MT = middletier.New(env, fabric, cfg.MT)
 	for i := 0; i < cfg.NumStorage; i++ {
@@ -183,10 +178,7 @@ type Client struct {
 	// sloHook feeds the same stream into the run's burn-rate engine
 	// (reset by each Run so engines never stack across runs).
 	sloHook func(at, lat float64, err bool)
-	// latMetric is this client's telemetry latency histogram; sampled
-	// completions attach exemplars to it.
-	latMetric *telemetry.Metric
-	nextLBA   uint64
+	nextLBA uint64
 	// Read-verification tracking.
 	writtenLBAs []uint64
 	writtenData map[uint64][]byte
@@ -278,10 +270,6 @@ func (cl *Client) onReply(m *rdma.Message) {
 			cl.Errors++
 		} else {
 			cl.BytesMoved += iss.size
-		}
-		if tr != nil && cl.latMetric != nil {
-			// Exemplar: link this latency bucket to a kept trace id.
-			cl.latMetric.RecordExemplar(lat, tid, now)
 		}
 	}
 	if cl.onComplete != nil {

@@ -190,11 +190,10 @@ func TestFailoverReroutesWrites(t *testing.T) {
 func TestMaintenanceServicesRun(t *testing.T) {
 	cfg := smallCfg(middletier.CPUOnly)
 	c := New(cfg)
-	m := c.MT.StartMaintenance(middletier.MaintenanceConfig{
-		CompactionInterval: 5e-3,
-		SnapshotInterval:   10e-3,
-	}, c.Storage)
-	res := c.Run(Workload{Window: 8, Warmup: 2e-3, Measure: 50e-3})
+	m := c.MT.StartMaintenance(c.Storage)
+	// 105 ms of virtual time: compaction runs every 10 ms, GC every
+	// 50 ms, and the 100 ms snapshot fires once.
+	res := c.Run(Workload{Window: 8, Warmup: 2e-3, Measure: 103e-3})
 	m.Stop()
 	if res.Errors != 0 {
 		t.Fatalf("errors: %d", res.Errors)

@@ -23,7 +23,6 @@ func (c *Cluster) ApplyFaults(sched *faults.Schedule) (*faults.Injector, error) 
 		MT:        c.MT,
 		Storage:   c.Storage,
 		Trace:     c.cfg.Trace,
-		Log:       c.cfg.Log.With("faults"),
 		Seed:      c.cfg.Seed,
 		Reconnect: c.ReconnectTransport,
 	}, sched)

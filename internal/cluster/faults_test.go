@@ -126,7 +126,7 @@ func runCampaign(t *testing.T, spec string) (string, []trace.Event) {
 	cfg.NumStorage = 5
 	cfg.Functional = false // determinism must hold in modeled mode too
 	cfg.MT.ReplicateTimeout = 1.5e-3
-	tr := trace.New(1 << 16)
+	tr := trace.New(1 << 18) // holds the campaign's ~156k events unwrapped
 	cfg.Trace = tr
 	c := New(cfg)
 
@@ -152,11 +152,17 @@ func runCampaign(t *testing.T, spec string) (string, []trace.Event) {
 // TestFaultCampaignDeterminism runs the same seed twice — once without
 // faults and once under a campaign — and requires byte-identical
 // metrics output and trace streams. This is the property that makes a
-// campaign-found failover bug replayable under a debugger.
+// campaign-found failover bug replayable under a debugger. The
+// campaign's trace must also carry every fault transition and the
+// rebuild as instants: they are the record of what the campaign did.
 func TestFaultCampaignDeterminism(t *testing.T) {
-	cases := []struct{ name, spec string }{
-		{"baseline", ""},
-		{"campaign", "loss:vm0->mt@2ms+2ms:0.05;crash:ss1@4ms+2ms"},
+	cases := []struct {
+		name, spec string
+		instants   []string // component/name instants the trace must hold
+	}{
+		{"baseline", "", nil},
+		{"campaign", "loss:vm0->mt@2ms+2ms:0.05;crash:ss1@4ms+2ms",
+			[]string{"faults/loss-start", "faults/loss-end", "faults/crash", "faults/recovered", "mt/rebuild"}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -173,6 +179,17 @@ func TestFaultCampaignDeterminism(t *testing.T) {
 			for i := range ev1 {
 				if !reflect.DeepEqual(ev1[i], ev2[i]) {
 					t.Fatalf("trace streams diverge at event %d:\n run1 %+v\n run2 %+v", i, ev1[i], ev2[i])
+				}
+			}
+			seen := map[string]bool{}
+			for _, ev := range ev1 {
+				if ev.Dur == 0 && !ev.Counter {
+					seen[ev.Component+"/"+ev.Name] = true
+				}
+			}
+			for _, want := range tc.instants {
+				if !seen[want] {
+					t.Errorf("trace stream has no %s instant", want)
 				}
 			}
 		})

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/faults"
 	"github.com/disagg/smartds/internal/middletier"
 	"github.com/disagg/smartds/internal/slo"
@@ -14,13 +13,10 @@ import (
 )
 
 // sloCampaign runs one fault campaign under an SLO spec and returns
-// the fired alerts, the telemetry report JSON, and the event log.
-func sloCampaign(t *testing.T, spec string) ([]slo.Alert, []byte, string) {
+// the fired alerts and the telemetry report JSON.
+func sloCampaign(t *testing.T, spec string) ([]slo.Alert, []byte) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	var buf bytes.Buffer
-	var c *Cluster
-	log := evlog.New(&buf, evlog.Info, func() float64 { return c.Env.Now() })
 
 	cfg := DefaultConfig(middletier.SmartDS)
 	cfg.Seed = 7
@@ -29,8 +25,7 @@ func sloCampaign(t *testing.T, spec string) ([]slo.Alert, []byte, string) {
 	cfg.Telemetry = reg
 	cfg.TelemetryExp = "slo-test"
 	cfg.SLO = slo.MustParse(spec)
-	cfg.Log = log
-	c = New(cfg)
+	c := New(cfg)
 
 	// A middle-tier restart halts all service for its window, so the
 	// first post-fault completion — the monitor's TTR — lands well past
@@ -48,18 +43,18 @@ func sloCampaign(t *testing.T, spec string) ([]slo.Alert, []byte, string) {
 	if err != nil {
 		t.Fatalf("marshal report: %v", err)
 	}
-	return res.Alerts, rep, buf.String()
+	return res.Alerts, rep
 }
 
 // TestSLOAlertsDeterministic pins the acceptance path end to end: a
 // fault campaign whose recovery blows a 1 ms TTR ceiling fires an
 // alert, the alert lands in the telemetry run record (what the
 // smartds-report -slo gate reads), and two same-seed runs produce
-// byte-identical alert lists and event logs.
+// byte-identical alert lists and reports.
 func TestSLOAlertsDeterministic(t *testing.T) {
 	const spec = "ttr:1ms"
-	alertsA, repA, logA := sloCampaign(t, spec)
-	alertsB, repB, logB := sloCampaign(t, spec)
+	alertsA, repA := sloCampaign(t, spec)
+	alertsB, repB := sloCampaign(t, spec)
 
 	if len(alertsA) == 0 {
 		t.Fatal("fault campaign fired no TTR alert")
@@ -82,12 +77,6 @@ func TestSLOAlertsDeterministic(t *testing.T) {
 	if !bytes.Equal(repA, repB) {
 		t.Fatal("telemetry reports differ across same-seed runs")
 	}
-	if logA != logB {
-		t.Fatalf("event logs differ across same-seed runs:\n%q\n%q", logA, logB)
-	}
-	if logA == "" {
-		t.Fatal("event log empty — cluster/faults/mt emitted nothing")
-	}
 
 	// The record the report gate reads must carry the alert.
 	var rep telemetry.Report
@@ -105,10 +94,10 @@ func TestSLOAlertsDeterministic(t *testing.T) {
 
 // TestSampledTracingCluster pins head sampling at the cluster level: a
 // 1% rate keeps far fewer spans than full tracing, the same seed keeps
-// the same spans, and sampled completions attach exemplars that
-// survive into the report.
+// the same spans, and the run record's critpath exemplars name
+// requests the tracer kept.
 func TestSampledTracingCluster(t *testing.T) {
-	runOnce := func(rate float64) (spans int, exemplars int) {
+	runOnce := func(rate float64) (spans int, cp *telemetry.CritpathSummary, kept map[string]bool) {
 		tr := trace.New(1 << 20) // big enough that the ring never wraps
 		tr.SetSampling(rate, 42)
 		reg := telemetry.NewRegistry()
@@ -122,24 +111,32 @@ func TestSampledTracingCluster(t *testing.T) {
 		if res.Requests == 0 {
 			t.Fatal("no requests completed")
 		}
-		rep := reg.BuildReport("sample-test", cfg.Seed, true, nil)
-		return len(tr.Events()), len(rep.Exemplars)
+		kept = map[string]bool{}
+		for _, ev := range tr.Events() {
+			if ev.Req != 0 {
+				kept[telemetry.FormatTraceID(ev.Req)] = true
+			}
+		}
+		return len(tr.Events()), reg.Runs()[0].Critpath, kept
 	}
 
-	full, fullEx := runOnce(1)
-	sampled, sampledEx := runOnce(0.01)
+	full, fullCP, _ := runOnce(1)
+	sampled, sampledCP, sampledKept := runOnce(0.01)
 	if sampled >= full/10 {
 		t.Fatalf("1%% sampling kept %d of %d spans — head sampling not engaged", sampled, full)
 	}
-	if full == 0 || fullEx == 0 {
-		t.Fatalf("full tracing recorded %d spans, %d exemplars", full, fullEx)
+	if full == 0 || fullCP == nil || fullCP.P999 == nil {
+		t.Fatalf("full tracing recorded %d spans, critpath %+v", full, fullCP)
 	}
-	// Sampled exemplars only come from kept traces.
-	if sampledEx > fullEx {
-		t.Fatalf("sampled run has more exemplars (%d) than full (%d)", sampledEx, fullEx)
+	// The sampled run's exemplar comes only from a kept trace.
+	if sampledCP == nil || sampledCP.P999 == nil {
+		t.Fatalf("sampled run record carries no critpath p999: %+v", sampledCP)
+	}
+	if !sampledKept[sampledCP.P999.TraceID] {
+		t.Fatalf("sampled p999 exemplar %s is not a kept request", sampledCP.P999.TraceID)
 	}
 
-	again, _ := runOnce(0.01)
+	again, _, _ := runOnce(0.01)
 	if again != sampled {
 		t.Fatalf("same-seed sampled runs kept %d vs %d spans", again, sampled)
 	}

@@ -49,23 +49,10 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 			return float64(n)
 		})
 	for i, cl := range c.Clients {
-		// Kept so sampled completions can attach exemplars in onReply.
-		cl.latMetric = sc.Histogram("smartds_client_latency_seconds",
+		sc.Histogram("smartds_client_latency_seconds",
 			"Client-observed request latency.",
 			map[string]string{"client": strconv.Itoa(i)}, cl.Lat)
 	}
-
-	// Hierarchical roll-ups: per-client latency folds into one cluster
-	// series, per-node/stack transport health into one cluster counter.
-	// AddRollup is idempotent per destination, so repeated Runs reuse
-	// the same rules.
-	reg := c.cfg.Telemetry
-	reg.AddRollup("smartds_client_latency_seconds", "smartds_cluster_latency_seconds",
-		"Client-observed request latency rolled up across all clients.", "client")
-	reg.AddRollup("smartds_rdma_retransmits_total", "smartds_cluster_rdma_retransmits_total",
-		"Go-back-N resends rolled up across every node and stack.", "node", "stack")
-	reg.AddRollup("smartds_rdma_qp_resets_total", "smartds_cluster_rdma_qp_resets_total",
-		"QP resets rolled up across every node and stack.", "node", "stack")
 
 	// Middle-tier request handling and degraded-mode behavior.
 	mt := c.MT

@@ -3,7 +3,6 @@ package cluster
 import (
 	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/critpath"
-	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/lz4"
 	"github.com/disagg/smartds/internal/mem"
 	"github.com/disagg/smartds/internal/metrics"
@@ -193,12 +192,6 @@ func (c *Cluster) Run(w Workload) Results {
 		}
 	}
 
-	clog := c.cfg.Log.With("cluster")
-	if clog.Enabled(evlog.Info) {
-		clog.Info("run_start", "design", c.KindName(), "seed", c.cfg.Seed,
-			"clients", len(c.Clients), "measure", w.Measure)
-	}
-
 	if w.Rate > 0 {
 		perClient := w.Rate / float64(len(c.Clients))
 		for _, cl := range c.Clients {
@@ -337,12 +330,6 @@ func (c *Cluster) Run(w Workload) Results {
 		}
 	}
 	res.Alerts = eng.Alerts()
-	for _, al := range res.Alerts {
-		if clog.Enabled(evlog.Error) {
-			clog.Error("slo_alert", "slo", al.SLO, "kind", al.Kind,
-				"severity", al.Severity, "at", al.At, "detail", al.Detail)
-		}
-	}
 	if scope != nil {
 		scope.RecordResults(res.Duration, res.Requests, res.Errors,
 			res.Throughput, res.ReqPerSec, res.Lat)

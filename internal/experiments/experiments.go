@@ -19,7 +19,6 @@ package experiments
 import (
 	"github.com/disagg/smartds/internal/cluster"
 	"github.com/disagg/smartds/internal/critpath"
-	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/metrics"
 	"github.com/disagg/smartds/internal/middletier"
 	"github.com/disagg/smartds/internal/slo"
@@ -54,13 +53,6 @@ type Options struct {
 	// grammar) evaluated by a burn-rate engine on every cluster run;
 	// fired alerts land in the telemetry run records. Empty disables.
 	SLO []slo.Spec
-	// Log, when set, receives structured sim-time events from every
-	// layer of every cluster an experiment builds.
-	Log *evlog.Logger
-	// OnCluster, when set, is called with each new cluster's virtual
-	// clock right after construction — the event-log clock follows the
-	// currently-running cluster through it.
-	OnCluster func(now func() float64)
 	// CritpathFolded, when set (with Trace), accumulates every run's
 	// critical-path blame as folded stacks for flamegraph export.
 	CritpathFolded *critpath.Folded
@@ -104,15 +96,10 @@ func (o Options) newCluster(kind middletier.Kind, mutate func(*cluster.Config)) 
 	cfg.Telemetry = o.Telemetry
 	cfg.TelemetryExp = o.exp
 	cfg.SLO = o.SLO
-	cfg.Log = o.Log
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	c := cluster.New(cfg)
-	if o.OnCluster != nil {
-		o.OnCluster(c.Env.Now)
-	}
-	return c
+	return cluster.New(cfg)
 }
 
 // runPeak drives a saturating closed loop sized to the design.

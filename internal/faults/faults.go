@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/metrics"
 	"github.com/disagg/smartds/internal/middletier"
 	"github.com/disagg/smartds/internal/netsim"
@@ -27,9 +26,6 @@ type Target struct {
 	Storage []*storage.Server
 	// Trace, when set, records fault transitions on the "faults" track.
 	Trace *trace.Tracer
-	// Log, when set, receives structured fault-transition events (the
-	// "faults" component of the cluster's event log).
-	Log *evlog.Logger
 	// Seed derives every stochastic drop decision; same seed + same
 	// schedule replays identically.
 	Seed uint64
@@ -92,14 +88,9 @@ func (inj *Injector) Arm() error {
 	return nil
 }
 
-// emit records a fault transition on the trace's faults track and the
-// structured event log.
+// emit records a fault transition on the trace's faults track.
 func (inj *Injector) emit(at float64, name string, e Event) {
 	inj.tgt.Trace.Emit(at, "faults", name, e.String())
-	if inj.tgt.Log.Enabled(evlog.Warn) {
-		inj.tgt.Log.Warn(name, "kind", e.Kind.String(), "target", e.Target,
-			"start", e.Start, "dur", e.Duration)
-	}
 }
 
 func (inj *Injector) armLoss(ls *lossSet, e Event, r *rng.Source) error {
@@ -171,9 +162,6 @@ func (inj *Injector) armCrash(ls *lossSet, e Event) error {
 			if inj.tgt.Trace != nil {
 				inj.tgt.Trace.Emit(p.Now(), "faults", "recovered",
 					fmt.Sprintf("%s rebuilt %.0f snapshot bytes", e.Target, bytes))
-			}
-			if inj.tgt.Log.Enabled(evlog.Info) {
-				inj.tgt.Log.Info("recovered", "target", e.Target, "rebuild_bytes", bytes)
 			}
 		})
 	})

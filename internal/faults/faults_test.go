@@ -1,12 +1,15 @@
 package faults
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/disagg/smartds/internal/netsim"
 	"github.com/disagg/smartds/internal/sim"
 	"github.com/disagg/smartds/internal/storage"
+	"github.com/disagg/smartds/internal/trace"
 )
 
 // testTarget is the minimal target for arm-time validation: a fabric
@@ -97,5 +100,73 @@ func TestLossSetChainsPreviousPredicate(t *testing.T) {
 	}
 	if !prevCalled {
 		t.Fatal("previously installed LossFn was not consulted")
+	}
+}
+
+// faultInstants returns the "faults" track's instants as "name@µs detail".
+func faultInstants(tr *trace.Tracer) []string {
+	var out []string
+	for _, ev := range tr.Events() {
+		if ev.Component == "faults" && ev.Dur == 0 && !ev.Counter {
+			out = append(out, fmt.Sprintf("%s@%gus %s", ev.Name, ev.At*1e6, ev.Detail))
+		}
+	}
+	return out
+}
+
+func TestLossTransitionsTraced(t *testing.T) {
+	tgt := testTarget()
+	tgt.Trace = trace.New(64)
+	sched := MustParse("loss:vm0@1ms+1ms:0.1")
+	if err := New(tgt, sched).Arm(); err != nil {
+		t.Fatal(err)
+	}
+	tgt.Env.Run(5e-3)
+	spec := sched.Events[0].String()
+	want := []string{"loss-start@1000us " + spec, "loss-end@2000us " + spec}
+	if got := faultInstants(tgt.Trace); !slices.Equal(got, want) {
+		t.Fatalf("faults track = %q, want %q", got, want)
+	}
+}
+
+func TestDegradeTracedAndRateRestored(t *testing.T) {
+	tgt := testTarget()
+	tgt.Trace = trace.New(64)
+	port := tgt.Fabric.Port("vm0")
+	base := port.Rate()
+	if err := New(tgt, MustParse("degrade:vm0@1ms+1ms:0.25")).Arm(); err != nil {
+		t.Fatal(err)
+	}
+	tgt.Env.Run(1.5e-3)
+	if got := port.Rate(); got != base*0.25 {
+		t.Fatalf("rate inside the window = %g, want %g", got, base*0.25)
+	}
+	tgt.Env.Run(5e-3)
+	if got := port.Rate(); got != base {
+		t.Fatalf("rate after the window = %g, want %g", got, base)
+	}
+	got := faultInstants(tgt.Trace)
+	if len(got) != 2 || !strings.HasPrefix(got[0], "degrade-start@1000us ") ||
+		!strings.HasPrefix(got[1], "degrade-end@2000us ") {
+		t.Fatalf("faults track = %q, want degrade-start at 1 ms and degrade-end at 2 ms", got)
+	}
+}
+
+// Tracing is optional: a campaign armed without a tracer still fires
+// every transition.
+func TestUntracedCampaignRuns(t *testing.T) {
+	tgt := testTarget()
+	port := tgt.Fabric.Port("vm0")
+	base := port.Rate()
+	if err := New(tgt, MustParse("loss:vm0@1ms+1ms:0.1;degrade:vm0@2ms+1ms:0.5")).Arm(); err != nil {
+		t.Fatal(err)
+	}
+	tgt.Env.Run(2.5e-3)
+	if got := port.Rate(); got != base*0.5 {
+		t.Fatalf("untraced degrade did not fire: rate %g, want %g", got, base*0.5)
+	}
+	tgt.Env.Run(0)
+	if got := port.Rate(); got != base {
+		t.Fatalf("untraced degrade did not end: rate %g, want %g", got, base)
 	}
 }

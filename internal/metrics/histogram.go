@@ -142,26 +142,6 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// UpperBoundFor returns the boundary of the cumulative bucket a sample
-// of value v lands in, mirroring Record's bucket selection: under-range
-// samples map to the histogram minimum, over-range to +Inf. Exemplar
-// stores key on it so an exemplar always annotates the exact `le`
-// boundary its sample incremented.
-func (h *Histogram) UpperBoundFor(v float64) float64 {
-	switch {
-	case v < h.min:
-		return h.min
-	case v >= h.max:
-		return math.Inf(1)
-	default:
-		i := h.index(v)
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		return h.bucketUpper(i)
-	}
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) with the histogram's
 // bucket resolution. Out-of-range samples clamp to the tracked extremes.
 func (h *Histogram) Quantile(q float64) float64 {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/netsim"
 	"github.com/disagg/smartds/internal/rdma"
 	"github.com/disagg/smartds/internal/sim"
@@ -152,9 +151,6 @@ func (s *Server) RebuildServer(p *sim.Proc, idx int, servers []*storage.Server) 
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Emit(p.Now(), "mt", "rebuild",
 			fmt.Sprintf("server=%d chunks=%d bytes=%.0f", idx, rebuilt, total))
-	}
-	if s.cfg.Log.Enabled(evlog.Info) {
-		s.cfg.Log.Info("rebuild", "server", idx, "chunks", rebuilt, "bytes", total)
 	}
 	return total
 }

@@ -15,43 +15,28 @@ import (
 // with the real-time path for CPU and — critically for §5.3 — for
 // host memory bandwidth.
 
-// MaintenanceConfig tunes the background services.
-type MaintenanceConfig struct {
-	// CompactionInterval is how often the compaction service scans the
+// Background load of the services.
+const (
+	// compactionInterval is how often the compaction service scans the
 	// retained write buffers.
-	CompactionInterval float64
-	// CompactionBytes is how much buffered data each pass rewrites
+	compactionInterval = 10e-3
+	// compactionBytes is how much buffered data each pass rewrites
 	// (reads + writes host memory and burns CPU).
-	CompactionBytes float64
-	// CompactionCPUTime is the core time per pass.
-	CompactionCPUTime float64
-	// GCInterval and GCThreshold drive storage-side garbage collection:
+	compactionBytes = 4 << 20
+	// compactionCPUTime is the core time per pass.
+	compactionCPUTime = 500e-6
+	// gcInterval and gcThreshold drive storage-side garbage collection:
 	// when a storage server's garbage ratio exceeds the threshold, the
 	// service triggers ChunkStore.Compact.
-	GCInterval  float64
-	GCThreshold float64
-	// SnapshotInterval drives periodic snapshots (metadata-only pass).
-	SnapshotInterval float64
-	SnapshotCPUTime  float64
-}
-
-// DefaultMaintenanceConfig returns modest background load.
-func DefaultMaintenanceConfig() MaintenanceConfig {
-	return MaintenanceConfig{
-		CompactionInterval: 10e-3,
-		CompactionBytes:    4 << 20,
-		CompactionCPUTime:  500e-6,
-		GCInterval:         50e-3,
-		GCThreshold:        0.5,
-		SnapshotInterval:   100e-3,
-		SnapshotCPUTime:    200e-6,
-	}
-}
+	gcInterval  = 50e-3
+	gcThreshold = 0.5
+	// snapshotInterval drives periodic snapshots (metadata-only pass).
+	snapshotInterval = 100e-3
+	snapshotCPUTime  = 200e-6
+)
 
 // Maintenance is the running service set.
 type Maintenance struct {
-	s       *Server
-	cfg     MaintenanceConfig
 	running bool
 
 	CompactionPasses uint64
@@ -64,17 +49,9 @@ type Maintenance struct {
 }
 
 // StartMaintenance launches the background services on dedicated
-// cores. They run until StopMaintenance.
-func (s *Server) StartMaintenance(cfg MaintenanceConfig, servers []*storage.Server) *Maintenance {
-	def := DefaultMaintenanceConfig()
-	orDefault(&cfg.CompactionInterval, def.CompactionInterval)
-	orDefault(&cfg.CompactionBytes, def.CompactionBytes)
-	orDefault(&cfg.CompactionCPUTime, def.CompactionCPUTime)
-	orDefault(&cfg.GCInterval, def.GCInterval)
-	orDefault(&cfg.GCThreshold, def.GCThreshold)
-	orDefault(&cfg.SnapshotInterval, def.SnapshotInterval)
-	orDefault(&cfg.SnapshotCPUTime, def.SnapshotCPUTime)
-	m := &Maintenance{s: s, cfg: cfg, running: true}
+// cores. They run until Stop.
+func (s *Server) StartMaintenance(servers []*storage.Server) *Maintenance {
+	m := &Maintenance{running: true}
 
 	// Compaction: rewrite retained buffers through host memory, then
 	// persist the compacted result on the storage servers (paper
@@ -85,13 +62,13 @@ func (s *Server) StartMaintenance(cfg MaintenanceConfig, servers []*storage.Serv
 		s.env.Go("mt.compaction", func(p *sim.Proc) {
 			var seq uint32
 			for m.running {
-				p.Sleep(cfg.CompactionInterval)
+				p.Sleep(compactionInterval)
 				if !m.running {
 					break
 				}
-				compCore.Work(p, cfg.CompactionCPUTime)
-				s.Mem.Read(p, cfg.CompactionBytes)
-				s.Mem.Write(p, cfg.CompactionBytes)
+				compCore.Work(p, compactionCPUTime)
+				s.Mem.Read(p, compactionBytes)
+				s.Mem.Write(p, compactionBytes)
 				// Ship the compacted run to the replicas of a dedicated
 				// maintenance chunk. Compaction output is already
 				// compressed data, so it goes out as-is.
@@ -101,7 +78,7 @@ func (s *Server) StartMaintenance(cfg MaintenanceConfig, servers []*storage.Serv
 					Flags:      blockstore.FlagCompressed,
 					SegmentID:  ^uint64(0), // maintenance namespace
 					ChunkID:    seq,
-					PayloadLen: uint32(cfg.CompactionBytes),
+					PayloadLen: uint32(compactionBytes),
 				}
 				// Size the pending entry to the actual fan-out: under
 				// degraded mode replicasFor can return fewer servers than
@@ -117,14 +94,14 @@ func (s *Server) StartMaintenance(cfg MaintenanceConfig, servers []*storage.Serv
 					hdr.ReqID = repID
 					// The run lives in host memory: each design ships it
 					// from there (SmartDS across PCIe, via port 0).
-					out := frame{size: cfg.CompactionBytes, host: true}
+					out := frame{size: compactionBytes, host: true}
 					for _, idx := range set {
 						s.dp.send(p, 0, s.storagePaths[0][idx], hdr, out)
 					}
 					p.Wait(pr.done)
 				}
 				m.CompactionPasses++
-				m.BytesCompacted += cfg.CompactionBytes
+				m.BytesCompacted += compactionBytes
 			}
 			compCore.Release()
 		})
@@ -133,12 +110,12 @@ func (s *Server) StartMaintenance(cfg MaintenanceConfig, servers []*storage.Serv
 	// Garbage collection over the storage servers.
 	s.env.Go("mt.gc", func(p *sim.Proc) {
 		for m.running {
-			p.Sleep(cfg.GCInterval)
+			p.Sleep(gcInterval)
 			if !m.running {
 				break
 			}
 			for _, srv := range servers {
-				if srv.Store().GarbageRatio() >= cfg.GCThreshold {
+				if srv.Store().GarbageRatio() >= gcThreshold {
 					m.BytesReclaimed += srv.Store().Compact()
 					m.GCPasses++
 				}
@@ -154,11 +131,11 @@ func (s *Server) StartMaintenance(cfg MaintenanceConfig, servers []*storage.Serv
 		s.env.Go("mt.snapshot", func(p *sim.Proc) {
 			next := 0
 			for m.running {
-				p.Sleep(cfg.SnapshotInterval)
+				p.Sleep(snapshotInterval)
 				if !m.running {
 					break
 				}
-				snapCore.Work(p, cfg.SnapshotCPUTime)
+				snapCore.Work(p, snapshotCPUTime)
 				if len(servers) > 0 {
 					srv := servers[next%len(servers)]
 					next++

@@ -25,7 +25,6 @@ import (
 	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/core"
 	"github.com/disagg/smartds/internal/device"
-	"github.com/disagg/smartds/internal/evlog"
 	"github.com/disagg/smartds/internal/host"
 	"github.com/disagg/smartds/internal/lz4"
 	"github.com/disagg/smartds/internal/mem"
@@ -114,10 +113,6 @@ type Config struct {
 	// Trace, when set, records per-stage request spans (parse, compress,
 	// replicate, ack, ...) in virtual time. Nil disables tracing.
 	Trace *trace.Tracer
-
-	// Log, when set, receives structured middle-tier lifecycle events
-	// (rebuilds, backfills) as the event log's "mt" component.
-	Log *evlog.Logger
 }
 
 // Fixed parameters of the testbed hardware and the payload model.
@@ -635,10 +630,6 @@ func (s *Server) scheduleBackfill(key chunkKey, srcs []int, dst int) {
 		if s.cfg.Trace != nil {
 			s.cfg.Trace.Emit(p.Now(), "mt", "backfill",
 				fmt.Sprintf("chunk=%d/%d src=%d dst=%d bytes=%d", key.seg, key.chunk, src, dst, n))
-		}
-		if s.cfg.Log.Enabled(evlog.Info) {
-			s.cfg.Log.Info("backfill", "seg", key.seg, "chunk", key.chunk,
-				"src", src, "dst", dst, "bytes", n)
 		}
 	})
 }

@@ -198,10 +198,20 @@ func TestUnknownKindPanics(t *testing.T) {
 	New(env, fabric, cfg)
 }
 
+// TestMaintenanceDefaults pins what the services' loops assume of
+// their constants: positive cadences, a garbage ratio threshold inside
+// (0, 1), and per-pass core time shorter than the pass's interval.
 func TestMaintenanceDefaults(t *testing.T) {
-	def := DefaultMaintenanceConfig()
-	if def.CompactionInterval <= 0 || def.GCThreshold <= 0 || def.SnapshotInterval <= 0 {
-		t.Fatalf("defaults not positive: %+v", def)
+	if compactionInterval <= 0 || gcInterval <= 0 || snapshotInterval <= 0 || compactionBytes <= 0 {
+		t.Fatalf("maintenance cadences not positive: compaction %g s, gc %g s, snapshot %g s, %d B",
+			compactionInterval, gcInterval, snapshotInterval, compactionBytes)
+	}
+	if gcThreshold <= 0 || gcThreshold >= 1 {
+		t.Fatalf("gc threshold %g outside (0, 1)", gcThreshold)
+	}
+	if compactionCPUTime >= compactionInterval || snapshotCPUTime >= snapshotInterval {
+		t.Fatalf("a pass outlasts its interval: compaction %g/%g s, snapshot %g/%g s",
+			compactionCPUTime, compactionInterval, snapshotCPUTime, snapshotInterval)
 	}
 }
 

@@ -51,12 +51,9 @@ func (ew *omWriter) sample(name string, labels LabelSet, v float64) {
 	ew.line(name + labels.String() + " " + omFloat(v))
 }
 
-// histogram emits the cumulative _bucket/_sum/_count triplet. Buckets
-// holding an exemplar carry it in OpenMetrics exemplar syntax
-// (`# {trace_id="..."} value timestamp`), linking the bucket to a kept
-// trace. Overflow series export the merge of their folded sources.
+// histogram emits the cumulative _bucket/_sum/_count triplet.
 func (ew *omWriter) histogram(m *Metric) {
-	h := m.snapshotHist()
+	h := m.hist
 	prev := uint64(0)
 	first := true
 	for _, b := range h.Buckets() {
@@ -67,13 +64,7 @@ func (ew *omWriter) histogram(m *Metric) {
 		}
 		first = false
 		prev = b.Count
-		line := m.name + "_bucket" + m.labels.With("le", omLe(b.UpperBound)).String() +
-			" " + omFloat(float64(b.Count))
-		if ex, ok := m.ExemplarFor(b.UpperBound); ok {
-			line += " # {trace_id=" + quote(FormatTraceID(ex.TraceID)) + "} " +
-				omFloat(ex.Value) + " " + omFloat(ex.At)
-		}
-		ew.line(line)
+		ew.sample(m.name+"_bucket", m.labels.With("le", omFloat(b.UpperBound)), float64(b.Count))
 	}
 	ew.sample(m.name+"_sum", m.labels, h.Sum())
 	ew.sample(m.name+"_count", m.labels, float64(h.Count()))
@@ -89,6 +80,3 @@ func omFloat(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// omLe renders a bucket boundary for the le label.
-func omLe(v float64) string { return omFloat(v) }

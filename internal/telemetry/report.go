@@ -79,6 +79,17 @@ type CritpathExemplar struct {
 	Segments []CritpathSegment `json:"segments"`
 }
 
+// FormatTraceID renders a trace correlation id the way critpath
+// exemplars and smartds-top display it (fixed-width hex,
+// deterministic).
+func FormatTraceID(id uint64) string {
+	s := strconv.FormatUint(id, 16)
+	for len(s) < 16 {
+		s = "0" + s
+	}
+	return s
+}
+
 // CritpathStage is one stage's share of critical-path time across the
 // run's sampled requests.
 type CritpathStage struct {
@@ -187,11 +198,6 @@ type RunScope struct {
 	labels  LabelSet
 	metrics []*Metric
 	short   map[*Metric]string
-
-	// Label-budget state (see budget.go): per-name registration counts
-	// and the overflow series absorbing over-budget registrations.
-	perName  map[string]int
-	overflow map[string]*Metric
 }
 
 // NewRun opens a scope for one cluster run. Seq is assigned per
@@ -253,41 +259,18 @@ func (sc *RunScope) mergeLabels(extra map[string]string) LabelSet {
 	return ls
 }
 
-// CounterFunc registers a pull counter under the scope's labels. Past
-// the registry's label budget the callback folds into the scope's
-// overflow series instead (its value is the sum of every fold).
+// CounterFunc registers a pull counter under the scope's labels.
 func (sc *RunScope) CounterFunc(name, help string, extra map[string]string, fn func() float64) *Metric {
-	if sc.overBudget(name) {
-		m := sc.overflowFor(name, help, KindCounter)
-		m.reads = append(m.reads, fn)
-		m.folded++
-		return m
-	}
 	return sc.scoped(sc.reg.CounterFunc(name, help, sc.mergeLabels(extra), fn), name, extra)
 }
 
-// GaugeFunc registers a pull gauge under the scope's labels (folding
-// past the label budget like CounterFunc).
+// GaugeFunc registers a pull gauge under the scope's labels.
 func (sc *RunScope) GaugeFunc(name, help string, extra map[string]string, fn func() float64) *Metric {
-	if sc.overBudget(name) {
-		m := sc.overflowFor(name, help, KindGauge)
-		m.reads = append(m.reads, fn)
-		m.folded++
-		return m
-	}
 	return sc.scoped(sc.reg.GaugeFunc(name, help, sc.mergeLabels(extra), fn), name, extra)
 }
 
-// Histogram registers a histogram under the scope's labels. Past the
-// label budget the histogram folds into the overflow series, whose
-// exported buckets are the merge of every folded source.
+// Histogram registers a histogram under the scope's labels.
 func (sc *RunScope) Histogram(name, help string, extra map[string]string, h *metrics.Histogram) *Metric {
-	if sc.overBudget(name) {
-		m := sc.overflowFor(name, help, KindHistogram)
-		m.srcHists = append(m.srcHists, h)
-		m.folded++
-		return m
-	}
 	return sc.scoped(sc.reg.Histogram(name, help, sc.mergeLabels(extra), h), name, extra)
 }
 
@@ -348,17 +331,6 @@ type SeriesEntry struct {
 	Digest Digest            `json:"digest"`
 }
 
-// ExemplarEntry is one histogram bucket's exemplar in the report: the
-// link from a latency bucket to a kept (head-sampled) trace ID.
-type ExemplarEntry struct {
-	Name    string            `json:"name"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Le      string            `json:"le"`
-	Value   float64           `json:"value"`
-	TraceID string            `json:"trace_id"`
-	At      float64           `json:"at_sec"`
-}
-
 // SimPerf is the wall-clock performance of the simulator itself over
 // one harness invocation. It is measured, not simulated — two same-seed
 // runs report different SimPerf — so BuildReport never fills it; only
@@ -376,16 +348,15 @@ type SimPerf struct {
 // Report is the machine-readable record of one harness invocation:
 // what ran, with which knobs, and every number the run produced.
 type Report struct {
-	Schema    string            `json:"schema"`
-	Name      string            `json:"name"`
-	Seed      uint64            `json:"seed"`
-	Quick     bool              `json:"quick"`
-	Config    map[string]string `json:"config,omitempty"`
-	Runs      []*RunRecord      `json:"runs"`
-	Finals    []MetricFinal     `json:"counters"`
-	Series    []SeriesEntry     `json:"series,omitempty"`
-	Exemplars []ExemplarEntry   `json:"exemplars,omitempty"`
-	SimPerf   *SimPerf          `json:"sim_perf,omitempty"`
+	Schema  string            `json:"schema"`
+	Name    string            `json:"name"`
+	Seed    uint64            `json:"seed"`
+	Quick   bool              `json:"quick"`
+	Config  map[string]string `json:"config,omitempty"`
+	Runs    []*RunRecord      `json:"runs"`
+	Finals  []MetricFinal     `json:"counters"`
+	Series  []SeriesEntry     `json:"series,omitempty"`
+	SimPerf *SimPerf          `json:"sim_perf,omitempty"`
 }
 
 // BuildReport assembles the report from everything the registry has
@@ -408,13 +379,6 @@ func (r *Registry) BuildReport(name string, seed uint64, quick bool, config map[
 		if m.series != nil {
 			rep.Series = append(rep.Series, SeriesEntry{
 				Name: m.name, Labels: m.labels.Map(), Digest: m.series.Digest(),
-			})
-		}
-		for _, le := range m.ExemplarBounds() {
-			ex, _ := m.ExemplarFor(le)
-			rep.Exemplars = append(rep.Exemplars, ExemplarEntry{
-				Name: m.name, Labels: m.labels.Map(), Le: omLe(le),
-				Value: ex.Value, TraceID: FormatTraceID(ex.TraceID), At: ex.At,
 			})
 		}
 	}

@@ -100,28 +100,18 @@ func (ls LabelSet) Map() map[string]string {
 }
 
 // Metric is one registered instrument. Counters and gauges read a pull
-// callback at sample and export time (a roll-up holds its summed
-// value); histograms wrap a metrics.Histogram.
+// callback at sample and export time; histograms wrap a
+// metrics.Histogram.
 type Metric struct {
 	name   string
 	help   string
 	kind   Kind
 	labels LabelSet
 
-	value float64
-	read  func() float64
-	hist  *metrics.Histogram
+	read func() float64
+	hist *metrics.Histogram
 
 	series *Series
-
-	// Exemplars: bucket boundary → latest exemplar (histograms only).
-	exemplars map[float64]Exemplar
-
-	// Overflow series state (see budget.go): the pull callbacks and
-	// source histograms of every registration folded past the budget.
-	reads    []func() float64
-	srcHists []*metrics.Histogram
-	folded   int
 }
 
 // Name returns the metric name.
@@ -136,10 +126,7 @@ func (m *Metric) Value() float64 {
 	if m.hist != nil {
 		return float64(m.hist.Count())
 	}
-	if m.read != nil {
-		return m.read()
-	}
-	return m.value
+	return m.read()
 }
 
 // Series returns the metric's recorded time series (nil when the
@@ -160,12 +147,6 @@ type Registry struct {
 	// SampleInterval is the sim-clock sampling cadence used by run
 	// scopes (default 100 µs of virtual time).
 	SampleInterval float64
-	// LabelBudget bounds the distinct series a run scope may register
-	// per metric name; registrations past the budget fold into one
-	// overflow="other" series (0 = unlimited; see budget.go).
-	LabelBudget int
-
-	rollups []rollupRule
 
 	runs   []*RunRecord
 	runSeq map[string]int
@@ -212,17 +193,10 @@ func (r *Registry) Histogram(name, help string, labels LabelSet, h *metrics.Hist
 	return r.register(&Metric{name: name, help: help, kind: KindHistogram, labels: labels, hist: h})
 }
 
-// Lookup returns the metric registered under (name, labels), or nil.
-func (r *Registry) Lookup(name string, labels LabelSet) *Metric {
-	return r.index[name+labels.String()]
-}
-
-// Metrics returns every registered metric plus the materialized
-// roll-up families, sorted by (name, labels) — the canonical export
-// order.
+// Metrics returns every registered metric sorted by (name, labels) —
+// the canonical export order.
 func (r *Registry) Metrics() []*Metric {
 	out := append([]*Metric(nil), r.metrics...)
-	out = append(out, r.materializeRollups()...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].name != out[j].name {
 			return out[i].name < out[j].name

@@ -46,10 +46,10 @@ func TestRegistryBasics(t *testing.T) {
 		t.Fatalf("gauge = %g", g.Value())
 	}
 	x := 0.0
-	r.GaugeFunc("pull", "pull gauge", nil, func() float64 { return x })
+	pull := r.GaugeFunc("pull", "pull gauge", nil, func() float64 { return x })
 	x = 42
-	if m := r.Lookup("pull", nil); m == nil || m.Value() != 42 {
-		t.Fatalf("pull gauge lookup/value failed")
+	if pull.Value() != 42 {
+		t.Fatalf("pull gauge = %g", pull.Value())
 	}
 
 	// Canonical ordering: sorted by name then labels.

@@ -91,8 +91,8 @@ func (t *Tracer) ForRequest(id uint64) *Tracer {
 
 // KeepTail retroactively records a request the head sampler dropped:
 // one completed span on the "tail" track named by reason (e.g.
-// "error", "p999"), covering [start, end]. The id ties it to exemplars
-// and logs. Call only for unsampled requests — sampled ones
+// "error", "p999"), covering [start, end]. The id ties it to the
+// critpath exemplars. Call only for unsampled requests — sampled ones
 // already have their full stage tiling.
 //
 // The kept span is marked as the request's root (Req = id, KindRoot):
