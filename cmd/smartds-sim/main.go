@@ -162,8 +162,9 @@ func run(args []string) (int, error) {
 		}
 	}
 	c := cluster.New(cfg)
+	var m *middletier.Maintenance
 	if *maintenance {
-		m := c.MT.StartMaintenance(c.Storage)
+		m = c.MT.StartMaintenance(c.Storage)
 		defer m.Stop()
 	}
 	var inj *faults.Injector
@@ -177,7 +178,7 @@ func run(args []string) (int, error) {
 	start := time.Now()
 	res := c.Run(wl)
 
-	printResults(c, res)
+	printResults(c, res, m)
 	durabilityViolated := false
 	if inj != nil {
 		fmt.Println(inj.Report().String())
@@ -278,8 +279,9 @@ func writeTrace(tr *trace.Tracer, path string) error {
 	return f.Close()
 }
 
-// printResults renders the standard result table.
-func printResults(c *cluster.Cluster, res cluster.Results) {
+// printResults renders the standard result table, with the maintenance
+// services' work when m is running them.
+func printResults(c *cluster.Cluster, res cluster.Results, m *middletier.Maintenance) {
 	tbl := metrics.NewTable(fmt.Sprintf("%s scenario", c.KindName()),
 		"metric", "value")
 	tbl.AddRow("throughput", metrics.FormatGbps(res.Throughput))
@@ -296,5 +298,11 @@ func printResults(c *cluster.Cluster, res cluster.Results) {
 	tbl.AddRow("PCIe H2D (all devices)", metrics.FormatGbps(res.TotalPCIeH2D()))
 	tbl.AddRow("PCIe D2H (all devices)", metrics.FormatGbps(res.TotalPCIeD2H()))
 	tbl.AddRow("read verify mismatches", res.VerifyMismatches)
+	if m != nil {
+		tbl.AddRow("compaction passes", m.CompactionPasses)
+		tbl.AddRow("GC passes", m.GCPasses)
+		tbl.AddRow("GC bytes reclaimed", m.BytesReclaimed)
+		tbl.AddRow("snapshots", m.Snapshots)
+	}
 	fmt.Println(tbl.String())
 }

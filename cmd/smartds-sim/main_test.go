@@ -126,3 +126,38 @@ func TestBreakdownPrintsBlame(t *testing.T) {
 		t.Errorf("mean%% column sums to %.1f%%, want 100%% ±0.5:\n%s", sum, table)
 	}
 }
+
+// TestMaintenancePrintsServices runs a short -maintenance scenario and
+// checks that the result table reports what the services did.
+func TestMaintenancePrintsServices(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	code, err := run([]string{"-kind", "cpu", "-maintenance", "-warmup", "1ms", "-measure", "12ms"})
+	os.Stdout = stdout
+	if err != nil || code != 0 {
+		t.Fatalf("run = %d, %v", code, err)
+	}
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, value, ok := strings.Cut(strings.TrimSpace(line), "  "); ok {
+			rows[name] = strings.TrimSpace(value)
+		}
+	}
+	for _, name := range []string{"compaction passes", "GC passes", "GC bytes reclaimed", "snapshots"} {
+		if _, ok := rows[name]; !ok {
+			t.Errorf("result table has no %q row:\n%s", name, data)
+		}
+	}
+	// Compaction runs every 10 ms, so a 13 ms run completes one pass.
+	if rows["compaction passes"] != "1" {
+		t.Errorf("compaction passes = %q, want 1", rows["compaction passes"])
+	}
+}

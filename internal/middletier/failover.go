@@ -2,9 +2,7 @@ package middletier
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
-	"slices"
 
 	"github.com/disagg/smartds/internal/netsim"
 	"github.com/disagg/smartds/internal/rdma"
@@ -60,13 +58,6 @@ func (s *Server) Addrs() []netsim.Addr {
 	return out
 }
 
-// ReplicaSet returns a copy of the recorded placement for one chunk
-// (empty when the chunk was never written through this server). The
-// durability checker walks it to find which stores must hold a block.
-func (s *Server) ReplicaSet(seg uint64, chunk uint32) []int {
-	return slices.Clone(s.placement[chunkKey{seg: seg, chunk: chunk}])
-}
-
 // ClientLocalQP returns the middle-tier side of client connection i (in
 // ConnectClient order) so the transport layer can be reconnected after
 // a middle-tier restart.
@@ -111,39 +102,19 @@ func (s *Server) copyChunk(src, dst *storage.Server, key chunkKey) (int, error) 
 
 // RebuildServer streams surviving replicas' chunk snapshots into a
 // recovered server's empty store (the re-replication phase of
-// fail-over). It charges the records' stored bytes at the middle
-// tier's port rate and returns them. Chunks are rebuilt in sorted
-// (segment, chunk) order so same-seed runs replay identically.
+// fail-over), each from the source the placer names by the storage
+// servers' own state. It charges the records' stored bytes at the
+// middle tier's port rate and returns them.
 func (s *Server) RebuildServer(p *sim.Proc, idx int, servers []*storage.Server) float64 {
-	var keys []chunkKey
-	for key, set := range s.placement {
-		if slices.Contains(set, idx) {
-			keys = append(keys, key)
-		}
-	}
-	slices.SortFunc(keys, func(a, b chunkKey) int {
-		return cmp.Or(cmp.Compare(a.seg, b.seg), cmp.Compare(a.chunk, b.chunk))
-	})
 	total := 0.0
 	rebuilt := 0
-	for _, key := range keys {
-		var src *storage.Server
-		for _, m := range s.placement[key] {
-			if m != idx && m >= 0 && m < len(servers) && !servers[m].Down() {
-				src = servers[m]
-				break
-			}
+	up := func(m int) bool { return m < len(servers) && !servers[m].Down() }
+	s.place.rebuildSources(idx, up, func(key chunkKey, src int) {
+		if n, err := s.copyChunk(servers[src], servers[idx], key); err == nil {
+			total += float64(n)
+			rebuilt++
 		}
-		if src == nil {
-			continue // no surviving replica: data loss, nothing to stream
-		}
-		n, err := s.copyChunk(src, servers[idx], key)
-		if err != nil {
-			continue
-		}
-		total += float64(n)
-		rebuilt++
-	}
+	})
 	if total > 0 {
 		p.Sleep(total / s.cfg.PortRate)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"github.com/disagg/smartds/internal/blockstore"
+	"github.com/disagg/smartds/internal/host"
 	"github.com/disagg/smartds/internal/lz4"
 	"github.com/disagg/smartds/internal/sim"
 	"github.com/disagg/smartds/internal/storage"
@@ -42,14 +43,11 @@ type Maintenance struct {
 	CompactionPasses uint64
 	GCPasses         uint64
 	Snapshots        uint64
-	BytesCompacted   float64
-	BytesReclaimed   int64
-	SnapshotBytes    int64 // compressed snapshot image bytes produced
-	SnapshotRecords  int
+	BytesReclaimed   int64 // storage bytes GC compaction freed
 }
 
-// StartMaintenance launches the background services on dedicated
-// cores. They run until Stop.
+// StartMaintenance launches the background services, compaction and
+// snapshots on dedicated cores. They run until Stop.
 func (s *Server) StartMaintenance(servers []*storage.Server) *Maintenance {
 	m := &Maintenance{running: true}
 
@@ -57,68 +55,38 @@ func (s *Server) StartMaintenance(servers []*storage.Server) *Maintenance {
 	// persist the compacted result on the storage servers (paper
 	// §2.2.3: "the result of the compaction is sent to remote storage
 	// servers for persistence").
-	compCore, err := s.cpu.Claim()
-	if err == nil {
-		s.env.Go("mt.compaction", func(p *sim.Proc) {
-			var seq uint32
-			for m.running {
-				p.Sleep(compactionInterval)
-				if !m.running {
-					break
-				}
-				compCore.Work(p, compactionCPUTime)
-				s.Mem.Read(p, compactionBytes)
-				s.Mem.Write(p, compactionBytes)
-				// Ship the compacted run to the replicas of a dedicated
-				// maintenance chunk. Compaction output is already
-				// compressed data, so it goes out as-is.
-				seq++
-				hdr := blockstore.Header{
-					Op:         blockstore.OpReplicate,
-					Flags:      blockstore.FlagCompressed,
-					SegmentID:  ^uint64(0), // maintenance namespace
-					ChunkID:    seq,
-					PayloadLen: uint32(compactionBytes),
-				}
-				// Size the pending entry to the actual fan-out: under
-				// degraded mode replicasFor can return fewer servers than
-				// the replication factor, and a pending registered for the
-				// full factor would then never complete and wedge the
-				// compaction loop for the rest of the run.
-				var set []int
-				if s.numStorage > 0 {
-					set = s.replicasFor(hdr)
-				}
-				if len(set) > 0 {
-					repID, pr := s.begin(len(set), len(set))
-					hdr.ReqID = repID
-					// The run lives in host memory: each design ships it
-					// from there (SmartDS across PCIe, via port 0).
-					out := frame{size: compactionBytes, host: true}
-					for _, idx := range set {
-						s.dp.send(p, 0, s.storagePaths[0][idx], hdr, out)
-					}
-					p.Wait(pr.done)
-				}
-				m.CompactionPasses++
-				m.BytesCompacted += compactionBytes
+	var seq uint32
+	m.every(s, "mt.compaction", compactionInterval, compactionCPUTime, func(p *sim.Proc) {
+		s.Mem.Read(p, compactionBytes)
+		s.Mem.Write(p, compactionBytes)
+		// Ship the compacted run to the replicas of a dedicated
+		// maintenance chunk. Compaction output is already compressed
+		// data, so it goes out as-is, from host memory on every design
+		// (SmartDS across PCIe, via port 0).
+		seq++
+		hdr := blockstore.Header{
+			Op:         blockstore.OpReplicate,
+			Flags:      blockstore.FlagCompressed,
+			SegmentID:  ^uint64(0), // maintenance namespace
+			ChunkID:    seq,
+			PayloadLen: uint32(compactionBytes),
+		}
+		if set := s.writeSet(hdr); len(set) > 0 {
+			// Bounded like a write's wait: a replica that crashes with the
+			// run in flight never acks it.
+			if pr, ok := s.fanOut(p, 0, set, len(set), hdr, frame{size: compactionBytes, host: true}); ok {
+				s.awaitAck(p, pr)
 			}
-			compCore.Release()
-		})
-	}
+		}
+		m.CompactionPasses++
+	})
 
 	// Garbage collection over the storage servers.
-	s.env.Go("mt.gc", func(p *sim.Proc) {
-		for m.running {
-			p.Sleep(gcInterval)
-			if !m.running {
-				break
-			}
-			for _, srv := range servers {
-				if srv.Store().GarbageRatio() >= gcThreshold {
-					m.BytesReclaimed += srv.Store().Compact()
-					m.GCPasses++
-				}
+	m.every(s, "mt.gc", gcInterval, 0, func(*sim.Proc) {
+		for _, srv := range servers {
+			if srv.Store().GarbageRatio() >= gcThreshold {
+				m.BytesReclaimed += srv.Store().Compact()
+				m.GCPasses++
 			}
 		}
 	})
@@ -126,34 +94,48 @@ func (s *Server) StartMaintenance(servers []*storage.Server) *Maintenance {
 	// Snapshots: periodically capture a real compressed image of one
 	// storage server's live records (round-robin across servers). The
 	// image lands in the middle tier's host memory.
-	snapCore, err := s.cpu.Claim()
-	if err == nil {
-		s.env.Go("mt.snapshot", func(p *sim.Proc) {
-			next := 0
-			for m.running {
-				p.Sleep(snapshotInterval)
-				if !m.running {
-					break
-				}
-				snapCore.Work(p, snapshotCPUTime)
-				if len(servers) > 0 {
-					srv := servers[next%len(servers)]
-					next++
-					var img bytes.Buffer
-					n, err := srv.Store().Snapshot(&img, lz4.LevelFast)
-					if err == nil {
-						m.SnapshotRecords += n
-						m.SnapshotBytes += int64(img.Len())
-						// The image crosses the network into host memory.
-						s.Mem.Write(p, float64(img.Len()))
-					}
-				}
-				m.Snapshots++
+	next := 0
+	m.every(s, "mt.snapshot", snapshotInterval, snapshotCPUTime, func(p *sim.Proc) {
+		if len(servers) > 0 {
+			srv := servers[next%len(servers)]
+			next++
+			var img bytes.Buffer
+			if _, err := srv.Store().Snapshot(&img, lz4.LevelFast); err == nil {
+				// The image crosses the network into host memory.
+				s.Mem.Write(p, float64(img.Len()))
 			}
-			snapCore.Release()
-		})
-	}
+		}
+		m.Snapshots++
+	})
 	return m
+}
+
+// every runs pass every interval in a proc called name until Stop. A
+// service that spends cpuTime of core time per pass runs on a core of
+// its own, and does not start when none is left.
+func (m *Maintenance) every(s *Server, name string, interval, cpuTime float64, pass func(*sim.Proc)) {
+	var core *host.Core
+	if cpuTime > 0 {
+		var err error
+		if core, err = s.cpu.Claim(); err != nil {
+			return
+		}
+	}
+	s.env.Go(name, func(p *sim.Proc) {
+		for m.running {
+			p.Sleep(interval)
+			if !m.running {
+				break
+			}
+			if core != nil {
+				core.Work(p, cpuTime)
+			}
+			pass(p)
+		}
+		if core != nil {
+			core.Release()
+		}
+	})
 }
 
 // Stop winds the services down after their current sleep.

@@ -161,9 +161,10 @@ func DefaultConfig(kind Kind) Config {
 	return cfg
 }
 
-// pendingReq tracks a fan-out to storage servers (replication) or a
-// single fetch.
+// pendingReq tracks one fan-out to storage servers: a replicate hop, a
+// fetch, a read repair or a compaction run.
 type pendingReq struct {
+	id        uint64
 	remaining int // replies still outstanding
 	// need is how many more OK acks make the fan-out a success. Primary
 	// fan-out and single fetches start it at the reply count (all
@@ -180,16 +181,13 @@ type pendingReq struct {
 	// fetched payload (SmartDS read path).
 	release func()
 
-	// Straggler attribution (critpath): replicate stamps the
-	// fan-out set and send-complete time, completePending stamps which
-	// reply decided the fan-out and when. set[slot] is the global
-	// storage-server index of replica slot; deciderSlot is the slot of
-	// the deciding (slowest-awaited) ack, -1 until decided.
-	set         []int
-	sentAt      float64
-	decidedAt   float64
-	deciderSlot int
-	deciderIdx  int // global server index of the deciding ack
+	// The straggler decision (critpath), for replicate hops: replicate
+	// stamps the hop's members (set, by replica slot) and when their
+	// sends were posted; completePending stamps decider, the slot of the
+	// reply that completed a multi-member hop, -1 until then.
+	set     []int
+	sentAt  float64
+	decider int
 }
 
 // releaseDesc returns the receive descriptor holding a fetched payload,
@@ -243,23 +241,17 @@ type Server struct {
 
 	// Replication connections: storagePaths[path][replica].
 	storagePaths [][]*rdma.QP
-	serverDown   []bool
-	numStorage   int
-	nextPath     int
-	// placement records which storage servers hold each chunk's
-	// replicas (the chunk -> server mapping the paper's middle tier
-	// owns, §2.1); writes create it, reads consult it, fail-over
-	// rewrites it.
-	placement map[chunkKey][]int
-	readRR    int
+	// place owns the chunk -> server mapping and the down flags
+	// (placement.go).
+	place placer
 
 	pending map[uint64]*pendingReq
 	nextRep uint64
 
 	// nextVer is the writer-assigned block version counter: every write
-	// gets one version before its fan-out, stable across retry attempts,
-	// so storage servers can refuse regressions and quorum reads can
-	// rank replicas.
+	// takes one before its fan-out, and every retry attempt re-sends it,
+	// so storage servers refuse regressions, treat retries as the same
+	// write, and quorum reads can rank replicas.
 	nextVer uint64
 	// storageServers mirrors ConnectStorage's argument for chunk
 	// backfill after replica substitution.
@@ -322,7 +314,6 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 		Mem:        mem.New(env, cfg.Mem),
 		cpu:        host.NewPool(env, cfg.CPU),
 		pending:    make(map[uint64]*pendingReq),
-		placement:  make(map[chunkKey][]int),
 		engineDown: make([]bool, cfg.Ports),
 		codec:      lz4.NewLookahead(cfg.BlockSize),
 	}
@@ -452,13 +443,46 @@ func (s *Server) nextCore() *host.Core {
 
 // begin registers a fan-out of `replies` replies that succeeds at
 // `need` OK acks (need == replies: every reply must be OK).
-func (s *Server) begin(replies, need int) (uint64, *pendingReq) {
+func (s *Server) begin(replies, need int) *pendingReq {
 	s.nextRep++
-	pr := &pendingReq{remaining: replies, need: need,
-		done: s.env.NewEvent(), status: blockstore.StatusOK,
-		sentAt: -1, decidedAt: -1, deciderSlot: -1, deciderIdx: -1}
-	s.pending[s.nextRep] = pr
-	return s.nextRep, pr
+	pr := &pendingReq{id: s.nextRep, remaining: replies, need: need,
+		done: s.env.NewEvent(), status: blockstore.StatusOK, decider: -1}
+	s.pending[pr.id] = pr
+	return pr
+}
+
+// fanOut registers one fan-out to members that completes at need OK
+// acks and sends hdr, tagged with its id, plus f to each member out of
+// path. Replicate hops, fetches, read repairs and compaction runs all
+// go out through it; a caller that waits for the replies does so with
+// awaitAck. ok is false when a frame could not be staged for
+// transmission: the fan-out is then unregistered, and the members after
+// the failed send were not sent to.
+func (s *Server) fanOut(p *sim.Proc, path int, members []int, need int, hdr blockstore.Header, f frame) (pr *pendingReq, ok bool) {
+	pr = s.begin(len(members), need)
+	hdr.ReqID = pr.id
+	for _, idx := range members {
+		if s.dp.send(p, path, s.storagePaths[path][idx], hdr, f) == nil {
+			delete(s.pending, pr.id)
+			return pr, false
+		}
+	}
+	return pr, true
+}
+
+// awaitAck waits for a fan-out to complete, bounded by the replicate
+// timeout when one is set. On timeout it unregisters the fan-out, so
+// late replies count as stale, and returns false.
+func (s *Server) awaitAck(p *sim.Proc, pr *pendingReq) bool {
+	if s.cfg.ReplicateTimeout <= 0 {
+		p.Wait(pr.done)
+		return true
+	}
+	if _, ok := p.WaitTimeout(pr.done, s.cfg.ReplicateTimeout); ok {
+		return true
+	}
+	delete(s.pending, pr.id)
+	return false
 }
 
 // completePending records one reply for a fan-out. A reply whose id is
@@ -470,7 +494,10 @@ func (s *Server) begin(replies, need int) (uint64, *pendingReq) {
 // from is the global storage-server index the reply arrived from (-1
 // when unknown). Reply headers carry no sender identity — it is the
 // per-connection receive closure, bound at ConnectStorage time, that
-// knows which server a reply came down from.
+// knows which server a reply came down from. The reply that completes
+// a multi-member replicate hop is by definition the slowest one the
+// protocol still had to wait for, so its replica slot is the hop's
+// straggler and counts in StragglerAcks.
 func (s *Server) completePending(repID uint64, from int, st blockstore.Status, f frame, hdr blockstore.Header) {
 	pr, ok := s.pending[repID]
 	if !ok {
@@ -493,29 +520,12 @@ func (s *Server) completePending(repID uint64, from int, st blockstore.Status, f
 		return
 	}
 	delete(s.pending, repID)
-	s.noteDecider(pr, from)
-	pr.done.Trigger(nil)
-}
-
-// noteDecider stamps the reply that completed a fan-out and, for
-// multi-replica fan-outs, bumps the per-slot straggler counter: the
-// deciding ack is by definition the slowest one the protocol still had
-// to wait for, so its replica slot is the fan-out's straggler.
-func (s *Server) noteDecider(pr *pendingReq, from int) {
-	pr.decidedAt = s.now()
-	pr.deciderIdx = from
-	if len(pr.set) <= 1 || from < 0 {
-		return
-	}
-	for slot, idx := range pr.set {
-		if idx == from {
-			pr.deciderSlot = slot
-			if slot < len(s.StragglerAcks) {
-				s.StragglerAcks[slot]++
-			}
-			return
+	if len(pr.set) > 1 {
+		if pr.decider = slices.Index(pr.set, from); pr.decider >= 0 && pr.decider < len(s.StragglerAcks) {
+			s.StragglerAcks[pr.decider]++
 		}
 	}
+	pr.done.Trigger(nil)
 }
 
 // onStorageReplyFrom routes replicate/fetch replies back to their
@@ -536,150 +546,12 @@ func (s *Server) onStorageReplyFrom(from int, m *rdma.Message) {
 // from the header, so one request's spans line up across components.
 func TraceID(vmID, reqID uint64) uint64 { return vmID<<48 ^ reqID }
 
-// traceID is TraceID from a parsed request header.
-func traceID(hdr blockstore.Header) uint64 { return TraceID(hdr.VMID, hdr.ReqID) }
-
-// now is shorthand for the current virtual time.
-func (s *Server) now() float64 { return s.env.Now() }
-
-// chunkKey identifies one chunk for placement.
-type chunkKey struct {
-	seg   uint64
-	chunk uint32
-}
-
-// replicasFor returns the servers a write to this chunk should fan out
-// to: existing placement if recorded, else a fresh healthy set. Down
-// servers in an existing set are replaced by healthy ones (fail-over
-// re-replication) and the table updated. When no substitute exists the
-// down member keeps its placement slot — it still holds the replica and
-// rejoins on recovery — but is excluded from the returned fan-out, so
-// the write proceeds degraded instead of panicking; an empty return
-// means no replica is reachable at all and the write must fail.
-func (s *Server) replicasFor(hdr blockstore.Header) []int {
-	key := chunkKey{seg: hdr.SegmentID, chunk: hdr.ChunkID}
-	set, ok := s.placement[key]
-	if !ok {
-		set = s.healthyReplicas()
-		if len(set) == 0 {
-			s.Unroutable++
-			return nil
-		}
-		if len(set) < s.cfg.Replicas {
-			s.Degraded++
-		}
-		s.placement[key] = set
-		return set
-	}
-	if !slices.ContainsFunc(set, func(idx int) bool { return s.serverDown[idx] }) {
-		return set
-	}
-	healthy := make([]int, 0, len(set))
-	var srcs, subs []int
-	degraded := false
-	for i, idx := range set {
-		if !s.serverDown[idx] {
-			healthy = append(healthy, idx)
-			srcs = append(srcs, idx)
-			continue
-		}
-		if sub := s.substituteReplica(set); sub >= 0 {
-			set[i] = sub
-			healthy = append(healthy, sub)
-			subs = append(subs, sub)
-		} else {
-			degraded = true
-		}
-	}
-	if degraded {
-		s.Degraded++
-	}
-	if len(healthy) == 0 {
-		s.Unroutable++
-		return nil
-	}
-	// A substitute joins the set empty: copy the chunk's existing blocks
-	// onto it from a surviving original member, or substitution would
-	// silently shrink how many replicas actually hold pre-fail-over
-	// writes (the durability checker counts holders per replica).
-	for _, sub := range subs {
-		s.scheduleBackfill(key, srcs, sub)
-	}
-	return healthy
-}
-
-// scheduleBackfill streams one chunk's snapshot from a surviving
-// replica onto a freshly substituted one. The copy is applied to the
-// destination store up front (the simulated transfer time then charges
-// the port), so blocks written before the fail-over are durable on the
-// substitute immediately; versioned restore makes it safe to race with
-// new writes to the same chunk — a newer append is never clobbered.
-func (s *Server) scheduleBackfill(key chunkKey, srcs []int, dst int) {
-	if len(srcs) == 0 || len(s.storageServers) == 0 ||
-		dst < 0 || dst >= len(s.storageServers) {
-		return
-	}
-	src := srcs[0]
-	s.env.Go("mt.backfill", func(p *sim.Proc) {
-		n, err := s.copyChunk(s.storageServers[src], s.storageServers[dst], key)
-		if err != nil || n == 0 {
-			return
-		}
-		s.BackfillBytes += float64(n)
-		p.Sleep(float64(n) / s.cfg.PortRate)
-		if s.cfg.Trace != nil {
-			s.cfg.Trace.Emit(p.Now(), "mt", "backfill",
-				fmt.Sprintf("chunk=%d/%d src=%d dst=%d bytes=%d", key.seg, key.chunk, src, dst, n))
-		}
-	})
-}
-
-// substituteReplica finds a healthy server outside the given set, or -1
-// when every server outside it is down (degraded mode).
-func (s *Server) substituteReplica(set []int) int {
-	for i := 0; i < s.numStorage; i++ {
-		idx := (s.nextPath + i) % s.numStorage
-		if s.serverDown[idx] {
-			continue
-		}
-		if !slices.Contains(set, idx) {
-			s.nextPath++
-			return idx
-		}
-	}
-	return -1
-}
-
-// healthyReplicas picks up to cfg.Replicas distinct healthy storage
-// servers, rotating the starting point for balance. Fewer healthy
-// servers than the replication factor yields a short (possibly empty)
-// set — the caller decides whether to proceed degraded.
-func (s *Server) healthyReplicas() []int {
-	var out []int
-	n := s.numStorage
-	for i := 0; i < n && len(out) < s.cfg.Replicas; i++ {
-		idx := (s.nextPath + i) % n
-		if !s.serverDown[idx] {
-			out = append(out, idx)
-		}
-	}
-	s.nextPath++
-	return out
-}
-
-// SetServerDown marks a storage server failed (or recovered); the
-// fail-over maintenance path reroutes subsequent writes.
-func (s *Server) SetServerDown(idx int, down bool) {
-	s.serverDown[idx] = down
-}
-
 // ConnectStorage wires the server to its storage back ends. For
 // multi-port designs every port gets its own QP set so replication
 // traffic exits the port the request arrived on.
 func (s *Server) ConnectStorage(servers []*storage.Server) {
 	s.storageServers = servers
-	s.numStorage = len(servers)
-	s.serverDown = make([]bool, len(servers))
+	s.place = newPlacer(len(servers), s.cfg.Replicas, s.cfg.Protocol)
 	s.storagePaths = make([][]*rdma.QP, len(s.stacks))
 	for pi := range s.storagePaths {
 		for si, srv := range servers {
@@ -694,35 +566,21 @@ func (s *Server) ConnectStorage(servers []*storage.Server) {
 	}
 }
 
-// nextWriteVersion hands out the writer-assigned version for one write.
-// It is assigned once per logical write, before the fan-out, so every
-// retry attempt re-sends the same version and the storage-side
-// regression guard treats them as the same write.
-func (s *Server) nextWriteVersion() uint64 {
-	s.nextVer++
-	return s.nextVer
-}
-
-// noteWait records one completed fan-out's straggler wait on the
-// request's trace: the interval between the attempt's sends being
-// posted and the deciding ack arriving is time the middle tier spent
-// blocked on the slowest awaited replica, not doing work. The span is
-// a wait child of mt/replicate in the request DAG; its detail names
-// the straggler so a p999 drill-down can say which replica dragged.
-func (s *Server) noteWait(hdr blockstore.Header, pr *pendingReq) {
-	if pr.sentAt < 0 || pr.decidedAt <= pr.sentAt {
-		return
-	}
-	tid := traceID(hdr)
-	tr := s.cfg.Trace.ForRequest(tid)
-	if tr == nil {
+// noteWait records a completed replicate hop's straggler wait on r's
+// trace: from the hop's sends being posted until now, when the deciding
+// ack woke the write, the middle tier was blocked on the slowest
+// awaited replica, not doing work. The span is a wait child of
+// mt/replicate in the request DAG; its detail names the straggler so a
+// p999 drill-down can say which replica dragged.
+func (s *Server) noteWait(p *sim.Proc, r *request, pr *pendingReq) {
+	if r.tr == nil || p.Now() <= pr.sentAt {
 		return
 	}
 	detail := ""
-	if pr.deciderSlot >= 0 {
-		detail = fmt.Sprintf("straggler replica=%d server=%d", pr.deciderSlot, pr.deciderIdx)
+	if pr.decider >= 0 {
+		detail = fmt.Sprintf("straggler replica=%d server=%d", pr.decider, pr.set[pr.decider])
 	}
-	tr.Span(pr.sentAt, pr.decidedAt, "mt", "replicate.wait", tid, tid,
+	r.tr.Span(pr.sentAt, p.Now(), "mt", "replicate.wait", r.tid, r.tid,
 		"mt", "replicate", trace.KindWait, detail)
 }
 

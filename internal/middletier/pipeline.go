@@ -18,8 +18,10 @@ import (
 // touches them, so serveWrite/serveRead own everything protocol-shaped:
 // stage spans, the bypass decision, counters, version stamping, the
 // replicate header, the error-reply tails, and the client reply;
-// replication.go decides who gets each replicate and fetch. A design contributes a datapath (hostpaths.go for
-// CPU-only and Acc, bf2.go, smartds.go) that supplies only what differs.
+// placement.go decides who gets each replicate and fetch, and
+// replication.go how they are sent and awaited. A design contributes a
+// datapath (hostpaths.go for CPU-only and Acc, bf2.go, smartds.go) that
+// supplies only what differs.
 
 // datapath is one middle-tier design's data plane.
 type datapath interface {
@@ -191,7 +193,7 @@ func (s *Server) serve(p *sim.Proc, r *request) {
 	if r.hdr.Op != blockstore.OpWrite && r.hdr.Op != blockstore.OpRead {
 		return
 	}
-	r.tid = traceID(r.hdr)
+	r.tid = TraceID(r.hdr.VMID, r.hdr.ReqID)
 	// Resolve the head-sampling decision once; an unsampled request gets
 	// a nil tracer and every span call below is a free no-op.
 	r.tr = s.cfg.Trace.ForRequest(r.tid)
@@ -226,25 +228,13 @@ func (s *Server) serveWrite(p *sim.Proc, r *request) {
 	status, stored := blockstore.StatusError, 0
 	if err == nil {
 		stageBegin(tr, p.Now(), "mt", "replicate", tid)
-		version := s.nextWriteVersion()
-		status, stored = s.replicate(p, r.hdr, f.size, func(repID uint64, set []int) {
-			rh := blockstore.Header{
-				Op: blockstore.OpReplicate, Flags: flags, ReqID: repID,
-				VMID: r.hdr.VMID, SegmentID: r.hdr.SegmentID,
-				ChunkID: r.hdr.ChunkID, BlockOff: r.hdr.BlockOff,
-				OrigLen: uint32(r.in.size), CRC: r.hdr.CRC, Version: version,
-			}
-			a0 := p.Now()
-			for _, idx := range set {
-				s.dp.send(p, r.path, s.storagePaths[r.path][idx], rh, f)
-			}
-			// A frame gathered from device memory (SmartDS's Assemble
-			// module) names its replicate self-time as message assembly
-			// so blame profiles show the shift across designs.
-			if a1 := p.Now(); f.dev != nil && tr != nil && a1 > a0 {
-				tr.Span(a0, a1, "mt", "replicate.assemble", tid, tid, "mt", "replicate", trace.KindService, "")
-			}
-		})
+		s.nextVer++
+		status, stored = s.replicate(p, r, blockstore.Header{
+			Op: blockstore.OpReplicate, Flags: flags,
+			VMID: r.hdr.VMID, SegmentID: r.hdr.SegmentID,
+			ChunkID: r.hdr.ChunkID, BlockOff: r.hdr.BlockOff,
+			OrigLen: uint32(r.in.size), CRC: r.hdr.CRC, Version: s.nextVer,
+		}, f)
 		tr.End(p.Now(), "mt", "replicate", tid)
 		stageBegin(tr, p.Now(), "mt", "ack", tid)
 		s.dp.poll(p, max(stored, 1))
@@ -258,15 +248,16 @@ func (s *Server) serveWrite(p *sim.Proc, r *request) {
 	s.BytesStored += f.size * float64(stored)
 }
 
-// serveRead fetches the block from its read targets (replication.go),
+// serveRead fetches the block from its read targets (placement.go),
 // decompresses it, and returns it to the client. Every failure becomes
 // an error reply: no reachable replica (StatusError), a non-OK fetch
 // (its status), or a frame that fails to decode (StatusCorrupt).
 func (s *Server) serveRead(p *sim.Proc, r *request) {
 	tr, tid := r.tr, r.tid
 	var buf [4]int // read quorums of up to 7 replicas pick without allocating
-	targets := s.readTargets(buf[:0], r.hdr)
+	targets := s.place.readTargets(buf[:0], keyOf(r.hdr))
 	if targets == nil {
+		s.Unroutable++
 		s.replyRead(p, r, nil, blockstore.StatusError, frame{})
 		return
 	}

@@ -118,7 +118,7 @@ func newFakePipeline(t *testing.T, proto Protocol, n int) (*Server, *fakePath, *
 	s := newTestServer(t, CPUOnly)
 	tr := trace.New(1 << 12)
 	s.cfg.Trace, s.cfg.Protocol = tr, proto
-	s.numStorage, s.serverDown = n, make([]bool, n)
+	s.place = newPlacer(n, s.cfg.Replicas, proto)
 	s.storagePaths = [][]*rdma.QP{make([]*rdma.QP, n)}
 	for i := range s.storagePaths[0] {
 		s.storagePaths[0][i] = new(rdma.QP) // identity only: fakePath maps it back to i
@@ -292,8 +292,8 @@ func TestPipelineReadErrorTails(t *testing.T) {
 				t.Errorf("corrupt read stages %v, want %s", seq, want)
 			}
 
-			for i := range s.serverDown {
-				s.serverDown[i] = true
+			for i := 0; i < 3; i++ {
+				s.SetServerDown(i, true)
 			}
 			if st := drive(t, s, f, tr, blockstore.OpRead, 4, nil); st != blockstore.StatusError {
 				t.Errorf("unroutable read replied %v, want %v", st, blockstore.StatusError)

@@ -2,10 +2,10 @@ package middletier
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/sim"
+	"github.com/disagg/smartds/internal/trace"
 )
 
 // This file is the replication protocol layer: one write loop and one
@@ -87,30 +87,25 @@ const maxReplicateAttempts = 4
 
 // replicate runs one write's replication and returns the status the
 // client ack carries plus how many replicas the deciding attempt
-// shipped the frame to (the BytesStored accounting factor). send must
-// issue the replicate message, tagged with repID, to every server in
-// set.
+// shipped the frame to (the BytesStored accounting factor). rh is r's
+// replicate message, sent with frame f to every replica.
 //
-// Each attempt resolves a fresh replica set and walks it in hops.
-// Primary and quorum send one hop to every member, succeeding when all
-// of them, or the write quorum of the replication factor, acked OK.
-// Chain sends one hop per member, head first, each after its
+// Each attempt asks the placer for a fresh write set and walks it in
+// hops. Primary and quorum send one hop to every member, succeeding
+// when all of them, or the write quorum of the replication factor,
+// acked OK. Chain sends one hop per member, head first, each after its
 // predecessor acked: the middle tier stays the sequencer (storage
 // servers do not forward to each other), so its send bandwidth matches
 // fan-out while ack latency and ordering match chain replication. A
 // hop that times out is orphaned — completePending counts its late
 // acks as stale, and versioned appends make the re-send idempotent —
 // and the attempt restarts against a refreshed set.
-func (s *Server) replicate(p *sim.Proc, hdr blockstore.Header, frameSize float64,
-	send func(repID uint64, set []int)) (blockstore.Status, int) {
+func (s *Server) replicate(p *sim.Proc, r *request, rh blockstore.Header, f frame) (blockstore.Status, int) {
 	proto := s.cfg.Protocol
 	stored := 0
 attempts:
 	for attempt := 1; attempt <= maxReplicateAttempts; attempt++ {
-		// Copy: replicasFor may return the live placement slice, which a
-		// concurrent write's substitution mutates in place; the resync
-		// check below compares against this snapshot.
-		set := slices.Clone(s.replicasFor(hdr))
+		set := s.writeSet(rh)
 		hop, need := len(set), len(set) // members per hop, OK acks per hop
 		switch proto {
 		case ProtoChain:
@@ -126,17 +121,22 @@ attempts:
 		}
 		if attempt > 1 {
 			s.ReplicateRetries++
-			s.RetryBytes += frameSize * float64(len(set))
+			s.RetryBytes += f.size * float64(len(set))
 		}
 		stored = len(set)
 		worst := blockstore.StatusOK
 		for lo := 0; lo < len(set); lo += hop {
 			members := set[lo : lo+hop]
-			repID, pr := s.begin(len(members), need)
-			send(repID, members)
+			a0 := p.Now()
+			pr, ok := s.fanOut(p, r.path, members, need, rh, f)
 			pr.set, pr.sentAt = members, p.Now()
-			if !s.awaitAck(p, pr) {
-				delete(s.pending, repID)
+			// A frame gathered from device memory (SmartDS's Assemble
+			// module) names its replicate self-time as message assembly
+			// so blame profiles show the shift across designs.
+			if f.dev != nil && r.tr != nil && pr.sentAt > a0 {
+				r.tr.Span(a0, pr.sentAt, "mt", "replicate.assemble", r.tid, r.tid, "mt", "replicate", trace.KindService, "")
+			}
+			if !ok || !s.awaitAck(p, pr) {
 				var detail string
 				switch proto {
 				case ProtoChain:
@@ -150,7 +150,7 @@ attempts:
 				s.cfg.Trace.Emit(p.Now(), "mt", "replicate-timeout", detail)
 				continue attempts
 			}
-			s.noteWait(hdr, pr)
+			s.noteWait(p, r, pr)
 			if pr.status != blockstore.StatusOK {
 				worst = pr.status
 			}
@@ -160,74 +160,17 @@ attempts:
 		// this write, which never reached the substitute, so the
 		// all-replica protocols re-send to the current set before the
 		// client hears OK. Quorum tolerates the gap by construction.
-		if worst == blockstore.StatusOK && proto != ProtoQuorum {
-			key := chunkKey{seg: hdr.SegmentID, chunk: hdr.ChunkID}
-			if cur, ok := s.placement[key]; ok && !slices.Equal(cur, set) {
-				detail := fmt.Sprintf("attempt=%d replicas=%d", attempt, len(set))
-				if proto == ProtoChain {
-					detail = "protocol=chain " + detail
-				}
-				s.cfg.Trace.Emit(p.Now(), "mt", "replicate-resync", detail)
-				continue
+		if worst == blockstore.StatusOK && proto != ProtoQuorum && s.place.moved(keyOf(rh), set) {
+			detail := fmt.Sprintf("attempt=%d replicas=%d", attempt, len(set))
+			if proto == ProtoChain {
+				detail = "protocol=chain " + detail
 			}
+			s.cfg.Trace.Emit(p.Now(), "mt", "replicate-resync", detail)
+			continue
 		}
 		return worst, stored
 	}
 	return blockstore.StatusError, stored
-}
-
-// awaitAck waits for a fan-out to complete, bounded by the replicate
-// timeout when one is set; false means it timed out.
-func (s *Server) awaitAck(p *sim.Proc, pr *pendingReq) bool {
-	if s.cfg.ReplicateTimeout <= 0 {
-		p.Wait(pr.done)
-		return true
-	}
-	_, ok := p.WaitTimeout(pr.done, s.cfg.ReplicateTimeout)
-	return ok
-}
-
-// readTargets appends to dst the storage servers a read of hdr's chunk
-// fetches from: ReadQuorum(Replicas) healthy members of its placement,
-// rotating the start for balance, or under chain the tail-most healthy
-// member (the tail acked only after every predecessor held the write,
-// so its state is the committed prefix). A chunk never written through
-// this server falls back to that many arbitrary healthy servers, which
-// answer not-found; no write exists whose visibility needs protecting.
-// It returns nil, counting the read unroutable, when fewer healthy
-// members remain than the read quorum: answering from a minority could
-// miss the newest acked write.
-func (s *Server) readTargets(dst []int, hdr blockstore.Header) []int {
-	rq := s.cfg.Protocol.ReadQuorum(s.cfg.Replicas)
-	need := rq
-	set, ok := s.placement[chunkKey{seg: hdr.SegmentID, chunk: hdr.ChunkID}]
-	switch {
-	case !ok:
-		hs := s.healthyReplicas()
-		dst, need = append(dst, hs[:min(rq, len(hs))]...), 1
-	case s.cfg.Protocol == ProtoChain:
-		for i := len(set) - 1; i >= 0 && len(dst) < rq; i-- {
-			if !s.serverDown[set[i]] {
-				dst = append(dst, set[i])
-			}
-		}
-	default:
-		for i := 0; i < len(set) && len(dst) < rq; i++ {
-			if idx := set[(s.readRR+i)%len(set)]; !s.serverDown[idx] {
-				dst = append(dst, idx)
-			}
-		}
-		// Primary moves the rotation past a successful pick only; quorum
-		// moves it on every read.
-		if len(dst) == rq || s.cfg.Protocol == ProtoQuorum {
-			s.readRR++
-		}
-	}
-	if len(dst) < need {
-		s.Unroutable++
-		return nil
-	}
-	return dst
 }
 
 // fetch reads r's block from every target and returns the winning
@@ -244,20 +187,18 @@ func (s *Server) readTargets(dst []int, hdr blockstore.Header) []int {
 // never a regression. Repairs are fire-and-forget: the read reply does
 // not wait on their acks.
 func (s *Server) fetch(p *sim.Proc, r *request, targets []int) *pendingReq {
-	hdr, paths := r.hdr, s.storagePaths[r.path]
-	ids, prs := make([]uint64, 0, 4), make([]*pendingReq, 0, 4)
-	for _, idx := range targets {
-		repID, pr := s.begin(1, 1)
-		ids, prs = append(ids, repID), append(prs, pr)
-		s.dp.send(p, r.path, paths[idx], blockstore.Header{
-			Op: blockstore.OpFetch, VMID: hdr.VMID, ReqID: repID,
-			SegmentID: hdr.SegmentID, ChunkID: hdr.ChunkID, BlockOff: hdr.BlockOff,
-		}, frame{})
+	hdr := r.hdr
+	fh := blockstore.Header{Op: blockstore.OpFetch, VMID: hdr.VMID,
+		SegmentID: hdr.SegmentID, ChunkID: hdr.ChunkID, BlockOff: hdr.BlockOff}
+	prs := make([]*pendingReq, 0, 4)
+	for i := range targets {
+		pr, _ := s.fanOut(p, r.path, targets[i:i+1], 1, fh, frame{})
+		prs = append(prs, pr)
 	}
 	// All fetches are in flight; events are sticky, so waiting on them
 	// one by one still means "wait for the slowest", not a serial round
 	// trip per target.
-	for i, pr := range prs {
+	for _, pr := range prs {
 		// Only quorum reads bound the wait. A single-replica read waits
 		// out a crashed target however long it takes: some fault runs'
 		// reads outlast ReplicateTimeout and still succeed, and bounding
@@ -265,9 +206,8 @@ func (s *Server) fetch(p *sim.Proc, r *request, targets []int) *pendingReq {
 		if s.cfg.Protocol != ProtoQuorum {
 			p.Wait(pr.done)
 		} else if !s.awaitAck(p, pr) {
-			// Orphan the fetch: a late reply counts as stale and the
+			// The fetch is orphaned: a late reply counts as stale and the
 			// target is treated as failed for this read.
-			delete(s.pending, ids[i])
 			pr.status = blockstore.StatusError
 		}
 	}
@@ -294,21 +234,17 @@ func (s *Server) fetch(p *sim.Proc, r *request, targets []int) *pendingReq {
 		if pr == winner || !stale {
 			continue
 		}
-		repID, _ := s.begin(1, 1)
-		sent := s.dp.send(p, r.path, paths[targets[i]], blockstore.Header{
+		if _, ok := s.fanOut(p, r.path, targets[i:i+1], 1, blockstore.Header{
 			Op:        blockstore.OpReplicate,
 			Flags:     winner.hdr.Flags,
 			Level:     winner.hdr.Level,
-			ReqID:     repID,
 			VMID:      hdr.VMID,
 			SegmentID: hdr.SegmentID,
 			ChunkID:   hdr.ChunkID,
 			BlockOff:  hdr.BlockOff,
 			OrigLen:   winner.hdr.OrigLen,
 			Version:   winner.hdr.Version,
-		}, winner.f)
-		if sent == nil {
-			delete(s.pending, repID)
+		}, winner.f); !ok {
 			winner.status = blockstore.StatusError
 			break
 		}

@@ -1,8 +1,6 @@
 package middletier
 
 import (
-	"bytes"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -10,93 +8,6 @@ import (
 	"github.com/disagg/smartds/internal/sim"
 	"github.com/disagg/smartds/internal/trace"
 )
-
-// TestReadTargets pins which storage servers each protocol's reads
-// fetch from, driven through the real read pipeline. The chunk lives
-// on servers {1, 3, 4} of five (slot 0 is the head, 4 the tail). Three
-// reads per case show the rotation: primary rotates across healthy
-// members and advances readRR only when it found one; quorum consults
-// ReadQuorum(3) = 2 healthy members and advances readRR on every read
-// of a placed chunk; chain reads the tail-most healthy member and
-// never rotates. A chunk never written falls back to the rotating
-// healthy-server allocator.
-func TestReadTargets(t *testing.T) {
-	type want struct {
-		targets    [3][]int // servers each read fetched from (nil: unroutable)
-		rr         [3]int   // readRR after each read
-		unroutable uint64
-	}
-	cases := []struct {
-		name      string
-		down      []int
-		unwritten bool
-		want      map[Protocol]want
-	}{
-		{name: "healthy", want: map[Protocol]want{
-			ProtoPrimary: {targets: [3][]int{{1}, {3}, {4}}, rr: [3]int{1, 2, 3}},
-			ProtoChain:   {targets: [3][]int{{4}, {4}, {4}}},
-			ProtoQuorum:  {targets: [3][]int{{1, 3}, {3, 4}, {4, 1}}, rr: [3]int{1, 2, 3}},
-		}},
-		{name: "member-down", down: []int{3}, want: map[Protocol]want{
-			ProtoPrimary: {targets: [3][]int{{1}, {4}, {4}}, rr: [3]int{1, 2, 3}},
-			ProtoChain:   {targets: [3][]int{{4}, {4}, {4}}},
-			ProtoQuorum:  {targets: [3][]int{{1, 4}, {4, 1}, {4, 1}}, rr: [3]int{1, 2, 3}},
-		}},
-		{name: "tail-down", down: []int{4}, want: map[Protocol]want{
-			ProtoPrimary: {targets: [3][]int{{1}, {3}, {1}}, rr: [3]int{1, 2, 3}},
-			ProtoChain:   {targets: [3][]int{{3}, {3}, {3}}},
-			ProtoQuorum:  {targets: [3][]int{{1, 3}, {3, 1}, {1, 3}}, rr: [3]int{1, 2, 3}},
-		}},
-		{name: "all-down", down: []int{1, 3, 4}, want: map[Protocol]want{
-			ProtoPrimary: {unroutable: 3},
-			ProtoChain:   {unroutable: 3},
-			ProtoQuorum:  {rr: [3]int{1, 2, 3}, unroutable: 3},
-		}},
-		{name: "unwritten", unwritten: true, want: map[Protocol]want{
-			ProtoPrimary: {targets: [3][]int{{0}, {1}, {2}}},
-			ProtoChain:   {targets: [3][]int{{0}, {1}, {2}}},
-			ProtoQuorum:  {targets: [3][]int{{0, 1}, {1, 2}, {2, 3}}},
-		}},
-	}
-	block := bytes.Repeat([]byte("targets "), 512)
-	for _, c := range cases {
-		for _, proto := range Protocols() {
-			t.Run(fmt.Sprintf("%s/%s", c.name, proto), func(t *testing.T) {
-				w := c.want[proto]
-				s, f, tr := newFakePipeline(t, proto, 5)
-				if !c.unwritten {
-					s.placement[chunkKey{seg: 7, chunk: 1}] = []int{1, 3, 4}
-				}
-				for _, idx := range c.down {
-					s.SetServerDown(idx, true)
-				}
-				f.fetch, f.stored = blockstore.StatusOK, mustFrame(t, block)
-				for i := range w.targets {
-					n := len(f.sends)
-					st := drive(t, s, f, tr, blockstore.OpRead, uint64(i+1), nil)
-					got := f.sentTo(n)
-					if !slices.Equal(got, w.targets[i]) {
-						t.Errorf("read %d fetched from %v, want %v", i+1, got, w.targets[i])
-					}
-					wantSt := blockstore.StatusOK
-					if w.targets[i] == nil {
-						wantSt = blockstore.StatusError
-					}
-					if st != wantSt {
-						t.Errorf("read %d replied %v, want %v", i+1, st, wantSt)
-					}
-					if s.readRR != w.rr[i] {
-						t.Errorf("readRR after read %d = %d, want %d", i+1, s.readRR, w.rr[i])
-					}
-				}
-				if s.Unroutable != w.unroutable || s.ReadRepairs != 0 || len(s.pending) != 0 {
-					t.Errorf("unroutable %d repairs %d pending %d, want %d/0/0",
-						s.Unroutable, s.ReadRepairs, len(s.pending), w.unroutable)
-				}
-			})
-		}
-	}
-}
 
 // newReplicateServer builds a fakePath server of n storage servers
 // running proto with the given ReplicateTimeout (0: unbounded). The
@@ -106,7 +17,7 @@ func newReplicateServer(t *testing.T, proto Protocol, n int, timeout float64, se
 	s, f, tr := newFakePipeline(t, proto, n)
 	s.cfg.ReplicateTimeout = timeout
 	if len(set) > 0 {
-		s.placement[chunkKey{seg: 7, chunk: 1}] = set
+		pin(s, set...)
 	}
 	return s, f, tr
 }
@@ -119,14 +30,10 @@ func runReplicate(t *testing.T, s *Server) (blockstore.Status, int) {
 	t.Helper()
 	var st blockstore.Status
 	stored := -1
-	hdr := blockstore.Header{SegmentID: 7, ChunkID: 1}
+	r := &request{hdr: blockstore.Header{SegmentID: 7, ChunkID: 1}}
+	rh := blockstore.Header{Op: blockstore.OpReplicate, SegmentID: 7, ChunkID: 1}
 	s.env.Go("test.replicate", func(p *sim.Proc) {
-		st, stored = s.replicate(p, hdr, 4096, func(repID uint64, set []int) {
-			rh := blockstore.Header{Op: blockstore.OpReplicate, ReqID: repID, SegmentID: 7, ChunkID: 1}
-			for _, idx := range set {
-				s.dp.send(p, 0, s.storagePaths[0][idx], rh, frame{size: 4096})
-			}
-		})
+		st, stored = s.replicate(p, r, rh, frame{size: 4096})
 	})
 	s.env.Run(s.env.Now() + 1)
 	if stored < 0 {
@@ -262,7 +169,7 @@ func TestPrimaryReplicatorRetryIgnoresStaleAck(t *testing.T) {
 
 func TestPrimaryReplicatorUnroutableFails(t *testing.T) {
 	s, f, _ := newReplicateServer(t, ProtoPrimary, 3, 1e-3)
-	for i := range s.serverDown {
+	for i := 0; i < 3; i++ {
 		s.SetServerDown(i, true)
 	}
 	st, stored := runReplicate(t, s)
@@ -392,6 +299,7 @@ func TestQuorumReplicatorMajorityErrorFails(t *testing.T) {
 func TestQuorumTimeoutTraceCountsAcks(t *testing.T) {
 	s, f, tr := newReplicateServer(t, ProtoQuorum, 5, 100e-6)
 	s.cfg.Replicas = 5
+	s.place = newPlacer(5, 5, ProtoQuorum)
 	f.reply = func(_ blockstore.Header, to int) (float64, blockstore.Status, bool) {
 		return 10e-6, blockstore.StatusOK, to != 0 // one ack: short of quorum
 	}
@@ -420,7 +328,7 @@ func TestReplicatorResyncAfterMidFlightSubstitution(t *testing.T) {
 			// crashes and a concurrent write substitutes server 3.
 			s.env.After(5e-6, func() {
 				s.SetServerDown(1, true)
-				s.replicasFor(blockstore.Header{SegmentID: 7, ChunkID: 1})
+				s.writeSet(blockstore.Header{SegmentID: 7, ChunkID: 1})
 			})
 			st, stored := runReplicate(t, s)
 			if st != blockstore.StatusOK || stored != 3 {
