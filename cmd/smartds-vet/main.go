@@ -1,35 +1,32 @@
 // Command smartds-vet is the determinism multichecker: it runs the
-// detcheck analyzers (wallclock, randsrc, maporder, simspawn,
-// floatacc, hotalloc, simblock, errdrop, finalizer) over the module and
-// exits nonzero on any finding. The analyzers mechanically enforce the
-// invariants behind the simulator's "whole experiments replay
-// bit-for-bit" guarantee; see the "Determinism invariants" section of
-// DESIGN.md.
+// detcheck analyzers (wallclock, randsrc, maporder, simspawn, hotalloc,
+// simblock, errdrop, finalizer) over the module,
+// audits every //detcheck: waiver, and exits nonzero on any finding.
+// The analyzers mechanically enforce the invariants behind the
+// simulator's "whole experiments replay bit-for-bit" guarantee; see
+// the "Determinism invariants" section of DESIGN.md.
 //
 // The driver loads and type-checks the whole package set itself and
 // builds one interprocedural call graph over it (framework
 // BuildCallGraph); the hotalloc/simblock/errdrop analyzers consume it
-// through Pass.CallGraph / Pass.Summaries.
+// through Pass.CallGraph.
 //
 // Usage:
 //
-//	go run ./cmd/smartds-vet ./...          # whole tree (what CI runs)
-//	go run ./cmd/smartds-vet ./internal/sim # one package
-//	go run ./cmd/smartds-vet -maporder=false ./...
-//	go run ./cmd/smartds-vet -randsrc.allow=internal/rng,internal/foo ./...
-//	go run ./cmd/smartds-vet -waiver-audit ./...
+//	go run ./cmd/smartds-vet ./...   # whole tree (what CI runs)
 //
-// Each analyzer can be disabled with -<name>=false and configured via
-// -<name>.<flag> options; allowlists live in these flag defaults, not
-// in CI YAML. Individual findings are waived in code with a
+// It takes only package patterns (default ./...). Scopes and
+// allowlists are constants in the analyzers, so changing one is a
+// reviewed code change. Individual findings are waived in code with a
 // `//detcheck:<name> <reason>` comment on the flagged line or the line
-// above it. With -waiver-audit the driver additionally fails on rotten
-// waivers: directives naming no known analyzer, and directives that no
-// longer suppress any finding.
+// above it. Waivers cannot rot: a directive naming no known analyzer,
+// or one that no longer suppresses any finding, is itself a finding.
+// That audit is exact only over the whole tree: a run over a few
+// packages leaves out the //hot roots and callbacks that reach other
+// packages, so their hotalloc and simblock waivers read as stale.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -38,7 +35,6 @@ import (
 
 	"github.com/disagg/smartds/internal/analysis/errdrop"
 	"github.com/disagg/smartds/internal/analysis/finalizer"
-	"github.com/disagg/smartds/internal/analysis/floatacc"
 	"github.com/disagg/smartds/internal/analysis/framework"
 	"github.com/disagg/smartds/internal/analysis/hotalloc"
 	"github.com/disagg/smartds/internal/analysis/load"
@@ -49,14 +45,13 @@ import (
 	"github.com/disagg/smartds/internal/analysis/wallclock"
 )
 
-// analyzers is the detcheck suite, in reporting order: the five
+// analyzers is the detcheck suite, in reporting order: the four
 // per-package checks, then the interprocedural layer, then finalizer.
 var analyzers = []*framework.Analyzer{
 	wallclock.Analyzer,
 	randsrc.Analyzer,
 	maporder.Analyzer,
 	simspawn.Analyzer,
-	floatacc.Analyzer,
 	hotalloc.Analyzer,
 	simblock.Analyzer,
 	errdrop.Analyzer,
@@ -68,31 +63,16 @@ func main() {
 }
 
 // run is the testable entry point; it returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("smartds-vet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	auditFlag := fs.Bool("waiver-audit", false,
-		"fail on rotten //detcheck: directives (unknown waiver keys, waivers that no longer suppress anything)")
-	enabled := map[string]*bool{}
-	for _, a := range analyzers {
-		enabled[a.Name] = fs.Bool(a.Name, true, "run the "+a.Name+" analyzer\n"+a.Doc)
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			fs.Var(f.Value, a.Name+"."+f.Name, f.Usage)
-		})
-	}
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: smartds-vet [flags] [package patterns]\n\n")
-		fmt.Fprintf(stderr, "Determinism multichecker for the SmartDS simulator. Analyzers:\n")
-		for _, a := range analyzers {
-			fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
+func run(patterns []string, stdout, stderr io.Writer) int {
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintf(stderr, "usage: smartds-vet [package patterns]\n\nsmartds-vet takes no flags. Analyzers:\n")
+			for _, a := range analyzers {
+				fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
+			}
+			return 2
 		}
-		fmt.Fprintf(stderr, "\nFlags:\n")
-		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -101,8 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "smartds-vet: %v\n", err)
 		return 2
 	}
-	loader := load.NewLoader()
-	pkgs, err := loader.Patterns(cwd, patterns)
+	pkgs, err := load.NewLoader().Patterns(cwd, patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "smartds-vet: %v\n", err)
 		return 2
@@ -113,17 +92,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The interprocedural layer: one call graph over the whole loaded
-	// package set, one fact store and one waiver audit shared by every
-	// pass of the run.
-	var units []framework.Unit
-	for _, pkg := range pkgs {
-		units = append(units, framework.Unit{
-			Fset: pkg.Fset, Files: pkg.Files, PkgPath: pkg.PkgPath,
-			Pkg: pkg.Types, Info: pkg.Info,
-		})
-	}
-	cg := framework.BuildCallGraph(units)
-	sums := framework.NewSummaries(cg)
+	// package set and one waiver audit, shared by every pass of the run.
+	cg := framework.BuildCallGraph(pkgs)
 	audit := framework.NewWaiverAudit()
 
 	exit := 0
@@ -132,92 +102,69 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "smartds-vet: %s: %v\n", pkg.PkgPath, terr)
 			exit = 2
 		}
-		var diags []diagnostic
+		var diags []framework.Diagnostic
 		for _, a := range analyzers {
-			if !*enabled[a.Name] {
-				continue
-			}
 			pass := &framework.Pass{
 				Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, PkgPath: pkg.PkgPath,
 				Pkg: pkg.Types, TypesInfo: pkg.Info,
-				Report:    func(d framework.Diagnostic) { diags = append(diags, diagnostic{a.Name, d}) },
-				CallGraph: cg, Summaries: sums, Audit: audit,
+				Report: func(d framework.Diagnostic) {
+					d.Message = a.Name + ": " + d.Message
+					diags = append(diags, d)
+				},
+				CallGraph: cg, Audit: audit,
 			}
 			if err := a.Run(pass); err != nil {
 				fmt.Fprintf(stderr, "smartds-vet: %s: %s: %v\n", a.Name, pkg.PkgPath, err)
 				exit = 2
 			}
 		}
-		sort.SliceStable(diags, func(i, j int) bool {
-			pi, pj := pkg.Fset.Position(diags[i].d.Pos), pkg.Fset.Position(diags[j].d.Pos)
-			if pi.Filename != pj.Filename {
-				return pi.Filename < pj.Filename
-			}
-			if pi.Line != pj.Line {
-				return pi.Line < pj.Line
-			}
-			return pi.Column < pj.Column
-		})
+		framework.SortDiagnostics(pkg.Fset, diags)
 		for _, d := range diags {
-			pos := pkg.Fset.Position(d.d.Pos)
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n",
-				relTo(cwd, pos.Filename), pos.Line, pos.Column, d.analyzer, d.d.Message)
+			pos := pkg.Fset.Position(d.Pos)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s\n", relTo(cwd, pos.Filename), pos.Line, pos.Column, d.Message)
 			if exit == 0 {
 				exit = 1
 			}
 		}
 	}
-	if *auditFlag {
-		if auditWaivers(pkgs, enabled, audit, cwd, stdout) && exit == 0 {
-			exit = 1
-		}
+	if auditWaivers(pkgs, audit, cwd, stdout) && exit == 0 {
+		exit = 1
 	}
 	return exit
 }
 
 // auditWaivers checks every //detcheck: directive of the run against
 // the suppression hits the analyzers recorded. A directive whose key
-// no analyzer owns is a typo; a directive owned by an enabled analyzer
-// that suppressed nothing is rot — both fail the build so waivers
-// cannot silently outlive the code they blessed. Keys of disabled
-// analyzers are skipped: they could not have fired this run.
-func auditWaivers(pkgs []*load.Package, enabled map[string]*bool,
-	audit *framework.WaiverAudit, cwd string, stdout io.Writer) bool {
-	owner := map[string]string{}
-	var known []string
+// no analyzer owns is a typo; a directive that suppressed nothing is
+// rot — both fail the build so waivers cannot silently outlive the
+// code they blessed.
+func auditWaivers(pkgs []*load.Package, audit *framework.WaiverAudit, cwd string, stdout io.Writer) bool {
+	known := map[string]bool{}
+	var keys []string
 	for _, a := range analyzers {
 		for _, k := range a.WaiverKeys() {
-			owner[k] = a.Name
-			known = append(known, k)
+			known[k] = true
+			keys = append(keys, k)
 		}
 	}
-	sort.Strings(known)
+	sort.Strings(keys)
 	bad := false
 	for _, pkg := range pkgs {
 		for _, d := range framework.Directives(pkg.Fset, pkg.Files) {
-			o, ok := owner[d.Name]
-			if !ok {
+			switch {
+			case !known[d.Name]:
 				fmt.Fprintf(stdout, "%s:%d: waiver-audit: unknown waiver key %q (known keys: %s)\n",
-					relTo(cwd, d.File), d.Line, d.Name, strings.Join(known, ", "))
-				bad = true
-				continue
-			}
-			if !*enabled[o] {
-				continue
-			}
-			if !audit.Used(d) {
+					relTo(cwd, d.File), d.Line, d.Name, strings.Join(keys, ", "))
+			case !audit.Used(d):
 				fmt.Fprintf(stdout, "%s:%d: waiver-audit: //detcheck:%s suppresses no finding; remove the stale waiver or fix its placement\n",
 					relTo(cwd, d.File), d.Line, d.Name)
-				bad = true
+			default:
+				continue
 			}
+			bad = true
 		}
 	}
 	return bad
-}
-
-type diagnostic struct {
-	analyzer string
-	d        framework.Diagnostic
 }
 
 // relTo shortens an absolute filename relative to the working

@@ -20,7 +20,6 @@ func TestMultichecker(t *testing.T) {
 		{"randpkg/randpkg.go", "randsrc", "import of math/rand outside internal/rng"},
 		{"maps/maps.go", "maporder", "append inside map iteration builds a slice in map order"},
 		{"spawn/spawn.go", "simspawn", "bare go statement races the cooperative scheduler"},
-		{"floats/floats.go", "floatacc", "floating-point == comparison"},
 		// The observability-layer shapes: a logger formatting a label map
 		// into the line buffer, and an SLO alert stamped off the host clock.
 		{"evlogger/evlogger.go", "maporder", "call to ordered sink WriteString inside map iteration"},
@@ -65,12 +64,12 @@ func TestMulticheckerCleanTree(t *testing.T) {
 	}
 }
 
-// TestWaiverAudit asserts -waiver-audit rejects both failure modes:
-// a waiver naming an unknown analyzer key, and a waiver for a real
-// analyzer that never suppresses a finding.
+// TestWaiverAudit asserts the audit, which always runs, rejects both
+// failure modes: a waiver naming an unknown analyzer key, and a waiver
+// for a real analyzer that never suppresses a finding.
 func TestWaiverAudit(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-waiver-audit", "./testdata/audit/..."}, &out, &errb)
+	code := run([]string{"./testdata/audit/..."}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -81,14 +80,6 @@ func TestWaiverAudit(t *testing.T) {
 	if !strings.Contains(got, "//detcheck:wallclock suppresses no finding") {
 		t.Errorf("no stale-waiver audit error:\n%s", got)
 	}
-	// Without the flag the same tree is silent: stale waivers are only
-	// an error when the audit is requested.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"./testdata/audit/..."}, &out, &errb); code != 0 {
-		t.Errorf("exit code without -waiver-audit = %d, want 0\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
-	}
 }
 
 // TestWaiverAuditCleanOnUsedWaivers asserts the audit stays quiet for
@@ -96,7 +87,7 @@ func TestWaiverAudit(t *testing.T) {
 // a used //detcheck:wallclock).
 func TestWaiverAuditCleanOnUsedWaivers(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-waiver-audit", "./testdata/tree/..."}, &out, &errb)
+	code := run([]string{"./testdata/tree/..."}, &out, &errb)
 	if code != 1 { // the tree's real findings still fail the run
 		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, errb.String())
 	}
@@ -105,19 +96,16 @@ func TestWaiverAuditCleanOnUsedWaivers(t *testing.T) {
 	}
 }
 
-// TestDisableAnalyzer asserts -<name>=false suppresses that analyzer
-// and only that analyzer.
-func TestDisableAnalyzer(t *testing.T) {
-	var out, errb strings.Builder
-	code := run([]string{"-wallclock=false", "./testdata/tree/..."}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, errb.String())
-	}
-	got := out.String()
-	if strings.Contains(got, "wallclock: ") {
-		t.Errorf("wallclock diagnostics present despite -wallclock=false:\n%s", got)
-	}
-	if !strings.Contains(got, "randsrc: ") {
-		t.Errorf("randsrc diagnostics missing with -wallclock=false:\n%s", got)
+// TestRejectsFlags asserts the driver takes package patterns only: a
+// flag-shaped argument prints the usage and exits 2 without loading.
+func TestRejectsFlags(t *testing.T) {
+	for _, arg := range []string{"-waiver-audit", "-wallclock=false", "-h"} {
+		var out, errb strings.Builder
+		if code := run([]string{arg, "./testdata/clean/..."}, &out, &errb); code != 2 {
+			t.Errorf("%s: exit code = %d, want 2", arg, code)
+		}
+		if !strings.Contains(errb.String(), "takes no flags") || out.Len() != 0 {
+			t.Errorf("%s: stdout %q, stderr %q", arg, out.String(), errb.String())
+		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package stale carries rotten waivers for the -waiver-audit tests:
+// Package stale carries rotten waivers for the waiver-audit tests:
 // one names an analyzer that does not exist, the other names a real
 // analyzer but suppresses nothing.
 package stale

@@ -64,15 +64,7 @@ func runOne(t *testing.T, testdata string, a *framework.Analyzer, pkgpath string
 	// Build the interprocedural layer over the fixture's package set
 	// (the library package plus its external test package, if any), the
 	// same way the standalone driver does over the whole module.
-	var units []framework.Unit
-	for _, pkg := range pkgs {
-		units = append(units, framework.Unit{
-			Fset: pkg.Fset, Files: pkg.Files, PkgPath: pkg.PkgPath,
-			Pkg: pkg.Types, Info: pkg.Info,
-		})
-	}
-	cg := framework.BuildCallGraph(units)
-	sums := framework.NewSummaries(cg)
+	cg := framework.BuildCallGraph(pkgs)
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
 			t.Errorf("%s: type error in fixture: %v", pkgpath, terr)
@@ -86,7 +78,6 @@ func runOne(t *testing.T, testdata string, a *framework.Analyzer, pkgpath string
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			CallGraph: cg,
-			Summaries: sums,
 			Report:    func(d framework.Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"github.com/disagg/smartds/internal/analysis/framework"
 )
@@ -26,17 +25,12 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-var paths string
-
-func init() {
-	Analyzer.Flags.StringVar(&paths, "paths",
-		"internal/middletier,internal/storage,internal/rdma",
-		"comma-separated path segments naming the packages under enforcement")
-}
+// paths names the packages on the ack and durability paths.
+var paths = []string{"internal/middletier", "internal/storage", "internal/rdma"}
 
 func inScope(pkgPath string) bool {
-	for _, p := range strings.Split(paths, ",") {
-		if p = strings.TrimSpace(p); p != "" && framework.PathHasSegments(pkgPath, p) {
+	for _, p := range paths {
+		if framework.PathHasSegments(pkgPath, p) {
 			return true
 		}
 	}
@@ -47,12 +41,8 @@ func run(pass *framework.Pass) error {
 	if !inScope(pass.PkgPath) {
 		return nil
 	}
-	nf := pass.Summaries.Program("errdrop", computeNeverFails).(map[string]bool)
-	for _, f := range pass.Files {
-		pos := pass.Fset.Position(f.Pos())
-		if strings.HasSuffix(pos.Filename, "_test.go") {
-			continue
-		}
+	nf := pass.CallGraph.Program("errdrop", computeNeverFails).(map[string]bool)
+	for _, f := range pass.SourceFiles() {
 		checkFile(pass, f, nf)
 	}
 	return nil
@@ -128,7 +118,7 @@ func exprProvesNil(info *types.Info, e ast.Expr, nf map[string]bool) bool {
 		return true
 	}
 	if call, isCall := e.(*ast.CallExpr); isCall {
-		if fn := staticCallee(info, ast.Unparen(call.Fun)); fn != nil {
+		if fn := framework.StaticCallee(info, call.Fun); fn != nil {
 			return nf[fn.FullName()]
 		}
 	}
@@ -170,7 +160,7 @@ func checkCall(pass *framework.Pass, call *ast.CallExpr, nf map[string]bool, rep
 	if t == nil || !containsError(t) {
 		return
 	}
-	fn := staticCallee(info, ast.Unparen(call.Fun))
+	fn := framework.StaticCallee(info, call.Fun)
 	if fn != nil && nf[fn.FullName()] {
 		return // provably always nil
 	}
@@ -191,7 +181,7 @@ func checkAssign(pass *framework.Pass, as *ast.AssignStmt, nf map[string]bool, r
 		if !isTuple {
 			return
 		}
-		fn := staticCallee(info, ast.Unparen(call.Fun))
+		fn := framework.StaticCallee(info, call.Fun)
 		for i, lhs := range as.Lhs {
 			if i >= tuple.Len() || !isBlank(lhs) || !isErrorType(tuple.At(i).Type()) {
 				continue
@@ -216,7 +206,7 @@ func checkAssign(pass *framework.Pass, as *ast.AssignStmt, nf map[string]bool, r
 			continue
 		}
 		if call, isCall := rhs.(*ast.CallExpr); isCall {
-			fn := staticCallee(info, ast.Unparen(call.Fun))
+			fn := framework.StaticCallee(info, call.Fun)
 			if fn != nil && nf[fn.FullName()] {
 				continue
 			}
@@ -292,24 +282,4 @@ func callDisplay(fn *types.Func) string {
 		return fn.Pkg().Name() + "." + fn.Name()
 	}
 	return fn.Name()
-}
-
-// staticCallee resolves the *types.Func a direct call names, nil for
-// dynamic calls.
-func staticCallee(info *types.Info, fun ast.Expr) *types.Func {
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() == types.MethodVal {
-				return sel.Obj().(*types.Func)
-			}
-			return nil
-		}
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
-	}
-	return nil
 }

@@ -13,3 +13,9 @@ func TestErrdrop(t *testing.T) {
 		"example.com/internal/util",
 	)
 }
+
+// TestRebuildDropsRestoreError pins the mutant only errdrop catches: a
+// discarded snapshot-restore error in the rebuild copy.
+func TestRebuildDropsRestoreError(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), errdrop.Analyzer, "example.com/internal/middletier")
+}

@@ -6,10 +6,16 @@
 // to the virtual clock, none of it replayable. The simulator core is no
 // exception: its procs are runtime coroutines that need no scheduler
 // tuning.
+//
+// runtime.GOMAXPROCS(0) only reads the setting (the codec lookahead and
+// the corpus generator size their helper pools from it) and is
+// allowed. Test files are not checked: tests pin GOMAXPROCS to cover
+// one worker and several.
 package finalizer
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
 
 	"github.com/disagg/smartds/internal/analysis/framework"
@@ -21,13 +27,6 @@ var Analyzer = &framework.Analyzer{
 	Doc: "forbid GC and scheduler manipulation (runtime.SetFinalizer/GC/Gosched/GOMAXPROCS, " +
 		"debug.SetGCPercent/FreeOSMemory/...) in internal/ packages",
 	Run: run,
-}
-
-var scope string
-
-func init() {
-	Analyzer.Flags.StringVar(&scope, "scope", "internal",
-		"only packages whose import path contains this segment are checked")
 }
 
 // banned maps package path → function names whose call is forbidden.
@@ -43,13 +42,20 @@ var banned = map[string]map[string]bool{
 }
 
 func run(pass *framework.Pass) error {
-	if !framework.PathHasSegment(pass.PkgPath, scope) {
+	if !framework.PathHasSegments(pass.PkgPath, "internal") {
 		return nil
 	}
-	for _, f := range pass.Files {
+	for _, f := range pass.SourceFiles() {
+		reads := map[*ast.SelectorExpr]bool{} // runtime.GOMAXPROCS(0) calls
 		ast.Inspect(f, func(x ast.Node) bool {
+			if call, ok := x.(*ast.CallExpr); ok && len(call.Args) == 1 {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "GOMAXPROCS" {
+					tv := pass.TypesInfo.Types[call.Args[0]]
+					reads[sel] = tv.Value != nil && constant.Sign(tv.Value) == 0
+				}
+			}
 			sel, ok := x.(*ast.SelectorExpr)
-			if !ok {
+			if !ok || reads[sel] {
 				return true
 			}
 			id, ok := sel.X.(*ast.Ident)

@@ -13,3 +13,9 @@ func TestFinalizer(t *testing.T) {
 		"example.com/x/internal/sim",
 	)
 }
+
+// TestCompactionForcesGC pins the mutant only finalizer catches: a
+// runtime.GC call in chunk-store compaction.
+func TestCompactionForcesGC(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), finalizer.Analyzer, "example.com/internal/storage")
+}

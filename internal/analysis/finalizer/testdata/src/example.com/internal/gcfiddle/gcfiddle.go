@@ -1,6 +1,7 @@
 // Firing fixture for finalizer: GC and scheduler manipulation in a
-// plain internal/ package. Informational reads (NumCPU) and waived
-// lines do not report.
+// plain internal/ package. Informational reads (NumCPU, GOMAXPROCS(0),
+// the pool sizing of internal/lz4/lookahead.go) and waived lines do not
+// report.
 package gcfiddle
 
 import (
@@ -17,4 +18,5 @@ func tune() {
 	//detcheck:finalizer startup pinning before the measured region
 	runtime.LockOSThread()
 	_ = runtime.NumCPU()
+	_ = runtime.GOMAXPROCS(0)
 }

@@ -30,21 +30,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
-)
 
-// Unit is one type-checked package as the call-graph builder consumes
-// it: the driver adapts load.Package (and analysistest its fixtures)
-// into this neutral shape so the framework does not depend on the
-// loader.
-type Unit struct {
-	Fset    *token.FileSet
-	Files   []*ast.File
-	PkgPath string
-	Pkg     *types.Package
-	Info    *types.Info
-}
+	"github.com/disagg/smartds/internal/analysis/load"
+)
 
 // Role marks why a function is an analysis entry point.
 type Role uint8
@@ -79,20 +68,6 @@ const (
 	EdgeDynamic
 )
 
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeStatic:
-		return "static"
-	case EdgeClosure:
-		return "closure"
-	case EdgeInterface:
-		return "interface"
-	case EdgeDynamic:
-		return "dynamic"
-	}
-	return "unknown"
-}
-
 // FuncNode is one function (declaration or literal) in the call graph.
 type FuncNode struct {
 	// ID is the stable identity: types.Func.FullName for declared
@@ -104,8 +79,6 @@ type FuncNode struct {
 	// in ("" for stub nodes only ever seen as call targets, e.g.
 	// standard-library functions).
 	PkgPath string
-	// Pos is the declaration position (NoPos for stubs).
-	Pos token.Pos
 	// Decl and Lit hold the syntax when the defining package was part
 	// of the build: exactly one is non-nil for defined nodes, both are
 	// nil for stubs.
@@ -125,23 +98,14 @@ type FuncNode struct {
 	// calls into it. It is a reviewed trust boundary, like a waiver.
 	Cold bool
 
-	// Out and In are the call edges leaving and entering the node, in
-	// deterministic build order.
+	// Out are the call edges leaving the node, in deterministic build
+	// order.
 	Out []*CallEdge
-	In  []*CallEdge
 
 	addrTaken bool
 	sig       string // normalized signature shape, "" when unknown
 	method    bool   // declared with a receiver
 }
-
-// String returns the display name.
-func (n *FuncNode) String() string { return n.Name }
-
-// AddrTaken reports whether the function's value escapes into a
-// variable, field, argument, or return — i.e. whether a dynamic call
-// site of the same shape may invoke it.
-func (n *FuncNode) AddrTaken() bool { return n.addrTaken }
 
 // Defined reports whether the node's body is part of the analyzed
 // package set (false for standard-library and other external targets).
@@ -162,22 +126,31 @@ func (n *FuncNode) Body() *ast.BlockStmt {
 type CallEdge struct {
 	Caller *FuncNode
 	Callee *FuncNode
-	// Pos is the call site.
-	Pos token.Pos
 	// Kind records how the site was resolved.
 	Kind EdgeKind
 }
 
 // CallGraph is the package-set call graph.
 type CallGraph struct {
-	Fset *token.FileSet
-
-	nodes map[string]*FuncNode
-	order []*FuncNode // insertion order: deterministic across runs
+	nodes   map[string]*FuncNode
+	order   []*FuncNode // insertion order: deterministic across runs
+	results map[string]interface{}
 }
 
-// Node returns the node with the given ID, or nil.
-func (g *CallGraph) Node(id string) *FuncNode { return g.nodes[id] }
+// Program returns the memoized whole-program result for key,
+// computing it on first use. An interprocedural analyzer runs once
+// over the whole package set (forward reachability from roots, or
+// facts propagated bottom-up over the SCC order) and then reports its
+// findings package by package as the driver hands it passes; keyed by
+// the analyzer's name, the result is computed exactly once per run.
+func (g *CallGraph) Program(key string, compute func(*CallGraph) interface{}) interface{} {
+	if r, ok := g.results[key]; ok {
+		return r
+	}
+	r := compute(g)
+	g.results[key] = r
+	return r
+}
 
 // Nodes returns all nodes in deterministic build order.
 func (g *CallGraph) Nodes() []*FuncNode { return g.order }
@@ -335,16 +308,6 @@ func (g *CallGraph) SCCs() [][]*FuncNode {
 	return comps
 }
 
-// ShortName trims a full package path down to its last two segments
-// for diagnostics ("github.com/x/y/internal/sim" → "internal/sim").
-func ShortName(pkgPath string) string {
-	segs := strings.Split(pkgPath, "/")
-	if len(segs) <= 2 {
-		return pkgPath
-	}
-	return strings.Join(segs[len(segs)-2:], "/")
-}
-
 // builder carries the two-phase construction state.
 type builder struct {
 	g *CallGraph
@@ -361,23 +324,18 @@ type builder struct {
 
 type pendingSite struct {
 	caller *FuncNode
-	pos    token.Pos
 	name   string // method name for interface sites, "" for dynamic
 	sig    string
 }
 
-// SimPkgSuffix is the import-path suffix identifying the simulator
+// simPkgSuffix is the import-path suffix identifying the simulator
 // core whose Env/Ticker registration methods define callback roots.
-// The vet driver and fixtures share this default.
-const SimPkgSuffix = "internal/sim"
+const simPkgSuffix = "internal/sim"
 
 // BuildCallGraph constructs the call graph for a set of type-checked
-// units. Units must share one FileSet.
-func BuildCallGraph(units []Unit) *CallGraph {
-	g := &CallGraph{nodes: map[string]*FuncNode{}}
-	if len(units) > 0 {
-		g.Fset = units[0].Fset
-	}
+// packages, which must share one FileSet.
+func BuildCallGraph(units []*load.Package) *CallGraph {
+	g := &CallGraph{nodes: map[string]*FuncNode{}, results: map[string]interface{}{}}
 	b := &builder{g: g, hotLines: map[string]map[int]bool{}, coldLines: map[string]map[int]bool{}}
 	for _, u := range units {
 		for _, f := range u.Files {
@@ -510,7 +468,7 @@ func shortFuncName(fn *types.Func) string {
 
 // walkFile creates nodes for every declared function in the file and
 // walks their bodies.
-func (b *builder) walkFile(u Unit, f *ast.File) {
+func (b *builder) walkFile(u *load.Package, f *ast.File) {
 	pos := u.Fset.Position(f.Pos())
 	isTest := strings.HasSuffix(pos.Filename, "_test.go")
 	for _, decl := range f.Decls {
@@ -525,7 +483,6 @@ func (b *builder) walkFile(u Unit, f *ast.File) {
 		n := b.ensure(funcID(obj))
 		n.Name = shortFuncName(obj)
 		n.PkgPath = u.PkgPath
-		n.Pos = fd.Pos()
 		n.Decl = fd
 		n.InTestFile = isTest
 		n.Info = u.Info
@@ -560,7 +517,7 @@ func docHasMarker(doc *ast.CommentGroup, want string) bool {
 }
 
 // litID returns the stable node ID for a function literal.
-func (b *builder) litID(u Unit, lit *ast.FuncLit) string {
+func (b *builder) litID(u *load.Package, lit *ast.FuncLit) string {
 	p := u.Fset.Position(lit.Pos())
 	return fmt.Sprintf("%s.func@%s:%d:%d", u.PkgPath, shortFile(p.Filename), p.Line, p.Column)
 }
@@ -574,14 +531,13 @@ func shortFile(name string) string {
 }
 
 // litNode creates (or returns) the node for a function literal.
-func (b *builder) litNode(u Unit, lit *ast.FuncLit, isTest bool) *FuncNode {
+func (b *builder) litNode(u *load.Package, lit *ast.FuncLit, isTest bool) *FuncNode {
 	id := b.litID(u, lit)
 	n := b.ensure(id)
 	if n.Lit == nil {
 		p := u.Fset.Position(lit.Pos())
 		n.Name = fmt.Sprintf("func@%s:%d", shortFile(p.Filename), p.Line)
 		n.PkgPath = u.PkgPath
-		n.Pos = lit.Pos()
 		n.Lit = lit
 		n.InTestFile = isTest
 		n.Info = u.Info
@@ -599,16 +555,14 @@ func (b *builder) litNode(u Unit, lit *ast.FuncLit, isTest bool) *FuncNode {
 }
 
 // addEdge appends a resolved call edge.
-func (b *builder) addEdge(caller, callee *FuncNode, pos token.Pos, kind EdgeKind) {
-	e := &CallEdge{Caller: caller, Callee: callee, Pos: pos, Kind: kind}
-	caller.Out = append(caller.Out, e)
-	callee.In = append(callee.In, e)
+func (b *builder) addEdge(caller, callee *FuncNode, kind EdgeKind) {
+	caller.Out = append(caller.Out, &CallEdge{Caller: caller, Callee: callee, Kind: kind})
 }
 
 // walkBody resolves the call sites and function-value uses of one
 // function body. Nested literals become their own nodes and are walked
 // recursively; the outer walk does not descend into them.
-func (b *builder) walkBody(u Unit, n *FuncNode, body *ast.BlockStmt, isTest bool) {
+func (b *builder) walkBody(u *load.Package, n *FuncNode, body *ast.BlockStmt, isTest bool) {
 	// callPos marks expressions in call position, so a *types.Func use
 	// is only "address taken" when it is not the operand of a call.
 	// selIdents suppresses the bare Sel identifier of every selector:
@@ -642,7 +596,7 @@ func (b *builder) walkBody(u Unit, n *FuncNode, body *ast.BlockStmt, isTest bool
 
 // resolveCall classifies one call site and records the edge (or a
 // pending site for phase 2).
-func (b *builder) resolveCall(u Unit, caller *FuncNode, call *ast.CallExpr, fun ast.Expr) {
+func (b *builder) resolveCall(u *load.Package, caller *FuncNode, call *ast.CallExpr, fun ast.Expr) {
 	// Type conversions look like calls; skip them.
 	if tv, ok := u.Info.Types[fun]; ok && tv.IsType() {
 		return
@@ -650,7 +604,7 @@ func (b *builder) resolveCall(u Unit, caller *FuncNode, call *ast.CallExpr, fun 
 	switch fun := fun.(type) {
 	case *ast.FuncLit:
 		lit := b.litNode(u, fun, caller.InTestFile)
-		b.addEdge(caller, lit, call.Pos(), EdgeClosure)
+		b.addEdge(caller, lit, EdgeClosure)
 		return
 	case *ast.Ident:
 		switch obj := u.Info.Uses[fun].(type) {
@@ -661,7 +615,7 @@ func (b *builder) resolveCall(u Unit, caller *FuncNode, call *ast.CallExpr, fun 
 			if callee.Name == callee.ID {
 				callee.Name = shortFuncName(obj)
 			}
-			b.addEdge(caller, callee, call.Pos(), EdgeStatic)
+			b.addEdge(caller, callee, EdgeStatic)
 			b.noteRegistration(u, caller, obj, call)
 			return
 		case *types.TypeName:
@@ -672,7 +626,7 @@ func (b *builder) resolveCall(u Unit, caller *FuncNode, call *ast.CallExpr, fun 
 			m := sel.Obj().(*types.Func)
 			if types.IsInterface(recvType(m)) {
 				b.ifaceSites = append(b.ifaceSites, pendingSite{
-					caller: caller, pos: call.Pos(), name: m.Name(), sig: sigShape(m.Type().(*types.Signature)),
+					caller: caller, name: m.Name(), sig: sigShape(m.Type().(*types.Signature)),
 				})
 				return
 			}
@@ -680,7 +634,7 @@ func (b *builder) resolveCall(u Unit, caller *FuncNode, call *ast.CallExpr, fun 
 			if callee.Name == callee.ID {
 				callee.Name = shortFuncName(m)
 			}
-			b.addEdge(caller, callee, call.Pos(), EdgeStatic)
+			b.addEdge(caller, callee, EdgeStatic)
 			b.noteRegistration(u, caller, m, call)
 			return
 		}
@@ -690,14 +644,14 @@ func (b *builder) resolveCall(u Unit, caller *FuncNode, call *ast.CallExpr, fun 
 			if callee.Name == callee.ID {
 				callee.Name = shortFuncName(obj)
 			}
-			b.addEdge(caller, callee, call.Pos(), EdgeStatic)
+			b.addEdge(caller, callee, EdgeStatic)
 			b.noteRegistration(u, caller, obj, call)
 			return
 		}
 	}
 	// A call through a function value.
 	if sig, ok := typeOf(u, fun).(*types.Signature); ok {
-		b.dynSites = append(b.dynSites, pendingSite{caller: caller, pos: call.Pos(), sig: sigShape(sig)})
+		b.dynSites = append(b.dynSites, pendingSite{caller: caller, sig: sigShape(sig)})
 	}
 }
 
@@ -710,7 +664,7 @@ func recvType(fn *types.Func) types.Type {
 	return sig.Recv().Type()
 }
 
-func typeOf(u Unit, e ast.Expr) types.Type {
+func typeOf(u *load.Package, e ast.Expr) types.Type {
 	if tv, ok := u.Info.Types[e]; ok {
 		return tv.Type
 	}
@@ -719,7 +673,7 @@ func typeOf(u Unit, e ast.Expr) types.Type {
 
 // noteFuncUse marks a named function referenced outside call position
 // as address-taken.
-func (b *builder) noteFuncUse(u Unit, id *ast.Ident, inCallPos bool) {
+func (b *builder) noteFuncUse(u *load.Package, id *ast.Ident, inCallPos bool) {
 	if inCallPos {
 		return
 	}
@@ -748,7 +702,7 @@ func (b *builder) markTaken(obj *types.Func) {
 // address-taken: package-qualified functions and concrete method
 // values directly, interface method values by marking every
 // same-shaped implementation in phase 2.
-func (b *builder) noteMethodValue(u Unit, sel *ast.SelectorExpr, inCallPos bool) {
+func (b *builder) noteMethodValue(u *load.Package, sel *ast.SelectorExpr, inCallPos bool) {
 	if inCallPos {
 		return
 	}
@@ -772,9 +726,9 @@ func (b *builder) noteMethodValue(u Unit, sel *ast.SelectorExpr, inCallPos bool)
 }
 
 // simEnvMethod reports whether fn is a method named one of names on a
-// type declared in a package whose import path ends in SimPkgSuffix.
+// type declared in a package whose import path ends in simPkgSuffix.
 func simEnvMethod(fn *types.Func, names ...string) bool {
-	if fn.Pkg() == nil || !PathHasSuffixSegments(fn.Pkg().Path(), SimPkgSuffix) {
+	if fn.Pkg() == nil || !PathHasSuffixSegments(fn.Pkg().Path(), simPkgSuffix) {
 		return false
 	}
 	if recvType(fn) == nil {
@@ -793,7 +747,7 @@ func simEnvMethod(fn *types.Func, names ...string) bool {
 // argument of Env.Go becomes a process body. Registrations made from
 // test files do not create roots: the runtime contracts bind
 // production code.
-func (b *builder) noteRegistration(u Unit, caller *FuncNode, callee *types.Func, call *ast.CallExpr) {
+func (b *builder) noteRegistration(u *load.Package, caller *FuncNode, callee *types.Func, call *ast.CallExpr) {
 	if caller.InTestFile {
 		return
 	}
@@ -848,7 +802,7 @@ func (b *builder) resolvePending() {
 	for i := range b.ifaceSites {
 		s := &b.ifaceSites[i]
 		for _, m := range methodsByShape[s.name+"|"+s.sig] {
-			b.addEdge(s.caller, m, s.pos, EdgeInterface)
+			b.addEdge(s.caller, m, EdgeInterface)
 		}
 	}
 	takenByShape := map[string][]*FuncNode{}
@@ -860,54 +814,7 @@ func (b *builder) resolvePending() {
 	for i := range b.dynSites {
 		s := &b.dynSites[i]
 		for _, t := range takenByShape[s.sig] {
-			b.addEdge(s.caller, t, s.pos, EdgeDynamic)
+			b.addEdge(s.caller, t, EdgeDynamic)
 		}
 	}
-}
-
-// DumpString renders the graph deterministically for golden tests:
-// nodes sorted by ID, each followed by its outgoing edges sorted by
-// (kind, callee).
-func (g *CallGraph) DumpString() string {
-	nodes := make([]*FuncNode, 0, len(g.order))
-	for _, n := range g.order {
-		if n.Defined() {
-			nodes = append(nodes, n)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	var sb strings.Builder
-	for _, n := range nodes {
-		var roles []string
-		if n.Roles&RoleHot != 0 {
-			roles = append(roles, "hot")
-		}
-		if n.Roles&RoleTimerCallback != 0 {
-			roles = append(roles, "timer")
-		}
-		if n.Roles&RoleProcBody != 0 {
-			roles = append(roles, "proc")
-		}
-		if n.Cold {
-			roles = append(roles, "cold")
-		}
-		tag := ""
-		if len(roles) > 0 {
-			tag = " [" + strings.Join(roles, ",") + "]"
-		}
-		if n.addrTaken {
-			tag += " &"
-		}
-		fmt.Fprintf(&sb, "node %s%s\n", n.ID, tag)
-		edges := make([]string, 0, len(n.Out))
-		for _, e := range n.Out {
-			edges = append(edges, fmt.Sprintf("  %s -> %s", e.Kind, e.Callee.ID))
-		}
-		sort.Strings(edges)
-		for _, e := range edges {
-			sb.WriteString(e)
-			sb.WriteByte('\n')
-		}
-	}
-	return sb.String()
 }

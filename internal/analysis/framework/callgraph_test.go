@@ -10,8 +10,8 @@ import (
 	"github.com/disagg/smartds/internal/analysis/load"
 )
 
-// loadFixture type-checks one fixture package and adapts it to units.
-func loadFixture(t *testing.T, pkgpath string) []framework.Unit {
+// loadFixture type-checks one fixture package.
+func loadFixture(t *testing.T, pkgpath string) []*load.Package {
 	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
@@ -23,16 +23,12 @@ func loadFixture(t *testing.T, pkgpath string) []framework.Unit {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	var units []framework.Unit
 	for _, p := range pkgs {
 		for _, terr := range p.TypeErrors {
 			t.Errorf("fixture type error: %v", terr)
 		}
-		units = append(units, framework.Unit{
-			Fset: p.Fset, Files: p.Files, PkgPath: p.PkgPath, Pkg: p.Types, Info: p.Info,
-		})
 	}
-	return units
+	return pkgs
 }
 
 // TestCallGraphGolden pins the exact node, edge, and role structure

@@ -2,10 +2,9 @@
 // golang.org/x/tools/go/analysis that the detcheck analyzers need,
 // built only on the standard library so the repository stays
 // dependency-free. The API mirrors go/analysis deliberately: an
-// Analyzer bundles a name, doc string, flags and a Run function; a Pass
-// hands Run one type-checked package and a Report sink. If the x/tools
-// dependency ever becomes available, the analyzers port over by
-// swapping this import.
+// Analyzer bundles a name, doc string and a Run function; a Pass hands
+// Run one type-checked package and a Report sink. The analyzers take
+// no options: their scopes and allowlists are package constants.
 //
 // Escape hatches: every detcheck analyzer honors a `//detcheck:<name>`
 // directive comment placed on the flagged line or the line directly
@@ -14,7 +13,6 @@
 package framework
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -25,22 +23,16 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and command-line
-	// flags. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 
 	// Doc is the one-paragraph help text.
 	Doc string
 
-	// Flags holds analyzer-specific flags. The multichecker registers
-	// them with a "<name>." prefix.
-	Flags flag.FlagSet
-
 	// WaiverNames lists the `//detcheck:<name>` keys this analyzer
 	// honors; empty means exactly {Name}. Analyzers with historical or
-	// per-finding-kind keys (maporder→ordered, floatacc→floateq,
-	// simspawn→spawn) declare them here so the waiver audit knows the
-	// full vocabulary.
+	// per-finding-kind keys (maporder→ordered, simspawn→spawn) declare
+	// them here so the waiver audit knows the full vocabulary.
 	WaiverNames []string
 
 	// Run applies the analyzer to one package.
@@ -55,9 +47,6 @@ func (a *Analyzer) WaiverKeys() []string {
 	}
 	return []string{a.Name}
 }
-
-// String returns the analyzer's name.
-func (a *Analyzer) String() string { return a.Name }
 
 // Diagnostic is one finding.
 type Diagnostic struct {
@@ -87,14 +76,13 @@ type Pass struct {
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
 
-	// CallGraph and Summaries carry the interprocedural layer: the
-	// package-set call graph and the shared whole-program fact store.
-	// Both drivers (cmd/smartds-vet and analysistest) always set them.
+	// CallGraph is the interprocedural layer: the package-set call
+	// graph, which also memoizes whole-program results. Both drivers
+	// (cmd/smartds-vet and analysistest) always set it.
 	CallGraph *CallGraph
-	Summaries *Summaries
 
 	// Audit, when set, records which waiver directives actually
-	// suppressed findings (the -waiver-audit satellite).
+	// suppressed findings.
 	Audit *WaiverAudit
 
 	directives map[directiveKey]bool
@@ -105,54 +93,42 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-type directiveKey struct {
-	file string
-	line int
-	name string
-}
-
-// buildDirectives indexes `//detcheck:<name>` comments by file and
-// line so Suppressed can answer in O(1).
-func (p *Pass) buildDirectives() {
-	p.directives = make(map[directiveKey]bool)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, "detcheck:") {
-					continue
-				}
-				rest := strings.TrimPrefix(text, "detcheck:")
-				// Allow trailing justification: //detcheck:ordered keys sorted below
-				name := rest
-				if i := strings.IndexAny(rest, " \t"); i >= 0 {
-					name = rest[:i]
-				}
-				pos := p.Fset.Position(c.Pos())
-				p.directives[directiveKey{pos.Filename, pos.Line, name}] = true
-			}
-		}
-	}
-}
-
 // Suppressed reports whether a `//detcheck:<name>` directive covers the
 // given position: the directive may sit on the same line (trailing
 // comment) or on the line immediately above the flagged construct.
 // When an Audit is attached, a matching directive is recorded as used.
 func (p *Pass) Suppressed(name string, pos token.Pos) bool {
 	if p.directives == nil {
-		p.buildDirectives()
+		p.directives = make(map[directiveKey]bool)
+		for _, d := range Directives(p.Fset, p.Files) {
+			p.directives[directiveKey{d.File, d.Line, d.Name}] = true
+		}
 	}
 	at := p.Fset.Position(pos)
 	for _, line := range []int{at.Line, at.Line - 1} {
-		if p.directives[directiveKey{at.Filename, line, name}] {
+		k := directiveKey{at.Filename, line, name}
+		if p.directives[k] {
 			if p.Audit != nil {
-				p.Audit.markUsed(at.Filename, line, name)
+				p.Audit.used[k] = true
 			}
 			return true
 		}
 	}
 	return false
+}
+
+// SourceFiles returns the package's files other than _test.go files:
+// the analyzers that guard what the simulator runs skip test code,
+// where pinning GOMAXPROCS, comparing floats exactly or draining a
+// channel is the point of the test.
+func (p *Pass) SourceFiles() []*ast.File {
+	var out []*ast.File
+	for _, f := range p.Files {
+		if !strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // TypeOf returns the type of an expression, or nil when unknown (for
@@ -172,20 +148,29 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// PathHasSegment reports whether slash-separated path contains the
-// given segment (e.g. PathHasSegment("a/internal/b", "internal")).
-func PathHasSegment(path, segment string) bool {
-	for _, s := range strings.Split(path, "/") {
-		if s == segment {
-			return true
+// StaticCallee resolves the *types.Func a direct call names, nil for
+// calls through function values and interface-free builtins.
+func StaticCallee(info *types.Info, fun ast.Expr) *types.Func {
+	switch fun := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		f, _ := info.Uses[fun].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if sel.Kind() == types.MethodVal {
+				return sel.Obj().(*types.Func)
+			}
+			return nil
 		}
+		f, _ := info.Uses[fun.Sel].(*types.Func)
+		return f
 	}
-	return false
+	return nil
 }
 
 // PathHasSegments reports whether slash-separated path contains the
-// given multi-segment subsequence on segment boundaries (e.g.
-// "a/internal/storage/ssd" contains "internal/storage" but
+// given (possibly multi-segment) subsequence on segment boundaries
+// (e.g. "a/internal/storage/ssd" contains "internal/storage" but
 // "a/internal/storagex" does not).
 func PathHasSegments(path, sub string) bool {
 	return path == sub ||
@@ -198,13 +183,11 @@ func PathHasSegments(path, sub string) bool {
 // slash-separated suffix on a segment boundary (e.g. "x/internal/rng"
 // ends with "internal/rng" but "x/notinternal/rng" does not).
 func PathHasSuffixSegments(path, suffix string) bool {
-	if path == suffix {
-		return true
-	}
-	return strings.HasSuffix(path, "/"+suffix)
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// SortDiagnostics orders diagnostics by position for stable output.
+// SortDiagnostics orders diagnostics by position, then message, for
+// stable output.
 func SortDiagnostics(fset *token.FileSet, ds []Diagnostic) {
 	sort.SliceStable(ds, func(i, j int) bool {
 		pi, pj := fset.Position(ds[i].Pos), fset.Position(ds[j].Pos)

@@ -2,9 +2,8 @@
 // reviewable suppressions — and like all suppressions they rot. A
 // directive naming an analyzer that does not exist, or one that no
 // longer suppresses any finding, silently blesses nothing (or worse,
-// the wrong thing). The audit collects every directive and every
-// suppression hit across a run, so the driver can fail on unknown and
-// never-firing waivers.
+// the wrong thing). The audit collects every suppression hit across a
+// run, so the driver can fail on unknown and never-firing waivers.
 package framework
 
 import (
@@ -13,18 +12,19 @@ import (
 	"strings"
 )
 
-// Directive is one parsed //detcheck: comment.
+// Directive is one parsed //detcheck: comment: its waiver key (an
+// analyzer's waiver name, e.g. "wallclock", "ordered", "hotalloc") and
+// where it sits. Text after the key is the reason and is not parsed.
 type Directive struct {
-	// Name is the waiver key (an analyzer's waiver name, e.g.
-	// "wallclock", "ordered", "floateq").
 	Name string
-	// Reason is the justification text after the key ("" when absent).
-	Reason string
-	// Pos is the comment position.
-	Pos token.Pos
-	// File and Line locate the directive for audit bookkeeping.
 	File string
 	Line int
+}
+
+type directiveKey struct {
+	file string
+	line int
+	name string
 }
 
 // Directives parses every //detcheck: comment in the files.
@@ -33,20 +33,15 @@ func Directives(fset *token.FileSet, files []*ast.File) []Directive {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, "detcheck:") {
+				rest, ok := strings.CutPrefix(c.Text, "//detcheck:")
+				if !ok {
 					continue
 				}
-				rest := strings.TrimPrefix(text, "detcheck:")
-				name, reason := rest, ""
 				if i := strings.IndexAny(rest, " \t"); i >= 0 {
-					name, reason = rest[:i], strings.TrimSpace(rest[i:])
+					rest = rest[:i]
 				}
 				pos := fset.Position(c.Pos())
-				out = append(out, Directive{
-					Name: name, Reason: reason, Pos: c.Pos(),
-					File: pos.Filename, Line: pos.Line,
-				})
+				out = append(out, Directive{Name: rest, File: pos.Filename, Line: pos.Line})
 			}
 		}
 	}
@@ -62,12 +57,6 @@ type WaiverAudit struct {
 // NewWaiverAudit returns an empty audit.
 func NewWaiverAudit() *WaiverAudit {
 	return &WaiverAudit{used: map[directiveKey]bool{}}
-}
-
-// markUsed records that the directive at (file, line) with the given
-// name suppressed a finding.
-func (w *WaiverAudit) markUsed(file string, line int, name string) {
-	w.used[directiveKey{file, line, name}] = true
 }
 
 // Used reports whether the directive suppressed at least one finding

@@ -39,24 +39,16 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-var includeTests bool
-
-func init() {
-	Analyzer.Flags.BoolVar(&includeTests, "tests", false,
-		"also enforce the contract on functions declared in _test.go files")
-}
-
 // finding is one allocation site, pre-resolved to the package that
 // must report it.
 type finding struct {
-	pkg   string
-	pos   token.Pos
-	msg   string
-	order int
+	pkg string
+	pos token.Pos
+	msg string
 }
 
 func run(pass *framework.Pass) error {
-	findings := pass.Summaries.Program("hotalloc", compute).([]finding)
+	findings := pass.CallGraph.Program("hotalloc", compute).([]finding)
 	for _, f := range findings {
 		if f.pkg != pass.PkgPath {
 			continue
@@ -74,34 +66,26 @@ func run(pass *framework.Pass) error {
 func compute(cg *framework.CallGraph) interface{} {
 	var roots []*framework.FuncNode
 	for _, n := range cg.Roots(framework.RoleHot | framework.RoleTimerCallback) {
-		if n.Cold {
-			continue // declared off the steady-state path
-		}
-		if includeTests || !n.InTestFile {
+		// Cold functions are declared off the steady-state path; test
+		// code is bound by the AllocsPerRun pins, not by this contract.
+		if !n.Cold && !n.InTestFile {
 			roots = append(roots, n)
 		}
 	}
 	tree := cg.ReachableFrom(roots, func(e *framework.CallEdge) bool {
-		if e.Kind == framework.EdgeDynamic || e.Callee.Cold {
-			return false
-		}
-		return includeTests || !e.Callee.InTestFile
+		return e.Kind != framework.EdgeDynamic && !e.Callee.Cold && !e.Callee.InTestFile
 	})
 	var out []finding
 	for _, n := range cg.Nodes() {
-		if _, ok := tree[n]; !ok || !n.Defined() {
-			continue
-		}
-		if n.InTestFile && !includeTests {
+		if _, ok := tree[n]; !ok || !n.Defined() || n.InTestFile {
 			continue
 		}
 		chain := framework.ChainString(framework.ChainTo(tree, n))
 		scanBody(n, func(pos token.Pos, desc string) {
 			out = append(out, finding{
-				pkg:   n.PkgPath,
-				pos:   pos,
-				msg:   fmt.Sprintf("%s on zero-alloc hot path (via %s)", desc, chain),
-				order: len(out),
+				pkg: n.PkgPath,
+				pos: pos,
+				msg: fmt.Sprintf("%s on zero-alloc hot path (via %s)", desc, chain),
 			})
 		})
 	}
@@ -267,7 +251,7 @@ func scanCall(info *types.Info, call *ast.CallExpr, report func(token.Pos, strin
 	}
 
 	// Named callee: stdlib denylist.
-	if fn := staticCallee(info, fun); fn != nil && fn.Pkg() != nil {
+	if fn := framework.StaticCallee(info, fun); fn != nil && fn.Pkg() != nil {
 		if desc, bad := allocStdlib(fn); bad {
 			report(call.Pos(), desc)
 		}
@@ -293,26 +277,6 @@ func scanCall(info *types.Info, call *ast.CallExpr, report func(token.Pos, strin
 			checkBox(info, pt, arg, report)
 		}
 	}
-}
-
-// staticCallee resolves the *types.Func a direct call names, nil for
-// dynamic calls.
-func staticCallee(info *types.Info, fun ast.Expr) *types.Func {
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() == types.MethodVal {
-				return sel.Obj().(*types.Func)
-			}
-			return nil
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // allocStdlib reports whether a standard-library callee is on the

@@ -13,3 +13,9 @@ func TestHotalloc(t *testing.T) {
 		"example.com/hot/cold",
 	)
 }
+
+// TestStaleEpochError pins the mutant only hotalloc catches: an error
+// built on the rare stale-epoch branch of a //hot receive path.
+func TestStaleEpochError(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), hotalloc.Analyzer, "example.com/hot/internal/rdma")
+}

@@ -19,11 +19,11 @@ import (
 	"strings"
 )
 
-// Package is one parsed, type-checked compilation unit. In-package
-// test files are checked together with the library files; an external
-// test package (package foo_test) forms its own Package.
+// Package is one parsed, type-checked compilation unit. Test files are
+// always loaded (wallclock and randsrc bind test code too): in-package
+// test files are checked together with the library files, and an
+// external test package (package foo_test) forms its own Package.
 type Package struct {
-	Dir     string
 	PkgPath string // import path; external tests carry a "_test" suffix
 	Fset    *token.FileSet
 	Files   []*ast.File
@@ -39,22 +39,13 @@ type Package struct {
 // importer so stdlib dependencies are only checked once per process.
 type Loader struct {
 	Fset *token.FileSet
-
-	// IncludeTests controls whether *_test.go files are loaded.
-	// Determinism invariants bind test code too, so the default is on.
-	IncludeTests bool
-
-	imp types.Importer
+	imp  types.Importer
 }
 
-// NewLoader returns a loader with test files included.
+// NewLoader returns an empty loader.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{
-		Fset:         fset,
-		IncludeTests: true,
-		imp:          importer.ForCompiler(fset, "source", nil),
-	}
+	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
 }
 
 // Patterns resolves go-tool style patterns ("./...", "./internal/rng",
@@ -143,7 +134,7 @@ func hasGoFiles(dir string) bool {
 }
 
 // Dir loads the package(s) rooted in one directory: the primary
-// package (with its in-package test files when IncludeTests is set)
+// package (with its in-package test files)
 // and, separately, an external test package if present.
 func (l *Loader) Dir(dir string) ([]*Package, error) {
 	pkgPath, err := importPathFor(dir)
@@ -164,9 +155,6 @@ func (l *Loader) DirAs(dir, pkgPath string) ([]*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -194,7 +182,7 @@ func (l *Loader) DirAs(dir, pkgPath string) ([]*Package, error) {
 		if strings.HasSuffix(n, "_test") {
 			path += "_test"
 		}
-		out = append(out, l.check(dir, path, byName[n], imp))
+		out = append(out, l.check(path, byName[n], imp))
 		imp = &testImporter{l: l, dir: dir, under: pkgPath, variant: byName[n], pkgs: map[string]*types.Package{}}
 	}
 	return out, nil
@@ -270,9 +258,8 @@ func ignoredByBuildConstraint(f *ast.File) bool {
 }
 
 // check type-checks one group of files, resolving imports through imp.
-func (l *Loader) check(dir, pkgPath string, files []*ast.File, imp types.Importer) *Package {
+func (l *Loader) check(pkgPath string, files []*ast.File, imp types.Importer) *Package {
 	p := &Package{
-		Dir:     dir,
 		PkgPath: pkgPath,
 		Fset:    l.Fset,
 		Files:   files,

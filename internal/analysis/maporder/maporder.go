@@ -12,13 +12,15 @@
 //   - the body's only map-order-dependent effects are commutative and
 //     exact (integer accumulation, writes into another map, delete);
 //   - the loop carries a `//detcheck:ordered` justification comment.
+//
+// Test files are not checked: a test that builds output in map order
+// fails its own comparison.
 package maporder
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"github.com/disagg/smartds/internal/analysis/framework"
 )
@@ -32,24 +34,19 @@ var Analyzer = &framework.Analyzer{
 	Run:         run,
 }
 
-var sinkMethods string
-
-func init() {
-	Analyzer.Flags.StringVar(&sinkMethods, "sinks",
-		"AddRow,AddNote,Emit,Record,Begin,End,Counter,Trigger,Go,At,After,Schedule,"+
-			"Fprintf,Fprint,Fprintln,Printf,Print,Println,Sprintf,"+
-			"WriteString,Write,WriteByte,WriteRune",
-		"comma-separated method/function names treated as ordered sinks")
+// sinks names the methods and functions whose call order is output
+// order: tables, trace, event scheduling, printers and writers.
+var sinks = map[string]bool{
+	"AddRow": true, "AddNote": true, "Emit": true, "Record": true, "Begin": true,
+	"End": true, "Counter": true, "Trigger": true, "Go": true, "At": true,
+	"After": true, "Schedule": true, "Fprintf": true, "Fprint": true,
+	"Fprintln": true, "Printf": true, "Print": true, "Println": true,
+	"Sprintf": true, "WriteString": true, "Write": true, "WriteByte": true,
+	"WriteRune": true,
 }
 
 func run(pass *framework.Pass) error {
-	sinks := map[string]bool{}
-	for _, s := range strings.Split(sinkMethods, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			sinks[s] = true
-		}
-	}
-	for _, f := range pass.Files {
+	for _, f := range pass.SourceFiles() {
 		// Walk function by function so the append-then-sort idiom can
 		// inspect statements that follow the loop.
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -63,7 +60,7 @@ func run(pass *framework.Pass) error {
 				return true
 			}
 			if body != nil {
-				checkFunc(pass, sinks, body)
+				checkFunc(pass, body)
 			}
 			return true
 		})
@@ -74,7 +71,7 @@ func run(pass *framework.Pass) error {
 // checkFunc inspects one function body for offending map ranges. It
 // recurses into nested loops but not nested function literals (they
 // get their own walk).
-func checkFunc(pass *framework.Pass, sinks map[string]bool, body *ast.BlockStmt) {
+func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok && n.Pos() != body.Pos() {
 			return false
@@ -93,7 +90,7 @@ func checkFunc(pass *framework.Pass, sinks map[string]bool, body *ast.BlockStmt)
 		if pass.Suppressed("ordered", rs.Pos()) {
 			return true
 		}
-		checkMapRange(pass, sinks, body, rs)
+		checkMapRange(pass, body, rs)
 		return true
 	})
 }
@@ -105,7 +102,7 @@ type loopScope struct {
 }
 
 // checkMapRange reports each order-dependent effect in one map range.
-func checkMapRange(pass *framework.Pass, sinks map[string]bool, funcBody *ast.BlockStmt, rs *ast.RangeStmt) {
+func checkMapRange(pass *framework.Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt) {
 	sc := &loopScope{pass: pass, rs: rs, vars: map[types.Object]bool{}}
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
 		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
@@ -117,10 +114,10 @@ func checkMapRange(pass *framework.Pass, sinks map[string]bool, funcBody *ast.Bl
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			sc.checkAssign(sinks, funcBody, n)
+			sc.checkAssign(funcBody, n)
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
-				sc.checkCall(sinks, call)
+				sc.checkCall(call)
 			}
 		case *ast.SendStmt:
 			if sc.referencesLoopVar(n.Value) || sc.referencesLoopVar(n.Chan) {
@@ -143,7 +140,7 @@ func (sc *loopScope) report(pos token.Pos, what string) {
 // checkAssign flags appends and selections into variables that outlive
 // the loop. At most one diagnostic is reported per assignment
 // statement (a multi-assign like `best, bestAt = k, v` is one finding).
-func (sc *loopScope) checkAssign(sinks map[string]bool, funcBody *ast.BlockStmt, as *ast.AssignStmt) {
+func (sc *loopScope) checkAssign(funcBody *ast.BlockStmt, as *ast.AssignStmt) {
 	for i, lhs := range as.Lhs {
 		var rhs ast.Expr
 		if len(as.Rhs) == len(as.Lhs) {
@@ -195,7 +192,7 @@ func (sc *loopScope) checkAssign(sinks map[string]bool, funcBody *ast.BlockStmt,
 
 // checkCall flags sink calls whose arguments carry the iteration
 // variables into ordered output.
-func (sc *loopScope) checkCall(sinks map[string]bool, call *ast.CallExpr) {
+func (sc *loopScope) checkCall(call *ast.CallExpr) {
 	name := calleeName(call)
 	if name == "" || !sinks[name] {
 		return

@@ -12,3 +12,9 @@ func Test(t *testing.T) {
 		"example.com/internal/mapfix",
 	)
 }
+
+// TestFoldedStacksUnsorted pins the mutant only maporder catches
+// reliably: folded critpath stacks written without sorting.
+func TestFoldedStacksUnsorted(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), maporder.Analyzer, "example.com/internal/critpath")
+}

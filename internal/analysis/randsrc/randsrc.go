@@ -20,28 +20,13 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-var packages, allow string
-
-func init() {
-	Analyzer.Flags.StringVar(&packages, "packages",
-		"math/rand,math/rand/v2,crypto/rand",
-		"comma-separated import paths to forbid")
-	Analyzer.Flags.StringVar(&allow, "allow", "internal/rng",
-		"comma-separated import-path suffixes allowed to import the forbidden packages")
-}
+// banned lists the randomness packages; only internal/rng, which
+// wraps the seeded source, may import them.
+var banned = map[string]bool{"math/rand": true, "math/rand/v2": true, "crypto/rand": true}
 
 func run(pass *framework.Pass) error {
-	for _, suffix := range strings.Split(allow, ",") {
-		if suffix = strings.TrimSpace(suffix); suffix != "" &&
-			framework.PathHasSuffixSegments(pass.PkgPath, suffix) {
-			return nil
-		}
-	}
-	banned := map[string]bool{}
-	for _, p := range strings.Split(packages, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			banned[p] = true
-		}
+	if framework.PathHasSuffixSegments(pass.PkgPath, "internal/rng") {
+		return nil
 	}
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {

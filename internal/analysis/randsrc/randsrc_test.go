@@ -13,3 +13,9 @@ func Test(t *testing.T) {
 		"example.com/internal/rng",
 	)
 }
+
+// TestZeroSeedFromCryptoRand pins the mutant only randsrc catches: a
+// seed read from crypto/rand in the trace sampler.
+func TestZeroSeedFromCryptoRand(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), randsrc.Analyzer, "example.com/internal/trace")
+}

@@ -38,7 +38,7 @@ type finding struct {
 }
 
 func run(pass *framework.Pass) error {
-	findings := pass.Summaries.Program("simblock", compute).([]finding)
+	findings := pass.CallGraph.Program("simblock", compute).([]finding)
 	for _, f := range findings {
 		if f.pkg != pass.PkgPath {
 			continue
@@ -151,7 +151,7 @@ func scanBody(n *framework.FuncNode, report func(token.Pos, string)) {
 // blockingCallee classifies a call as blocking/syscalling by its
 // statically named callee.
 func blockingCallee(info *types.Info, call *ast.CallExpr) (string, bool) {
-	fn := staticCallee(info, ast.Unparen(call.Fun))
+	fn := framework.StaticCallee(info, call.Fun)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}
@@ -189,24 +189,4 @@ func recvName(fn *types.Func) string {
 		return named.Obj().Name()
 	}
 	return fn.Pkg().Name()
-}
-
-// staticCallee resolves the *types.Func a direct call names, nil for
-// dynamic calls.
-func staticCallee(info *types.Info, fun ast.Expr) *types.Func {
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		f, _ := info.Uses[fun].(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() == types.MethodVal {
-				return sel.Obj().(*types.Func)
-			}
-			return nil
-		}
-		f, _ := info.Uses[fun.Sel].(*types.Func)
-		return f
-	}
-	return nil
 }

@@ -12,3 +12,9 @@ func TestSimblock(t *testing.T) {
 	// registrations there), and its own blocking sites still report.
 	analysistest.Run(t, analysistest.TestData(), simblock.Analyzer, "example.com/blk/internal/sim")
 }
+
+// TestRebuildLock pins the mutant only simblock catches: a sync.Mutex
+// taken in the crash rebuild a fault proc runs.
+func TestRebuildLock(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), simblock.Analyzer, "example.com/rebuild/internal/sim")
+}

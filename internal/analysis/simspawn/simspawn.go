@@ -6,14 +6,15 @@
 // time, so whether it interleaves before or after a virtual-time event
 // depends on the Go runtime — exactly the nondeterminism the virtual
 // clock exists to exclude. Only internal/sim's own scheduler
-// internals, which implement the parking protocol, are exempt.
+// internals, which implement the parking protocol, are exempt, and
+// test files, whose host-side helpers never run inside the scheduler,
+// are not checked.
 package simspawn
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"github.com/disagg/smartds/internal/analysis/framework"
 )
@@ -27,26 +28,12 @@ var Analyzer = &framework.Analyzer{
 	Run:         run,
 }
 
-var scope, exempt string
-
-func init() {
-	Analyzer.Flags.StringVar(&scope, "scope", "internal",
-		"only packages whose import path contains this segment are checked")
-	Analyzer.Flags.StringVar(&exempt, "exempt", "internal/sim",
-		"comma-separated import-path suffixes exempt from the check (scheduler internals)")
-}
-
 func run(pass *framework.Pass) error {
-	if !framework.PathHasSegment(pass.PkgPath, scope) {
+	if !framework.PathHasSegments(pass.PkgPath, "internal") ||
+		framework.PathHasSuffixSegments(pass.PkgPath, "internal/sim") {
 		return nil
 	}
-	for _, suffix := range strings.Split(exempt, ",") {
-		if suffix = strings.TrimSpace(suffix); suffix != "" &&
-			framework.PathHasSuffixSegments(strings.TrimSuffix(pass.PkgPath, "_test"), suffix) {
-			return nil
-		}
-	}
-	for _, f := range pass.Files {
+	for _, f := range pass.SourceFiles() {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:

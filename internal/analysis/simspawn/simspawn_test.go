@@ -13,3 +13,9 @@ func Test(t *testing.T) {
 		"example.com/internal/sim",
 	)
 }
+
+// TestNonBlockingFeed pins the mutant only simspawn catches: a
+// non-blocking channel send in the storage write handler.
+func TestNonBlockingFeed(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), simspawn.Analyzer, "example.com/internal/storage")
+}

@@ -10,7 +10,6 @@ package wallclock
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"github.com/disagg/smartds/internal/analysis/framework"
 )
@@ -23,25 +22,16 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-var forbidden, scope string
-
-func init() {
-	Analyzer.Flags.StringVar(&forbidden, "funcs",
-		"Now,Since,Until,Sleep,After,AfterFunc,Tick,NewTimer,NewTicker",
-		"comma-separated time package functions to forbid")
-	Analyzer.Flags.StringVar(&scope, "scope", "internal",
-		"only packages whose import path contains this segment are checked")
+// banned lists the time package functions that read or wait on the
+// host clock.
+var banned = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true,
+	"AfterFunc": true, "Tick": true, "NewTimer": true, "NewTicker": true,
 }
 
 func run(pass *framework.Pass) error {
-	if !framework.PathHasSegment(pass.PkgPath, scope) {
+	if !framework.PathHasSegments(pass.PkgPath, "internal") {
 		return nil
-	}
-	banned := map[string]bool{}
-	for _, f := range strings.Split(forbidden, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			banned[f] = true
-		}
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -13,3 +13,9 @@ func Test(t *testing.T) {
 		"example.com/cmd/clockok",
 	)
 }
+
+// TestAlertStampedWithHostTime pins the mutant only wallclock catches:
+// an SLO alert detail stamped with time.Now.
+func TestAlertStampedWithHostTime(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), wallclock.Analyzer, "example.com/internal/slo")
+}

@@ -437,7 +437,7 @@ func TestErrorsCountMeasurementWindowOnly(t *testing.T) {
 // caller measures after Run overlaps helper work.
 func TestCodecLookaheadInvisible(t *testing.T) {
 	run := func(kind middletier.Kind, procs int) Results {
-		//detcheck:finalizer the lookahead sizes its helper pool from GOMAXPROCS; the test pins it
+		// the lookahead sizes its helper pool from GOMAXPROCS; the test pins it
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		cfg := smallCfg(kind)
 		if kind == middletier.CPUOnly {

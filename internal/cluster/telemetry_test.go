@@ -104,7 +104,7 @@ func TestTelemetryFaultSummaryAttached(t *testing.T) {
 	// campaign: go-back-N retransmitted into the dark server, and the
 	// middle tier placed writes on fewer replicas while it was gone.
 	var retransmits float64
-	for name, v := range rr.Counters { //detcheck:ordered integer-valued counters, the sum is order-independent
+	for name, v := range rr.Counters { // integer-valued counters, the sum is order-independent
 		if strings.HasPrefix(name, "smartds_rdma_retransmits_total") {
 			retransmits += v
 		}

@@ -161,7 +161,7 @@ var buildOrder = [numClasses]Class{Medical, Text, Database, Source, XML, Random,
 // stream from its own source, so the streams do not depend on which
 // goroutine ran which class or when.
 func generate(fill func(Class)) {
-	//detcheck:finalizer reads GOMAXPROCS (n=0 changes nothing) to size the generator pool
+	// GOMAXPROCS(0) only reads the setting; it sizes the generator pool.
 	workers := min(runtime.GOMAXPROCS(0), int(numClasses))
 	var next atomic.Int32
 	var wg sync.WaitGroup

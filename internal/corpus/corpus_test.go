@@ -232,9 +232,9 @@ func TestStreamsGolden(t *testing.T) {
 // under -short so the race detector watches the pool.
 func TestStreamsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	build := func(procs int) *Corpus {
-		//detcheck:finalizer New sizes its generator pool from GOMAXPROCS; the test pins it to cover one worker and the pool
+		// New sizes its generator pool from GOMAXPROCS; the test pins it to cover one worker and the pool
 		old := runtime.GOMAXPROCS(procs)
-		//detcheck:finalizer restores the test process's GOMAXPROCS
+		// restores the test process's GOMAXPROCS
 		defer runtime.GOMAXPROCS(old)
 		return New(42, WithStreamSize(64<<10))
 	}

@@ -311,7 +311,7 @@ func (inj *Injector) Report() *metrics.Table {
 	t := metrics.NewTable("fault schedule", "fault", "target", "window", "param")
 	for _, e := range inj.sched.Events {
 		param := "-"
-		if e.Param != 0 { //detcheck:floateq exact zero means "param unset", never computed
+		if e.Param != 0 { // exact zero means "param unset", never computed
 			param = strconv.FormatFloat(e.Param, 'g', -1, 64)
 		}
 		t.AddRow(e.Kind.String(), e.Target,

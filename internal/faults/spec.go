@@ -85,7 +85,7 @@ func (e Event) End() float64 { return e.Start + e.Duration }
 func (e Event) String() string {
 	s := fmt.Sprintf("%s:%s@%v+%v", e.Kind, e.Target,
 		time.Duration(e.Start*1e9), time.Duration(e.Duration*1e9))
-	if e.Param != 0 { //detcheck:floateq exact zero means "param unset", never computed
+	if e.Param != 0 { // exact zero means "param unset", never computed
 		s += ":" + strconv.FormatFloat(e.Param, 'g', -1, 64)
 	}
 	return s
@@ -206,21 +206,21 @@ func parseEvent(item string) (Event, error) {
 
 	switch ev.Kind {
 	case Loss, BurstLoss:
-		if ev.Param == 0 { //detcheck:floateq exact zero means "param omitted in the spec"
+		if ev.Param == 0 { // exact zero means "param omitted in the spec"
 			ev.Param = 0.05
 		}
 		if ev.Param < 0 || ev.Param > 1 {
 			return ev, fmt.Errorf("loss probability %g out of [0,1]", ev.Param)
 		}
 	case Degrade:
-		if ev.Param == 0 { //detcheck:floateq exact zero means "param omitted in the spec"
+		if ev.Param == 0 { // exact zero means "param omitted in the spec"
 			ev.Param = 0.5
 		}
 		if ev.Param <= 0 || ev.Param > 1 {
 			return ev, fmt.Errorf("rate fraction %g out of (0,1]", ev.Param)
 		}
 	default:
-		if ev.Param != 0 { //detcheck:floateq exact zero means "param omitted in the spec"
+		if ev.Param != 0 { // exact zero means "param omitted in the spec"
 			return ev, fmt.Errorf("%s takes no param", ev.Kind)
 		}
 	}

@@ -158,7 +158,7 @@ func (la *Lookahead) Prefetch(src []byte, level Level) uint64 {
 	if len(src) < mfLimit+minMatch || !level.Valid() {
 		return 0 // inline work is trivial, or Compress rejects the level
 	}
-	//detcheck:finalizer reads GOMAXPROCS (n=0 changes nothing) to size the helper pool
+	// GOMAXPROCS(0) only reads the setting; it sizes the helper pool.
 	if la.maxHelps = runtime.GOMAXPROCS(0) - 1; la.maxHelps < 1 {
 		return 0
 	}

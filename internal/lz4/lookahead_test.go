@@ -12,9 +12,9 @@ import (
 
 // withProcs runs f at GOMAXPROCS n and restores the old value.
 func withProcs(n int, f func()) {
-	//detcheck:finalizer the lookahead sizes its helper pool from GOMAXPROCS; tests pin it to cover one and several helpers
+	// the lookahead sizes its helper pool from GOMAXPROCS; tests pin it to cover one and several helpers
 	old := runtime.GOMAXPROCS(n)
-	//detcheck:finalizer restores the test process's GOMAXPROCS
+	// restores the test process's GOMAXPROCS
 	defer runtime.GOMAXPROCS(old)
 	f()
 }

@@ -179,7 +179,7 @@ func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
 // Merge adds all samples of other into h. The histograms must share the
 // same geometry.
 func (h *Histogram) Merge(other *Histogram) {
-	if h.min != other.min || h.max != other.max || h.perDecade != other.perDecade { //detcheck:floateq geometry fields are set once from constants, never computed
+	if h.min != other.min || h.max != other.max || h.perDecade != other.perDecade { // geometry fields are set once from constants, never computed
 		panic("metrics: merging histograms with different geometry")
 	}
 	for i, c := range other.buckets {

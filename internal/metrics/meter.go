@@ -59,7 +59,7 @@ func FormatGbps(bytesPerSec float64) string {
 // FormatDuration renders seconds using the most readable unit.
 func FormatDuration(sec float64) string {
 	switch {
-	case sec == 0: //detcheck:floateq exact zero prints "0"; any computed nonzero falls through to a unit
+	case sec == 0: // exact zero prints "0"; any computed nonzero falls through to a unit
 		return "0"
 	case sec < 1e-6:
 		return fmt.Sprintf("%.0f ns", sec*1e9)

@@ -85,7 +85,7 @@ type wireCache struct {
 
 func (c *wireCache) encode(hdr blockstore.Header, f frame) []byte {
 	same := len(f.data) == len(c.data) && (len(f.data) == 0 || &f.data[0] == &c.data[0])
-	if c.msg == nil || !same || hdr != c.hdr || f.size != c.size { //detcheck:floateq cache key: the same size value passed again, never computed
+	if c.msg == nil || !same || hdr != c.hdr || f.size != c.size { // cache key: the same size value passed again, never computed
 		c.hdr, c.data, c.size, c.msg = hdr, f.data, f.size, blockstore.SizedMessage(hdr, f.data, uint32(f.size))
 	}
 	return c.msg

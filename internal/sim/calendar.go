@@ -47,7 +47,7 @@ const (
 
 // calLess orders calendar entries by (time, seq).
 func calLess(a, b *item) bool {
-	if a.t != b.t { //detcheck:floateq exact tie detection; ties fall through to the seq order
+	if a.t != b.t { // exact tie detection; ties fall through to the seq order
 		return a.t < b.t
 	}
 	return a.seq < b.seq

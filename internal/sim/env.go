@@ -92,7 +92,7 @@ func (e *Env) release(it *item) {
 //
 //hot:per-event scheduler spine, pinned by TestTimerChurnZeroAllocs
 func (e *Env) enqueue(it *item) {
-	if it.t == e.now { //detcheck:floateq same-instant entries take the O(1) fast lane; (t,seq) order is unchanged
+	if it.t == e.now { // same-instant entries take the O(1) fast lane; (t,seq) order is unchanged
 		e.ln.push(it)
 		return
 	}

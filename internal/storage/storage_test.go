@@ -152,7 +152,7 @@ func TestServerWriteThenRead(t *testing.T) {
 
 	var writeStatus, readStatus blockstore.Status
 	var fetched []byte
-	//detcheck:spawn buffered host-side reply counter; callbacks run on the single scheduler thread
+	// buffered host-side reply counter; callbacks run on the single scheduler thread
 	replies := make(chan struct{}, 8)
 	r.client.OnRecv = func(m *rdma.Message) {
 		rh, payload, err := blockstore.SplitMessage(m.Data)
@@ -167,7 +167,7 @@ func TestServerWriteThenRead(t *testing.T) {
 			readStatus = rh.Status
 			fetched = append([]byte(nil), payload...)
 		}
-		replies <- struct{}{} //detcheck:spawn buffered, never blocks; same scheduler thread
+		replies <- struct{}{} // buffered, never blocks; same scheduler thread
 	}
 
 	r.env.Go("mt", func(p *sim.Proc) {

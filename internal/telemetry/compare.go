@@ -150,7 +150,7 @@ func ComparisonTable(deltas []RunDelta) *metrics.Table {
 
 // pctDelta renders a cur/base ratio as a signed percentage.
 func pctDelta(ratio float64) string {
-	if ratio == 0 { //detcheck:floateq exact zero is the "no baseline" sentinel, never computed
+	if ratio == 0 { // exact zero is the "no baseline" sentinel, never computed
 		return "-"
 	}
 	return fmt.Sprintf("%+.1f%%", (ratio-1)*100)

@@ -198,7 +198,7 @@ func (t *Tracer) evictStalest() {
 	oldestAt := -1.0
 	first := true
 	for k, os := range t.open {
-		if first || os.at < oldestAt || (os.at == oldestAt && keyLess(k, oldest)) { //detcheck:floateq exact tie on recorded timestamps
+		if first || os.at < oldestAt || (os.at == oldestAt && keyLess(k, oldest)) { // exact tie on recorded timestamps
 			oldest, oldestAt, first = k, os.at, false //detcheck:ordered winner is total-ordered by (at, key)
 		}
 	}
