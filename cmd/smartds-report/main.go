@@ -8,7 +8,7 @@
 //
 //	smartds-report baseline.json current.json
 //	smartds-report -baseline baseline.json current.json
-//	smartds-report -max-tput-drop 0.10 -max-p999-inflate 0.50 base.json cur.json
+//	smartds-report -max-eps-drop 0.5 base.json cur.json
 //	smartds-report -show report.json   # print one report's runs, no gate
 //	smartds-report -slo report.json    # fail if any run fired an SLO alert
 package main
@@ -28,19 +28,9 @@ func main() {
 	show := flag.Bool("show", false, "print a single report's runs without comparing")
 	blame := flag.Bool("blame", false, "print a single report's latency blame profiles (per-stage critical-path attribution) with p999 exemplar drill-downs")
 	sloGate := flag.Bool("slo", false, "SLO gate: print a single report's fired alerts and exit non-zero when any run fired one")
-	g := telemetry.DefaultGate()
-	flag.Float64Var(&g.MaxThroughputDrop, "max-tput-drop", g.MaxThroughputDrop,
-		"fail when throughput falls below baseline*(1-frac)")
-	flag.Float64Var(&g.MaxP999Inflate, "max-p999-inflate", g.MaxP999Inflate,
-		"fail when p999 rises above baseline*(1+frac)")
-	flag.Float64Var(&g.P999Floor, "p999-floor", g.P999Floor,
-		"ignore p999 inflation while the current p999 is under this many seconds")
-	minReq := flag.Uint64("min-requests", g.MinRequests,
-		"skip runs that measured fewer requests than this")
-	flag.Float64Var(&g.MaxEventsPerSecDrop, "max-eps-drop", g.MaxEventsPerSecDrop,
+	maxEPSDrop := flag.Float64("max-eps-drop", 0.10,
 		"fail when simulator events/sec falls below baseline*(1-frac); 0 disables")
 	flag.Parse()
-	g.MinRequests = *minReq
 
 	args := flag.Args()
 	if *sloGate {
@@ -97,7 +87,7 @@ func main() {
 		fatal(err)
 	}
 
-	deltas, violations := telemetry.Compare(base, cur, g)
+	deltas, violations := telemetry.Compare(base, cur, *maxEPSDrop)
 	fmt.Println(telemetry.ComparisonTable(deltas).String())
 	if base.SimPerf != nil && cur.SimPerf != nil && base.SimPerf.EventsPerSec > 0 {
 		fmt.Printf("sim perf: %.0f -> %.0f events/sec (%+.1f%%), %.2f -> %.2f allocs/event\n",

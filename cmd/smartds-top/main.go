@@ -7,12 +7,10 @@
 //
 //	smartds-top -report report.json                     # static snapshot
 //	smartds-top -report report.json -series series.json # with sparklines
-//	smartds-top -report report.json -k 10 -follow 2s    # live view
+//	smartds-top -report report.json -k 10               # ten hottest series
 //
-// Without -follow the output is a single static snapshot whose bytes
-// are a pure function of the input files — CI archives it next to the
-// report. With -follow the screen refreshes from the files on every
-// interval, tailing a concurrently-running bench.
+// The output is a single static snapshot whose bytes are a pure
+// function of the input files — CI archives it next to the report.
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/disagg/smartds/internal/metrics"
 	"github.com/disagg/smartds/internal/telemetry"
@@ -34,7 +31,6 @@ func main() {
 	reportPath := flag.String("report", "", "run report JSON (smartds-bench -report)")
 	seriesPath := flag.String("series", "", "sampled series JSON (smartds-bench -series-json); enables sparklines")
 	topK := flag.Int("k", 8, "number of hottest series to show")
-	follow := flag.Duration("follow", 0, "refresh interval for live tailing; 0 renders one static snapshot")
 	flag.Parse()
 
 	if *reportPath == "" {
@@ -43,20 +39,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	for {
-		var buf strings.Builder
-		if err := render(&buf, *reportPath, *seriesPath, *topK); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *follow <= 0 {
-			io.WriteString(os.Stdout, buf.String())
-			return
-		}
-		// Clear screen + home, then one atomic write per frame.
-		io.WriteString(os.Stdout, "\x1b[2J\x1b[H"+buf.String())
-		time.Sleep(*follow)
+	var buf strings.Builder
+	if err := render(&buf, *reportPath, *seriesPath, *topK); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	io.WriteString(os.Stdout, buf.String())
 }
 
 // seriesFile mirrors telemetry.WriteSeriesJSON's on-disk layout.

@@ -186,7 +186,7 @@ func (c *Cluster) Run(w Workload) Results {
 	// overwritten (not chained) every Run so engines never stack.
 	var eng *slo.Engine
 	if len(c.cfg.SLO) > 0 {
-		eng = slo.NewEngine(c.Env, c.cfg.SLO, 100e-6)
+		eng = slo.NewEngine(c.Env, c.cfg.SLO)
 		for _, cl := range c.Clients {
 			cl.sloHook = eng.Observe
 		}
@@ -248,7 +248,6 @@ func (c *Cluster) Run(w Workload) Results {
 	// client's NIC PSLink, sampled on a fixed virtual-time grid so
 	// same-seed runs produce identical traces.
 	if tr := c.cfg.Trace; tr != nil {
-		const interval = 100e-6
 		stop := start + w.Warmup + w.Measure
 		prevMem, prevNIC, prevAcc, prevSDS := snapshot()
 		prevTx := c.Clients[0].stack.Port().TxStats()
@@ -284,7 +283,7 @@ func (c *Cluster) Run(w Workload) Results {
 		// Ride the shared 100 µs ticker: the telemetry sampler above
 		// subscribes to the same grid, so both fire off one calendar
 		// entry per tick (sampler first — subscription order).
-		c.Env.Ticker(interval).Subscribe(stop, sample)
+		c.Env.Ticker(sim.SampleInterval).Subscribe(stop, sample)
 	}
 	c.Env.At(start+w.Warmup, func() {
 		memA, nicA, accA, sdsA = snapshot()

@@ -63,7 +63,7 @@ func NewMemory(env *sim.Env, name string, cfg MemoryConfig) *Memory {
 	return &Memory{
 		env:  env,
 		cfg:  cfg,
-		bus:  env.NewPSLink(name+".hbm", cfg.BytesPerSec, 0),
+		bus:  env.NewPSLink(name+".hbm", cfg.BytesPerSec),
 		free: []span{{0, cfg.Capacity}},
 		used: make(map[int]int),
 	}

@@ -76,7 +76,7 @@ func New(env *sim.Env, cfg Config) *System {
 	return &System{
 		env:        env,
 		cfg:        cfg,
-		bus:        env.NewPSLink("membus", cfg.BusBytesPerSec, 0),
+		bus:        env.NewPSLink("membus", cfg.BusBytesPerSec),
 		readBytes:  metrics.NewMeter(env.Now()),
 		writeBytes: metrics.NewMeter(env.Now()),
 	}

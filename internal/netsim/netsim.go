@@ -231,8 +231,8 @@ func (f *Fabric) NewPort(addr Addr, bytesPerSec float64) *Port {
 	p := &Port{
 		fabric: f,
 		addr:   addr,
-		tx:     f.env.NewPSLink(string(addr)+".tx", bytesPerSec, 0),
-		rx:     f.env.NewPSLink(string(addr)+".rx", bytesPerSec, 0),
+		tx:     f.env.NewPSLink(string(addr)+".tx", bytesPerSec),
+		rx:     f.env.NewPSLink(string(addr)+".rx", bytesPerSec),
 	}
 	f.ports[addr] = p
 	return p

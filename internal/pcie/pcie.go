@@ -129,8 +129,8 @@ func New(env *sim.Env, name string, cfg Config) *Link {
 	return &Link{
 		env:      env,
 		cfg:      cfg,
-		h2d:      env.NewPSLink(name+".h2d", cfg.BytesPerSec, 0),
-		d2h:      env.NewPSLink(name+".d2h", cfg.BytesPerSec, 0),
+		h2d:      env.NewPSLink(name+".h2d", cfg.BytesPerSec),
+		d2h:      env.NewPSLink(name+".d2h", cfg.BytesPerSec),
 		h2dBytes: metrics.NewMeter(env.Now()),
 		d2hBytes: metrics.NewMeter(env.Now()),
 	}

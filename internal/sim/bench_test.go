@@ -79,7 +79,7 @@ func BenchmarkTimerCancel(b *testing.B) {
 // sustained open-loop load of overlapping transfers.
 func BenchmarkPSLinkChurn(b *testing.B) {
 	env := NewEnv()
-	l := env.NewPSLink("bench", 100e9, 0)
+	l := env.NewPSLink("bench", 100e9)
 	n := 0
 	var launch func()
 	launch = func() {

@@ -295,7 +295,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		e := NewEnv()
 		var out []Time
-		link := e.NewPSLink("l", 100, 0)
+		link := e.NewPSLink("l", 100)
 		for i := 0; i < 5; i++ {
 			i := i
 			e.Go("p", func(p *Proc) {
@@ -352,7 +352,7 @@ func TestResourceWaitTimeAccounting(t *testing.T) {
 
 func TestPSLinkInFlightGauge(t *testing.T) {
 	e := NewEnv()
-	l := e.NewPSLink("l", 100, 0)
+	l := e.NewPSLink("l", 100)
 	e.Go("a", func(p *Proc) { l.Transfer(p, 100) })
 	e.Go("b", func(p *Proc) { l.Transfer(p, 100) })
 	e.After(0.5, func() {

@@ -1,13 +1,15 @@
 package sim
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func TestPSLinkSingleTransfer(t *testing.T) {
 	e := NewEnv()
-	l := e.NewPSLink("l", 100, 0) // 100 B/s
+	l := e.NewPSLink("l", 100) // 100 B/s
 	var done Time
 	e.Go("p", func(p *Proc) {
 		l.Transfer(p, 200)
@@ -22,7 +24,7 @@ func TestPSLinkSingleTransfer(t *testing.T) {
 func TestPSLinkFairSharing(t *testing.T) {
 	// Two equal transfers starting together each get half the rate.
 	e := NewEnv()
-	l := e.NewPSLink("l", 100, 0)
+	l := e.NewPSLink("l", 100)
 	var t1, t2 Time
 	e.Go("a", func(p *Proc) { l.Transfer(p, 100); t1 = p.Now() })
 	e.Go("b", func(p *Proc) { l.Transfer(p, 100); t2 = p.Now() })
@@ -37,7 +39,7 @@ func TestPSLinkLateArrivalSlowsFirst(t *testing.T) {
 	// 50B/s takes 1s more => finishes at 1.5. Second job: 100B at 50B/s
 	// until first leaves (50B by t=1.5), then full rate: +0.5s => 2.0.
 	e := NewEnv()
-	l := e.NewPSLink("l", 100, 0)
+	l := e.NewPSLink("l", 100)
 	var t1, t2 Time
 	e.Go("a", func(p *Proc) { l.Transfer(p, 100); t1 = p.Now() })
 	e.Go("b", func(p *Proc) {
@@ -54,102 +56,9 @@ func TestPSLinkLateArrivalSlowsFirst(t *testing.T) {
 	}
 }
 
-func TestPSLinkFlowCap(t *testing.T) {
-	// Per-flow cap of 10 B/s on a 100 B/s link: a single 100 B transfer
-	// takes 10 s even though the link is idle.
-	e := NewEnv()
-	l := e.NewPSLink("l", 100, 10)
-	var done Time
-	e.Go("p", func(p *Proc) { l.Transfer(p, 100); done = p.Now() })
-	e.Run(0)
-	if !almostEq(done, 10, 1e-9) {
-		t.Fatalf("capped transfer finished at %g, want 10", done)
-	}
-}
-
-func TestPSLinkFlowCapWaterFilling(t *testing.T) {
-	// Water-filling regression: 100 B/s link, per-flow cap 70. A heavy
-	// flow (weight 9, fair share 90) is capped at 70; the light flow
-	// (weight 1, fair share 10) must inherit the residual: 30 B/s, not
-	// its naive 10 B/s share. Sized 70 B and 30 B, both finish at t=1.
-	e := NewEnv()
-	l := e.NewPSLink("l", 100, 70)
-	var tHeavy, tLight Time
-	e.Go("heavy", func(p *Proc) { p.Wait(l.StartWeighted(70, 9)); tHeavy = p.Now() })
-	e.Go("light", func(p *Proc) { p.Wait(l.StartWeighted(30, 1)); tLight = p.Now() })
-	e.Run(0)
-	if !almostEq(tHeavy, 1.0, 1e-9) {
-		t.Fatalf("capped flow finished at %g, want 1.0 (70 B/s)", tHeavy)
-	}
-	if !almostEq(tLight, 1.0, 1e-9) {
-		t.Fatalf("uncapped flow finished at %g, want 1.0 (30 B/s after redistribution)", tLight)
-	}
-	st := l.Snapshot()
-	if !almostEq(st.Work, 100, 1e-6) {
-		t.Fatalf("total work %g, want 100 (conservation)", st.Work)
-	}
-	if !almostEq(st.BusyTime, 1.0, 1e-9) {
-		t.Fatalf("busy time %g, want 1.0", st.BusyTime)
-	}
-}
-
-func TestPSLinkWaterFillingCascade(t *testing.T) {
-	// Iterative refill: weights 6/3/1 on a 100 B/s link with cap 40.
-	// Fair shares 60/30/10 -> A pinned at 40; residual 60 re-shared 3:1
-	// gives B 45 -> B pinned at 40 too; C gets the final 20. Sizes are
-	// proportional (40/40/20) so every flow completes exactly at t=1.
-	e := NewEnv()
-	l := e.NewPSLink("l", 100, 40)
-	var ta, tb, tc Time
-	e.Go("a", func(p *Proc) { p.Wait(l.StartWeighted(40, 6)); ta = p.Now() })
-	e.Go("b", func(p *Proc) { p.Wait(l.StartWeighted(40, 3)); tb = p.Now() })
-	e.Go("c", func(p *Proc) { p.Wait(l.StartWeighted(20, 1)); tc = p.Now() })
-	e.Run(0)
-	for i, got := range []Time{ta, tb, tc} {
-		if !almostEq(got, 1.0, 1e-9) {
-			t.Fatalf("flow %d finished at %g, want 1.0 (rates 40/40/20)", i, got)
-		}
-	}
-	if st := l.Snapshot(); !almostEq(st.Work, 100, 1e-6) {
-		t.Fatalf("total work %g, want 100", st.Work)
-	}
-}
-
-func TestPSLinkFlowCapAllCapped(t *testing.T) {
-	// When every flow's share exceeds the cap, each runs at exactly the
-	// cap and the link legitimately idles the rest of its capacity.
-	e := NewEnv()
-	l := e.NewPSLink("l", 100, 30)
-	var t1, t2 Time
-	e.Go("a", func(p *Proc) { l.Transfer(p, 30); t1 = p.Now() })
-	e.Go("b", func(p *Proc) { l.Transfer(p, 30); t2 = p.Now() })
-	e.Run(0)
-	if !almostEq(t1, 1.0, 1e-9) || !almostEq(t2, 1.0, 1e-9) {
-		t.Fatalf("capped flows finished at %g, %g; want 1.0 both", t1, t2)
-	}
-}
-
-func TestPSLinkWeights(t *testing.T) {
-	// Weight 3 vs weight 1: rates 75 and 25 until the heavy one leaves.
-	// Heavy: 150B at 75 B/s => t=2. Light: 50B by t=2, then 100B left at
-	// 100 B/s => t=3.
-	e := NewEnv()
-	l := e.NewPSLink("l", 100, 0)
-	var th, tl Time
-	e.Go("heavy", func(p *Proc) { p.Wait(l.StartWeighted(150, 3)); th = p.Now() })
-	e.Go("light", func(p *Proc) { p.Wait(l.StartWeighted(150, 1)); tl = p.Now() })
-	e.Run(0)
-	if !almostEq(th, 2.0, 1e-9) {
-		t.Fatalf("heavy finished at %g, want 2.0", th)
-	}
-	if !almostEq(tl, 3.0, 1e-9) {
-		t.Fatalf("light finished at %g, want 3.0", tl)
-	}
-}
-
 func TestPSLinkZeroBytes(t *testing.T) {
 	e := NewEnv()
-	l := e.NewPSLink("l", 100, 0)
+	l := e.NewPSLink("l", 100)
 	done := false
 	e.Go("p", func(p *Proc) {
 		l.Transfer(p, 0)
@@ -165,7 +74,7 @@ func TestPSLinkWorkConservation(t *testing.T) {
 	// However transfers overlap, total completion time equals total
 	// bytes / rate when the link never idles.
 	e := NewEnv()
-	l := e.NewPSLink("l", 1000, 0)
+	l := e.NewPSLink("l", 1000)
 	const n = 20
 	total := 0.0
 	var last Time
@@ -193,7 +102,7 @@ func TestPSLinkWorkConservation(t *testing.T) {
 
 func TestPSLinkSnapshotBandwidth(t *testing.T) {
 	e := NewEnv()
-	l := e.NewPSLink("l", 100, 0)
+	l := e.NewPSLink("l", 100)
 	e.Go("p", func(p *Proc) { l.Transfer(p, 1000) })
 	var s0, s1 LinkStats
 	e.After(1, func() { s0 = l.Snapshot() })
@@ -212,7 +121,7 @@ func TestPSLinkConservationProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		e := NewEnv()
 		rate := 100.0
-		l := e.NewPSLink("l", rate, 0)
+		l := e.NewPSLink("l", rate)
 		n := int(seed%7) + 1
 		total := 0.0
 		ok := true
@@ -245,42 +154,245 @@ func TestPSLinkBadRatePanics(t *testing.T) {
 			t.Fatal("zero-rate link did not panic")
 		}
 	}()
-	e.NewPSLink("bad", 0, 0)
+	e.NewPSLink("bad", 0)
 }
 
 // TestPSLinkSnapshotIsPure samples a busy link between every pair of
 // events and checks that no completion moves by even one ulp: a
 // snapshot reads the link's progress without applying it.
 func TestPSLinkSnapshotIsPure(t *testing.T) {
-	for _, flowCap := range []float64{0, 30} {
-		run := func(sample bool) []Time {
-			e := NewEnv()
-			l := e.NewPSLink("l", 100, flowCap)
-			var done []Time
-			for i := 0; i < 6; i++ {
-				delay, size := 0.137*float64(i), 37.3+float64(i*i)*11.1
-				e.Go("p", func(p *Proc) {
-					p.Sleep(delay)
-					p.Wait(l.StartWeighted(size, 1+float64(i%3)))
-					done = append(done, p.Now())
-				})
-			}
-			if sample {
-				for k := 1; k < 100; k++ {
-					e.After(0.0731*float64(k), func() { l.Snapshot() })
-				}
-			}
-			e.Run(0)
-			return done
+	run := func(sample bool) []Time {
+		e := NewEnv()
+		l := e.NewPSLink("l", 100)
+		var done []Time
+		for i := 0; i < 6; i++ {
+			delay, size := 0.137*float64(i), 37.3+float64(i*i)*11.1
+			e.Go("p", func(p *Proc) {
+				p.Sleep(delay)
+				l.Transfer(p, size)
+				done = append(done, p.Now())
+			})
 		}
-		bare, sampled := run(false), run(true)
-		if len(bare) != 6 || len(sampled) != 6 {
-			t.Fatalf("flowCap=%g: %d and %d completions, want 6", flowCap, len(bare), len(sampled))
-		}
-		for i := range bare {
-			if bare[i] != sampled[i] {
-				t.Fatalf("flowCap=%g: completion %d at %v sampled vs %v bare", flowCap, i, sampled[i], bare[i])
+		if sample {
+			for k := 1; k < 100; k++ {
+				e.After(0.0731*float64(k), func() { l.Snapshot() })
 			}
 		}
+		e.Run(0)
+		return done
+	}
+	bare, sampled := run(false), run(true)
+	if len(bare) != 6 || len(sampled) != 6 {
+		t.Fatalf("%d and %d completions, want 6", len(bare), len(sampled))
+	}
+	for i := range bare {
+		if bare[i] != sampled[i] {
+			t.Fatalf("completion %d at %v sampled vs %v bare", i, sampled[i], bare[i])
+		}
+	}
+}
+
+// psCase is one generated processor-sharing scenario: transfers that
+// arrive at fixed instants on a link whose rate may change once.
+type psCase struct {
+	rate     float64
+	arrive   []Time
+	bytes    []float64
+	changeAt Time // instant of the SetRate; negative for none
+	newRate  float64
+}
+
+// refPS is the brute-force model of the link. It steps from one
+// arrival, completion or rate change to the next, and between them
+// moves every active transfer at rate/n. It returns each transfer's
+// completion instant and the time at least one transfer was active.
+func refPS(c psCase) (done []Time, busy float64) {
+	n := len(c.bytes)
+	done = make([]Time, n)
+	rem := make([]float64, n)
+	order := make([]int, n) // arrival order; ties keep index order
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool { return c.arrive[order[a]] < c.arrive[order[b]] })
+	var active []int
+	now, rate, changeAt, next := 0.0, c.rate, c.changeAt, 0
+	for next < n || len(active) > 0 {
+		first := -1 // the active transfer with the least work left
+		for _, j := range active {
+			if first < 0 || rem[j] < rem[first] {
+				first = j
+			}
+		}
+		tc, ta, tr := math.Inf(1), math.Inf(1), math.Inf(1)
+		if first >= 0 {
+			tc = now + rem[first]*float64(len(active))/rate
+		}
+		if next < n {
+			ta = c.arrive[order[next]]
+		}
+		if changeAt >= 0 {
+			tr = changeAt
+		}
+		tn := min(tc, ta, tr)
+		if len(active) > 0 {
+			busy += tn - now
+			moved := rate / float64(len(active)) * (tn - now)
+			for _, j := range active {
+				rem[j] -= moved
+			}
+		}
+		now = tn
+		if tn == tc {
+			rem[first] = 0
+		}
+		kept := active[:0]
+		for _, j := range active {
+			if rem[j] <= 1e-9*c.bytes[j] {
+				done[j] = now
+			} else {
+				kept = append(kept, j)
+			}
+		}
+		active = kept
+		if tn == tr {
+			rate, changeAt = c.newRate, -1
+		}
+		for next < n && c.arrive[order[next]] == now {
+			j := order[next]
+			next++
+			if c.bytes[j] <= 0 {
+				done[j] = now
+				continue
+			}
+			rem[j] = c.bytes[j]
+			active = append(active, j)
+		}
+	}
+	return done, busy
+}
+
+// runPS plays a case on a PSLink and returns each transfer's
+// completion instant and the link's final counters.
+func runPS(c psCase) ([]Time, LinkStats) {
+	e := NewEnv()
+	l := e.NewPSLink("ref", c.rate)
+	done := make([]Time, len(c.bytes))
+	for j := range c.bytes {
+		e.At(c.arrive[j], func() { l.StartFunc(c.bytes[j], func() { done[j] = e.Now() }) })
+	}
+	if c.changeAt >= 0 {
+		e.At(c.changeAt, func() { l.SetRate(c.newRate) })
+	}
+	e.Run(0)
+	return done, l.Snapshot()
+}
+
+// genPSCase draws a case from seed: 1–24 transfers on one of four
+// link rates, a third of them arriving together with the one before,
+// one in ten a large flow 100x the usual size, a few of no bytes, and
+// in a quarter of the cases one rate change mid-run.
+func genPSCase(seed uint64) psCase {
+	s := seed
+	next := func(n int) int { // splitmix64
+		s += 0x9e3779b97f4a7c15
+		z := s
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return int((z ^ z>>31) % uint64(n))
+	}
+	rates := []float64{100, 1e3, 12.5e9, 3.2e10}
+	c := psCase{rate: rates[next(len(rates))], changeAt: -1}
+	mean := 500 / c.rate // time to move a typical transfer alone
+	at := 0.0
+	for j, n := 0, 1+next(24); j < n; j++ {
+		if j > 0 && next(3) != 0 {
+			at += mean * float64(next(2000)) / 1000
+		}
+		size := float64(1 + next(1000))
+		switch next(20) {
+		case 0, 1:
+			size *= 100
+		case 2:
+			size = 0
+		}
+		c.arrive = append(c.arrive, at)
+		c.bytes = append(c.bytes, size)
+	}
+	if next(4) == 0 {
+		c.changeAt = (at + mean) * float64(next(1000)) / 1000
+		c.newRate = c.rate * float64(1+next(8)) / 4
+	}
+	return c
+}
+
+// largeThenBurst is one large transfer, a burst of small ones while it
+// runs, and a second identical burst well after it drains.
+func largeThenBurst() psCase {
+	c := psCase{rate: 1e3, arrive: []Time{0}, bytes: []float64{1e6}, changeAt: -1}
+	for _, at := range []Time{100, 5000} {
+		for i := 0; i < 16; i++ {
+			c.arrive = append(c.arrive, at+0.25*float64(i%4))
+			c.bytes = append(c.bytes, float64(1000+100*i))
+		}
+	}
+	return c
+}
+
+// TestPSLinkMatchesReference checks PSLink's completion times, work
+// and busy time against the brute-force fair-share model over 256
+// generated cases and one large transfer followed by bursts.
+func TestPSLinkMatchesReference(t *testing.T) {
+	cases := []psCase{largeThenBurst()}
+	for seed := uint64(1); seed <= 256; seed++ {
+		cases = append(cases, genPSCase(seed))
+	}
+	for k, c := range cases {
+		want, busy := refPS(c)
+		got, st := runPS(c)
+		horizon, total, slowest := 0.0, 0.0, c.rate
+		for j := range want {
+			horizon, total = max(horizon, want[j]), total+c.bytes[j]
+		}
+		if c.changeAt >= 0 {
+			slowest = min(slowest, c.newRate)
+		}
+		// Float drift over the run, plus the link's 1e-6-byte
+		// completion slack at the slowest per-transfer share.
+		tol := 1e-9*horizon + 1e-6*float64(len(want))/slowest
+		for j := range want {
+			if !almostEq(got[j], want[j], tol) {
+				t.Fatalf("case %d (%+v): transfer %d done at %v, reference %v", k, c, j, got[j], want[j])
+			}
+		}
+		if !almostEq(st.Work, total, 1e-9*total) {
+			t.Fatalf("case %d: work %v, want %v", k, st.Work, total)
+		}
+		if !almostEq(st.BusyTime, busy, tol) {
+			t.Fatalf("case %d: busy %v, reference %v", k, st.BusyTime, busy)
+		}
+	}
+}
+
+// TestPSLinkForgetsLargeFlow checks that a link keeps no state from
+// one larger flow once it drains: a burst after it completes at the
+// same offsets as the same burst on a fresh link.
+func TestPSLinkForgetsLargeFlow(t *testing.T) {
+	c := largeThenBurst()
+	got, _ := runPS(c)
+	fresh := psCase{rate: c.rate, changeAt: -1}
+	const late = 17 // the first transfer of the second burst
+	for j := late; j < len(c.bytes); j++ {
+		fresh.arrive = append(fresh.arrive, c.arrive[j]-c.arrive[late])
+		fresh.bytes = append(fresh.bytes, c.bytes[j])
+	}
+	want, _ := runPS(fresh)
+	for j := range want {
+		if off := got[late+j] - c.arrive[late]; !almostEq(off, want[j], 1e-9) {
+			t.Fatalf("burst transfer %d done %v after its burst, %v on a fresh link", j, off, want[j])
+		}
+	}
+	if got[0] <= c.arrive[1] || got[0] >= c.arrive[late] {
+		t.Fatalf("large transfer done at %v, want it to drain between the bursts", got[0])
 	}
 }

@@ -127,7 +127,7 @@ func TestRearmMatchesCancelAt(t *testing.T) {
 // allocate nothing.
 func TestPSLinkCallbackChurnZeroAllocs(t *testing.T) {
 	env := NewEnv()
-	l := env.NewPSLink("churn", 1e9, 0)
+	l := env.NewPSLink("churn", 1e9)
 	done := 0
 	fn := func() { done++ }
 	cycle := func() {

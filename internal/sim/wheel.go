@@ -1,5 +1,11 @@
 package sim
 
+// SampleInterval is the one virtual-time sampling grid, 100 µs: the
+// telemetry series sampler, the SLO burn-rate engine and the trace
+// counter sampler all ride Ticker(SampleInterval), so they share one
+// calendar entry per tick.
+const SampleInterval = 100e-6
+
 // Ticker batches every subscriber of one periodic cadence into a
 // single calendar entry per tick. The dense sampling grids — the
 // telemetry sampler and the trace counter sampler both walk a 100 µs

@@ -72,19 +72,15 @@ type specState struct {
 // start grid evaluation with Run, and append recovery results with
 // ObserveTTR once the fault campaign's stats are in.
 type Engine struct {
-	env      *sim.Env
-	interval float64
-	states   []*specState
-	alerts   []Alert
+	env    *sim.Env
+	states []*specState
+	alerts []Alert
 }
 
-// NewEngine builds an engine evaluating specs every interval seconds of
-// virtual time (the telemetry sampling grid; must be positive).
-func NewEngine(env *sim.Env, specs []Spec, interval float64) *Engine {
-	if interval <= 0 {
-		interval = 100e-6
-	}
-	e := &Engine{env: env, interval: interval}
+// NewEngine builds an engine evaluating specs on the sim.SampleInterval
+// grid of virtual time.
+func NewEngine(env *sim.Env, specs []Spec) *Engine {
+	e := &Engine{env: env}
 	for _, sp := range specs {
 		if sp.Kind == TTRCeiling {
 			e.states = append(e.states, &specState{spec: sp})
@@ -92,8 +88,8 @@ func NewEngine(env *sim.Env, specs []Spec, interval float64) *Engine {
 		}
 		e.states = append(e.states, &specState{
 			spec:  sp,
-			short: newWindow(int(sp.Short/interval + 0.5)),
-			long:  newWindow(int(sp.Long/interval + 0.5)),
+			short: newWindow(int(sp.Short/sim.SampleInterval + 0.5)),
+			long:  newWindow(int(sp.Long/sim.SampleInterval + 0.5)),
 		})
 	}
 	return e
@@ -125,7 +121,7 @@ func (e *Engine) Run(stop float64) {
 	if e == nil || len(e.states) == 0 {
 		return
 	}
-	e.env.Ticker(e.interval).Subscribe(stop, e.tick)
+	e.env.Ticker(sim.SampleInterval).Subscribe(stop, e.tick)
 }
 
 // tick closes the grid cell for every objective and fires rising-edge

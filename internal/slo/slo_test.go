@@ -62,7 +62,7 @@ func TestParseErrors(t *testing.T) {
 // error window inside a 20 ms run with one completion every 20 µs.
 func driveEngine(spec string, errFrom, errTo float64) []Alert {
 	env := sim.NewEnv()
-	eng := NewEngine(env, MustParse(spec), 100e-6)
+	eng := NewEngine(env, MustParse(spec))
 	const stop = 20e-3
 	eng.Run(stop)
 	var tick func()
@@ -116,7 +116,7 @@ func TestBurnRateQuiet(t *testing.T) {
 // completions burn p999 budget.
 func TestP999CeilingFires(t *testing.T) {
 	env := sim.NewEnv()
-	eng := NewEngine(env, MustParse("p999:100us"), 100e-6)
+	eng := NewEngine(env, MustParse("p999:100us"))
 	const stop = 20e-3
 	eng.Run(stop)
 	var tick func()
@@ -143,7 +143,7 @@ func TestP999CeilingFires(t *testing.T) {
 // never-recovered fire, in-budget recoveries don't.
 func TestTTRAlerts(t *testing.T) {
 	env := sim.NewEnv()
-	eng := NewEngine(env, MustParse("ttr:10ms"), 100e-6)
+	eng := NewEngine(env, MustParse("ttr:10ms"))
 	eng.ObserveTTR(30e-3, "crash", "ss1", 4e-3)  // within budget
 	eng.ObserveTTR(30e-3, "crash", "ss2", 25e-3) // over ceiling
 	eng.ObserveTTR(30e-3, "restart", "mt", -1)   // never recovered

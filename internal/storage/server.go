@@ -53,7 +53,7 @@ func NewDisk(env *sim.Env, name string, cfg DiskConfig) *Disk {
 	return &Disk{
 		cfg:   cfg,
 		slots: env.NewResource(name+".dq", cfg.QueueDepth),
-		bw:    env.NewPSLink(name+".dbw", cfg.BytesPerSec, 0),
+		bw:    env.NewPSLink(name+".dbw", cfg.BytesPerSec),
 	}
 }
 

@@ -6,41 +6,24 @@ import (
 	"github.com/disagg/smartds/internal/metrics"
 )
 
-// Gate is the regression policy cmd/smartds-report enforces: how much
-// a run may slow down relative to the baseline report before the
-// comparison fails.
-type Gate struct {
-	// MaxThroughputDrop fails a run whose throughput fell below
-	// baseline*(1-frac). 0.05 = 5%.
-	MaxThroughputDrop float64
-	// MaxP999Inflate fails a run whose p999 latency rose above
+// The regression policy cmd/smartds-report enforces: how much a run
+// may slow down relative to the baseline report before the comparison
+// fails.
+const (
+	// maxThroughputDrop fails a run whose throughput fell below
+	// baseline*(1-frac).
+	maxThroughputDrop = 0.05
+	// maxP999Inflate fails a run whose p999 latency rose above
 	// baseline*(1+frac).
-	MaxP999Inflate float64
-	// P999Floor ignores p999 inflation while both sides sit under this
-	// many seconds — relative noise on microsecond tails is meaningless.
-	P999Floor float64
-	// MinRequests skips runs that measured fewer requests than this
+	maxP999Inflate = 0.25
+	// p999Floor ignores p999 inflation while the current p999 sits
+	// under this many seconds — relative noise on microsecond tails is
+	// meaningless.
+	p999Floor = 25e-6
+	// minRequests skips runs that measured fewer requests than this
 	// (tiny windows are all noise).
-	MinRequests uint64
-	// MaxEventsPerSecDrop fails the comparison when the simulator's own
-	// wall-clock event rate fell below baseline*(1-frac). Checked only
-	// when both reports carry a SimPerf block (wall-clock measurements
-	// exist only in bench-produced reports). 0 disables the check.
-	MaxEventsPerSecDrop float64
-}
-
-// DefaultGate returns the CI policy: 5% throughput drop, 25% p999
-// inflation above a 25 µs floor, runs of at least 50 requests, 10%
-// simulator events/sec drop.
-func DefaultGate() Gate {
-	return Gate{
-		MaxThroughputDrop:   0.05,
-		MaxP999Inflate:      0.25,
-		P999Floor:           25e-6,
-		MinRequests:         50,
-		MaxEventsPerSecDrop: 0.10,
-	}
-}
+	minRequests = 50
+)
 
 // RunDelta is one matched run pair's comparison.
 type RunDelta struct {
@@ -66,12 +49,16 @@ func (d RunDelta) P999Ratio() float64 {
 }
 
 // Compare matches the two reports' runs by key and applies the gate.
-// It returns every matched pair (baseline order) plus the flat list of
+// maxEPSDrop fails the comparison when the simulator's own wall-clock
+// event rate fell below baseline*(1-frac); it is checked only when
+// both reports carry a SimPerf block (wall-clock measurements exist
+// only in bench-produced reports), and 0 disables it. It returns
+// every matched pair (baseline order) plus the flat list of
 // violations; an empty violation list means the gate passes. Runs only
 // present in the current report are informational; runs missing from
 // the current report violate the gate (a benchmark silently vanishing
 // must not pass CI).
-func Compare(base, cur *Report, g Gate) ([]RunDelta, []string) {
+func Compare(base, cur *Report, maxEPSDrop float64) ([]RunDelta, []string) {
 	curByKey := make(map[string]*RunRecord, len(cur.Runs))
 	for _, rr := range cur.Runs {
 		curByKey[rr.Key()] = rr
@@ -86,23 +73,21 @@ func Compare(base, cur *Report, g Gate) ([]RunDelta, []string) {
 			continue
 		}
 		d := RunDelta{Key: b.Key(), Base: b, Cur: c}
-		if b.Requests >= g.MinRequests && c.Requests >= g.MinRequests {
-			if g.MaxThroughputDrop > 0 && b.ThroughputBps > 0 &&
-				c.ThroughputBps < b.ThroughputBps*(1-g.MaxThroughputDrop) {
+		if b.Requests >= minRequests && c.Requests >= minRequests {
+			if b.ThroughputBps > 0 && c.ThroughputBps < b.ThroughputBps*(1-maxThroughputDrop) {
 				d.Violations = append(d.Violations, fmt.Sprintf(
 					"throughput regressed %.1f%%: %s -> %s (gate %.0f%%)",
 					(1-d.ThroughputRatio())*100,
 					metrics.FormatGbps(b.ThroughputBps), metrics.FormatGbps(c.ThroughputBps),
-					g.MaxThroughputDrop*100))
+					maxThroughputDrop*100))
 			}
-			if g.MaxP999Inflate > 0 && b.Latency.P999 > 0 &&
-				c.Latency.P999 > g.P999Floor &&
-				c.Latency.P999 > b.Latency.P999*(1+g.MaxP999Inflate) {
+			if b.Latency.P999 > 0 && c.Latency.P999 > p999Floor &&
+				c.Latency.P999 > b.Latency.P999*(1+maxP999Inflate) {
 				d.Violations = append(d.Violations, fmt.Sprintf(
 					"p999 inflated %.1f%%: %s -> %s (gate %.0f%% above %s)",
 					(d.P999Ratio()-1)*100,
 					metrics.FormatDuration(b.Latency.P999), metrics.FormatDuration(c.Latency.P999),
-					g.MaxP999Inflate*100, metrics.FormatDuration(g.P999Floor)))
+					maxP999Inflate*100, metrics.FormatDuration(p999Floor)))
 			}
 			if c.Errors > b.Errors {
 				d.Violations = append(d.Violations, fmt.Sprintf(
@@ -114,14 +99,14 @@ func Compare(base, cur *Report, g Gate) ([]RunDelta, []string) {
 		}
 		deltas = append(deltas, d)
 	}
-	if g.MaxEventsPerSecDrop > 0 && base.SimPerf != nil && cur.SimPerf != nil &&
+	if maxEPSDrop > 0 && base.SimPerf != nil && cur.SimPerf != nil &&
 		base.SimPerf.EventsPerSec > 0 &&
-		cur.SimPerf.EventsPerSec < base.SimPerf.EventsPerSec*(1-g.MaxEventsPerSecDrop) {
+		cur.SimPerf.EventsPerSec < base.SimPerf.EventsPerSec*(1-maxEPSDrop) {
 		violations = append(violations, fmt.Sprintf(
 			"sim-perf: events/sec regressed %.1f%%: %.0f -> %.0f (gate %.0f%%)",
 			(1-cur.SimPerf.EventsPerSec/base.SimPerf.EventsPerSec)*100,
 			base.SimPerf.EventsPerSec, cur.SimPerf.EventsPerSec,
-			g.MaxEventsPerSecDrop*100))
+			maxEPSDrop*100))
 	}
 	return deltas, violations
 }

@@ -98,31 +98,25 @@ func (s *Series) Digest() Digest {
 // each counter/gauge reading to its ring series. Histograms are not
 // sampled (their summaries land in the run report instead).
 type Sampler struct {
-	reg      *Registry
-	env      *sim.Env
-	interval float64
-	metrics  []*Metric
-	samples  uint64
+	env     *sim.Env
+	metrics []*Metric
+	samples uint64
 }
 
-// NewSampler prepares sampling for the given metrics at the registry's
-// configured cadence. Metrics gain a series ring on first use.
+// NewSampler prepares sampling for the given metrics on the
+// sim.SampleInterval grid. Metrics gain a series ring on first use.
 func (r *Registry) NewSampler(env *sim.Env, ms []*Metric) *Sampler {
-	interval := r.SampleInterval
-	if interval <= 0 {
-		interval = 100e-6
-	}
 	keep := make([]*Metric, 0, len(ms))
 	for _, m := range ms {
 		if m.kind == KindHistogram {
 			continue
 		}
 		if m.series == nil {
-			m.series = NewSeries(r.SeriesCap)
+			m.series = NewSeries(seriesCap)
 		}
 		keep = append(keep, m)
 	}
-	return &Sampler{reg: r, env: env, interval: interval, metrics: keep}
+	return &Sampler{env: env, metrics: keep}
 }
 
 // Run samples on the virtual-time grid (start+i*interval] until the
@@ -136,7 +130,7 @@ func (s *Sampler) Run(stop float64) {
 	if len(s.metrics) == 0 {
 		return
 	}
-	s.env.Ticker(s.interval).Subscribe(stop, s.sampleOnce)
+	s.env.Ticker(sim.SampleInterval).Subscribe(stop, s.sampleOnce)
 }
 
 // sampleOnce appends one reading per metric at the current instant.

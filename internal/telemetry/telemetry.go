@@ -142,23 +142,18 @@ type Registry struct {
 	metrics []*Metric
 	index   map[string]*Metric
 
-	// SeriesCap bounds each sampled series ring (default 4096 points).
-	SeriesCap int
-	// SampleInterval is the sim-clock sampling cadence used by run
-	// scopes (default 100 µs of virtual time).
-	SampleInterval float64
-
 	runs   []*RunRecord
 	runSeq map[string]int
 }
 
-// NewRegistry returns an empty registry with default sampling knobs.
+// seriesCap bounds each sampled series ring, in points.
+const seriesCap = 4096
+
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		index:          make(map[string]*Metric),
-		SeriesCap:      4096,
-		SampleInterval: 100e-6,
-		runSeq:         make(map[string]int),
+		index:  make(map[string]*Metric),
+		runSeq: make(map[string]int),
 	}
 }
 

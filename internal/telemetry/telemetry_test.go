@@ -105,13 +105,12 @@ func TestSeriesRing(t *testing.T) {
 func TestSamplerVirtualTimeGrid(t *testing.T) {
 	env := sim.NewEnv()
 	r := NewRegistry()
-	r.SampleInterval = 1e-3
 	val := 0.0
 	g := r.GaugeFunc("load", "", nil, func() float64 { return val })
 	h := r.Histogram("lat", "", nil, metrics.NewLatencyHistogram())
 	s := r.NewSampler(env, []*Metric{g, h})
-	env.After(2.5e-3, func() { val = 9 })
-	s.Run(5e-3)
+	env.After(0.25e-3, func() { val = 9 })
+	s.Run(0.5e-3)
 	env.Run(1)
 	if s.Samples() != 5 {
 		t.Fatalf("samples = %d, want 5", s.Samples())
@@ -120,7 +119,7 @@ func TestSamplerVirtualTimeGrid(t *testing.T) {
 	if len(pts) != 5 {
 		t.Fatalf("series len = %d", len(pts))
 	}
-	if pts[0].At != 1e-3 || pts[4].At != 5e-3 {
+	if pts[0].At != 0.1e-3 || pts[4].At != 0.5e-3 {
 		t.Fatalf("grid = %g..%g", pts[0].At, pts[4].At)
 	}
 	if pts[1].Value != 0 || pts[2].Value != 9 {
@@ -207,18 +206,17 @@ func parseFloat(s string) (float64, error) {
 func TestRunScopeReport(t *testing.T) {
 	env := sim.NewEnv()
 	r := NewRegistry()
-	r.SampleInterval = 1e-3
 
 	sc := r.NewRun("peak", "SmartDS-1", 42)
 	done := 0.0
 	sc.CounterFunc("smartds_requests_total", "", nil, func() float64 { return done })
 	h := metrics.NewLatencyHistogram()
 	sc.Histogram("smartds_latency_seconds", "", nil, h)
-	sc.StartSampling(env, 5e-3)
-	env.After(2e-3, func() { done = 100; h.Record(10e-6) })
+	sc.StartSampling(env, 0.5e-3)
+	env.After(0.2e-3, func() { done = 100; h.Record(10e-6) })
 	env.Run(1)
 
-	sc.RecordResults(5e-3, 100, 0, 2e9, 20000, h.Summarize())
+	sc.RecordResults(0.5e-3, 100, 0, 2e9, 20000, h.Summarize())
 	sc.RecordFaults(FaultSummary{MaxGap: 1e-3, Recoveries: []TTR{{Kind: "kill", Target: "s0", Start: 1e-3, TimeToRecover: 2e-3}}})
 
 	sc2 := r.NewRun("peak", "SmartDS-1", 42)
@@ -269,11 +267,10 @@ func TestRunScopeReport(t *testing.T) {
 func TestSeriesExports(t *testing.T) {
 	env := sim.NewEnv()
 	r := NewRegistry()
-	r.SampleInterval = 1e-3
 	sc := r.NewRun("peak", "CPU-only", 1)
 	v := 0.0
 	sc.GaugeFunc("smartds_port_rate", "", map[string]string{"port": "0"}, func() float64 { v += 1; return v })
-	sc.StartSampling(env, 3e-3)
+	sc.StartSampling(env, 0.35e-3) // three grid ticks; the third lands just past 0.3 ms
 	env.Run(1)
 
 	var csv bytes.Buffer
@@ -311,7 +308,7 @@ func TestCompareGate(t *testing.T) {
 			}},
 		}
 	}
-	g := DefaultGate()
+	const g = 0.10 // events/sec drop; these reports carry no SimPerf
 
 	// Identical reports pass.
 	base := mkReport(10e9, 100e-6, 0)
