@@ -396,3 +396,99 @@ func TestPSLinkForgetsLargeFlow(t *testing.T) {
 		t.Fatalf("large transfer done at %v, want it to drain between the bursts", got[0])
 	}
 }
+
+// TestPSLinkSetRateMidTransfer checks that SetRate applies the progress
+// made so far at the old rate and moves the rest at the new one. Two
+// transfers of 100 B and 300 B share 100 B/s, so by t=1 each has moved
+// 50 B. At 200 B/s the smaller one moves its last 50 B by t=1.5, and
+// the larger one its last 200 B alone by t=2.5.
+func TestPSLinkSetRateMidTransfer(t *testing.T) {
+	e := NewEnv()
+	l := e.NewPSLink("l", 100)
+	var ta, tb Time
+	l.StartFunc(100, func() { ta = e.Now() })
+	l.StartFunc(300, func() { tb = e.Now() })
+	e.At(1, func() { l.SetRate(200) })
+	e.Run(0)
+	if !almostEq(ta, 1.5, 1e-9) || !almostEq(tb, 2.5, 1e-9) {
+		t.Fatalf("transfers done at %g and %g, want 1.5 and 2.5", ta, tb)
+	}
+	if st := l.Snapshot(); !almostEq(st.Work, 400, 1e-6) || !almostEq(st.BusyTime, 2.5, 1e-9) {
+		t.Fatalf("work %g busy %g, want 400 and 2.5", st.Work, st.BusyTime)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetRate(0) did not panic")
+		}
+	}()
+	l.SetRate(0)
+}
+
+// TestPSLinkSameInstantCompletionsInAdmissionOrder checks that
+// transfers finishing at one instant fire in the order they were
+// admitted, events and callbacks alike, whatever order the finish-tag
+// heap pops them in.
+func TestPSLinkSameInstantCompletionsInAdmissionOrder(t *testing.T) {
+	e := NewEnv()
+	l := e.NewPSLink("l", 100)
+	var order []int
+	var at []Time
+	for i := 0; i < 9; i++ {
+		record := func() { order, at = append(order, i), append(at, e.Now()) }
+		if i%3 == 0 {
+			l.Start(50).OnTrigger(func(interface{}) { record() })
+		} else {
+			l.StartFunc(50, record)
+		}
+	}
+	e.Run(0)
+	if len(order) != 9 {
+		t.Fatalf("%d completions, want 9", len(order))
+	}
+	for k := range order {
+		if order[k] != k || !almostEq(at[k], 4.5, 1e-9) {
+			t.Fatalf("completions %v at %v, want 0..8 all at 4.5", order, at)
+		}
+	}
+}
+
+// TestPSLinkIdleGapNotBusy checks that an idle gap between two
+// transfers counts as neither busy time nor work, and that the link
+// drained before the second transfer serves it at the full rate.
+func TestPSLinkIdleGapNotBusy(t *testing.T) {
+	e := NewEnv()
+	l := e.NewPSLink("l", 100)
+	var t1, t2 Time
+	l.StartFunc(100, func() { t1 = e.Now() })
+	e.At(3, func() { l.StartFunc(100, func() { t2 = e.Now() }) })
+	var st LinkStats
+	e.At(5, func() { st = l.Snapshot() })
+	e.Run(0)
+	if !almostEq(t1, 1, 1e-9) || !almostEq(t2, 4, 1e-9) {
+		t.Fatalf("transfers done at %g and %g, want 1 and 4", t1, t2)
+	}
+	if !almostEq(st.Work, 200, 1e-6) || !almostEq(st.BusyTime, 2, 1e-9) || st.At != 5 {
+		t.Fatalf("snapshot %+v, want work 200 and busy 2 at 5", st)
+	}
+}
+
+// TestPSLinkStartZeroBytes checks that a transfer of no bytes completes
+// at once without entering the link: Start returns a fired event and
+// StartFunc calls its callback before returning, or does nothing when
+// the callback is nil.
+func TestPSLinkStartZeroBytes(t *testing.T) {
+	e := NewEnv()
+	l := e.NewPSLink("l", 100)
+	if ev := l.Start(0); !ev.Done() {
+		t.Fatal("Start(0) returned an event that has not fired")
+	}
+	called := false
+	l.StartFunc(0, func() { called = true })
+	l.StartFunc(0, nil)
+	if !called {
+		t.Fatal("StartFunc(0) did not call its callback at once")
+	}
+	if l.InFlight() != 0 || l.Snapshot().BusyTime != 0 {
+		t.Fatalf("zero-byte transfers entered the link: %d in flight", l.InFlight())
+	}
+}
