@@ -22,7 +22,10 @@
 // The graph also records the three root roles the interprocedural
 // analyzers start from: functions annotated `//hot`, callbacks handed
 // to the simulator's event loop (Env.At / Env.After /
-// Ticker.Subscribe), and process bodies handed to Env.Go.
+// Ticker.Subscribe), and process bodies handed to Env.Go. A callback
+// registered through a struct field (`env.Go(name, op.runFn)`) takes
+// its role to every function the package set assigns to that field
+// (`op.runFn = op.run`).
 package framework
 
 import (
@@ -320,6 +323,18 @@ type builder struct {
 	ifaceSites   []pendingSite // interface method calls, phase-2 resolved
 	dynSites     []pendingSite // function-value calls, phase-2 resolved
 	ifaceAddrSig []string      // method-value-of-interface shapes: mark impls address-taken
+
+	// fieldFuncs lists the functions assigned to each struct field, by
+	// the field's declaration position; regFields are the fields
+	// registered as callbacks. Phase 2 joins them.
+	fieldFuncs map[string][]*FuncNode
+	regFields  []regField
+}
+
+// regField is a struct field registered as a callback with role.
+type regField struct {
+	key  string
+	role Role
 }
 
 type pendingSite struct {
@@ -336,7 +351,8 @@ const simPkgSuffix = "internal/sim"
 // packages, which must share one FileSet.
 func BuildCallGraph(units []*load.Package) *CallGraph {
 	g := &CallGraph{nodes: map[string]*FuncNode{}, results: map[string]interface{}{}}
-	b := &builder{g: g, hotLines: map[string]map[int]bool{}, coldLines: map[string]map[int]bool{}}
+	b := &builder{g: g, hotLines: map[string]map[int]bool{}, coldLines: map[string]map[int]bool{},
+		fieldFuncs: map[string][]*FuncNode{}}
 	for _, u := range units {
 		for _, f := range u.Files {
 			b.scanHotComments(u.Fset, f)
@@ -589,9 +605,55 @@ func (b *builder) walkBody(u *load.Package, n *FuncNode, body *ast.BlockStmt, is
 		case *ast.SelectorExpr:
 			selIdents[node.Sel] = true
 			b.noteMethodValue(u, node, callPos[ast.Expr(node)])
+		case *ast.AssignStmt:
+			if len(node.Lhs) == len(node.Rhs) && !isTest {
+				for i, lhs := range node.Lhs {
+					if key := fieldKey(u, lhs); key != "" {
+						if fn := b.funcValue(u, node.Rhs[i]); fn != nil {
+							b.fieldFuncs[key] = append(b.fieldFuncs[key], fn)
+						}
+					}
+				}
+			}
 		}
 		return true
 	})
+}
+
+// fieldKey identifies the struct field e selects (x.f) by its
+// declaration position, which is the same in every type-checking
+// universe; "" when e is not a field selector.
+func fieldKey(u *load.Package, e ast.Expr) string {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if s, ok := u.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		return u.Fset.Position(s.Obj().Pos()).String()
+	}
+	return ""
+}
+
+// funcValue returns the node of the function e denotes as a value — a
+// literal, a named function, or a concrete method value — else nil.
+func (b *builder) funcValue(u *load.Package, e ast.Expr) *FuncNode {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.FuncLit:
+		return b.litNode(u, e, false)
+	case *ast.Ident:
+		if obj, ok := u.Info.Uses[e].(*types.Func); ok {
+			return b.ensure(funcID(obj))
+		}
+	case *ast.SelectorExpr:
+		if s, ok := u.Info.Selections[e]; ok && s.Kind() == types.MethodVal {
+			if m, ok := s.Obj().(*types.Func); ok && !types.IsInterface(recvType(m)) {
+				return b.ensure(funcID(m))
+			}
+		} else if obj, ok := u.Info.Uses[e.Sel].(*types.Func); ok {
+			return b.ensure(funcID(obj)) // package-qualified: pkg.F
+		}
+	}
+	return nil
 }
 
 // resolveCall classifies one call site and records the edge (or a
@@ -761,31 +823,27 @@ func (b *builder) noteRegistration(u *load.Package, caller *FuncNode, callee *ty
 		return
 	}
 	for _, arg := range call.Args {
-		arg = ast.Unparen(arg)
 		if sig, ok := typeOf(u, arg).(*types.Signature); !ok || sig == nil {
 			continue
 		}
-		switch arg := arg.(type) {
-		case *ast.FuncLit:
-			b.litNode(u, arg, caller.InTestFile).Roles |= role
-		case *ast.Ident:
-			if obj, ok := u.Info.Uses[arg].(*types.Func); ok {
-				b.ensure(funcID(obj)).Roles |= role
-			}
-		case *ast.SelectorExpr:
-			if s, ok := u.Info.Selections[arg]; ok && s.Kind() == types.MethodVal {
-				if m, ok := s.Obj().(*types.Func); ok && !types.IsInterface(recvType(m)) {
-					b.ensure(funcID(m)).Roles |= role
-				}
-			}
+		if key := fieldKey(u, arg); key != "" {
+			b.regFields = append(b.regFields, regField{key, role})
+		} else if fn := b.funcValue(u, arg); fn != nil {
+			fn.Roles |= role
 		}
 	}
 }
 
-// resolvePending runs phase 2: interface sites fan out to same-shaped
-// methods, interface method values mark implementations address-taken,
-// and dynamic sites fan out to address-taken functions.
+// resolvePending runs phase 2: registered fields give their roles to
+// the functions assigned to them, interface sites fan out to
+// same-shaped methods, interface method values mark implementations
+// address-taken, and dynamic sites fan out to address-taken functions.
 func (b *builder) resolvePending() {
+	for _, f := range b.regFields {
+		for _, fn := range b.fieldFuncs[f.key] {
+			fn.Roles |= f.role
+		}
+	}
 	// Index defined methods and address-taken candidates by shape.
 	methodsByShape := map[string][]*FuncNode{}
 	for _, n := range b.g.order {

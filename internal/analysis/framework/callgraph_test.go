@@ -116,6 +116,32 @@ func TestSCCsBottomUp(t *testing.T) {
 	}
 }
 
+// TestBoundFieldRoles pins that a callback registered through a struct
+// field takes its role to every function assigned to that field, and
+// only to those.
+func TestBoundFieldRoles(t *testing.T) {
+	cg := framework.BuildCallGraph(loadFixture(t, "example.com/bound/internal/sim"))
+	for id, want := range map[string]framework.Role{
+		"(*example.com/bound/internal/sim.op).run":  framework.RoleProcBody,
+		"(*example.com/bound/internal/sim.op).tick": framework.RoleTimerCallback,
+		"example.com/bound/internal/sim.unbound":    0,
+		"example.com/bound/internal/sim.work":       0,
+	} {
+		n := cg.Node(id)
+		if n == nil {
+			t.Fatalf("no node %s", id)
+		}
+		if n.Roles != want {
+			t.Errorf("%s roles = %b, want %b", id, n.Roles, want)
+		}
+	}
+	for _, n := range cg.Roots(framework.RoleProcBody | framework.RoleTimerCallback) {
+		if n.Lit != nil {
+			t.Errorf("literal %s stored in an unregistered field is a root", n.Name)
+		}
+	}
+}
+
 // TestRoleRegistrationFromTests pins that registrations made inside
 // _test.go files do not mint roots.
 func TestRoleRegistrationFromTests(t *testing.T) {

@@ -430,11 +430,12 @@ func TestErrorsCountMeasurementWindowOnly(t *testing.T) {
 	}
 }
 
-// TestCodecLookaheadInvisible: the designs that prefetch writes into
-// the codec lookahead (CPU-only, BF2) return the same results with no
-// helper core (GOMAXPROCS=1) and with several (4), and Run returns
-// with no helper alive and no job queued or running, so nothing a
-// caller measures after Run overlaps helper work.
+// TestCodecLookaheadInvisible: every design prefetches functional
+// writes into the codec lookahead and returns the same results with no
+// helper core (GOMAXPROCS=1) and with several (4); helpers start
+// exactly when there is a core for them, and Run returns with no helper
+// alive and no job queued or running, so nothing a caller measures
+// after Run overlaps helper work.
 func TestCodecLookaheadInvisible(t *testing.T) {
 	run := func(kind middletier.Kind, procs int) Results {
 		// the lookahead sizes its helper pool from GOMAXPROCS; the test pins it
@@ -454,7 +455,7 @@ func TestCodecLookaheadInvisible(t *testing.T) {
 		}
 		return res
 	}
-	for _, kind := range []middletier.Kind{middletier.CPUOnly, middletier.BF2} {
+	for _, kind := range []middletier.Kind{middletier.CPUOnly, middletier.Accel, middletier.BF2, middletier.SmartDS} {
 		one, four := run(kind, 1), run(kind, 4)
 		if one.Requests == 0 || !reflect.DeepEqual(one, four) {
 			t.Fatalf("%v: results differ between GOMAXPROCS=1 and 4:\n%+v\n%+v", kind, one, four)

@@ -283,7 +283,7 @@ func (c *Cluster) Run(w Workload) Results {
 		// Ride the shared 100 µs ticker: the telemetry sampler above
 		// subscribes to the same grid, so both fire off one calendar
 		// entry per tick (sampler first — subscription order).
-		c.Env.Ticker(sim.SampleInterval).Subscribe(stop, sample)
+		c.Env.Ticker().Subscribe(stop, sample)
 	}
 	c.Env.At(start+w.Warmup, func() {
 		memA, nicA, accA, sdsA = snapshot()

@@ -10,15 +10,18 @@ import (
 
 // aamsRound drives one AAMS round trip on an instance: a split receive
 // of a header+payload message, an assemble send of header+payload back
-// to the peer, one engine compression and one sized engine job (the
-// middle tier's), run to quiescence.
+// to the peer, one engine job encoding the payload into dst, and one
+// modeled job sized 2048 bytes out, run to quiescence. Both encodes are
+// bound once, as the middle tier binds its own per request context.
 type aamsRound struct {
-	r             *rig
-	inst          *Instance
-	local, remote *rdma.QP
-	msg           []byte
-	hbuf          *HostBuf
-	dbuf, dst     *device.Buffer
+	r                *rig
+	inst             *Instance
+	local, remote    *rdma.QP
+	msg              []byte
+	hbuf             *HostBuf
+	dbuf, dst        *device.Buffer
+	enc              *lz4.Encoder
+	encodeFn, sizeFn func() float64
 }
 
 func newAAMSRound(t testing.TB) *aamsRound {
@@ -30,6 +33,15 @@ func newAAMSRound(t testing.TB) *aamsRound {
 		msg: payloadFor(1, 64+4096), hbuf: r.dev.HostAlloc(64)}
 	a.dbuf, _ = r.dev.DevAlloc(4096)
 	a.dst, _ = r.dev.DevAlloc(lz4.CompressBound(4096))
+	a.enc = lz4.NewEncoder(4096)
+	a.encodeFn = func() float64 {
+		n, err := a.enc.Compress(a.dst.Bytes(), a.dbuf.Bytes(), lz4.LevelDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(n)
+	}
+	a.sizeFn = func() float64 { return 2048 }
 	return a
 }
 
@@ -37,11 +49,11 @@ func (a *aamsRound) run() {
 	a.inst.DevMixedRecv(a.local, a.hbuf, 64, a.dbuf, a.dbuf.Size())
 	a.remote.Send(a.msg)
 	a.inst.DevMixedSend(a.local, a.hbuf, 64, a.dbuf, 4096)
-	a.inst.DevFunc(a.dbuf, 4096, a.dst, lz4.LevelDefault)
+	a.inst.DevFuncSized(4096, a.encodeFn)
 	a.r.env.Run(0)
-	// The sized job runs alone, as a middle-tier write's does: a job
+	// The modeled job runs alone, as a middle-tier write's does: a job
 	// queued behind another for the engine slot waits on a fresh event.
-	a.inst.DevFuncSized(4096, 2048)
+	a.inst.DevFuncSized(4096, a.sizeFn)
 	a.r.env.Run(0)
 }
 
@@ -52,7 +64,7 @@ func (a *aamsRound) run() {
 //   - 1 assembled message buffer: the receiver keeps its bytes;
 //   - 2 delivered *rdma.Message records, one per direction.
 //
-// The engine encodes straight into the devfunc destination buffer.
+// The bound encode writes straight into the destination buffer.
 const aamsRoundAllocs = 3
 
 // TestAAMSRoundTripAllocs pins the AAMS verbs' steady-state allocations

@@ -231,76 +231,50 @@ func TestAssembleSendsSpanningMessage(t *testing.T) {
 	}
 }
 
-func TestDevFuncCompressesInDeviceMemory(t *testing.T) {
+// TestDevFuncSizedEncodesAtWriteback: the dev_func job calls its bound
+// encode once, when the engine's compute time has passed, writes the
+// result where the encode put it, and reports the encode's size after
+// the completion record crossed to the host; a down engine rejects the
+// job without calling the encode.
+func TestDevFuncSizedEncodesAtWriteback(t *testing.T) {
 	r := newRig(t, 1)
 	inst, _ := r.dev.OpenRoCEInstance(0)
 	src, _ := r.dev.DevAlloc(4096)
-	dst, _ := r.dev.DevAlloc(8192)
+	dst, _ := r.dev.DevAlloc(lz4.CompressBound(4096))
 	for i := range src.Bytes() {
 		src.Bytes()[i] = byte(i % 7) // compressible
 	}
-	orig := append([]byte(nil), src.Bytes()...)
-
-	var res Result
-	r.env.Go("host", func(p *sim.Proc) {
-		res = Poll(p, inst.DevFunc(src, 4096, dst, lz4.LevelDefault))
-	})
-	r.env.Run(0)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Size <= 0 || res.Size >= 4096 {
-		t.Fatalf("compressed size %d", res.Size)
-	}
-	back, err := lz4.DecompressToBuf(dst.Bytes()[:res.Size], 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, orig) {
-		t.Fatal("device compression corrupted data")
-	}
-}
-
-// TestDevFuncSizedTimesLikeDevFunc: a sized job whose result the
-// caller produced takes exactly as long as DevFunc compressing the same
-// block, pays the same completion DMA, and reports the given size; a
-// down engine rejects it.
-func TestDevFuncSizedTimesLikeDevFunc(t *testing.T) {
-	run := func(sized bool, n int) (Result, float64, float64) {
-		r := newRig(t, 1)
-		inst, _ := r.dev.OpenRoCEInstance(0)
-		src, _ := r.dev.DevAlloc(4096)
-		dst, _ := r.dev.DevAlloc(lz4.CompressBound(4096))
-		for i := range src.Bytes() {
-			src.Bytes()[i] = byte(i % 7)
+	calls, encodedAt := 0, 0.0
+	encode := func() float64 {
+		calls++
+		encodedAt = r.env.Now()
+		n, err := lz4.Compress(dst.Bytes(), src.Bytes(), lz4.LevelDefault)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var res Result
-		var at float64
-		r.env.Go("host", func(p *sim.Proc) {
-			var comp *Completion
-			if sized {
-				comp = inst.DevFuncSized(4096, float64(n))
-			} else {
-				comp = inst.DevFunc(src, 4096, dst, lz4.LevelDefault)
-			}
-			res, at = Poll(p, comp), p.Now()
-		})
-		r.env.Run(0)
-		return res, at, r.dev.PCIe().Snapshot().D2HBytes
+		return float64(n)
 	}
-	want, wantAt, wantD2H := run(false, 0)
-	got, at, d2h := run(true, want.Size)
-	if want.Err != nil || got != want || at != wantAt || d2h != wantD2H {
-		t.Fatalf("sized job %+v at %g with %g D2H bytes, DevFunc %+v at %g with %g", got, at, d2h, want, wantAt, wantD2H)
+	var res Result
+	r.env.Go("host", func(p *sim.Proc) { res = Poll(p, inst.DevFuncSized(4096, encode)) })
+	r.env.Run(0)
+	if res.Err != nil || res.Size <= 0 || res.Size >= 4096 || calls != 1 {
+		t.Fatalf("result %+v after %d encodes", res, calls)
+	}
+	if want := 4096 / r.dev.Config().EngineBytesPerSec; encodedAt != want {
+		t.Fatalf("encoded at %g, want at the end of the compute time, %g", encodedAt, want)
+	}
+	if back, err := lz4.DecompressToBuf(dst.Bytes()[:res.Size], 4096); err != nil || !bytes.Equal(back, src.Bytes()) {
+		t.Fatalf("device compression corrupted data: %v", err)
+	}
+	if d2h := r.dev.PCIe().Snapshot().D2HBytes; d2h != r.dev.Config().CompletionBytes {
+		t.Fatalf("%g bytes crossed D2H, want only the %g-byte completion record", d2h, r.dev.Config().CompletionBytes)
 	}
 
-	r := newRig(t, 1)
-	inst, _ := r.dev.OpenRoCEInstance(0)
 	inst.Engine().SetDown(true)
-	r.env.Go("host", func(p *sim.Proc) { got = Poll(p, inst.DevFuncSized(4096, 2048)) })
+	r.env.Go("host", func(p *sim.Proc) { res = Poll(p, inst.DevFuncSized(4096, encode)) })
 	r.env.Run(0)
-	if got.Err == nil {
-		t.Fatal("sized job on a down engine succeeded")
+	if res.Err == nil || calls != 1 {
+		t.Fatalf("job on a down engine returned %+v after %d encodes", res, calls)
 	}
 }
 
@@ -331,27 +305,6 @@ func TestDevMixedSendModeledPayload(t *testing.T) {
 	m, at := run(true)
 	if m == nil || len(m.Data) != 64 || m.Size != full.Size || len(full.Data) != 64+1024 || at != fullAt {
 		t.Fatalf("modeled send delivered %v at %g, gathered send %v at %g", m, at, full, fullAt)
-	}
-}
-
-func TestDevFuncDecompressRoundTrip(t *testing.T) {
-	r := newRig(t, 1)
-	inst, _ := r.dev.OpenRoCEInstance(0)
-	orig := bytes.Repeat([]byte("abcd0123"), 512)
-	comp, _ := lz4.CompressToBuf(orig, lz4.LevelDefault)
-	src, _ := r.dev.DevAlloc(len(comp))
-	copy(src.Bytes(), comp)
-	dst, _ := r.dev.DevAlloc(len(orig))
-	var res Result
-	r.env.Go("host", func(p *sim.Proc) {
-		res = Poll(p, inst.DevFuncDecompress(src, len(comp), dst, len(orig)))
-	})
-	r.env.Run(0)
-	if res.Err != nil || res.Size != len(orig) {
-		t.Fatalf("decompress result %+v", res)
-	}
-	if !bytes.Equal(dst.Bytes()[:len(orig)], orig) {
-		t.Fatal("decompressed bytes wrong")
 	}
 }
 

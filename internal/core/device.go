@@ -101,7 +101,7 @@ func NewDevice(env *sim.Env, name string, fabric *netsim.Fabric, hostMem *mem.Sy
 			dev:          d,
 			index:        i,
 			stack:        rdma.NewStack(env, port, cfg.Transport),
-			engine:       device.NewLZ4Engine(env, fmt.Sprintf("%s.lz4[%d]", name, i), d.hbm, cfg.EngineBytesPerSec, 64<<10),
+			engine:       device.NewEngine(env, fmt.Sprintf("%s.lz4[%d]", name, i), d.hbm, cfg.EngineBytesPerSec),
 			splitName:    fmt.Sprintf("%s.split[%d]", name, i),
 			assembleName: fmt.Sprintf("%s.assemble[%d]", name, i),
 			devfuncName:  fmt.Sprintf("%s.devfunc[%d]", name, i),

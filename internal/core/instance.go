@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/disagg/smartds/internal/device"
-	"github.com/disagg/smartds/internal/lz4"
 	"github.com/disagg/smartds/internal/pcie"
 	"github.com/disagg/smartds/internal/rdma"
 	"github.com/disagg/smartds/internal/sim"
@@ -17,7 +16,7 @@ type Instance struct {
 	dev    *Device
 	index  int
 	stack  *rdma.Stack
-	engine *device.LZ4Engine
+	engine *device.Engine
 
 	// Debug names of the procs this instance spawns per request, built
 	// once so the request path formats nothing.
@@ -54,7 +53,7 @@ func (in *Instance) Index() int { return in.index }
 func (in *Instance) Stack() *rdma.Stack { return in.stack }
 
 // Engine exposes the instance's compression engine.
-func (in *Instance) Engine() *device.LZ4Engine { return in.engine }
+func (in *Instance) Engine() *device.Engine { return in.engine }
 
 // Device returns the owning card.
 func (in *Instance) Device() *Device { return in.dev }
@@ -369,57 +368,24 @@ func (op *assembleOp) run(p *sim.Proc) {
 	dev.endSpan(tr, p.Now(), "assemble", o.span)
 }
 
-// funcOp carries one engine invocation into a devfunc proc: a
-// compression, or with decompress set, a decompression to origSize
-// bytes, or with no src a job of inBytes in and outBytes out whose
-// result the caller produced.
+// funcOp carries one engine job into a devfunc proc.
 type funcOp struct {
-	in                *Instance
-	src, dst          *device.Buffer
-	srcSize           int
-	level             lz4.Level
-	decompress        bool
-	origSize          int
-	inBytes, outBytes float64
-	comp              *Completion
-	runFn             func(*sim.Proc)
+	in      *Instance
+	inBytes float64
+	encode  func() float64
+	comp    *Completion
+	runFn   func(*sim.Proc)
 }
 
-// DevFunc implements dev_func: invoke the instance's hardware engine on
-// srcSize bytes of src, writing the result into dst, which must hold
-// lz4.CompressBound(srcSize) bytes. Size is the result byte count.
+// DevFuncSized implements dev_func: compress inBytes of device memory
+// on the instance's hardware engine. encode is the caller's functional
+// encode, bound once and called once, when the engine first needs the
+// output size (after its compute time): it writes the result where the
+// caller wants it and returns the size, which the completion reports.
+// A caller must reject an encode that cannot succeed before posting it.
 //
 //hot:per-request AAMS verb, pinned by TestAAMSRoundTripAllocs
-func (in *Instance) DevFunc(src *device.Buffer, srcSize int, dst *device.Buffer, level lz4.Level) *Completion {
-	if srcSize > src.Size() {
-		panic("core: DevFunc source size exceeds buffer")
-	}
-	return in.startFunc(funcOp{src: src, srcSize: srcSize, dst: dst, level: level})
-}
-
-// DevFuncDecompress is the read-path twin of DevFunc: decompress
-// srcSize bytes of src (an LZ4 block) into dst, whose needed size is
-// origSize.
-//
-//hot:per-request AAMS verb, pinned by TestAAMSRoundTripAllocs
-func (in *Instance) DevFuncDecompress(src *device.Buffer, srcSize int, dst *device.Buffer, origSize int) *Completion {
-	if srcSize > src.Size() {
-		panic("core: DevFuncDecompress source size exceeds buffer")
-	}
-	return in.startFunc(funcOp{src: src, srcSize: srcSize, dst: dst, decompress: true, origSize: origSize})
-}
-
-// DevFuncSized is DevFunc for a compression whose result the caller
-// produced (or, for a modeled payload, sized): the same proc, engine
-// job and completion record, for inBytes in and outBytes (Size) out.
-//
-//hot:per-request AAMS verb, pinned by TestAAMSRoundTripAllocs
-func (in *Instance) DevFuncSized(inBytes, outBytes float64) *Completion {
-	return in.startFunc(funcOp{inBytes: inBytes, outBytes: outBytes})
-}
-
-// startFunc spawns a devfunc proc running job on a pooled op.
-func (in *Instance) startFunc(job funcOp) *Completion {
+func (in *Instance) DevFuncSized(inBytes float64, encode func() float64) *Completion {
 	var op *funcOp
 	if n := len(in.freeFuncs); n > 0 {
 		op = in.freeFuncs[n-1]
@@ -430,10 +396,9 @@ func (in *Instance) startFunc(job funcOp) *Completion {
 		op = &funcOp{in: in}
 		op.runFn = op.run
 	}
-	job.in, job.runFn, job.comp = in, op.runFn, in.newCompletion()
-	*op = job
+	op.inBytes, op.encode, op.comp = inBytes, encode, in.newCompletion()
 	in.dev.env.Go(in.devfuncName, op.runFn)
-	return job.comp
+	return op.comp
 }
 
 // run is the devfunc proc body. It copies the op out and returns it to
@@ -442,32 +407,13 @@ func (op *funcOp) run(p *sim.Proc) {
 	o := *op
 	*op = funcOp{in: o.in, runFn: o.runFn}
 	o.in.freeFuncs = append(o.in.freeFuncs, op)
-	in, comp := o.in, o.comp
-	var (
-		n   int
-		err error
-	)
-	switch {
-	case o.src == nil:
-		n, err = int(o.outBytes), in.engine.Job(p, o.inBytes, o.outBytes)
-	case o.decompress:
-		if o.origSize > o.dst.Size() {
-			comp.complete(Result{Err: fmt.Errorf("core: decompressed output %d exceeds destination %d", o.origSize, o.dst.Size())})
-			return
-		}
-		var out []byte
-		out, err = in.engine.Decompress(p, o.src.Bytes()[:o.srcSize], o.origSize)
-		n = copy(o.dst.Bytes(), out)
-	default:
-		// The engine writes straight into the destination buffer.
-		n, err = in.engine.Compress(p, o.dst.Bytes(), o.src.Bytes()[:o.srcSize], o.level)
-	}
+	n, err := o.in.engine.Job(p, o.inBytes, o.encode)
 	if err != nil {
-		comp.complete(Result{Err: err})
+		o.comp.complete(Result{Err: err})
 		return
 	}
 	// Notify the host CPU (paper: "writes the result ... and notifies
 	// the application running in the host CPU").
-	in.dev.notifyHost(p)
-	comp.complete(Result{Size: n})
+	o.in.dev.notifyHost(p)
+	o.comp.complete(Result{Size: int(n)})
 }

@@ -93,8 +93,9 @@ func TestPipelinedDescriptorsManyMessages(t *testing.T) {
 	}
 }
 
-// TestDevFuncConcurrentJobs: many concurrent DevFunc invocations on one
-// engine queue FIFO and never corrupt each other's outputs.
+// TestDevFuncConcurrentJobs: many concurrent dev_func jobs on one
+// engine queue FIFO, run their encodes in posting order, and never
+// corrupt each other's outputs.
 func TestDevFuncConcurrentJobs(t *testing.T) {
 	r := newRig(t, 1)
 	inst, _ := r.dev.OpenRoCEInstance(0)
@@ -125,13 +126,30 @@ func TestDevFuncConcurrentJobs(t *testing.T) {
 	}
 
 	results := make([]Result, n)
+	var order []int
 	for i := 0; i < n; i++ {
 		i := i
+		encode := func() float64 {
+			order = append(order, i)
+			c, err := lz4.Compress(dsts[i].Bytes(), srcs[i].Bytes(), lz4.LevelDefault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return float64(c)
+		}
 		r.env.Go("caller", func(p *sim.Proc) {
-			results[i] = Poll(p, inst.DevFunc(srcs[i], 4096, dsts[i], lz4.LevelDefault))
+			results[i] = Poll(p, inst.DevFuncSized(4096, encode))
 		})
 	}
 	r.env.Run(0)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("encodes ran in order %v, want posting order", order)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("%d encodes ran for %d jobs", len(order), n)
+	}
 
 	for i := 0; i < n; i++ {
 		if results[i].Err != nil {

@@ -1,12 +1,10 @@
 package device
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
-	"github.com/disagg/smartds/internal/lz4"
 	"github.com/disagg/smartds/internal/rng"
 	"github.com/disagg/smartds/internal/sim"
 )
@@ -334,49 +332,37 @@ func TestEngineBadRatePanics(t *testing.T) {
 	NewEngine(e, "bad", m, 0)
 }
 
-func TestLZ4EngineFunctional(t *testing.T) {
-	e := sim.NewEnv()
-	m := NewMemory(e, "hbm", MemoryConfig{Capacity: 1 << 20, BytesPerSec: 425e9, AccessLatency: 1e-9})
-	eng := NewLZ4Engine(e, "lz4", m, 12.5e9, 4096)
-	src := bytes.Repeat([]byte("disaggregated "), 300)[:4096]
-	var comp, back []byte
-	var compErr, decErr error
-	e.Go("p", func(p *sim.Proc) {
-		comp = make([]byte, lz4.CompressBound(len(src)))
-		var n int
-		if n, compErr = eng.Compress(p, comp, src, lz4.LevelDefault); compErr != nil {
-			return
-		}
-		comp = comp[:n]
-		back, decErr = eng.Decompress(p, comp, len(src))
-	})
-	e.Run(0)
-	if compErr != nil || decErr != nil {
-		t.Fatalf("engine codec errors: %v %v", compErr, decErr)
+// TestEngineJobEncodesAtWriteback: Job calls its encode once, when the
+// compute time has passed and the engine first needs the output size,
+// returns the encode's size, and takes exactly as long as Run with that
+// size known up front.
+func TestEngineJobEncodesAtWriteback(t *testing.T) {
+	run := func(job bool) (got, encodedAt, end float64, calls int) {
+		e := sim.NewEnv()
+		m := NewMemory(e, "hbm", MemoryConfig{Capacity: 1 << 20, BytesPerSec: 425e9, AccessLatency: 1e-9})
+		eng := NewEngine(e, "lz4", m, 12.5e9)
+		e.Go("p", func(p *sim.Proc) {
+			if !job {
+				eng.Run(p, 4096, 1800)
+				end = p.Now()
+				return
+			}
+			var err error
+			got, err = eng.Job(p, 4096, func() float64 { calls++; encodedAt = e.Now(); return 1800 })
+			if err != nil {
+				t.Error(err)
+			}
+			end = p.Now()
+		})
+		e.Run(0)
+		return got, encodedAt, end, calls
 	}
-	if len(comp) >= len(src) {
-		t.Fatalf("engine did not compress: %d", len(comp))
+	got, encodedAt, end, calls := run(true)
+	_, _, want, _ := run(false)
+	if got != 1800 || calls != 1 || encodedAt != 4096/12.5e9 || end != want {
+		t.Fatalf("Job returned %g after %d encodes at %g, ended at %g; want 1800, 1 encode at %g, end %g",
+			got, calls, encodedAt, end, 4096/12.5e9, want)
 	}
-	if !bytes.Equal(back, src) {
-		t.Fatal("engine round trip mismatch")
-	}
-	// 4 KB at 12.5 GB/s twice (compress+decompress) ≈ 0.66 us + memory
-	if e.Now() > 5e-6 {
-		t.Fatalf("engine invocations took %g", e.Now())
-	}
-}
-
-func TestLZ4EngineGrowsBuffer(t *testing.T) {
-	e := sim.NewEnv()
-	m := NewMemory(e, "hbm", MemoryConfig{Capacity: 1 << 22, BytesPerSec: 425e9, AccessLatency: 1e-9})
-	eng := NewLZ4Engine(e, "lz4", m, 12.5e9, 1024) // maxBlock smaller than input
-	src := bytes.Repeat([]byte("x"), 100000)
-	e.Go("p", func(p *sim.Proc) {
-		if _, err := eng.Compress(p, make([]byte, lz4.CompressBound(len(src))), src, lz4.LevelFast); err != nil {
-			t.Errorf("compress: %v", err)
-		}
-	})
-	e.Run(0)
 }
 
 func TestFPGAResourceTable3(t *testing.T) {
@@ -414,42 +400,29 @@ func TestFPGAResourceOps(t *testing.T) {
 	SmartDSFootprint(0)
 }
 
+// TestEngineDownRejectsWork: a down engine rejects jobs without calling
+// their encode; a restored one runs them again.
 func TestEngineDownRejectsWork(t *testing.T) {
 	e := sim.NewEnv()
 	m := NewMemory(e, "hbm", MemoryConfig{Capacity: 1 << 20, BytesPerSec: 425e9, AccessLatency: 1e-9})
-	eng := NewLZ4Engine(e, "lz4", m, 12.5e9, 4096)
+	eng := NewEngine(e, "lz4", m, 12.5e9)
 	eng.SetDown(true)
 	if !eng.Down() {
 		t.Fatal("engine not reported down")
 	}
-	src := bytes.Repeat([]byte("x"), 4096)
-	var compErr, decErr error
+	calls := 0
+	encode := func() float64 { calls++; return 100 }
+	var downErr, upErr error
 	e.Go("p", func(p *sim.Proc) {
-		_, compErr = eng.Compress(p, make([]byte, lz4.CompressBound(len(src))), src, lz4.LevelDefault)
-		_, decErr = eng.Decompress(p, src, len(src))
+		_, downErr = eng.Job(p, 4096, encode)
+		eng.SetDown(false)
+		_, upErr = eng.Job(p, 4096, encode)
 	})
 	e.Run(0)
-	if compErr != ErrEngineDown || decErr != ErrEngineDown {
-		t.Fatalf("down engine returned %v / %v, want ErrEngineDown", compErr, decErr)
+	if downErr != ErrEngineDown || upErr != nil || calls != 1 {
+		t.Fatalf("down job %v, restored job %v, %d encodes; want ErrEngineDown, nil, 1", downErr, upErr, calls)
 	}
-	// Restoring the engine brings the codec back.
-	eng.SetDown(false)
-	compErr, decErr = nil, nil
-	var back []byte
-	e.Go("p2", func(p *sim.Proc) {
-		comp := make([]byte, lz4.CompressBound(len(src)))
-		n, err := eng.Compress(p, comp, src, lz4.LevelDefault)
-		if err != nil {
-			compErr = err
-			return
-		}
-		back, decErr = eng.Decompress(p, comp[:n], len(src))
-	})
-	e.Run(0)
-	if compErr != nil || decErr != nil {
-		t.Fatalf("restored engine errors: %v %v", compErr, decErr)
-	}
-	if !bytes.Equal(back, src) {
-		t.Fatal("restored engine round trip mismatch")
+	if eng.Processed() != 4096 {
+		t.Fatalf("engine processed %g bytes, want only the restored job's 4096", eng.Processed())
 	}
 }

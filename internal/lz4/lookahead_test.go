@@ -46,7 +46,8 @@ func lookaheadBlock(r *rng.Source, c *corpus.Corpus) []byte {
 // TestLookaheadMatchesEncoder is the lookahead's contract: whatever was
 // prefetched, replaced, mutated or abandoned, and however far the
 // helpers got, Compress returns exactly the synchronous Encoder's bytes
-// for the block as it is now.
+// for the block as it is now. Every Compress counts once, as a helper
+// hit or as an inline encode; which one depends on host timing.
 func TestLookaheadMatchesEncoder(t *testing.T) {
 	c := corpus.New(3)
 	for _, procs := range []int{2, 4} {
@@ -55,7 +56,9 @@ func TestLookaheadMatchesEncoder(t *testing.T) {
 			ref := NewEncoder(4096)
 			want := make([]byte, CompressBound(8192))
 			got := make([]byte, CompressBound(8192))
+			before, calls := ReadLookaheadStats(), uint64(0)
 			check := func(src []byte, level Level) bool {
+				calls++
 				wn, werr := ref.Compress(want, src, level)
 				gn, gerr := la.Compress(got, src, level)
 				return wn == gn && (werr == nil) == (gerr == nil) && bytes.Equal(want[:wn], got[:gn])
@@ -98,8 +101,12 @@ func TestLookaheadMatchesEncoder(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 			}
 			la.Stop()
-			if s := ReadLookaheadStats(); s.Queued != 0 || s.Running != 0 || s.Helpers != 0 {
+			s := ReadLookaheadStats()
+			if s.Queued != 0 || s.Running != 0 || s.Helpers != 0 {
 				t.Fatalf("GOMAXPROCS=%d: after Stop %+v", procs, s)
+			}
+			if counted := s.Hits + s.Inline - before.Hits - before.Inline; counted != calls {
+				t.Fatalf("GOMAXPROCS=%d: %d Compress calls counted as %d hits + inline", procs, calls, counted)
 			}
 		})
 	}

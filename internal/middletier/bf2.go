@@ -21,7 +21,7 @@ import (
 type bf2Path struct {
 	*Server
 	mem    *device.Memory
-	engine *device.LZ4Engine
+	engine *device.Engine
 	arm    []*host.Core // the SoC's Arm cores, used round-robin
 	armRR  int
 	out    wireCache
@@ -35,9 +35,9 @@ func newBF2Path(s *Server) *bf2Path {
 		BytesPerSec:   bf2MemRate,
 		AccessLatency: 150e-9,
 	})
-	d.engine = device.NewLZ4Engine(s.env, "bf2.lz4", d.mem, bf2EngineRate, 64<<10)
+	d.engine = device.NewEngine(s.env, "bf2.lz4", d.mem, bf2EngineRate)
 	d.engine.SetTrace(cfg.Trace)
-	s.cardMem, s.engines = d.mem, []*device.LZ4Engine{d.engine}
+	s.cardMem, s.engines = d.mem, []*device.Engine{d.engine}
 	for i := 0; i < cfg.Ports; i++ {
 		port := s.fabric.NewPort(netsim.Addr(fmt.Sprintf("mt-bf2-p%d", i)), cfg.PortRate)
 		s.stacks = append(s.stacks, rdma.NewStack(s.env, port, cfg.Transport))
@@ -69,13 +69,10 @@ func (d *bf2Path) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		return r.in, 0, nil
 	}
 	// The engine reads and writes SoC DRAM itself (device.Engine
-	// charges both inside Run).
+	// charges both inside Job, which runs the encode for the size).
 	e0 := p.Now()
-	f, comp, err := d.ownFrame(r, d.cfg.Level)
-	if err == nil {
-		err = d.engine.Job(p, r.in.size, comp)
-	}
-	if err != nil {
+	r.encLevel = d.cfg.Level
+	if _, err := d.engine.Job(p, r.in.size, r.encodeFn); err != nil {
 		return frame{}, 0, err
 	}
 	// Engine occupancy inside the compress stage (queueing for the
@@ -84,7 +81,7 @@ func (d *bf2Path) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 	if e1 := p.Now(); r.tr != nil && e1 > e0 {
 		r.tr.Span(e0, e1, "mt", "compress.engine", r.tid, r.tid, "mt", "compress", trace.KindService, "")
 	}
-	return f, blockstore.FlagCompressed, nil
+	return r.out, blockstore.FlagCompressed, nil
 }
 
 func (d *bf2Path) send(p *sim.Proc, path int, qp *rdma.QP, hdr blockstore.Header, f frame) *sim.Event {

@@ -62,12 +62,10 @@ func (d *hostPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		level := d.chooseLevel(r.core.QueueLen())
 		d.Mem.Read(p, r.in.size)
 		r.core.CompressSlowed(p, r.in.size, d.Mem.ContentionFactor()*effortTimeFactor(level))
-		f, _, err := d.ownFrame(r, lz4.Level(max(r.hdr.Level, uint8(level))))
-		if err != nil {
-			return frame{}, 0, err
-		}
-		d.Mem.Write(p, f.size)
-		return f, blockstore.FlagCompressed, nil
+		r.encLevel = lz4.Level(max(r.hdr.Level, uint8(level)))
+		d.compressFrame(r)
+		d.Mem.Write(p, r.out.size)
+		return r.out, blockstore.FlagCompressed, nil
 	case !d.engineAvailable(0): // Accel, card failed
 		// Store raw rather than stall the write path: software LZ4 on
 		// the control cores would collapse throughput, so availability
@@ -75,18 +73,17 @@ func (d *hostPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		d.EngineFallbacks++
 		return r.in, 0, nil
 	}
-	f, _, err := d.ownFrame(r, d.cfg.Level)
-	if err != nil {
-		return frame{}, 0, err
-	}
-	d.accelOffload(p, r, "compress", r.in.size, f.size)
-	return f, blockstore.FlagCompressed, nil
+	r.encLevel = d.cfg.Level
+	d.accelOffload(p, r, "compress", r.in.size, 0)
+	return r.out, blockstore.FlagCompressed, nil
 }
 
 // accelOffload bounces one job through the FPGA card: the CPU rings the
 // doorbell, the card fetches in bytes over PCIe H2D (from the LLC when
 // DDIO holds them), the engine runs one job at a time, and the out
 // bytes are written back D2H (evicted to DRAM later: retained buffer).
+// A compression's out bytes are its frame, which the request's encode
+// builds just before the writeback, where the size is first needed.
 func (d *hostPath) accelOffload(p *sim.Proc, r *request, stage string, in, out float64) {
 	d.accelPCIe.Doorbell(p)
 	fetch := d.accelPCIe.StartDMA(pcie.H2D, in)
@@ -122,6 +119,10 @@ func (d *hostPath) accelOffload(p *sim.Proc, r *request, stage string, in, out f
 		if e1 > q1 {
 			r.tr.Span(q1, e1, "mt", ename, r.tid, r.tid, "mt", stage, trace.KindService, "")
 		}
+	}
+	if stage == "compress" {
+		d.compressFrame(r)
+		out = r.out.size
 	}
 	wb := d.accelPCIe.StartDMA(pcie.D2H, out)
 	p.Wait(d.Mem.StartWrite(out))

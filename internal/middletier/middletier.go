@@ -213,7 +213,7 @@ type Server struct {
 	// hardware engine of this server. The pipeline prefetches each
 	// write's payload into it on arrival (see prefetch).
 	codec  *lz4.Lookahead
-	encBuf []byte // ownFrame's compression scratch
+	encBuf []byte // compressFrame's scratch
 	// replay is the modeled-replay differential test's seam, nil outside
 	// it (export_test.go): a functional compression records its length
 	// under the request's trace id, and a modeled one takes it from there.
@@ -237,7 +237,7 @@ type Server struct {
 	sds       *core.Device
 	cardMem   *device.Memory
 	stacks    []*rdma.Stack
-	engines   []*device.LZ4Engine
+	engines   []*device.Engine
 
 	// Replication connections: storagePaths[path][replica].
 	storagePaths [][]*rdma.QP
@@ -380,7 +380,7 @@ func (s *Server) InflightFanouts() int { return len(s.pending) }
 // stable index order: the BF2 SoC engine, or SmartDS's per-port
 // engines. CPUOnly/Accel (software or slot-modeled compression) return
 // nil.
-func (s *Server) Engines() []*device.LZ4Engine { return slices.Clone(s.engines) }
+func (s *Server) Engines() []*device.Engine { return slices.Clone(s.engines) }
 
 // DeviceMemory returns the on-card memory of this design — the BF2
 // SoC DRAM or the SmartDS HBM. Designs without a card memory (CPUOnly,

@@ -111,9 +111,11 @@ func TestParseRequestFunctionalAndModeled(t *testing.T) {
 func TestCompressFrameRoundTrips(t *testing.T) {
 	s := newTestServer(t, CPUOnly)
 	block := bytes.Repeat([]byte("compressible "), 400)[:4096]
-	f, comp, err := s.ownFrame(&request{in: frame{data: block, size: 4096}}, s.cfg.Level)
-	if err != nil || float64(len(f.data)) != f.size || f.size != lz4.FrameHeaderSize+comp {
-		t.Fatalf("frame of %d bytes, size %g, comp %g (%v)", len(f.data), f.size, comp, err)
+	r := &request{in: frame{data: block, size: 4096}, encLevel: s.cfg.Level}
+	comp := s.compressFrame(r)
+	f := r.out
+	if float64(len(f.data)) != f.size || f.size != lz4.FrameHeaderSize+comp {
+		t.Fatalf("frame of %d bytes, size %g, comp %g", len(f.data), f.size, comp)
 	}
 	got, err := lz4.DecodeFrame(f.data)
 	if err != nil || !bytes.Equal(got, block) {
@@ -122,9 +124,50 @@ func TestCompressFrameRoundTrips(t *testing.T) {
 
 	// A modeled payload compresses at the model ratio, and its frame
 	// carries the header like a functional one.
-	f, comp, _ = s.ownFrame(&request{in: frame{size: 4096}}, s.cfg.Level)
+	r = &request{in: frame{size: 4096}, encLevel: s.cfg.Level}
+	comp, f = s.compressFrame(r), r.out
 	if comp != 4096/modelRatio || f.size != lz4.FrameHeaderSize+comp || len(f.data) != 0 {
 		t.Fatalf("modeled frame: size %g, comp %g, %d bytes", f.size, comp, len(f.data))
+	}
+}
+
+// TestCompressFrameInPlace: an encode bound to a buffer of the
+// request's own builds the frame in place there; one bound to no
+// buffer builds it in the server's scratch and copies its bytes out,
+// since the next write reuses the scratch.
+func TestCompressFrameInPlace(t *testing.T) {
+	s := newTestServer(t, CPUOnly)
+	block := bytes.Repeat([]byte("in place "), 500)[:4096]
+	buf := make([]byte, lz4.CompressBound(len(block)))
+	r := &request{in: frame{data: block, size: 4096}, encBuf: buf, encLevel: s.cfg.Level}
+	s.compressFrame(r)
+	if len(r.out.data) == 0 || &r.out.data[0] != &buf[0] {
+		t.Fatal("frame not built in the bound buffer")
+	}
+	want := bytes.Clone(r.out.data)
+	r = &request{in: frame{data: block, size: 4096}, encLevel: s.cfg.Level}
+	s.compressFrame(r)
+	if !bytes.Equal(r.out.data, want) || &r.out.data[0] == &s.encBuf[0] {
+		t.Fatal("scratch frame differs or aliases the scratch buffer")
+	}
+}
+
+// TestSmartDSRejectsOversizedEncode: a payload whose encode would
+// overflow the HBM output buffer fails the write before the dev_func
+// job is posted, so the engine does no work, no virtual time passes
+// and the output buffer is freed.
+func TestSmartDSRejectsOversizedEncode(t *testing.T) {
+	s := newTestServer(t, SmartDS)
+	payload := bytes.Repeat([]byte{7}, s.cfg.BlockSize+512) // fits the descriptor, not the output bound
+	r := s.newRequest()
+	r.hdr, r.in = blockstore.Header{Op: blockstore.OpWrite}, frame{data: payload, size: float64(len(payload))}
+	inUse := s.cardMem.InUse()
+	var err error
+	s.env.Go("req", func(p *sim.Proc) { _, _, err = s.dp.compress(p, r) })
+	s.env.Run(0)
+	if err != lz4.ErrShortBuffer || s.engines[0].Processed() != 0 || s.env.Now() != 0 || s.cardMem.InUse() != inUse {
+		t.Fatalf("oversized write: err %v, engine processed %g bytes by %g s, HBM in use %d (was %d)",
+			err, s.engines[0].Processed(), s.env.Now(), s.cardMem.InUse(), inUse)
 	}
 }
 

@@ -114,6 +114,14 @@ type request struct {
 	reposted bool
 
 	prefetch uint64 // the codec's ticket for payload, 0 when none was filed
+
+	// The compress stage's encode, bound once per context as encodeFn
+	// (see compressFrame): it builds out from the payload into encBuf,
+	// or the server's scratch when encBuf is nil, at encLevel.
+	encodeFn func() float64
+	encBuf   []byte
+	encLevel lz4.Level
+	out      frame
 }
 
 // parseRequest extracts the request from an incoming message. Modeled
@@ -135,8 +143,7 @@ func (s *Server) recv(name string, qp *rdma.QP, path int, m *rdma.Message) {
 		return
 	}
 	r := s.newRequest()
-	*r = req
-	r.qp, r.path = qp, path
+	r.hdr, r.in, r.qp, r.path = req.hdr, req.in, qp, path
 	s.prefetch(r)
 	s.env.Go(name, func(p *sim.Proc) {
 		s.serve(p, r)
@@ -153,37 +160,36 @@ func (s *Server) newRequest() *request {
 		s.freeReqs = s.freeReqs[:n-1]
 		return r
 	}
-	return new(request)
+	r := new(request)
+	r.encodeFn = func() float64 { return s.compressFrame(r) }
+	return r
 }
 
 func (s *Server) freeRequest(r *request) {
 	s.codec.Forget(r.in.data, r.prefetch)
-	*r = request{}
+	*r = request{encodeFn: r.encodeFn}
 	s.freeReqs = append(s.freeReqs, r)
 }
 
 // prefetch hands a write's payload to the codec as soon as the middle
 // tier holds it, at the level its compress stage will use unless the
 // adaptive-effort policy picks another, so a helper core may encode it
-// while the event loop simulates everything up to that stage. Only
-// designs whose writes queue before their functional encode do so:
-// CPU-only encodes after its core's compress time and BF2 after the
-// Arm cores' parse queue, while Acc and SmartDS encode right after a
-// short parse, too soon for a helper to have started. Bypass writes
-// and modeled payloads are never compressed. The codec verifies bytes
-// and level before it uses a prefetched result, so what a request gets
-// never depends on whether or when a helper ran.
+// while the event loop simulates everything up to the encode: CPU-only
+// encodes after its core's compress time, and every engine design
+// where its engine first needs the output size (see compressFrame),
+// after the parse, the engine queue wait and the compute time. Bypass
+// writes and modeled payloads are never compressed. The codec verifies
+// bytes and level before it uses a prefetched result, so what a
+// request gets never depends on whether or when a helper ran.
 func (s *Server) prefetch(r *request) {
-	kind := s.cfg.Kind
-	if kind != CPUOnly && kind != BF2 || len(r.in.data) == 0 ||
-		r.hdr.Op != blockstore.OpWrite || r.hdr.Flags&blockstore.FlagLatencySensitive != 0 {
+	if len(r.in.data) == 0 || r.hdr.Op != blockstore.OpWrite || r.hdr.Flags&blockstore.FlagLatencySensitive != 0 {
 		return
 	}
 	level := s.cfg.Level
-	if kind == CPUOnly {
-		level = validLevel(lz4.Level(max(r.hdr.Level, uint8(level)))) // the CPU-only compress level
+	if s.cfg.Kind == CPUOnly {
+		level = lz4.Level(max(r.hdr.Level, uint8(level))) // the CPU-only compress level
 	}
-	r.prefetch = s.codec.Prefetch(r.in.data, level)
+	r.prefetch = s.codec.Prefetch(r.in.data, validLevel(level))
 }
 
 // serve runs one client request through the pipeline: the parse stage,
@@ -300,41 +306,49 @@ func (s *Server) storedBlock(pr *pendingReq) (frame, blockstore.Status) {
 	return block, blockstore.StatusCorrupt
 }
 
-// compressFrame encodes r's payload at level into its stored frame,
-// built in place in buf (lz4.CompressBound bytes of the payload), and
-// returns it with comp, the encoder output length engines are charged
-// for. It is the only place a compressed frame gets its sizes: comp is
+// compressFrame is r's bound encode (encodeFn): it compresses r's
+// payload at r.encLevel into its stored frame, left in r.out, and
+// returns comp, the encoder output length engines are charged for. An
+// engine calls it where it first needs that size, after its compute
+// time, so a helper core has had the parse, the queue wait and the
+// compute time to encode the prefetched block; CPU-only calls it after
+// its core's compress time. The frame is built in place in r.encBuf
+// (lz4.CompressBound bytes of the payload, checked before the job is
+// posted), or when that is nil in the server's scratch buffer, its
+// bytes then copied out: the frame is sent on after the next write has
+// reused the scratch.
+//
+// It is the only place a compressed frame gets its sizes: comp is
 // size/modelRatio for a modeled payload, which is not encoded, and the
 // frame length is lz4.FrameInPlace's: header plus comp, or plus the raw
 // payload when comp is not smaller.
-func (s *Server) compressFrame(r *request, buf []byte, level lz4.Level) (frame, float64, error) {
+func (s *Server) compressFrame(r *request) float64 {
+	buf := r.encBuf
+	if buf == nil {
+		if n := lz4.CompressBound(len(r.in.data)); len(s.encBuf) < n {
+			s.encBuf = make([]byte, n)
+		}
+		buf = s.encBuf
+	}
 	var data []byte
 	comp := r.in.size / modelRatio
 	if len(r.in.data) > 0 {
-		n, err := s.codec.Compress(buf, r.in.data, validLevel(level))
+		n, err := s.codec.Compress(buf, r.in.data, validLevel(r.encLevel))
 		if err != nil {
-			return frame{}, 0, err
+			panic(err) // the scratch fits, and so does a checked r.encBuf
 		}
 		data, comp = buf[:lz4.FrameInPlace(buf, r.in.data, n)], float64(n)
+		if r.encBuf == nil {
+			data = slices.Clone(data)
+		}
 	}
 	if rec, ok := s.replay[r.tid]; ok && len(data) == 0 {
 		comp = rec
 	} else if s.replay != nil {
 		s.replay[r.tid] = comp
 	}
-	return frame{data: data, size: lz4.FrameHeaderSize + min(comp, r.in.size)}, comp, nil
-}
-
-// ownFrame is compressFrame through the server's scratch buffer, with
-// the frame's bytes copied out to a slice of their own: the frame is
-// sent on after the next write has reused the scratch.
-func (s *Server) ownFrame(r *request, level lz4.Level) (frame, float64, error) {
-	if n := lz4.CompressBound(len(r.in.data)); len(s.encBuf) < n {
-		s.encBuf = make([]byte, n)
-	}
-	f, comp, err := s.compressFrame(r, s.encBuf, level)
-	f.data = slices.Clone(f.data)
-	return f, comp, err
+	r.out = frame{data: data, size: lz4.FrameHeaderSize + min(comp, r.in.size)}
+	return comp
 }
 
 // validLevel maps an invalid level to the default, as the software

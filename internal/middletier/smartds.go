@@ -177,6 +177,7 @@ func (sl *sdsSlot) serve(p *sim.Proc) {
 	c := sl.c
 	r := c.d.newRequest()
 	if c.request(r, sl.i, sl.res) {
+		c.d.prefetch(r)
 		c.d.serve(p, r)
 	}
 	c.d.repost(r)
@@ -226,8 +227,9 @@ func (d *sdsPath) parse(p *sim.Proc, r *request) {
 
 // compress runs the port's engine inside HBM, or a surviving port's
 // engine through the shared HBM when ours is down. The frame is built
-// in place in a fresh HBM buffer, and the engine job is the dev_func
-// verb's, host notification included, for modeled payloads too.
+// in place in a fresh HBM buffer by the request's encode, which the
+// dev_func job runs when the engine first needs the size; the job,
+// host notification included, is the same for modeled payloads.
 func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 	eng := d.insts[r.path]
 	if !d.engineAvailable(r.path) {
@@ -255,14 +257,18 @@ func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		p.Wait(d.sds.HBM().StartAccess(r.hostResident))
 	}
 	e0 := p.Now()
-	f, comp, err := d.compressFrame(r, dst.Bytes(), d.cfg.Level)
-	if err == nil {
-		err = core.Poll(p, eng.DevFuncSized(r.in.size, comp)).Err
+	// The engine encodes into dst once it needs the size; a dst the
+	// encode would overflow fails the write before the job is posted.
+	r.encBuf, r.encLevel = dst.Bytes(), d.cfg.Level
+	err = lz4.ErrShortBuffer
+	if len(r.encBuf) >= lz4.CompressBound(len(r.in.data)) {
+		err = core.Poll(p, eng.DevFuncSized(r.in.size, r.encodeFn)).Err
 	}
 	if err != nil {
 		dst.Free()
 		return frame{}, 0, err
 	}
+	f := r.out
 	f.dev, f.own = dst, true
 	// Engine occupancy inside the compress stage; the device-track
 	// job.qwait/job.run spans carry the slot-wait split.

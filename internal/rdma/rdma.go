@@ -538,11 +538,17 @@ func (qp *QP) onTimeout(timed *pendingSend) {
 		ps.retries++
 		qp.retransmits++
 		if tr != nil {
-			tr.Emit(qp.stack.env.Now(), qp.stack.traceName, "retransmit",
-				fmt.Sprintf("seq %d retry %d", ps.seq, ps.retries))
+			qp.traceRetransmit(tr, ps)
 		}
 		qp.transmit(ps)
 	}
+}
+
+// traceRetransmit records one retransmission.
+//
+//cold:loss recovery, off the steady-state path; traced runs pay for their records
+func (qp *QP) traceRetransmit(tr *trace.Tracer, ps *pendingSend) {
+	tr.Emit(qp.stack.env.Now(), qp.stack.traceName, "retransmit", fmt.Sprintf("seq %d retry %d", ps.seq, ps.retries))
 }
 
 // receive dispatches fabric messages to QPs, then returns the wire to

@@ -26,7 +26,7 @@ type Env struct {
 
 	freeItems []*item
 	freeProcs []*Proc
-	tickers   map[float64]*Ticker
+	ticker    *Ticker
 
 	// evSlab hands out Events in bulk; see NewEvent.
 	evSlab []Event

@@ -233,9 +233,9 @@ func TestProcPanicSurfacesInRun(t *testing.T) {
 func TestTickerGrid(t *testing.T) {
 	env := NewEnv()
 	var ticks []Time
-	env.Ticker(0.5).Subscribe(2.0, func() { ticks = append(ticks, env.Now()) })
+	env.Ticker().Subscribe(4.5*SampleInterval, func() { ticks = append(ticks, env.Now()) })
 	env.Run(0)
-	want := []Time{0.5, 1.0, 1.5, 2.0}
+	want := []Time{SampleInterval, 2 * SampleInterval, 3 * SampleInterval, 4 * SampleInterval}
 	if len(ticks) != len(want) {
 		t.Fatalf("got %d ticks %v, want %v", len(ticks), ticks, want)
 	}
@@ -244,21 +244,30 @@ func TestTickerGrid(t *testing.T) {
 			t.Fatalf("tick %d at %g, want %g", i, ticks[i], want[i])
 		}
 	}
-	if env.Ticker(0.5).Subscribers() != 0 {
+	if env.Ticker().Subscribers() != 0 {
 		t.Fatal("expired subscription not dropped")
 	}
 }
 
+// TestTickerOnePerEnv: an environment has one ticker, whatever the
+// number of callers, and another environment has its own.
+func TestTickerOnePerEnv(t *testing.T) {
+	env := NewEnv()
+	if env.Ticker() != env.Ticker() || NewEnv().Ticker() == env.Ticker() {
+		t.Fatal("Ticker is not one per environment")
+	}
+}
+
 // TestTickerSharedEntry checks the point of the wheel: two subscribers
-// at the same cadence cost one calendar entry per tick, fire at the
-// same instants, and run in subscription order.
+// cost one calendar entry per tick, fire at the same instants, and run
+// in subscription order.
 func TestTickerSharedEntry(t *testing.T) {
 	env := NewEnv()
 	var order []int
-	env.Ticker(1).Subscribe(3, func() { order = append(order, 1) })
-	env.Ticker(1).Subscribe(3, func() { order = append(order, 2) })
+	env.Ticker().Subscribe(3.5*SampleInterval, func() { order = append(order, 1) })
+	env.Ticker().Subscribe(3.5*SampleInterval, func() { order = append(order, 2) })
 	if got := env.Pending(); got != 1 {
-		t.Fatalf("two same-cadence subscriptions cost %d calendar entries, want 1", got)
+		t.Fatalf("two subscriptions cost %d calendar entries, want 1", got)
 	}
 	env.Run(0)
 	want := []int{1, 2, 1, 2, 1, 2}
@@ -278,34 +287,20 @@ func TestTickerSharedEntry(t *testing.T) {
 func TestTickerSubscribeMidTick(t *testing.T) {
 	env := NewEnv()
 	var a, b []Time
-	tk := env.Ticker(1)
-	tk.Subscribe(2, func() {
+	tk := env.Ticker()
+	until := 2.5 * SampleInterval
+	tk.Subscribe(until, func() {
 		a = append(a, env.Now())
 		if len(a) == 1 {
-			tk.Subscribe(2, func() { b = append(b, env.Now()) })
+			tk.Subscribe(until, func() { b = append(b, env.Now()) })
 		}
 	})
 	env.Run(0)
 	if len(a) != 2 || len(b) != 2 {
 		t.Fatalf("a fired %d times, b %d times; want 2 and 2 (b joins a's first tick)", len(a), len(b))
 	}
-	if !almostEq(b[0], 1, 0) || !almostEq(b[1], 2, 0) {
-		t.Fatalf("mid-tick subscriber fired at %v, want [1 2]", b)
-	}
-}
-
-// TestTickerBadIntervalPanics rejects zero, negative, and NaN cadences.
-func TestTickerBadIntervalPanics(t *testing.T) {
-	env := NewEnv()
-	for _, bad := range []float64{0, -1, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Ticker(%g) did not panic", bad)
-				}
-			}()
-			env.Ticker(bad)
-		}()
+	if !almostEq(b[0], SampleInterval, 0) || !almostEq(b[1], 2*SampleInterval, 0) {
+		t.Fatalf("mid-tick subscriber fired at %v, want [%g %g]", b, SampleInterval, 2*SampleInterval)
 	}
 }
 

@@ -2,11 +2,11 @@ package sim
 
 // SampleInterval is the one virtual-time sampling grid, 100 µs: the
 // telemetry series sampler, the SLO burn-rate engine and the trace
-// counter sampler all ride Ticker(SampleInterval), so they share one
-// calendar entry per tick.
+// counter sampler all ride Env.Ticker, so they share one calendar
+// entry per tick.
 const SampleInterval = 100e-6
 
-// Ticker batches every subscriber of one periodic cadence into a
+// Ticker batches every subscriber of the SampleInterval grid into a
 // single calendar entry per tick. The dense sampling grids — the
 // telemetry sampler and the trace counter sampler both walk a 100 µs
 // virtual-clock grid — used to each maintain their own self-
@@ -18,15 +18,13 @@ const SampleInterval = 100e-6
 // Phase: the first tick after a Subscribe that arms an idle ticker
 // fires one interval later; subscribers joining an already-armed
 // ticker join the existing grid (their first callback arrives at the
-// next shared tick, at most one interval away). Subscribers at the
-// same cadence therefore share instants, which is exactly what the
-// sampling grid wants.
+// next shared tick, at most one interval away). Subscribers therefore
+// share instants, which is exactly what the sampling grid wants.
 type Ticker struct {
-	env      *Env
-	interval float64
-	subs     []tickSub
-	armed    bool
-	tickFn   func()
+	env    *Env
+	subs   []tickSub
+	armed  bool
+	tickFn func()
 }
 
 type tickSub struct {
@@ -34,23 +32,14 @@ type tickSub struct {
 	until Time
 }
 
-// Ticker returns the environment's shared ticker for the exact
-// interval, creating it on first use. The interval must be a positive
-// real number.
-func (e *Env) Ticker(interval float64) *Ticker {
-	if !(interval > 0) { // rejects zero, negatives, and NaN
-		panic("sim: Ticker interval must be positive")
+// Ticker returns the environment's shared ticker on the
+// SampleInterval grid, creating it on first use.
+func (e *Env) Ticker() *Ticker {
+	if e.ticker == nil {
+		e.ticker = &Ticker{env: e}
+		e.ticker.tickFn = e.ticker.tick
 	}
-	if e.tickers == nil {
-		e.tickers = make(map[float64]*Ticker)
-	}
-	if tk := e.tickers[interval]; tk != nil {
-		return tk
-	}
-	tk := &Ticker{env: e, interval: interval}
-	tk.tickFn = tk.tick
-	e.tickers[interval] = tk
-	return tk
+	return e.ticker
 }
 
 // Subscribe registers fn to run on every tick whose successor would
@@ -61,7 +50,7 @@ func (tk *Ticker) Subscribe(until Time, fn func()) {
 	tk.subs = append(tk.subs, tickSub{fn: fn, until: until})
 	if !tk.armed {
 		tk.armed = true
-		tk.env.After(tk.interval, tk.tickFn)
+		tk.env.After(SampleInterval, tk.tickFn)
 	}
 }
 
@@ -77,18 +66,17 @@ func (tk *Ticker) tick() {
 	for i := 0; i < len(tk.subs); i++ {
 		tk.subs[i].fn()
 	}
-	kept := tk.subs[:0]
+	n := 0
 	for _, s := range tk.subs {
-		if now+tk.interval <= s.until {
-			kept = append(kept, s)
+		if now+SampleInterval <= s.until {
+			tk.subs[n] = s
+			n++
 		}
 	}
-	for i := len(kept); i < len(tk.subs); i++ {
-		tk.subs[i] = tickSub{}
-	}
-	tk.subs = kept
+	clear(tk.subs[n:])
+	tk.subs = tk.subs[:n]
 	if len(tk.subs) > 0 {
-		tk.env.After(tk.interval, tk.tickFn)
+		tk.env.After(SampleInterval, tk.tickFn)
 	} else {
 		tk.armed = false
 	}

@@ -121,7 +121,7 @@ func (e *Engine) Run(stop float64) {
 	if e == nil || len(e.states) == 0 {
 		return
 	}
-	e.env.Ticker(sim.SampleInterval).Subscribe(stop, e.tick)
+	e.env.Ticker().Subscribe(stop, e.tick)
 }
 
 // tick closes the grid cell for every objective and fires rising-edge

@@ -130,7 +130,7 @@ func (s *Sampler) Run(stop float64) {
 	if len(s.metrics) == 0 {
 		return
 	}
-	s.env.Ticker(sim.SampleInterval).Subscribe(stop, s.sampleOnce)
+	s.env.Ticker().Subscribe(stop, s.sampleOnce)
 }
 
 // sampleOnce appends one reading per metric at the current instant.
