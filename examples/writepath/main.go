@@ -123,7 +123,7 @@ func main() {
 				rawTotal += payloadSize
 			} else {
 				/* Compress the data block via hardware engine 0 */
-				e = ctx.DevFuncSized(float64(payloadSize), encode)
+				e = ctx.DevFunc(float64(payloadSize), encode)
 				r := core.Poll(p, e)
 				compressedSize := r.Size
 				/* Send the compressed block to the storage server */

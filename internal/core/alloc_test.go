@@ -49,11 +49,11 @@ func (a *aamsRound) run() {
 	a.inst.DevMixedRecv(a.local, a.hbuf, 64, a.dbuf, a.dbuf.Size())
 	a.remote.Send(a.msg)
 	a.inst.DevMixedSend(a.local, a.hbuf, 64, a.dbuf, 4096)
-	a.inst.DevFuncSized(4096, a.encodeFn)
+	a.inst.DevFunc(4096, a.encodeFn)
 	a.r.env.Run(0)
 	// The modeled job runs alone, as a middle-tier write's does: a job
 	// queued behind another for the engine slot waits on a fresh event.
-	a.inst.DevFuncSized(4096, a.sizeFn)
+	a.inst.DevFunc(4096, a.sizeFn)
 	a.r.env.Run(0)
 }
 

@@ -231,12 +231,12 @@ func TestAssembleSendsSpanningMessage(t *testing.T) {
 	}
 }
 
-// TestDevFuncSizedEncodesAtWriteback: the dev_func job calls its bound
+// TestDevFuncEncodesAtWriteback: the dev_func job calls its bound
 // encode once, when the engine's compute time has passed, writes the
 // result where the encode put it, and reports the encode's size after
 // the completion record crossed to the host; a down engine rejects the
 // job without calling the encode.
-func TestDevFuncSizedEncodesAtWriteback(t *testing.T) {
+func TestDevFuncEncodesAtWriteback(t *testing.T) {
 	r := newRig(t, 1)
 	inst, _ := r.dev.OpenRoCEInstance(0)
 	src, _ := r.dev.DevAlloc(4096)
@@ -255,7 +255,7 @@ func TestDevFuncSizedEncodesAtWriteback(t *testing.T) {
 		return float64(n)
 	}
 	var res Result
-	r.env.Go("host", func(p *sim.Proc) { res = Poll(p, inst.DevFuncSized(4096, encode)) })
+	r.env.Go("host", func(p *sim.Proc) { res = Poll(p, inst.DevFunc(4096, encode)) })
 	r.env.Run(0)
 	if res.Err != nil || res.Size <= 0 || res.Size >= 4096 || calls != 1 {
 		t.Fatalf("result %+v after %d encodes", res, calls)
@@ -271,7 +271,7 @@ func TestDevFuncSizedEncodesAtWriteback(t *testing.T) {
 	}
 
 	inst.Engine().SetDown(true)
-	r.env.Go("host", func(p *sim.Proc) { res = Poll(p, inst.DevFuncSized(4096, encode)) })
+	r.env.Go("host", func(p *sim.Proc) { res = Poll(p, inst.DevFunc(4096, encode)) })
 	r.env.Run(0)
 	if res.Err == nil || calls != 1 {
 		t.Fatalf("job on a down engine returned %+v after %d encodes", res, calls)

@@ -16,9 +16,9 @@
 //     one outgoing RDMA message.
 //
 // Each Instance also instantiates a hardware LZ4 engine invokable
-// through DevFuncSized, whose caller binds the functional encode the
+// through DevFunc, whose caller binds the functional encode the
 // engine runs when it first needs the output size. The package exposes
 // the Table 2 API: HostAlloc, DevAlloc, OpenRoCEInstance, DevMixedRecv,
-// DevMixedSend, DevFuncSized (dev_func), and Poll, so the example in the
+// DevMixedSend, DevFunc (dev_func), and Poll, so the example in the
 // paper's Listing 1 translates line for line (see examples/writepath).
 package core

@@ -377,15 +377,15 @@ type funcOp struct {
 	runFn   func(*sim.Proc)
 }
 
-// DevFuncSized implements dev_func: compress inBytes of device memory
-// on the instance's hardware engine. encode is the caller's functional
+// DevFunc implements dev_func: compress inBytes of device memory on
+// the instance's hardware engine. encode is the caller's functional
 // encode, bound once and called once, when the engine first needs the
 // output size (after its compute time): it writes the result where the
 // caller wants it and returns the size, which the completion reports.
 // A caller must reject an encode that cannot succeed before posting it.
 //
 //hot:per-request AAMS verb, pinned by TestAAMSRoundTripAllocs
-func (in *Instance) DevFuncSized(inBytes float64, encode func() float64) *Completion {
+func (in *Instance) DevFunc(inBytes float64, encode func() float64) *Completion {
 	var op *funcOp
 	if n := len(in.freeFuncs); n > 0 {
 		op = in.freeFuncs[n-1]

@@ -138,7 +138,7 @@ func TestDevFuncConcurrentJobs(t *testing.T) {
 			return float64(c)
 		}
 		r.env.Go("caller", func(p *sim.Proc) {
-			results[i] = Poll(p, inst.DevFuncSized(4096, encode))
+			results[i] = Poll(p, inst.DevFunc(4096, encode))
 		})
 	}
 	r.env.Run(0)

@@ -66,10 +66,6 @@ const (
 	// the oldest. Each job holds two block-sized buffers. With two
 	// batches helpers ran dry, and write-cpu-lz4 gained half as much.
 	lookaheadJobs = 3 * lookaheadBatch
-	// lookaheadSpin bounds the polls of a job a helper is encoding when
-	// its Compress comes: about 80 µs on a 2-core machine, more than one
-	// 4 KiB block's encode at the default level (about 60 µs).
-	lookaheadSpin = 1 << 16
 )
 
 // filing is one Prefetch: the caller's block, copied when a job frees,
@@ -112,7 +108,6 @@ type job struct {
 	out      []byte // CompressBound(len(in)) bytes
 	n        int
 	err      error
-	finished atomic.Bool // out[:n] and err are written; set before the helper retakes mu
 }
 
 // LookaheadStats is a process-wide snapshot of every Lookahead's
@@ -203,7 +198,6 @@ func (la *Lookahead) promote() {
 		}
 		la.head++
 		j.level = f.level
-		j.finished.Store(false)
 		j.in = append(j.in[:0], f.src...)
 		if bound := CompressBound(len(f.src)); cap(j.out) < bound {
 			j.out = make([]byte, bound)
@@ -315,7 +309,6 @@ func (la *Lookahead) help(enc *Encoder) {
 			stats.running.Add(1)
 			la.mu.Unlock()
 			j.n, j.err = enc.Compress(j.out, j.in, j.level)
-			j.finished.Store(true)
 			la.lock()
 			j.state = jobDone
 			stats.running.Add(-1)
@@ -353,8 +346,8 @@ func (la *Lookahead) release(j *job) {
 
 // Compress compresses src into dst at the given level, exactly as
 // Encoder.Compress does. A job prefetched from src's buffer is used
-// only when its copy and level match and a helper has finished it, or
-// finishes it while done polls; otherwise the block is encoded inline.
+// only when its copy and level match and a helper has finished it;
+// otherwise the block is encoded inline.
 func (la *Lookahead) Compress(dst, src []byte, level Level) (int, error) {
 	if len(src) > 0 && len(la.filed) > 0 {
 		if f, ok := la.filed[&src[0]]; ok {
@@ -383,11 +376,11 @@ func (la *Lookahead) Compress(dst, src []byte, level Level) (int, error) {
 // done reports whether j holds a helper's result. A job no helper has
 // started is claimed back; one still in the owner's batch sends the
 // rest of that batch off, if any, since its neighbours are due soon
-// too. A job a helper is encoding is polled, without mu, for at most
-// lookaheadSpin loads of its finished flag; past that the owner
-// encodes the block itself and leaves the job to its helper. Sleeping
-// on a condition until the helper finished cost the owner about 150 µs
-// per wait on a 2-core machine, more than the encode.
+// too. A job a helper is still encoding is treated like an unstarted
+// one: the owner encodes the block itself and leaves the job to its
+// helper. Waiting for the helper instead, by sleeping on a condition
+// (about 150 µs per wait on a 2-core machine) or by polling a flag, was
+// no faster end to end (DESIGN.md, "Codec lookahead").
 func (la *Lookahead) done(j *job) bool {
 	la.lock()
 	defer la.mu.Unlock()
@@ -403,12 +396,6 @@ func (la *Lookahead) done(j *job) bool {
 	case jobQueued:
 		j.state = jobClaimed
 		stats.queued.Add(-1)
-	case jobRunning:
-		la.mu.Unlock()
-		for i := 0; i < lookaheadSpin && !j.finished.Load(); i++ {
-		}
-		la.lock()
-		return j.finished.Load()
 	}
 	return j.state == jobDone
 }

@@ -74,56 +74,68 @@ func (d *hostPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 		return r.in, 0, nil
 	}
 	r.encLevel = d.cfg.Level
-	d.accelOffload(p, r, "compress", r.in.size, 0)
+	d.accelFetch(p, r.in.size)
+	// Compression streams its input, and that DMA stream stalls under
+	// DRAM contention: fully with DDIO off, partly (the LLC absorbs some
+	// traffic) with DDIO on.
+	memF := d.Mem.ContentionFactor()
+	if d.cfg.DDIO {
+		memF = 1 + (memF-1)*0.6
+	}
+	d.accelEngine(p, r, accelCompress, r.in.size*memF/accelEngineRate)
+	// The frame is built where its size is first needed.
+	d.compressFrame(r)
+	d.accelWriteback(p, r.out.size)
 	return r.out, blockstore.FlagCompressed, nil
 }
 
-// accelOffload bounces one job through the FPGA card: the CPU rings the
-// doorbell, the card fetches in bytes over PCIe H2D (from the LLC when
-// DDIO holds them), the engine runs one job at a time, and the out
-// bytes are written back D2H (evicted to DRAM later: retained buffer).
-// A compression's out bytes are its frame, which the request's encode
-// builds just before the writeback, where the size is first needed.
-func (d *hostPath) accelOffload(p *sim.Proc, r *request, stage string, in, out float64) {
+// An Acc job bounces through the FPGA card in three steps: the CPU
+// rings the doorbell and the card fetches the input over PCIe H2D (from
+// the LLC when DDIO holds it), the engine runs one job at a time, and
+// the output is written back D2H (evicted to DRAM later: retained
+// buffer).
+
+// accelStage names an engine job's stage and its two sub-spans, static
+// strings so recording stays allocation-free.
+type accelStage struct{ name, qwait, engine string }
+
+var (
+	accelCompress   = accelStage{"compress", "compress.qwait", "compress.engine"}
+	accelDecompress = accelStage{"decompress", "decompress.qwait", "decompress.engine"}
+)
+
+// accelFetch rings the card's doorbell and waits for its fetch of in
+// bytes.
+func (d *hostPath) accelFetch(p *sim.Proc, in float64) {
 	d.accelPCIe.Doorbell(p)
 	fetch := d.accelPCIe.StartDMA(pcie.H2D, in)
 	if !d.cfg.DDIO {
 		p.Wait(d.Mem.StartRead(in))
 	}
 	p.Wait(fetch)
-	// Decompression is paced by its output. Compression streams its input,
-	// and that DMA stream stalls under DRAM contention: fully with DDIO
-	// off, partly (the LLC absorbs some traffic) with DDIO on. Sub-span
-	// names are static strings so recording stays allocation-free.
-	busy := out / accelEngineRate
-	qname, ename := "decompress.qwait", "decompress.engine"
-	if stage == "compress" {
-		memF := d.Mem.ContentionFactor()
-		if d.cfg.DDIO {
-			memF = 1 + (memF-1)*0.6
-		}
-		busy = in * memF / accelEngineRate
-		qname, ename = "compress.qwait", "compress.engine"
-	}
+}
+
+// accelEngine holds the card's engine slot for busy seconds, recording
+// the engine-occupancy split under the stage: queue wait for the slot
+// vs engine busy time.
+func (d *hostPath) accelEngine(p *sim.Proc, r *request, st accelStage, busy float64) {
 	q0 := p.Now()
 	d.accelSlot.Acquire(p)
 	q1 := p.Now()
 	p.Sleep(busy)
 	d.accelSlot.Release()
-	// The engine-occupancy split under the stage: queue wait for the slot
-	// vs engine busy time.
 	if e1 := p.Now(); r.tr != nil {
 		if q1 > q0 {
-			r.tr.Span(q0, q1, "mt", qname, r.tid, r.tid, "mt", stage, trace.KindWait, "")
+			r.tr.Span(q0, q1, "mt", st.qwait, r.tid, r.tid, "mt", st.name, trace.KindWait, "")
 		}
 		if e1 > q1 {
-			r.tr.Span(q1, e1, "mt", ename, r.tid, r.tid, "mt", stage, trace.KindService, "")
+			r.tr.Span(q1, e1, "mt", st.engine, r.tid, r.tid, "mt", st.name, trace.KindService, "")
 		}
 	}
-	if stage == "compress" {
-		d.compressFrame(r)
-		out = r.out.size
-	}
+}
+
+// accelWriteback writes out bytes back to host memory.
+func (d *hostPath) accelWriteback(p *sim.Proc, out float64) {
 	wb := d.accelPCIe.StartDMA(pcie.D2H, out)
 	p.Wait(d.Mem.StartWrite(out))
 	p.Wait(wb)
@@ -145,8 +157,10 @@ func (d *hostPath) decompress(p *sim.Proc, r *request, pr *pendingReq) (frame, b
 		d.Mem.Read(p, pr.f.size)
 		r.core.Decompress(p, block.size)
 		d.Mem.Write(p, block.size)
-	default: // Accel
-		d.accelOffload(p, r, "decompress", pr.f.size, block.size)
+	default: // Accel: decompression is paced by its output
+		d.accelFetch(p, pr.f.size)
+		d.accelEngine(p, r, accelDecompress, block.size/accelEngineRate)
+		d.accelWriteback(p, block.size)
 	}
 	if status != blockstore.StatusOK {
 		return frame{}, status

@@ -262,7 +262,7 @@ func (d *sdsPath) compress(p *sim.Proc, r *request) (frame, uint8, error) {
 	r.encBuf, r.encLevel = dst.Bytes(), d.cfg.Level
 	err = lz4.ErrShortBuffer
 	if len(r.encBuf) >= lz4.CompressBound(len(r.in.data)) {
-		err = core.Poll(p, eng.DevFuncSized(r.in.size, r.encodeFn)).Err
+		err = core.Poll(p, eng.DevFunc(r.in.size, r.encodeFn)).Err
 	}
 	if err != nil {
 		dst.Free()
