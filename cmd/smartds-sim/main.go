@@ -192,12 +192,10 @@ func run(args []string) (int, error) {
 			}
 		}
 	}
-	if len(res.Alerts) > 0 {
-		tbl := metrics.NewTable("SLO alerts", "slo", "kind", "at", "detail")
-		for _, al := range res.Alerts {
-			tbl.AddRow(al.SLO, al.Kind, metrics.FormatDuration(al.At), al.Detail)
+	if reg != nil {
+		if alerts, _ := telemetry.AlertTable(reg.Runs()); alerts != nil {
+			fmt.Println(alerts.String())
 		}
-		fmt.Println(tbl.String())
 	}
 	if common.Breakdown {
 		for _, tbl := range telemetry.BlameTables(reg.Runs()) {

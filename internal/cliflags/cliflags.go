@@ -98,11 +98,12 @@ func (c *Common) NewTracer() *trace.Tracer {
 }
 
 // NewRegistry builds the telemetry registry implied by the flags (nil
-// when neither an artifact nor -breakdown was requested). -breakdown
-// reads each run's blame profile from the registry's run records.
+// when neither an artifact, -breakdown nor -slo was requested).
+// -breakdown reads each run's blame profile, and the printed SLO alert
+// table each run's fired alerts, from the registry's run records.
 func (c *Common) NewRegistry() *telemetry.Registry {
 	artifacts := c.ReportFile != "" || c.MetricsFile != "" || c.SeriesCSV != "" || c.SeriesJSON != ""
-	if !artifacts && !c.Breakdown {
+	if !artifacts && !c.Breakdown && c.SLOSpec == "" {
 		return nil
 	}
 	return telemetry.NewRegistry()

@@ -53,6 +53,11 @@ func TestTracerSampling(t *testing.T) {
 	if c2.NewTracer() == nil || c2.NewRegistry() == nil {
 		t.Fatal("-breakdown did not get a tracer and a registry")
 	}
+	// -slo builds a registry: the printed alert table reads the run
+	// records.
+	if parse(t, "-slo", "p999:5ms").NewRegistry() == nil {
+		t.Fatal("-slo did not get a registry")
+	}
 	// Full rate leaves sampling off (identity ForRequest).
 	full := parse(t, "-trace", "x").NewTracer()
 	if full.SampleRate() != 1 {

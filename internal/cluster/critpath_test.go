@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/disagg/smartds/internal/critpath"
@@ -274,11 +275,11 @@ func TestStragglerAcksCounters(t *testing.T) {
 		t.Errorf("straggler decisions (%d) implausibly few for %d requests", sum, res.Requests)
 	}
 	found := 0
-	for _, mf := range rep.Finals {
-		if mf.Name == "smartds_mt_straggler_acks_total" {
+	for key := range rep.Runs[0].Counters {
+		if strings.HasPrefix(key, "smartds_mt_straggler_acks_total") {
 			found++
-			if mf.Labels["replica"] == "" {
-				t.Errorf("straggler counter missing replica label: %+v", mf)
+			if !strings.HasPrefix(key, `smartds_mt_straggler_acks_total{replica="`) {
+				t.Errorf("straggler counter missing replica label: %s", key)
 			}
 		}
 	}

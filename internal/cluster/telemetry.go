@@ -5,9 +5,7 @@ import (
 
 	"github.com/disagg/smartds/internal/critpath"
 	"github.com/disagg/smartds/internal/faults"
-	"github.com/disagg/smartds/internal/mem"
 	"github.com/disagg/smartds/internal/pcie"
-	"github.com/disagg/smartds/internal/sim"
 	"github.com/disagg/smartds/internal/slo"
 	"github.com/disagg/smartds/internal/telemetry"
 )
@@ -15,10 +13,11 @@ import (
 // instrument registers every layer's instruments under the given run
 // scope: client-observed progress and latency, the middle tier's
 // degraded-mode counters and fan-out depth, transport health per RDMA
-// stack, fabric port rates and queue depths, compression engine
-// occupancy, and on-card / host memory bandwidth. Rate gauges close a
-// window per sample tick via stateful snapshots; the dt<=0 guards in
-// the *Between helpers make coincident reads yield 0, never Inf/NaN.
+// stack, fabric port bytes and queue depths, compression engine
+// busy time, and on-card / host memory and PCIe bytes. Every
+// instrument is a pure read of cumulative state, so any two readers at
+// one instant agree; a rate is the difference of two readings over
+// their time apart.
 func (c *Cluster) instrument(sc *telemetry.RunScope) {
 	// Client-observed progress: the numbers the paper's axes plot.
 	sc.CounterFunc("smartds_client_requests_total",
@@ -127,87 +126,48 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 			labels, func() float64 { return float64(st.Stats().Unacked) })
 	}
 
-	// Fabric ports: serialized rate per direction plus instantaneous
+	// Fabric ports: bytes serialized per direction plus instantaneous
 	// queue depth, one label set per middle-tier port.
 	for pi, port := range mt.NetPorts() {
 		port := port
 		labels := map[string]string{"node": "mt", "port": strconv.Itoa(pi)}
-		prevTx, prevRx := port.TxStats(), port.RxStats()
-		sc.GaugeFunc("smartds_port_tx_bytes_per_sec", "Port transmit rate over the last sample window.",
-			labels, func() float64 {
-				cur := port.TxStats()
-				r := sim.BandwidthBetween(prevTx, cur)
-				prevTx = cur
-				return r
-			})
-		sc.GaugeFunc("smartds_port_rx_bytes_per_sec", "Port receive rate over the last sample window.",
-			labels, func() float64 {
-				cur := port.RxStats()
-				r := sim.BandwidthBetween(prevRx, cur)
-				prevRx = cur
-				return r
-			})
+		sc.CounterFunc("smartds_port_tx_bytes_total", "Bytes the port has transmitted.",
+			labels, func() float64 { return port.TxStats().Work })
+		sc.CounterFunc("smartds_port_rx_bytes_total", "Bytes the port has received.",
+			labels, func() float64 { return port.RxStats().Work })
 		sc.GaugeFunc("smartds_port_tx_queue_depth", "Transfers serializing through the TX direction.",
 			labels, func() float64 { return float64(port.TxQueueLen()) })
 		sc.GaugeFunc("smartds_port_rx_queue_depth", "Transfers serializing through the RX direction.",
 			labels, func() float64 { return float64(port.RxQueueLen()) })
 	}
 
-	// Compression engines: windowed occupancy, queue depth, and bytes
-	// processed (BF2 SoC engine or SmartDS per-port engines).
+	// Compression engines: busy time, queue depth, and bytes processed
+	// (BF2 SoC engine or SmartDS per-port engines).
 	for ei, eng := range mt.Engines() {
 		eng := eng
 		labels := map[string]string{"engine": strconv.Itoa(ei)}
-		prevU := eng.Utilization()
-		sc.GaugeFunc("smartds_engine_occupancy", "Engine busy fraction over the last sample window.",
-			labels, func() float64 {
-				cur := eng.Utilization()
-				u := sim.UtilizationBetween(prevU, cur)
-				prevU = cur
-				return u
-			})
+		sc.CounterFunc("smartds_engine_busy_seconds_total", "Seconds the engine has spent processing jobs.",
+			labels, func() float64 { return eng.Utilization().BusyIntegral })
 		sc.GaugeFunc("smartds_engine_queue_depth", "Jobs waiting for the engine.",
 			labels, func() float64 { return float64(eng.QueueLen()) })
 		sc.CounterFunc("smartds_engine_bytes_total", "Input bytes processed by the engine.",
 			labels, func() float64 { return eng.Processed() })
 	}
 
-	// On-card memory (BF2 DRAM / SmartDS HBM): bus bandwidth + bytes
+	// On-card memory (BF2 DRAM / SmartDS HBM): bus bytes + bytes
 	// resident.
 	if dm := mt.DeviceMemory(); dm != nil {
-		prevBus := dm.BusStats()
-		sc.GaugeFunc("smartds_hbm_bytes_per_sec", "On-card memory bus rate over the last sample window.",
-			nil, func() float64 {
-				cur := dm.BusStats()
-				r := sim.BandwidthBetween(prevBus, cur)
-				prevBus = cur
-				return r
-			})
+		sc.CounterFunc("smartds_hbm_bytes_total", "Bytes moved over the on-card memory bus.",
+			nil, func() float64 { return dm.BusStats().Work })
 		sc.GaugeFunc("smartds_hbm_bytes_in_use", "Bytes allocated in on-card memory.",
 			nil, func() float64 { return float64(dm.InUse()) })
 	}
 
 	// Host memory and PCIe endpoints of the middle-tier server.
-	{
-		prev := mt.Mem.Snapshot()
-		sc.GaugeFunc("smartds_mt_mem_read_bytes_per_sec", "Host memory read rate over the last sample window.",
-			nil, func() float64 {
-				cur := mt.Mem.Snapshot()
-				rd, _ := mem.RatesBetween(prev, cur)
-				prev = cur
-				return rd
-			})
-	}
-	{
-		prev := mt.Mem.Snapshot()
-		sc.GaugeFunc("smartds_mt_mem_write_bytes_per_sec", "Host memory write rate over the last sample window.",
-			nil, func() float64 {
-				cur := mt.Mem.Snapshot()
-				_, wr := mem.RatesBetween(prev, cur)
-				prev = cur
-				return wr
-			})
-	}
+	sc.CounterFunc("smartds_mt_mem_read_bytes_total", "Bytes read from host memory.",
+		nil, func() float64 { return mt.Mem.Snapshot().ReadBytes })
+	sc.CounterFunc("smartds_mt_mem_write_bytes_total", "Bytes written to host memory.",
+		nil, func() float64 { return mt.Mem.Snapshot().WriteBytes })
 	type pcieEndpoint struct {
 		name string
 		link *pcie.Link
@@ -225,26 +185,10 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 	for _, ep := range endpoints {
 		link := ep.link
 		labels := map[string]string{"endpoint": ep.name}
-		{
-			prev := link.Snapshot()
-			sc.GaugeFunc("smartds_pcie_h2d_bytes_per_sec", "PCIe host-to-device rate over the last sample window.",
-				labels, func() float64 {
-					cur := link.Snapshot()
-					h2d, _ := pcie.RatesBetween(prev, cur)
-					prev = cur
-					return h2d
-				})
-		}
-		{
-			prev := link.Snapshot()
-			sc.GaugeFunc("smartds_pcie_d2h_bytes_per_sec", "PCIe device-to-host rate over the last sample window.",
-				labels, func() float64 {
-					cur := link.Snapshot()
-					_, d2h := pcie.RatesBetween(prev, cur)
-					prev = cur
-					return d2h
-				})
-		}
+		sc.CounterFunc("smartds_pcie_h2d_bytes_total", "Bytes moved host-to-device over PCIe.",
+			labels, func() float64 { return link.Snapshot().H2DBytes })
+		sc.CounterFunc("smartds_pcie_d2h_bytes_total", "Bytes moved device-to-host over PCIe.",
+			labels, func() float64 { return link.Snapshot().D2HBytes })
 	}
 }
 

@@ -59,26 +59,67 @@ func TestTelemetryWiring(t *testing.T) {
 			}
 			// Time series were sampled over an 8 ms window on the default
 			// 100 µs cadence: every scope counter/gauge has points.
-			rep := reg.BuildReport("t", 42, true, nil)
-			if len(rep.Series) == 0 {
-				t.Fatalf("no sampled series in report")
+			var js bytes.Buffer
+			if err := reg.WriteSeriesJSON(&js); err != nil {
+				t.Fatal(err)
 			}
-			for _, se := range rep.Series {
-				if se.Digest.Points == 0 {
-					t.Fatalf("series %s%v sampled no points", se.Name, se.Labels)
+			series, err := telemetry.ReadSeriesJSON(&js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(series) == 0 {
+				t.Fatalf("no sampled series in the series file")
+			}
+			for _, se := range series {
+				if se.Digest.Points == 0 || len(se.Points) != se.Digest.Points {
+					t.Fatalf("series %s%v sampled %d points (digest %d)", se.Name, se.Labels, len(se.Points), se.Digest.Points)
 				}
 			}
-			// Designs with hardware engines expose occupancy + HBM gauges.
+			// Designs with hardware engines expose engine and HBM counters.
 			if kind == middletier.BF2 || kind == middletier.SmartDS {
 				var om bytes.Buffer
 				if err := reg.WriteOpenMetrics(&om); err != nil {
 					t.Fatal(err)
 				}
-				for _, want := range []string{"smartds_engine_bytes_total", "smartds_hbm_bytes_per_sec"} {
+				for _, want := range []string{"smartds_engine_bytes_total", "smartds_hbm_bytes_total"} {
 					if !strings.Contains(om.String(), want) {
 						t.Fatalf("%v snapshot missing %s", kind, want)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestTelemetryReadsArePure reads every instrument a cluster run
+// registers twice at one virtual instant, mid-run under load, and
+// requires the same value both times: no instrument may keep state
+// that a read advances, or its value would depend on who read last
+// (the sampler, a report, an OpenMetrics snapshot).
+func TestTelemetryReadsArePure(t *testing.T) {
+	for _, kind := range []middletier.Kind{middletier.CPUOnly, middletier.Accel, middletier.BF2, middletier.SmartDS} {
+		t.Run(kind.String(), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			cfg := smallCfg(kind)
+			cfg.Functional = false
+			cfg.Telemetry = reg
+			c := New(cfg)
+			checked := 0
+			// Off the 100 µs sampling grid, so a sampler read lies
+			// between this instant and the last one.
+			c.Env.At(4.05e-3, func() {
+				for _, m := range reg.Metrics() {
+					if a, b := m.Value(), m.Value(); a != b {
+						t.Errorf("%s reads %g then %g at one instant", m.Name(), a, b)
+					}
+					checked++
+				}
+			})
+			if res := c.Run(Workload{Window: 16, Warmup: 2e-3, Measure: 4e-3}); res.Requests == 0 {
+				t.Fatal("no requests completed")
+			}
+			if checked == 0 {
+				t.Fatal("no instrument was read mid-run")
 			}
 		})
 	}

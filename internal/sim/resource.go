@@ -86,12 +86,3 @@ func (r *Resource) Snapshot() ResourceStats {
 	r.account()
 	return ResourceStats{BusyIntegral: r.busyInt, Acquires: r.acquires, WaitTime: r.waitTime, At: r.env.now}
 }
-
-// UtilizationBetween returns mean occupied slots between two snapshots.
-func UtilizationBetween(a, b ResourceStats) float64 {
-	dt := b.At - a.At
-	if dt <= 0 {
-		return 0
-	}
-	return (b.BusyIntegral - a.BusyIntegral) / dt
-}

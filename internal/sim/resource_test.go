@@ -100,9 +100,6 @@ func TestResourceUtilization(t *testing.T) {
 	if !almostEq(s.BusyIntegral, 6, 1e-9) {
 		t.Fatalf("busy integral = %g, want 6", s.BusyIntegral)
 	}
-	if u := UtilizationBetween(ResourceStats{}, s); !almostEq(u, 1.5, 1e-9) {
-		t.Fatalf("utilization = %g, want 1.5", u)
-	}
 }
 
 // TestResourceReleaseUnpinsWaiter pins the slice-head fix: Release nils
@@ -164,26 +161,5 @@ func TestNewResourceNonPositivePanics(t *testing.T) {
 			}()
 			NewEnv().NewResource("r", slots)
 		}()
-	}
-}
-
-// TestUtilizationBetweenZeroWidth checks that a zero-width or backwards
-// snapshot pair reports 0 rather than NaN or a negative rate.
-func TestUtilizationBetweenZeroWidth(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource("r", 1)
-	e.Go("p", func(p *Proc) { hold(p, r, 2) })
-	e.Run(1)
-	a := r.Snapshot()
-	if u := UtilizationBetween(a, a); u != 0 {
-		t.Fatalf("zero-width utilization = %g, want 0", u)
-	}
-	e.Run(0)
-	b := r.Snapshot()
-	if u := UtilizationBetween(b, a); u != 0 {
-		t.Fatalf("backwards utilization = %g, want 0", u)
-	}
-	if u := UtilizationBetween(a, b); u != 1 {
-		t.Fatalf("utilization over [1, 2] = %g, want 1", u)
 	}
 }

@@ -32,8 +32,8 @@ func (r *Registry) WriteSeriesCSV(w io.Writer) error {
 	return nil
 }
 
-// seriesJSON is the on-disk layout of one dumped series.
-type seriesJSON struct {
+// SeriesRecord is one series of the WriteSeriesJSON file.
+type SeriesRecord struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Digest Digest            `json:"digest"`
@@ -43,12 +43,12 @@ type seriesJSON struct {
 // WriteSeriesJSON dumps every sampled series with full point data as
 // one JSON document (canonical order, stable encoding).
 func (r *Registry) WriteSeriesJSON(w io.Writer) error {
-	var out []seriesJSON
+	var out []SeriesRecord
 	for _, m := range r.Metrics() {
 		if m.series == nil {
 			continue
 		}
-		out = append(out, seriesJSON{
+		out = append(out, SeriesRecord{
 			Name:   m.name,
 			Labels: m.labels.Map(),
 			Digest: m.series.Digest(),
@@ -62,6 +62,15 @@ func (r *Registry) WriteSeriesJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// ReadSeriesJSON parses a file WriteSeriesJSON wrote.
+func ReadSeriesJSON(rd io.Reader) ([]SeriesRecord, error) {
+	var out []SeriesRecord
+	if err := json.NewDecoder(rd).Decode(&out); err != nil {
+		return nil, fmt.Errorf("telemetry: decode series: %w", err)
+	}
+	return out, nil
 }
 
 // csvQuote wraps a field in quotes, doubling embedded quotes (RFC 4180).

@@ -137,28 +137,30 @@ func TestManySeriesOfOneNameExported(t *testing.T) {
 	if lines != n {
 		t.Fatalf("exported %d series, want %d", lines, n)
 	}
-	rep := r.BuildReport("fig10", 42, true, nil)
-	if len(rep.Finals) != n {
-		t.Fatalf("report has %d finals, want %d", len(rep.Finals), n)
+	sc.RecordResults(1e-3, 0, 0, 0, 0, metrics.Summary{})
+	rr := r.BuildReport("fig10", 42, true, nil).Runs[0]
+	if rr.Experiment != "fig10" || rr.Design != "SmartDS-6" || len(rr.Counters) != n {
+		t.Fatalf("run %s has %d counters, want %d", rr.Key(), len(rr.Counters), n)
 	}
 	sum := 0.0
-	for _, f := range rep.Finals {
-		if f.Labels["exp"] != "fig10" || f.Labels["design"] != "SmartDS-6" || f.Labels["stack"] == "" {
-			t.Fatalf("final %+v lost its run or stack labels", f)
+	for key, v := range rr.Counters { // integer values: the sum is order-independent
+		if !strings.HasPrefix(key, `smartds_rdma_tx_bytes_total{stack="`) {
+			t.Fatalf("counter %q lost its stack label", key)
 		}
-		sum += f.Value
+		sum += v
 	}
 	if sum != n*(n-1)/2 {
-		t.Fatalf("finals sum to %g, want %d", sum, n*(n-1)/2)
+		t.Fatalf("counters sum to %g, want %d", sum, n*(n-1)/2)
 	}
 }
 
-// A histogram metric's scalar value is its live sample count, and the
-// report's finals carry only counters and gauges.
+// A histogram metric's scalar value is its live sample count, and a
+// run record's counters carry only counters and gauges.
 func TestHistogramMetricValue(t *testing.T) {
 	r := NewRegistry()
+	sc := r.NewRun("x", "CPU-only", 1)
 	h := metrics.NewLatencyHistogram()
-	m := r.Histogram("lat_seconds", "", nil, h)
+	m := sc.Histogram("lat_seconds", "", nil, h)
 	if m.Value() != 0 {
 		t.Fatalf("empty histogram value = %g", m.Value())
 	}
@@ -167,8 +169,9 @@ func TestHistogramMetricValue(t *testing.T) {
 	if m.Value() != 2 {
 		t.Fatalf("histogram value = %g, want 2", m.Value())
 	}
-	if rep := r.BuildReport("x", 1, false, nil); len(rep.Finals) != 0 {
-		t.Fatalf("histogram reported as a final: %+v", rep.Finals)
+	sc.RecordResults(1e-3, 2, 0, 0, 0, h.Summarize())
+	if c := sc.Record().Counters; len(c) != 0 {
+		t.Fatalf("histogram recorded as a counter: %+v", c)
 	}
 }
 

@@ -80,8 +80,7 @@ type CritpathExemplar struct {
 }
 
 // FormatTraceID renders a trace correlation id the way critpath
-// exemplars and smartds-top display it (fixed-width hex,
-// deterministic).
+// exemplars display it (fixed-width hex, deterministic).
 func FormatTraceID(id uint64) string {
 	s := strconv.FormatUint(id, 16)
 	for len(s) < 16 {
@@ -152,6 +151,25 @@ func blameKind(wait bool) string {
 		return "wait"
 	}
 	return "service"
+}
+
+// AlertTable renders every fired SLO alert of the runs, in run order,
+// and how many fired; the table is nil when none did. smartds-report
+// -slo and -show and smartds-sim all print alerts through it.
+func AlertTable(runs []*RunRecord) (*metrics.Table, int) {
+	tbl := metrics.NewTable("SLO alerts", "run", "slo", "kind", "severity", "at", "burn", "detail")
+	fired := 0
+	for _, rr := range runs {
+		for _, al := range rr.Alerts {
+			fired++
+			tbl.AddRow(rr.Key(), al.SLO, al.Kind, al.Severity, metrics.FormatDuration(al.At),
+				fmt.Sprintf("%.3gx/%.3gx", al.BurnShort, al.BurnLong), al.Detail)
+		}
+	}
+	if fired == 0 {
+		return nil, 0
+	}
+	return tbl, fired
 }
 
 // pct renders a fraction as a percentage cell.
@@ -316,21 +334,6 @@ func (sc *RunScope) RecordAlerts(alerts []Alert) { sc.rec.Alerts = alerts }
 // this run (callers diff Env.Events() across the run).
 func (sc *RunScope) RecordSimEvents(n uint64) { sc.rec.SimEvents = n }
 
-// MetricFinal is one metric's end-of-run value in the report.
-type MetricFinal struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Kind   string            `json:"kind"`
-	Value  float64           `json:"value"`
-}
-
-// SeriesEntry is one sampled series' digest in the report.
-type SeriesEntry struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Digest Digest            `json:"digest"`
-}
-
 // SimPerf is the wall-clock performance of the simulator itself over
 // one harness invocation. It is measured, not simulated — two same-seed
 // runs report different SimPerf — so BuildReport never fills it; only
@@ -346,7 +349,10 @@ type SimPerf struct {
 }
 
 // Report is the machine-readable record of one harness invocation:
-// what ran, with which knobs, and every number the run produced.
+// what ran, with which knobs, and each run's record, which is the one
+// store of its numbers (sampled series go to the -series-json file).
+// A report with other top-level sections (older reports carry
+// "counters" and "series") still loads: the decoder ignores them.
 type Report struct {
 	Schema  string            `json:"schema"`
 	Name    string            `json:"name"`
@@ -354,15 +360,12 @@ type Report struct {
 	Quick   bool              `json:"quick"`
 	Config  map[string]string `json:"config,omitempty"`
 	Runs    []*RunRecord      `json:"runs"`
-	Finals  []MetricFinal     `json:"counters"`
-	Series  []SeriesEntry     `json:"series,omitempty"`
 	SimPerf *SimPerf          `json:"sim_perf,omitempty"`
 }
 
-// BuildReport assembles the report from everything the registry has
-// seen. Metric order is canonical (sorted by name then labels).
+// BuildReport assembles the report from the registry's run records.
 func (r *Registry) BuildReport(name string, seed uint64, quick bool, config map[string]string) *Report {
-	rep := &Report{
+	return &Report{
 		Schema: ReportSchema,
 		Name:   name,
 		Seed:   seed,
@@ -370,19 +373,6 @@ func (r *Registry) BuildReport(name string, seed uint64, quick bool, config map[
 		Config: config,
 		Runs:   r.runs,
 	}
-	for _, m := range r.Metrics() {
-		if m.kind != KindHistogram {
-			rep.Finals = append(rep.Finals, MetricFinal{
-				Name: m.name, Labels: m.labels.Map(), Kind: m.kind.String(), Value: m.Value(),
-			})
-		}
-		if m.series != nil {
-			rep.Series = append(rep.Series, SeriesEntry{
-				Name: m.name, Labels: m.labels.Map(), Digest: m.series.Digest(),
-			})
-		}
-	}
-	return rep
 }
 
 // WriteReport encodes the report as stable, indented JSON.

@@ -237,8 +237,12 @@ func TestRunScopeReport(t *testing.T) {
 	if rep.Runs[0].Faults == nil || rep.Runs[0].Faults.MaxGap != 1e-3 {
 		t.Fatalf("faults = %+v", rep.Runs[0].Faults)
 	}
-	if len(rep.Series) != 1 || rep.Series[0].Digest.Points != 5 {
-		t.Fatalf("series = %+v", rep.Series)
+	var js bytes.Buffer
+	if err := r.WriteSeriesJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if series, err := ReadSeriesJSON(&js); err != nil || len(series) != 1 || series[0].Digest.Points != 5 {
+		t.Fatalf("series = %+v (%v)", series, err)
 	}
 
 	// Round trip: write → read → byte-identical re-write.
@@ -292,8 +296,13 @@ func TestSeriesExports(t *testing.T) {
 	if err := r.WriteSeriesJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(js.String(), `"name": "smartds_port_rate"`) {
-		t.Fatalf("json dump missing series name:\n%s", js.String())
+	series, err := ReadSeriesJSON(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 1 || series[0].Name != "smartds_port_rate" || series[0].Labels["port"] != "0" ||
+		len(series[0].Points) != 3 || series[0].Points[2].Value != 3 {
+		t.Fatalf("series JSON round trip = %+v", series)
 	}
 }
 
