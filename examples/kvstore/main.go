@@ -141,6 +141,7 @@ func main() {
 		}
 	})
 	c.Env.Run(0)
+	c.MT.Quiesce()
 	if failed {
 		os.Exit(1)
 	}

@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/corpus"
@@ -197,7 +198,7 @@ func (c *Cluster) newClient(id int) *Client {
 	cl := &Client{
 		c:        c,
 		id:       id,
-		comp:     "client" + itoa(id),
+		comp:     "client" + strconv.Itoa(id),
 		stack:    stack,
 		rng:      c.rng.Split(),
 		inflight: make(map[uint64]*issued),

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strconv"
+
 	"github.com/disagg/smartds/internal/blockstore"
 	"github.com/disagg/smartds/internal/critpath"
 	"github.com/disagg/smartds/internal/lz4"
@@ -360,21 +362,7 @@ func (c *Cluster) Run(w Workload) Results {
 func (c *Cluster) KindName() string {
 	k := c.cfg.MT.Kind
 	if k == middletier.SmartDS {
-		return "SmartDS-" + itoa(c.cfg.MT.Ports)
+		return "SmartDS-" + strconv.Itoa(c.cfg.MT.Ports)
 	}
 	return k.String()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

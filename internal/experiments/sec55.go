@@ -39,7 +39,7 @@ func Sec55(opt Options) *metrics.Table {
 	for cards := 1; cards <= 8; cards++ {
 		agg := perCard.Throughput * float64(cards)
 		memDemand := cardMem * float64(cards)
-		perSwitch := cardPCIe * float64(minInt(cards, cardsPerSwitch))
+		perSwitch := cardPCIe * float64(min(cards, cardsPerSwitch))
 		fits := memDemand <= hostMemBudget && perSwitch <= pcieSwitchBudget
 		if fits {
 			best = agg
@@ -61,11 +61,4 @@ func sec55Ports(opt Options) int {
 		return 2
 	}
 	return 6
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,70 +3,63 @@ package lz4
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Lookahead is an Encoder that can start work early. Its owner (the
 // simulation's single event loop) calls Prefetch when it first holds a
 // block it will compress later. Prefetched blocks become jobs, each a
-// private copy of the block and its level, and batches of jobs go to
-// helper goroutines that encode them on otherwise idle cores. Compress
-// returns a helper's result only after checking that the job's copy and
-// level equal its own src and level, so its output is always exactly
+// private copy of the block and its level, which queue for helper
+// goroutines that encode them on otherwise idle cores. Compress returns
+// a helper's result only after checking that the job's copy and level
+// equal its own src and level, so its output is always exactly
 // Encoder.Compress(dst, src, level): an Encoder's output is a function
 // of (src, level) alone, and a block that changed after its prefetch,
 // or a different level, is encoded inline instead. What the caller
 // gets never depends on host timing; only how long the call takes does.
 //
-// At most GOMAXPROCS−1 helpers run per Lookahead. They start when a
-// batch is handed off and exit as soon as none is queued, and at
-// GOMAXPROCS=1 Prefetch does nothing. At most lookaheadJobs jobs exist,
-// which bounds the memory a Lookahead holds. Prefetches beyond that
-// wait in arrival order, holding only a reference to the caller's
-// block, and take a job when one frees, so the jobs held are those
-// closest to their Compress. Stop waits out every running job and
-// drops the rest.
+// At most GOMAXPROCS−1 helpers run per Lookahead, none at GOMAXPROCS=1,
+// where Prefetch does nothing. A helper starts when a job is queued and
+// no helper is parked, parks while the queue is empty, and exits at
+// Stop. At most lookaheadJobs jobs exist, which bounds the memory a
+// Lookahead holds. Prefetches beyond that wait in arrival order,
+// holding only a reference to the caller's block, and take a job when
+// one frees, so the jobs held are those closest to their Compress.
 //
-// A Lookahead has one owner: Prefetch, Compress, Forget and Stop must
-// not be called concurrently.
+// A Lookahead has one owner: Prefetch, Compress, Forget, Stats and Stop
+// must not be called concurrently. An owner done with a Lookahead must
+// call Stop, or its parked helpers outlive it.
 type Lookahead struct {
 	maxBlock int
 	enc      *Encoder // inline encoder, allocated on first use
 
 	// Owner-only state.
-	filed    map[*byte]filing // prefetched blocks by their first byte's address
-	order    []fileRef        // filings in Prefetch order; order[head:] wait for a job
-	head     int
-	cur      []*job // batch being filled, not yet handed off
-	all      []*job // every job allocated, at most lookaheadJobs
-	nextSeq  uint64
-	maxHelps int // helpers allowed, read from GOMAXPROCS by Prefetch
+	filed        map[*byte]filing // prefetched blocks by their first byte's address
+	order        []fileRef        // filings in Prefetch order; order[head:] wait for a job
+	head         int
+	all          []*job // every job allocated, at most lookaheadJobs
+	nextSeq      uint64
+	maxHelps     int    // helpers allowed, read from GOMAXPROCS by Prefetch
+	hits, inline uint64 // Compress calls served by a helper / encoded inline
 
 	// Shared with the helpers, guarded by mu, as is every job's state
-	// once the job has been handed off.
+	// once the job has been queued.
 	mu      sync.Mutex
-	cond    sync.Cond  // a helper exited
-	queue   [][]*job   // batches handed off, not yet taken by a helper
-	batches [][]*job   // emptied batch slices for reuse
+	cond    sync.Cond  // a job was queued, Stop began, or a helper exited
+	queue   []*job     // queued jobs in Prefetch order, none started yet
 	spare   []*job     // jobs free for reuse
-	freed   []*job     // jobs released while running, freed by their helper
 	helpers int        // helper goroutines alive
+	parked  int        // helpers waiting for a job that no enqueue has signalled
+	started uint64     // helper goroutines ever started
+	stop    bool       // Stop is waiting for the helpers to exit
 	idle    []*Encoder // encoders of exited helpers
 }
 
-const (
-	// lookaheadBatch is the number of jobs that wake a helper. Starting
-	// one costs host time on both cores (a futex wake, a scheduler
-	// steal, the exit), so it is paid once per 16 blocks. A helper
-	// already running takes jobs as they come.
-	lookaheadBatch = 16
-	// lookaheadJobs caps the jobs a Lookahead keeps: three batches, so
-	// one can fill while helpers encode the next and the owner consumes
-	// the oldest. Each job holds two block-sized buffers. With two
-	// batches helpers ran dry, and write-cpu-lz4 gained half as much.
-	lookaheadJobs = 3 * lookaheadBatch
-)
+// lookaheadJobs caps the jobs a Lookahead keeps. Each job holds two
+// block-sized buffers. With 32 jobs helpers ran dry, and write-cpu-lz4
+// gained half as much.
+const lookaheadJobs = 48
 
 // filing is one Prefetch: the caller's block, copied when a job frees,
 // and the job once it has one.
@@ -88,18 +81,14 @@ type fileRef struct {
 type jobState uint8
 
 const (
-	jobPending jobState = iota // in the owner's batch, not yet handed off
-	jobQueued                  // handed off, no helper has started it
+	jobClaimed jobState = iota // free, or held by the owner; helpers never see it
+	jobQueued                  // in the queue, no helper has started it
 	jobRunning                 // a helper is encoding it
 	jobDone                    // a helper's result is in out[:n]
-	jobClaimed                 // the owner took it back; helpers skip it
 )
 
-// job is one block to encode. A released job is reused only while no
-// helper may start or run it (not queued, not running); a handed-off
-// batch may still list it, but a helper acts only on queued jobs, so
-// it sees a reused job either as foreign work it may do or as one to
-// skip.
+// job is one block to encode. The queue holds exactly the queued jobs,
+// so a released job is reused only when no helper may start or run it.
 type job struct {
 	state    jobState
 	released bool // the owner let go while a helper ran it
@@ -110,28 +99,30 @@ type job struct {
 	err      error
 }
 
-// LookaheadStats is a process-wide snapshot of every Lookahead's
-// helper work.
+// LookaheadStats is a snapshot of one Lookahead's helper work.
 type LookaheadStats struct {
-	Helpers int64  // helper goroutines alive
-	Queued  int64  // jobs handed off that no helper has started or skipped
-	Running int64  // jobs a helper is encoding
+	Helpers int    // helper goroutines alive
+	Queued  int    // jobs queued that no helper has started
+	Running int    // jobs a helper is encoding
 	Started uint64 // helper goroutines ever started
 	Hits    uint64 // Compress calls served from a helper's result
 	Inline  uint64 // Compress calls encoded on the owner
 }
 
-var stats struct {
-	helpers, queued, running atomic.Int64
-	started, hits, inline    atomic.Uint64
-}
-
-// ReadLookaheadStats returns the process-wide helper counters.
-func ReadLookaheadStats() LookaheadStats {
-	return LookaheadStats{
-		Helpers: stats.helpers.Load(), Queued: stats.queued.Load(), Running: stats.running.Load(),
-		Started: stats.started.Load(), Hits: stats.hits.Load(), Inline: stats.inline.Load(),
+// Stats returns the Lookahead's helper counters.
+func (la *Lookahead) Stats() LookaheadStats {
+	la.lock()
+	defer la.mu.Unlock()
+	s := LookaheadStats{Helpers: la.helpers, Started: la.started, Hits: la.hits, Inline: la.inline}
+	for _, j := range la.all {
+		switch j.state {
+		case jobQueued:
+			s.Queued++
+		case jobRunning:
+			s.Running++
+		}
 	}
+	return s
 }
 
 // lock takes mu, the one lock the owner shares with the helpers. They
@@ -183,7 +174,7 @@ func (la *Lookahead) drop(key *byte) {
 }
 
 // promote gives waiting filings jobs, oldest first, while jobs are
-// free, handing off each batch that fills.
+// free, and queues each for the helpers.
 func (la *Lookahead) promote() {
 	for la.head < len(la.order) {
 		r := la.order[la.head]
@@ -205,19 +196,7 @@ func (la *Lookahead) promote() {
 		j.out = j.out[:cap(j.out)]
 		f.j = j
 		la.filed[r.key] = f
-		la.cur = append(la.cur, j)
-		if len(la.cur) == lookaheadBatch {
-			la.handoff()
-		}
-	}
-	if len(la.cur) > 0 {
-		// A running helper takes more work without a wake-up, so a
-		// partial batch goes to it at once.
-		la.lock()
-		if la.helpers > 0 {
-			la.handoffLocked()
-		}
-		la.mu.Unlock()
+		la.enqueue(j)
 	}
 	// Compact the order once its dead prefix dominates.
 	if n := len(la.order) - la.head; la.head > 64 && la.head >= n {
@@ -227,61 +206,40 @@ func (la *Lookahead) promote() {
 	}
 }
 
-// spareJob returns a free job marked pending, or nil when all
-// lookaheadJobs are in use.
+// spareJob returns a free job, or nil when all lookaheadJobs are in use.
 func (la *Lookahead) spareJob() *job {
 	la.lock()
 	defer la.mu.Unlock()
-	if len(la.spare) == 0 {
-		la.spare = append(la.spare, la.freed...)
-		clear(la.freed)
-		la.freed = la.freed[:0]
-	}
-	var j *job
 	if n := len(la.spare); n > 0 {
-		j = la.spare[n-1]
+		j := la.spare[n-1]
 		la.spare = la.spare[:n-1]
-	} else if len(la.all) < lookaheadJobs {
-		j = new(job)
+		return j
+	}
+	if len(la.all) < lookaheadJobs {
+		j := new(job)
 		la.all = append(la.all, j)
-	} else {
-		return nil
+		return j
 	}
-	j.state = jobPending
-	return j
+	return nil
 }
 
-// handoff queues the current batch for the helpers.
-func (la *Lookahead) handoff() {
+// enqueue queues j for the helpers. A parked helper is woken for it;
+// with none parked, a helper starts while fewer than maxHelps run.
+func (la *Lookahead) enqueue(j *job) {
 	la.lock()
-	la.handoffLocked()
-	la.mu.Unlock()
-}
-
-// handoffLocked queues the current batch, starting a helper if fewer
-// than maxHelps run. mu is held.
-func (la *Lookahead) handoffLocked() {
-	b := la.cur
-	la.cur = nil
-	if n := len(la.batches); n > 0 {
-		la.cur = la.batches[n-1]
-		la.batches = la.batches[:n-1]
+	defer la.mu.Unlock()
+	j.state = jobQueued
+	la.queue = append(la.queue, j)
+	if la.parked > 0 {
+		la.parked--
+		la.cond.Signal()
+		return
 	}
-	queued := 0
-	for _, j := range b {
-		if j.state == jobPending {
-			j.state = jobQueued
-			queued++
-		}
-	}
-	stats.queued.Add(int64(queued))
-	la.queue = append(la.queue, b)
 	if la.helpers >= la.maxHelps {
 		return
 	}
 	la.helpers++
-	stats.helpers.Add(1)
-	stats.started.Add(1)
+	la.started++
 	var enc *Encoder
 	if n := len(la.idle); n > 0 {
 		enc = la.idle[n-1]
@@ -293,75 +251,78 @@ func (la *Lookahead) handoffLocked() {
 	go la.help(enc)
 }
 
-// help is a helper goroutine: it encodes queued jobs batch by batch and
-// exits when the queue is empty.
+// help is a helper goroutine: it encodes queued jobs oldest first,
+// parks while none is queued, and exits at Stop.
 func (la *Lookahead) help(enc *Encoder) {
 	la.lock()
-	for len(la.queue) > 0 {
-		b := la.queue[0]
-		la.queue = append(la.queue[:0], la.queue[1:]...)
-		for _, j := range b {
-			if j.state != jobQueued {
-				continue
-			}
-			j.state = jobRunning
-			stats.queued.Add(-1)
-			stats.running.Add(1)
-			la.mu.Unlock()
-			j.n, j.err = enc.Compress(j.out, j.in, j.level)
-			la.lock()
-			j.state = jobDone
-			stats.running.Add(-1)
-			if j.released {
-				j.released = false
-				la.freed = append(la.freed, j)
-			}
+	for !la.stop {
+		if len(la.queue) == 0 {
+			la.parked++
+			//detcheck:simblock a parked helper runs no simulated code; enqueue and Stop wake it, and the owner never waits for it
+			la.cond.Wait()
+			continue
 		}
-		clear(b)
-		la.batches = append(la.batches, b[:0])
+		j := la.queue[0]
+		la.queue = slices.Delete(la.queue, 0, 1)
+		j.state = jobRunning
+		la.mu.Unlock()
+		j.n, j.err = enc.Compress(j.out, j.in, j.level)
+		la.lock()
+		j.state = jobDone
+		if j.released {
+			j.state, j.released = jobClaimed, false
+			la.spare = append(la.spare, j)
+		}
 	}
 	la.helpers--
-	stats.helpers.Add(-1)
 	la.idle = append(la.idle, enc)
 	la.cond.Broadcast() // Stop waits for the last helper
 	la.mu.Unlock()
 }
 
-// release gives back job j, whose filing is gone. A queued or pending
-// job is claimed so no helper starts it; a running one is freed by its
-// helper.
-func (la *Lookahead) release(j *job) {
+// release gives back job j, whose filing is gone, and reports whether
+// j held a helper's result. A job a helper is still encoding goes back
+// to spare when that helper finishes; any other goes back at once, and
+// a queued one leaves the queue so no helper starts it. A released job is reused only by
+// the owner's next promote, so its result stays readable until then.
+func (la *Lookahead) release(j *job) (done bool) {
 	la.lock()
 	defer la.mu.Unlock()
 	switch j.state {
 	case jobRunning:
 		j.released = true
-		return
+		return false
 	case jobQueued:
-		stats.queued.Add(-1)
+		i := slices.Index(la.queue, j)
+		la.queue = slices.Delete(la.queue, i, i+1)
 	}
+	done = j.state == jobDone
 	j.state = jobClaimed
 	la.spare = append(la.spare, j)
+	return done
 }
 
 // Compress compresses src into dst at the given level, exactly as
 // Encoder.Compress does. A job prefetched from src's buffer is used
 // only when its copy and level match and a helper has finished it;
-// otherwise the block is encoded inline.
+// otherwise the block is encoded inline. The owner never waits for a
+// helper: a job still queued or running is left like an unstarted one.
+// Waiting instead, by sleeping on a condition (about 150 µs per wait on
+// a 2-core machine) or by polling a flag, was no faster end to end
+// (DESIGN.md, "Codec lookahead").
 func (la *Lookahead) Compress(dst, src []byte, level Level) (int, error) {
 	if len(src) > 0 && len(la.filed) > 0 {
 		if f, ok := la.filed[&src[0]]; ok {
 			delete(la.filed, &src[0])
 			if j := f.j; j != nil {
-				if j.level == level && len(dst) >= CompressBound(len(src)) && bytes.Equal(j.in, src) && la.done(j) {
+				match := j.level == level && len(dst) >= CompressBound(len(src)) && bytes.Equal(j.in, src)
+				if la.release(j) && match {
 					n, err := j.n, j.err
 					copy(dst, j.out[:n])
-					la.release(j)
 					la.promote()
-					stats.hits.Add(1)
+					la.hits++
 					return n, err
 				}
-				la.release(j)
 				la.promote()
 			}
 		}
@@ -369,35 +330,8 @@ func (la *Lookahead) Compress(dst, src []byte, level Level) (int, error) {
 	if la.enc == nil {
 		la.enc = NewEncoder(la.maxBlock)
 	}
-	stats.inline.Add(1)
+	la.inline++
 	return la.enc.Compress(dst, src, level)
-}
-
-// done reports whether j holds a helper's result. A job no helper has
-// started is claimed back; one still in the owner's batch sends the
-// rest of that batch off, if any, since its neighbours are due soon
-// too. A job a helper is still encoding is treated like an unstarted
-// one: the owner encodes the block itself and leaves the job to its
-// helper. Waiting for the helper instead, by sleeping on a condition
-// (about 150 µs per wait on a 2-core machine) or by polling a flag, was
-// no faster end to end (DESIGN.md, "Codec lookahead").
-func (la *Lookahead) done(j *job) bool {
-	la.lock()
-	defer la.mu.Unlock()
-	switch j.state {
-	case jobPending:
-		j.state = jobClaimed
-		for _, o := range la.cur {
-			if o.state == jobPending {
-				la.handoffLocked()
-				break
-			}
-		}
-	case jobQueued:
-		j.state = jobClaimed
-		stats.queued.Add(-1)
-	}
-	return j.state == jobDone
 }
 
 // Forget drops the filing Prefetch made for src under ticket seq, if it
@@ -412,35 +346,24 @@ func (la *Lookahead) Forget(src []byte, seq uint64) {
 	}
 }
 
-// Stop returns the Lookahead to its idle state: it waits for every job
-// a helper is encoding and for every helper to exit, and drops all
-// filings. Later Prefetches start afresh.
+// Stop returns the Lookahead to its idle state: it claims every queued
+// job, waits for every job a helper is encoding and for every helper to
+// exit, and drops all filings. Later Prefetches start afresh.
 func (la *Lookahead) Stop() {
 	la.lock()
-	for _, j := range la.all {
-		if j.state == jobQueued {
-			j.state = jobClaimed
-			stats.queued.Add(-1)
-		}
-	}
+	la.queue = la.queue[:0]
+	la.stop = true
+	la.cond.Broadcast()
 	for la.helpers > 0 {
 		la.cond.Wait()
 	}
+	la.stop, la.parked = false, 0
 	// No helper is left: every job is free again.
-	for _, b := range la.queue {
-		clear(b)
-		la.batches = append(la.batches, b[:0])
-	}
-	la.queue = la.queue[:0]
 	for _, j := range la.all {
 		j.state, j.released = jobClaimed, false
 	}
 	la.spare = append(la.spare[:0], la.all...)
-	clear(la.freed)
-	la.freed = la.freed[:0]
 	la.mu.Unlock()
-	clear(la.cur)
-	la.cur = la.cur[:0]
 	clear(la.filed)
 	clear(la.order)
 	la.order, la.head = la.order[:0], 0

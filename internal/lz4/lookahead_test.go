@@ -56,7 +56,7 @@ func TestLookaheadMatchesEncoder(t *testing.T) {
 			ref := NewEncoder(4096)
 			want := make([]byte, CompressBound(8192))
 			got := make([]byte, CompressBound(8192))
-			before, calls := ReadLookaheadStats(), uint64(0)
+			calls := uint64(0)
 			check := func(src []byte, level Level) bool {
 				calls++
 				wn, werr := ref.Compress(want, src, level)
@@ -101,11 +101,11 @@ func TestLookaheadMatchesEncoder(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 			}
 			la.Stop()
-			s := ReadLookaheadStats()
+			s := la.Stats()
 			if s.Queued != 0 || s.Running != 0 || s.Helpers != 0 {
 				t.Fatalf("GOMAXPROCS=%d: after Stop %+v", procs, s)
 			}
-			if counted := s.Hits + s.Inline - before.Hits - before.Inline; counted != calls {
+			if counted := s.Hits + s.Inline; counted != calls {
 				t.Fatalf("GOMAXPROCS=%d: %d Compress calls counted as %d hits + inline", procs, calls, counted)
 			}
 		})
@@ -153,11 +153,10 @@ func TestLookaheadForgetAndStop(t *testing.T) {
 // core to use, so Prefetch files nothing and no helper ever starts.
 func TestLookaheadOneProcStartsNoHelper(t *testing.T) {
 	withProcs(1, func() {
-		before := ReadLookaheadStats().Started
 		la := NewLookahead(4096)
 		c := corpus.New(9)
 		dst := make([]byte, CompressBound(4096))
-		for i := 0; i < 4*lookaheadBatch; i++ {
+		for i := 0; i < 2*lookaheadJobs; i++ {
 			src := c.Block(4096)
 			if seq := la.Prefetch(src, LevelDefault); seq != 0 {
 				t.Fatalf("Prefetch filed ticket %d at GOMAXPROCS=1", seq)
@@ -167,10 +166,57 @@ func TestLookaheadOneProcStartsNoHelper(t *testing.T) {
 			}
 		}
 		la.Stop()
-		if got := ReadLookaheadStats().Started; got != before {
-			t.Fatalf("%d helpers started at GOMAXPROCS=1", got-before)
+		if got := la.Stats().Started; got != 0 {
+			t.Fatalf("%d helpers started at GOMAXPROCS=1", got)
 		}
 	})
+}
+
+// TestLookaheadHelpersOutliveIdleGaps: helpers park while the queue is
+// empty instead of exiting, so bursts of prefetches separated by idle
+// gaps never start more than GOMAXPROCS−1 helpers in all, every helper
+// started is still alive in each gap, and only Stop ends them.
+func TestLookaheadHelpersOutliveIdleGaps(t *testing.T) {
+	c := corpus.New(11)
+	ref := NewEncoder(4096)
+	want := make([]byte, CompressBound(4096))
+	got := make([]byte, CompressBound(4096))
+	const bursts, perBurst = 4, 20
+	for _, procs := range []int{2, 4} {
+		withProcs(procs, func() {
+			la := NewLookahead(4096)
+			for burst := 0; burst < bursts; burst++ {
+				blocks := make([][]byte, perBurst)
+				for i := range blocks {
+					blocks[i] = c.Block(4096)
+					la.Prefetch(blocks[i], LevelDefault)
+				}
+				// The idle gap: wait until the helpers have run every job.
+				s := la.Stats()
+				for ; s.Queued+s.Running > 0; s = la.Stats() {
+					runtime.Gosched()
+				}
+				if s.Started == 0 || s.Started > uint64(procs-1) || s.Helpers != int(s.Started) {
+					t.Fatalf("GOMAXPROCS=%d, gap after burst %d: %+v, want every helper started (1 to %d) still alive",
+						procs, burst, s, procs-1)
+				}
+				for _, src := range blocks {
+					wn, _ := ref.Compress(want, src, LevelDefault)
+					gn, err := la.Compress(got, src, LevelDefault)
+					if err != nil || !bytes.Equal(want[:wn], got[:gn]) {
+						t.Fatalf("GOMAXPROCS=%d, burst %d: Compress differs from the Encoder (%v)", procs, burst, err)
+					}
+				}
+			}
+			if s := la.Stats(); s.Hits != bursts*perBurst {
+				t.Fatalf("GOMAXPROCS=%d: %+v, want every Compress served by a helper", procs, s)
+			}
+			la.Stop()
+			if s := la.Stats(); s.Helpers != 0 {
+				t.Fatalf("GOMAXPROCS=%d: %d helpers alive after Stop", procs, s.Helpers)
+			}
+		})
+	}
 }
 
 // BenchmarkLookahead is one prefetch + compress pair per iteration on

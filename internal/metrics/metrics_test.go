@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -289,6 +290,17 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 6 {
 		t.Fatalf("unexpected table shape:\n%s", out)
+	}
+
+	// A multi-byte cell is as wide as its runes: "µs ▁▂▃" is 6 runes in
+	// 13 bytes, so every line of the table is 6+2+5 runes long.
+	tb = NewTable("", "unit", "value")
+	tb.AddRow("µs ▁▂▃", "x")
+	tb.AddRow("s", "12345")
+	for _, line := range strings.Split(strings.TrimSuffix(tb.String(), "\n"), "\n") {
+		if n := utf8.RuneCountInString(line); n != 13 {
+			t.Fatalf("line %q is %d runes wide, want 13:\n%s", line, n, tb.String())
+		}
 	}
 }
 

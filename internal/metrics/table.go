@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table renders experiment results as aligned text, the way the
@@ -66,14 +67,15 @@ func (t *Table) CSV() string {
 
 // String renders the table.
 func (t *Table) String() string {
+	// Widths count runes, as %-*s pads by runes.
 	width := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		width[i] = len(c)
+		width[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(width) && len(cell) > width[i] {
-				width[i] = len(cell)
+			if i < len(width) {
+				width[i] = max(width[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}

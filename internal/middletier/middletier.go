@@ -343,8 +343,13 @@ func New(env *sim.Env, fabric *netsim.Fabric, cfg Config) *Server {
 // block a helper is encoding and drops every prefetch still queued.
 // Simulated state is untouched (a dropped block is encoded inline when
 // its write reaches the compress stage), so callers run it whenever
-// the simulation pauses and host time is measured.
+// the simulation pauses and host time is measured. Helpers park
+// between writes until Quiesce, so a caller done with the server must
+// call it.
 func (s *Server) Quiesce() { s.codec.Stop() }
+
+// CodecStats returns the host-side compression helpers' counters.
+func (s *Server) CodecStats() lz4.LookaheadStats { return s.codec.Stats() }
 
 // orDefault replaces a non-positive setting with its default.
 func orDefault[T ~int | ~float64](v *T, def T) {
@@ -356,9 +361,6 @@ func orDefault[T ~int | ~float64](v *T, def T) {
 // Config returns the server's effective configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Kind returns the design variant.
-func (s *Server) Kind() Kind { return s.cfg.Kind }
-
 // NIC exposes the host NIC (CPUOnly/Accel) for bandwidth snapshots.
 func (s *Server) NIC() *host.NIC { return s.nic }
 
@@ -367,9 +369,6 @@ func (s *Server) AccelPCIe() *pcie.Link { return s.accelPCIe }
 
 // Device exposes the SmartDS card (SmartDS).
 func (s *Server) Device() *core.Device { return s.sds }
-
-// CPUPool exposes the host CPU pool.
-func (s *Server) CPUPool() *host.Pool { return s.cpu }
 
 // InflightFanouts reports how many client requests currently have
 // replication fan-outs outstanding toward storage — the instantaneous

@@ -47,7 +47,9 @@ func newTestServer(t *testing.T, kind Kind) *Server {
 	fabric := netsim.NewFabric(env, netsim.DefaultConfig())
 	cfg := DefaultConfig(kind)
 	cfg.HBM.Capacity = 64 << 20
-	return New(env, fabric, cfg)
+	s := New(env, fabric, cfg)
+	t.Cleanup(s.Quiesce)
+	return s
 }
 
 func TestPendingFanInCountsReplies(t *testing.T) {
@@ -227,10 +229,7 @@ func TestAccessorsPerKind(t *testing.T) {
 	if sds.Device() == nil || sds.NIC() != nil {
 		t.Fatal("SmartDS accessors wrong")
 	}
-	if sds.CPUPool() == nil {
-		t.Fatal("CPU pool missing")
-	}
-	if sds.Kind() != SmartDS || sds.Config().Kind != SmartDS {
-		t.Fatal("kind accessors wrong")
+	if sds.Config().Kind != SmartDS {
+		t.Fatal("kind accessor wrong")
 	}
 }

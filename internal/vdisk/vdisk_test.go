@@ -29,6 +29,7 @@ func newRig(t *testing.T, kind middletier.Kind) *rig {
 	cfg := middletier.DefaultConfig(kind)
 	cfg.HBM.Capacity = 64 << 20
 	mt := middletier.New(env, fabric, cfg)
+	t.Cleanup(mt.Quiesce)
 	var servers []*storage.Server
 	for i := 0; i < 3; i++ {
 		servers = append(servers, storage.NewServer(env, fabric,
