@@ -10,10 +10,8 @@
 //
 // Telemetry artifacts (all deterministic for a fixed seed):
 //
-//	-report report.json      # machine-readable run report (regression gate input)
-//	-metrics metrics.prom    # OpenMetrics snapshot of every instrument
-//	-series-csv series.csv   # sampled time series, long-form CSV
-//	-series-json series.json # sampled time series with digests, JSON
+//	-report report.json      # run report: every run's numbers and counter finals (regression gate input)
+//	-series-json series.json # every sampled time series with digests, JSON
 //
 // Observability (shared with smartds-sim via internal/cliflags):
 //
@@ -155,7 +153,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "run report written to %s\n", common.ReportFile)
 	}
-	if err := common.WriteArtifacts(opt.Telemetry, writeFile); err != nil {
+	if err := common.WriteSeries(opt.Telemetry, writeFile); err != nil {
 		fatal(err)
 	}
 	if *memProfile != "" {

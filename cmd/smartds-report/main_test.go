@@ -48,7 +48,7 @@ func writeFixture(t *testing.T, dir string) (reportPath, seriesPath string) {
 	reg := telemetry.NewRegistry()
 	sc := reg.NewRun("top-test", "SmartDS-1", 42)
 	env := sim.NewEnv()
-	sc.CounterFunc("smartds_demo_total", "Demo counter.", nil, func() float64 { return env.Now() * 1e4 })
+	sc.Register("smartds_demo_total", nil, func() float64 { return env.Now() * 1e4 })
 	sc.StartSampling(env, 0.5e-3) // five points on the 100 µs grid
 	env.Run(1)
 	sc.RecordResults(8e-3, 1000, 0, 5e9, 125000, metrics.Summary{

@@ -8,7 +8,7 @@
 //	smartds-sim -config examples/scenarios/smartds-mixed.json -report run.json
 //
 // The observability flags (-trace, -trace-sample, -critpath-folded,
-// -breakdown, -slo, -report, -metrics, -series-*) and -faults,
+// -breakdown, -slo, -report, -series-json) and -faults,
 // -replication and -seed are shared with smartds-bench via
 // internal/cliflags and behave identically, with or without -config. A
 // scenario file's own seed, when set, takes precedence over -seed.
@@ -97,18 +97,9 @@ func run(args []string) (int, error) {
 		*maintenance = sc.Maintenance
 		kindName = sc.Kind
 	} else {
-		var kind middletier.Kind
-		switch *kindFlag {
-		case "cpu", "cpu-only":
-			kind = middletier.CPUOnly
-		case "acc", "accel":
-			kind = middletier.Accel
-		case "bf2":
-			kind = middletier.BF2
-		case "smartds", "sds":
-			kind = middletier.SmartDS
-		default:
-			return 0, fmt.Errorf("unknown kind %q", *kindFlag)
+		kind, err := middletier.ParseKind(*kindFlag)
+		if err != nil {
+			return 0, err
 		}
 		cfg = cluster.DefaultConfig(kind)
 		cfg.Seed = common.Seed
@@ -230,7 +221,7 @@ func run(args []string) (int, error) {
 			}
 			fmt.Fprintf(os.Stderr, "run report written to %s\n", common.ReportFile)
 		}
-		if err := common.WriteArtifacts(reg, writeFile); err != nil {
+		if err := common.WriteSeries(reg, writeFile); err != nil {
 			return 0, err
 		}
 	}

@@ -18,8 +18,8 @@
 // It takes only package patterns (default ./...). Scopes and
 // allowlists are constants in the analyzers, so changing one is a
 // reviewed code change. Individual findings are waived in code with a
-// `//detcheck:<name> <reason>` comment on the flagged line or the line
-// above it. Waivers cannot rot: a directive naming no known analyzer,
+// `//detcheck:<name> <reason>` comment: trailing on the flagged line,
+// or alone on the line above it. Waivers cannot rot: a directive naming no known analyzer,
 // or one that no longer suppresses any finding, is itself a finding.
 // That audit is exact only over the whole tree: a run over a few
 // packages leaves out the //hot roots and callbacks that reach other

@@ -85,7 +85,9 @@ type Pass struct {
 	// suppressed findings.
 	Audit *WaiverAudit
 
-	directives map[directiveKey]bool
+	// directives maps each (file, covered line, name) to the directive
+	// that covers it.
+	directives map[directiveKey]directiveKey
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -94,27 +96,23 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // Suppressed reports whether a `//detcheck:<name>` directive covers the
-// given position: the directive may sit on the same line (trailing
-// comment) or on the line immediately above the flagged construct.
-// When an Audit is attached, a matching directive is recorded as used.
+// given position: a trailing directive (code before it on its line)
+// covers only its own line, and a directive on a line of its own
+// covers only the line below it. When an Audit is attached, a matching
+// directive is recorded as used.
 func (p *Pass) Suppressed(name string, pos token.Pos) bool {
 	if p.directives == nil {
-		p.directives = make(map[directiveKey]bool)
+		p.directives = make(map[directiveKey]directiveKey)
 		for _, d := range Directives(p.Fset, p.Files) {
-			p.directives[directiveKey{d.File, d.Line, d.Name}] = true
+			p.directives[directiveKey{d.File, d.covers(), d.Name}] = directiveKey{d.File, d.Line, d.Name}
 		}
 	}
 	at := p.Fset.Position(pos)
-	for _, line := range []int{at.Line, at.Line - 1} {
-		k := directiveKey{at.Filename, line, name}
-		if p.directives[k] {
-			if p.Audit != nil {
-				p.Audit.used[k] = true
-			}
-			return true
-		}
+	d, ok := p.directives[directiveKey{at.Filename, at.Line, name}]
+	if ok && p.Audit != nil {
+		p.Audit.used[d] = true
 	}
-	return false
+	return ok
 }
 
 // SourceFiles returns the package's files other than _test.go files:

@@ -19,6 +19,18 @@ type Directive struct {
 	Name string
 	File string
 	Line int
+	// Trailing is set when code precedes the directive on its line.
+	Trailing bool
+}
+
+// covers returns the one line whose findings the directive waives: a
+// trailing directive covers its own line, a directive on a line of its
+// own covers the next line.
+func (d Directive) covers() int {
+	if d.Trailing {
+		return d.Line
+	}
+	return d.Line + 1
 }
 
 type directiveKey struct {
@@ -31,6 +43,7 @@ type directiveKey struct {
 func Directives(fset *token.FileSet, files []*ast.File) []Directive {
 	var out []Directive
 	for _, f := range files {
+		var code map[int]int
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				rest, ok := strings.CutPrefix(c.Text, "//detcheck:")
@@ -40,12 +53,39 @@ func Directives(fset *token.FileSet, files []*ast.File) []Directive {
 				if i := strings.IndexAny(rest, " \t"); i >= 0 {
 					rest = rest[:i]
 				}
+				if code == nil {
+					code = codeColumns(fset, f)
+				}
 				pos := fset.Position(c.Pos())
-				out = append(out, Directive{Name: rest, File: pos.Filename, Line: pos.Line})
+				col, ok := code[pos.Line]
+				out = append(out, Directive{Name: rest, File: pos.Filename, Line: pos.Line,
+					Trailing: ok && col < pos.Column})
 			}
 		}
 	}
 	return out
+}
+
+// codeColumns maps each line of f that holds code to the leftmost
+// column where a syntax node starts or ends on it.
+func codeColumns(fset *token.FileSet, f *ast.File) map[int]int {
+	cols := map[int]int{}
+	note := func(p token.Pos) {
+		at := fset.Position(p)
+		if c, ok := cols[at.Line]; !ok || at.Column < c {
+			cols[at.Line] = at.Column
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup:
+			return false
+		}
+		note(n.Pos())
+		note(n.End())
+		return true
+	})
+	return cols
 }
 
 // WaiverAudit accumulates suppression hits across every pass of a

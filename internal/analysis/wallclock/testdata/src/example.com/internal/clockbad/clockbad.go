@@ -24,3 +24,11 @@ func annotated() time.Time {
 	//detcheck:wallclock host-facing progress line
 	return time.Now()
 }
+
+// A trailing waiver covers only its own line: the call on the next
+// line is still flagged.
+func trailingWaiver() (time.Time, time.Time) {
+	a := time.Now() //detcheck:wallclock host-facing progress line
+	b := time.Now() // want `wall-clock time\.Now`
+	return a, b
+}

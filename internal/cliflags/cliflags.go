@@ -1,7 +1,8 @@
 // Package cliflags holds the flag set shared by the smartds-bench and
 // smartds-sim commands, so the observability surface — tracing and its
-// sampling rate, critpath blame, SLO specs and telemetry artifacts — is
-// declared once and behaves identically in both binaries.
+// sampling rate, critpath blame, SLO specs, the run report and the
+// series file — is declared once and behaves identically in both
+// binaries.
 package cliflags
 
 import (
@@ -34,10 +35,8 @@ type Common struct {
 	Replication string
 	SLOSpec     string
 
-	ReportFile  string
-	MetricsFile string
-	SeriesCSV   string
-	SeriesJSON  string
+	ReportFile string
+	SeriesJSON string
 }
 
 // Register declares the shared flags on fs and returns the value
@@ -53,8 +52,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.Replication, "replication", "primary", "replication protocol: primary | chain | quorum")
 	fs.StringVar(&c.SLOSpec, "slo", "", "SLO specs evaluated by a burn-rate engine (kind:value[@opt=val,...];... — see internal/slo)")
 	fs.StringVar(&c.ReportFile, "report", "", "write the machine-readable run report (JSON) to this file")
-	fs.StringVar(&c.MetricsFile, "metrics", "", "write an OpenMetrics snapshot to this file")
-	fs.StringVar(&c.SeriesCSV, "series-csv", "", "write sampled time series as CSV to this file")
 	fs.StringVar(&c.SeriesJSON, "series-json", "", "write sampled time series as JSON to this file")
 	return c
 }
@@ -98,39 +95,24 @@ func (c *Common) NewTracer() *trace.Tracer {
 }
 
 // NewRegistry builds the telemetry registry implied by the flags (nil
-// when neither an artifact, -breakdown nor -slo was requested).
-// -breakdown reads each run's blame profile, and the printed SLO alert
-// table each run's fired alerts, from the registry's run records.
+// when neither -report, -series-json, -breakdown nor -slo was
+// requested). -breakdown reads each run's blame profile, and the
+// printed SLO alert table each run's fired alerts, from the registry's
+// run records.
 func (c *Common) NewRegistry() *telemetry.Registry {
-	artifacts := c.ReportFile != "" || c.MetricsFile != "" || c.SeriesCSV != "" || c.SeriesJSON != ""
-	if !artifacts && !c.Breakdown && c.SLOSpec == "" {
+	if c.ReportFile == "" && c.SeriesJSON == "" && !c.Breakdown && c.SLOSpec == "" {
 		return nil
 	}
 	return telemetry.NewRegistry()
 }
 
-// WriteArtifacts writes the metrics/series artifacts the flags request
+// WriteSeries writes the -series-json file when the flag asks for one
 // (the report is written by the caller, which owns its header fields).
 // writeFile must create the file and stream fn into it.
-func (c *Common) WriteArtifacts(reg *telemetry.Registry,
+func (c *Common) WriteSeries(reg *telemetry.Registry,
 	writeFile func(path string, fn func(io.Writer) error) error) error {
-	if reg == nil {
+	if reg == nil || c.SeriesJSON == "" {
 		return nil
 	}
-	if c.MetricsFile != "" {
-		if err := writeFile(c.MetricsFile, reg.WriteOpenMetrics); err != nil {
-			return err
-		}
-	}
-	if c.SeriesCSV != "" {
-		if err := writeFile(c.SeriesCSV, reg.WriteSeriesCSV); err != nil {
-			return err
-		}
-	}
-	if c.SeriesJSON != "" {
-		if err := writeFile(c.SeriesJSON, reg.WriteSeriesJSON); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeFile(c.SeriesJSON, reg.WriteSeriesJSON)
 }

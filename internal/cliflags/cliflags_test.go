@@ -77,21 +77,31 @@ func TestSLO(t *testing.T) {
 }
 
 func TestRegistryAndArtifacts(t *testing.T) {
-	c := parse(t, "-metrics", "m.prom")
+	c := parse(t, "-series-json", "s.json")
 	reg := c.NewRegistry()
 	if reg == nil {
-		t.Fatal("-metrics set but no registry")
+		t.Fatal("-series-json set but no registry")
 	}
 	wrote := map[string]bool{}
-	err := c.WriteArtifacts(reg, func(path string, fn func(io.Writer) error) error {
+	err := c.WriteSeries(reg, func(path string, fn func(io.Writer) error) error {
 		wrote[path] = true
 		return fn(io.Discard)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wrote["m.prom"] || len(wrote) != 1 {
-		t.Fatalf("wrote %v, want just m.prom", wrote)
+	if !wrote["s.json"] || len(wrote) != 1 {
+		t.Fatalf("wrote %v, want just s.json", wrote)
+	}
+	// The run report and the series file are the only artifacts:
+	// -metrics and -series-csv are unknown flags.
+	for _, retired := range []string{"-metrics", "-series-csv"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse([]string{retired, "x"}); err == nil {
+			t.Errorf("%s accepted", retired)
+		}
 	}
 }
 

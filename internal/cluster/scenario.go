@@ -65,19 +65,16 @@ func ParseScenario(data []byte) (*Scenario, error) {
 	return &sc, nil
 }
 
+// kind parses the scenario's design; an empty kind means CPU-only.
 func (sc *Scenario) kind() (middletier.Kind, error) {
-	switch sc.Kind {
-	case "cpu", "cpu-only", "":
+	if sc.Kind == "" {
 		return middletier.CPUOnly, nil
-	case "acc", "accel":
-		return middletier.Accel, nil
-	case "bf2":
-		return middletier.BF2, nil
-	case "smartds", "sds":
-		return middletier.SmartDS, nil
-	default:
-		return 0, fmt.Errorf("cluster: scenario: unknown kind %q", sc.Kind)
 	}
+	k, err := middletier.ParseKind(sc.Kind)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: scenario: %w", err)
+	}
+	return k, nil
 }
 
 // ClusterConfig materializes the cluster half of the scenario.

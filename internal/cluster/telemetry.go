@@ -11,94 +11,66 @@ import (
 )
 
 // instrument registers every layer's instruments under the given run
-// scope: client-observed progress and latency, the middle tier's
-// degraded-mode counters and fan-out depth, transport health per RDMA
-// stack, fabric port bytes and queue depths, compression engine
-// busy time, and on-card / host memory and PCIe bytes. Every
-// instrument is a pure read of cumulative state, so any two readers at
-// one instant agree; a rate is the difference of two readings over
-// their time apart.
+// scope: client-observed progress, the middle tier's degraded-mode
+// counters and fan-out depth, transport health per RDMA stack, fabric
+// port bytes and queue depths, compression engine busy time, and
+// on-card / host memory and PCIe bytes. Every instrument is a pure read
+// of cumulative state, so any two readers at one instant agree; a rate
+// is the difference of two readings over their time apart. A _total
+// name is a counter and never decreases; any other name is a gauge.
 func (c *Cluster) instrument(sc *telemetry.RunScope) {
-	// Client-observed progress: the numbers the paper's axes plot.
-	sc.CounterFunc("smartds_client_requests_total",
-		"Requests completed by all clients inside the measurement window.",
-		nil, func() float64 {
-			var n uint64
-			for _, cl := range c.Clients {
-				n += cl.Done
-			}
-			return float64(n)
-		})
-	sc.CounterFunc("smartds_client_bytes_total",
-		"Payload bytes served OK to all clients inside the measurement window.",
-		nil, func() float64 {
-			var b float64
-			for _, cl := range c.Clients {
-				b += cl.BytesMoved
-			}
-			return b
-		})
-	sc.CounterFunc("smartds_client_errors_total",
-		"Requests completed with a non-OK status inside the measurement window.",
-		nil, func() float64 {
-			var n uint64
-			for _, cl := range c.Clients {
-				n += cl.Errors
-			}
-			return float64(n)
-		})
-	for i, cl := range c.Clients {
-		sc.Histogram("smartds_client_latency_seconds",
-			"Client-observed request latency.",
-			map[string]string{"client": strconv.Itoa(i)}, cl.Lat)
-	}
+	// Client-observed progress inside the measurement window: the
+	// numbers the paper's axes plot. Latency lives in the run record's
+	// summary.
+	sc.Register("smartds_client_requests_total", nil, func() float64 {
+		var n uint64
+		for _, cl := range c.Clients {
+			n += cl.Done
+		}
+		return float64(n)
+	})
+	sc.Register("smartds_client_bytes_total", nil, func() float64 {
+		var b float64
+		for _, cl := range c.Clients {
+			b += cl.BytesMoved
+		}
+		return b
+	})
+	sc.Register("smartds_client_errors_total", nil, func() float64 {
+		var n uint64
+		for _, cl := range c.Clients {
+			n += cl.Errors
+		}
+		return float64(n)
+	})
 
 	// Middle-tier request handling and degraded-mode behavior.
 	mt := c.MT
-	sc.CounterFunc("smartds_mt_writes_total", "Writes completed by the middle tier.",
-		nil, func() float64 { return float64(mt.WritesDone) })
-	sc.CounterFunc("smartds_mt_reads_total", "Reads completed by the middle tier.",
-		nil, func() float64 { return float64(mt.ReadsDone) })
-	sc.CounterFunc("smartds_mt_bypass_total", "Latency-sensitive writes that bypassed compression.",
-		nil, func() float64 { return float64(mt.BypassHits) })
-	sc.CounterFunc("smartds_mt_bytes_in_total", "Payload bytes received from clients.",
-		nil, func() float64 { return mt.BytesIn })
-	sc.CounterFunc("smartds_mt_bytes_stored_total", "Bytes shipped to storage after compression.",
-		nil, func() float64 { return mt.BytesStored })
-	sc.CounterFunc("smartds_mt_degraded_total", "Writes placed on fewer than the configured replicas.",
-		nil, func() float64 { return float64(mt.Degraded) })
-	sc.CounterFunc("smartds_mt_unroutable_total", "Requests with no healthy replica at all.",
-		nil, func() float64 { return float64(mt.Unroutable) })
-	sc.CounterFunc("smartds_mt_replicate_retries_total", "Replication fan-outs re-issued after timeout.",
-		nil, func() float64 { return float64(mt.ReplicateRetries) })
-	sc.CounterFunc("smartds_mt_retry_bytes_total", "Payload bytes re-sent by replication retries.",
-		nil, func() float64 { return mt.RetryBytes })
-	sc.CounterFunc("smartds_mt_engine_fallbacks_total", "Writes stored raw because an engine was down.",
-		nil, func() float64 { return float64(mt.EngineFallbacks) })
-	sc.CounterFunc("smartds_mt_engine_reroutes_total", "SmartDS writes compressed by a surviving port's engine.",
-		nil, func() float64 { return float64(mt.EngineReroutes) })
-	sc.CounterFunc("smartds_mt_rebuild_bytes_total", "Stored bytes streamed rebuilding crashed servers.",
-		nil, func() float64 { return mt.RebuildBytes })
-	sc.CounterFunc("smartds_mt_stale_acks_total", "Storage acks arriving after their fan-out completed or was abandoned.",
-		nil, func() float64 { return float64(mt.StaleAcks) })
+	sc.Register("smartds_mt_writes_total", nil, func() float64 { return float64(mt.WritesDone) })
+	sc.Register("smartds_mt_reads_total", nil, func() float64 { return float64(mt.ReadsDone) })
+	sc.Register("smartds_mt_bypass_total", nil, func() float64 { return float64(mt.BypassHits) })
+	sc.Register("smartds_mt_bytes_in_total", nil, func() float64 { return mt.BytesIn })
+	sc.Register("smartds_mt_bytes_stored_total", nil, func() float64 { return mt.BytesStored })
+	sc.Register("smartds_mt_degraded_total", nil, func() float64 { return float64(mt.Degraded) })
+	sc.Register("smartds_mt_unroutable_total", nil, func() float64 { return float64(mt.Unroutable) })
+	sc.Register("smartds_mt_replicate_retries_total", nil, func() float64 { return float64(mt.ReplicateRetries) })
+	sc.Register("smartds_mt_retry_bytes_total", nil, func() float64 { return mt.RetryBytes })
+	sc.Register("smartds_mt_engine_fallbacks_total", nil, func() float64 { return float64(mt.EngineFallbacks) })
+	sc.Register("smartds_mt_engine_reroutes_total", nil, func() float64 { return float64(mt.EngineReroutes) })
+	sc.Register("smartds_mt_rebuild_bytes_total", nil, func() float64 { return mt.RebuildBytes })
+	sc.Register("smartds_mt_stale_acks_total", nil, func() float64 { return float64(mt.StaleAcks) })
 	// Which replica slot decided each fan-out (the straggler whose ack
 	// closed the wait): visible per replica index without tracing, so a
-	// consistently slow replica shows up in any metrics dump.
+	// consistently slow replica shows up in any run record.
 	for ri := range mt.StragglerAcks {
 		ri := ri
-		sc.CounterFunc("smartds_mt_straggler_acks_total",
-			"Fan-out completions whose deciding (last-needed) ack came from this replica slot.",
-			map[string]string{"replica": strconv.Itoa(ri)},
+		sc.Register("smartds_mt_straggler_acks_total", map[string]string{"replica": strconv.Itoa(ri)},
 			func() float64 { return float64(mt.StragglerAcks[ri]) })
 	}
-	sc.CounterFunc("smartds_mt_read_repairs_total", "Stale replicas rewritten by quorum reads.",
-		nil, func() float64 { return float64(mt.ReadRepairs) })
-	sc.CounterFunc("smartds_mt_repair_bytes_total", "Frame bytes pushed by quorum read-repairs.",
-		nil, func() float64 { return mt.RepairBytes })
-	sc.CounterFunc("smartds_mt_backfill_bytes_total", "Stored chunk bytes copied onto substituted replicas.",
-		nil, func() float64 { return mt.BackfillBytes })
-	sc.GaugeFunc("smartds_mt_inflight_fanouts", "Client requests with replication fan-outs outstanding.",
-		nil, func() float64 { return float64(mt.InflightFanouts()) })
+	sc.Register("smartds_mt_read_repairs_total", nil, func() float64 { return float64(mt.ReadRepairs) })
+	sc.Register("smartds_mt_repair_bytes_total", nil, func() float64 { return mt.RepairBytes })
+	sc.Register("smartds_mt_backfill_bytes_total", nil, func() float64 { return mt.BackfillBytes })
+	sc.Register("smartds_mt_inflight_fanouts", nil, func() float64 { return float64(mt.InflightFanouts()) })
 
 	// Transport health: one label set per RDMA stack. The middle tier's
 	// stacks carry both client and storage traffic; the storage servers'
@@ -106,24 +78,17 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 	for si, st := range mt.TransportStacks() {
 		st := st
 		labels := map[string]string{"node": "mt", "stack": strconv.Itoa(si)}
-		sc.CounterFunc("smartds_rdma_retransmits_total", "Go-back-N resends across the stack's QPs.",
-			labels, func() float64 { return float64(st.Stats().Retransmits) })
-		sc.CounterFunc("smartds_rdma_qp_resets_total", "QP resets (Reconnect incarnations).",
-			labels, func() float64 { return float64(st.Stats().Resets) })
-		sc.GaugeFunc("smartds_rdma_unacked", "Sends posted but not yet acked (in flight).",
-			labels, func() float64 { return float64(st.Stats().Unacked) })
-		sc.GaugeFunc("smartds_rdma_broken_qps", "QPs wedged awaiting Reconnect.",
-			labels, func() float64 { return float64(st.Stats().Broken) })
+		sc.Register("smartds_rdma_retransmits_total", labels, func() float64 { return float64(st.Stats().Retransmits) })
+		sc.Register("smartds_rdma_qp_resets_total", labels, func() float64 { return float64(st.Stats().Resets) })
+		sc.Register("smartds_rdma_unacked", labels, func() float64 { return float64(st.Stats().Unacked) })
+		sc.Register("smartds_rdma_broken_qps", labels, func() float64 { return float64(st.Stats().Broken) })
 	}
 	for i, srv := range c.Storage {
 		st := srv.Stack()
 		labels := map[string]string{"node": "ss" + strconv.Itoa(i), "stack": "0"}
-		sc.CounterFunc("smartds_rdma_retransmits_total", "Go-back-N resends across the stack's QPs.",
-			labels, func() float64 { return float64(st.Stats().Retransmits) })
-		sc.CounterFunc("smartds_rdma_qp_resets_total", "QP resets (Reconnect incarnations).",
-			labels, func() float64 { return float64(st.Stats().Resets) })
-		sc.GaugeFunc("smartds_rdma_unacked", "Sends posted but not yet acked (in flight).",
-			labels, func() float64 { return float64(st.Stats().Unacked) })
+		sc.Register("smartds_rdma_retransmits_total", labels, func() float64 { return float64(st.Stats().Retransmits) })
+		sc.Register("smartds_rdma_qp_resets_total", labels, func() float64 { return float64(st.Stats().Resets) })
+		sc.Register("smartds_rdma_unacked", labels, func() float64 { return float64(st.Stats().Unacked) })
 	}
 
 	// Fabric ports: bytes serialized per direction plus instantaneous
@@ -131,43 +96,32 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 	for pi, port := range mt.NetPorts() {
 		port := port
 		labels := map[string]string{"node": "mt", "port": strconv.Itoa(pi)}
-		sc.CounterFunc("smartds_port_tx_bytes_total", "Bytes the port has transmitted.",
-			labels, func() float64 { return port.TxStats().Work })
-		sc.CounterFunc("smartds_port_rx_bytes_total", "Bytes the port has received.",
-			labels, func() float64 { return port.RxStats().Work })
-		sc.GaugeFunc("smartds_port_tx_queue_depth", "Transfers serializing through the TX direction.",
-			labels, func() float64 { return float64(port.TxQueueLen()) })
-		sc.GaugeFunc("smartds_port_rx_queue_depth", "Transfers serializing through the RX direction.",
-			labels, func() float64 { return float64(port.RxQueueLen()) })
+		sc.Register("smartds_port_tx_bytes_total", labels, func() float64 { return port.TxStats().Work })
+		sc.Register("smartds_port_rx_bytes_total", labels, func() float64 { return port.RxStats().Work })
+		sc.Register("smartds_port_tx_queue_depth", labels, func() float64 { return float64(port.TxQueueLen()) })
+		sc.Register("smartds_port_rx_queue_depth", labels, func() float64 { return float64(port.RxQueueLen()) })
 	}
 
-	// Compression engines: busy time, queue depth, and bytes processed
-	// (BF2 SoC engine or SmartDS per-port engines).
+	// Compression engines: busy time, queue depth, and input bytes
+	// processed (BF2 SoC engine or SmartDS per-port engines).
 	for ei, eng := range mt.Engines() {
 		eng := eng
 		labels := map[string]string{"engine": strconv.Itoa(ei)}
-		sc.CounterFunc("smartds_engine_busy_seconds_total", "Seconds the engine has spent processing jobs.",
-			labels, func() float64 { return eng.Utilization().BusyIntegral })
-		sc.GaugeFunc("smartds_engine_queue_depth", "Jobs waiting for the engine.",
-			labels, func() float64 { return float64(eng.QueueLen()) })
-		sc.CounterFunc("smartds_engine_bytes_total", "Input bytes processed by the engine.",
-			labels, func() float64 { return eng.Processed() })
+		sc.Register("smartds_engine_busy_seconds_total", labels, func() float64 { return eng.Utilization().BusyIntegral })
+		sc.Register("smartds_engine_queue_depth", labels, func() float64 { return float64(eng.QueueLen()) })
+		sc.Register("smartds_engine_bytes_total", labels, func() float64 { return eng.Processed() })
 	}
 
 	// On-card memory (BF2 DRAM / SmartDS HBM): bus bytes + bytes
 	// resident.
 	if dm := mt.DeviceMemory(); dm != nil {
-		sc.CounterFunc("smartds_hbm_bytes_total", "Bytes moved over the on-card memory bus.",
-			nil, func() float64 { return dm.BusStats().Work })
-		sc.GaugeFunc("smartds_hbm_bytes_in_use", "Bytes allocated in on-card memory.",
-			nil, func() float64 { return float64(dm.InUse()) })
+		sc.Register("smartds_hbm_bytes_total", nil, func() float64 { return dm.BusStats().Work })
+		sc.Register("smartds_hbm_bytes_in_use", nil, func() float64 { return float64(dm.InUse()) })
 	}
 
 	// Host memory and PCIe endpoints of the middle-tier server.
-	sc.CounterFunc("smartds_mt_mem_read_bytes_total", "Bytes read from host memory.",
-		nil, func() float64 { return mt.Mem.Snapshot().ReadBytes })
-	sc.CounterFunc("smartds_mt_mem_write_bytes_total", "Bytes written to host memory.",
-		nil, func() float64 { return mt.Mem.Snapshot().WriteBytes })
+	sc.Register("smartds_mt_mem_read_bytes_total", nil, func() float64 { return mt.Mem.Snapshot().ReadBytes })
+	sc.Register("smartds_mt_mem_write_bytes_total", nil, func() float64 { return mt.Mem.Snapshot().WriteBytes })
 	type pcieEndpoint struct {
 		name string
 		link *pcie.Link
@@ -185,10 +139,8 @@ func (c *Cluster) instrument(sc *telemetry.RunScope) {
 	for _, ep := range endpoints {
 		link := ep.link
 		labels := map[string]string{"endpoint": ep.name}
-		sc.CounterFunc("smartds_pcie_h2d_bytes_total", "Bytes moved host-to-device over PCIe.",
-			labels, func() float64 { return link.Snapshot().H2DBytes })
-		sc.CounterFunc("smartds_pcie_d2h_bytes_total", "Bytes moved device-to-host over PCIe.",
-			labels, func() float64 { return link.Snapshot().D2HBytes })
+		sc.Register("smartds_pcie_h2d_bytes_total", labels, func() float64 { return link.Snapshot().H2DBytes })
+		sc.Register("smartds_pcie_d2h_bytes_total", labels, func() float64 { return link.Snapshot().D2HBytes })
 	}
 }
 

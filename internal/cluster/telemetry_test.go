@@ -75,16 +75,14 @@ func TestTelemetryWiring(t *testing.T) {
 					t.Fatalf("series %s%v sampled %d points (digest %d)", se.Name, se.Labels, len(se.Points), se.Digest.Points)
 				}
 			}
-			// Designs with hardware engines expose engine and HBM counters.
+			// Designs with hardware engines record engine and HBM
+			// counters in the run record.
 			if kind == middletier.BF2 || kind == middletier.SmartDS {
-				var om bytes.Buffer
-				if err := reg.WriteOpenMetrics(&om); err != nil {
-					t.Fatal(err)
+				if _, ok := rr.Counters[`smartds_engine_bytes_total{engine="0"}`]; !ok {
+					t.Fatalf("%v run record has no engine counter: %v", kind, rr.Counters)
 				}
-				for _, want := range []string{"smartds_engine_bytes_total", "smartds_hbm_bytes_total"} {
-					if !strings.Contains(om.String(), want) {
-						t.Fatalf("%v snapshot missing %s", kind, want)
-					}
+				if _, ok := rr.Counters["smartds_hbm_bytes_total"]; !ok {
+					t.Fatalf("%v run record has no HBM counter: %v", kind, rr.Counters)
 				}
 			}
 		})
@@ -95,7 +93,7 @@ func TestTelemetryWiring(t *testing.T) {
 // registers twice at one virtual instant, mid-run under load, and
 // requires the same value both times: no instrument may keep state
 // that a read advances, or its value would depend on who read last
-// (the sampler, a report, an OpenMetrics snapshot).
+// (the sampler or the run record).
 func TestTelemetryReadsArePure(t *testing.T) {
 	for _, kind := range []middletier.Kind{middletier.CPUOnly, middletier.Accel, middletier.BF2, middletier.SmartDS} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -158,29 +156,64 @@ func TestTelemetryFaultSummaryAttached(t *testing.T) {
 	}
 }
 
-// TestTelemetryGoldenDeterminism pins the PR's headline contract: two
+// TestTelemetryGoldenDeterminism pins the telemetry contract: two
 // same-seed instrumented runs produce byte-identical run reports and
-// OpenMetrics snapshots. Runs under CI's -count=1 golden step.
+// series files. Runs under CI's -count=1 golden step.
 func TestTelemetryGoldenDeterminism(t *testing.T) {
 	artifact := func() (string, string) {
 		reg, _ := telemetryRun(t, middletier.SmartDS, "crash:ss0@3ms+2ms")
 		rep := reg.BuildReport("golden", 42, true, map[string]string{"exp": "test"})
-		var rj, om bytes.Buffer
+		var rj, sj bytes.Buffer
 		if err := telemetry.WriteReport(&rj, rep); err != nil {
 			t.Fatal(err)
 		}
-		if err := reg.WriteOpenMetrics(&om); err != nil {
+		if err := reg.WriteSeriesJSON(&sj); err != nil {
 			t.Fatal(err)
 		}
-		return rj.String(), om.String()
+		return rj.String(), sj.String()
 	}
-	rep1, om1 := artifact()
-	rep2, om2 := artifact()
+	rep1, series1 := artifact()
+	rep2, series2 := artifact()
 	if rep1 != rep2 {
 		t.Fatalf("same-seed run reports differ:\n--- first ---\n%.2000s\n--- second ---\n%.2000s", rep1, rep2)
 	}
-	if om1 != om2 {
-		t.Fatalf("same-seed OpenMetrics snapshots differ:\n--- first ---\n%.2000s\n--- second ---\n%.2000s", om1, om2)
+	if series1 != series2 {
+		t.Fatalf("same-seed series files differ:\n--- first ---\n%.2000s\n--- second ---\n%.2000s", series1, series2)
+	}
+}
+
+// TestTotalSeriesNonDecreasing checks the counter contract the _total
+// suffix names: every sampled _total series of a run under a storage
+// crash (retransmits, degraded writes, rebuild bytes all move) never
+// decreases, for all four designs.
+func TestTotalSeriesNonDecreasing(t *testing.T) {
+	for _, kind := range []middletier.Kind{middletier.CPUOnly, middletier.Accel, middletier.BF2, middletier.SmartDS} {
+		t.Run(kind.String(), func(t *testing.T) {
+			reg, _ := telemetryRun(t, kind, "crash:ss0@3ms+2ms")
+			var js bytes.Buffer
+			if err := reg.WriteSeriesJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			series, err := telemetry.ReadSeriesJSON(&js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counters := 0
+			for _, se := range series {
+				if !strings.HasSuffix(se.Name, "_total") {
+					continue
+				}
+				counters++
+				for i := 1; i < len(se.Points); i++ {
+					if prev, p := se.Points[i-1], se.Points[i]; p.Value < prev.Value {
+						t.Fatalf("%s%v fell from %g to %g at t=%g", se.Name, se.Labels, prev.Value, p.Value, p.At)
+					}
+				}
+			}
+			if counters == 0 {
+				t.Fatal("no _total series in the series file")
+			}
+		})
 	}
 }
 

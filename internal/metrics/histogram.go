@@ -108,12 +108,8 @@ func (h *Histogram) Min() float64 {
 	return h.minSeen
 }
 
-// Sum returns the sum of all recorded samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Bucket is one cumulative histogram bucket: Count samples fell at or
-// below UpperBound. The OpenMetrics exporter maps it onto the
-// `_bucket{le=...}` encoding.
+// below UpperBound.
 type Bucket struct {
 	UpperBound float64
 	Count      uint64
@@ -127,8 +123,7 @@ func (h *Histogram) bucketUpper(i int) float64 {
 // Buckets returns the cumulative bucket view in ascending boundary
 // order. The first bucket's boundary is the histogram minimum (it
 // carries the under-range count), the last is +Inf (it carries the
-// total count, including over-range samples) — exactly the invariants
-// the OpenMetrics histogram encoding requires. Counts are monotone
+// total count, including over-range samples). Counts are monotone
 // non-decreasing.
 func (h *Histogram) Buckets() []Bucket {
 	out := make([]Bucket, 0, len(h.buckets)+2)

@@ -416,13 +416,14 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 		}
 	}
 
-	// Sum matches what was recorded.
+	// Mean matches what was recorded.
 	want := 0.0
 	for _, v := range samples {
 		want += v
 	}
-	if diff := math.Abs(h.Sum() - want); diff > 1e-9*want {
-		t.Fatalf("Sum = %g, want %g", h.Sum(), want)
+	want /= float64(len(samples))
+	if diff := math.Abs(h.Mean() - want); diff > 1e-9*want {
+		t.Fatalf("Mean = %g, want %g", h.Mean(), want)
 	}
 }
 

@@ -56,6 +56,22 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// ParseKind maps a design name to its Kind: cpu | cpu-only, acc |
+// accel, bf2, smartds | sds.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "cpu", "cpu-only":
+		return CPUOnly, nil
+	case "acc", "accel":
+		return Accel, nil
+	case "bf2":
+		return BF2, nil
+	case "smartds", "sds":
+		return SmartDS, nil
+	}
+	return CPUOnly, fmt.Errorf("middletier: unknown design %q (have cpu, acc, bf2, smartds)", s)
+}
+
 // Config parameterizes a middle-tier server.
 type Config struct {
 	Kind    Kind

@@ -25,6 +25,24 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+func TestParseKind(t *testing.T) {
+	for name, want := range map[string]Kind{
+		"cpu": CPUOnly, "cpu-only": CPUOnly,
+		"acc": Accel, "accel": Accel,
+		"bf2":     BF2,
+		"smartds": SmartDS, "sds": SmartDS,
+	} {
+		if got, err := ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"dpu", ""} {
+		if _, err := ParseKind(bad); err == nil {
+			t.Errorf("ParseKind(%q) accepted", bad)
+		}
+	}
+}
+
 func TestDefaultConfigPerKind(t *testing.T) {
 	if DefaultConfig(BF2).Ports != 2 {
 		t.Error("BF2 should default to 2 ports")

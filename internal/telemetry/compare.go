@@ -20,8 +20,10 @@ const (
 	// under this many seconds — relative noise on microsecond tails is
 	// meaningless.
 	p999Floor = 25e-6
-	// minRequests skips runs that measured fewer requests than this
-	// (tiny windows are all noise).
+	// minRequests skips runs whose baseline measured fewer requests
+	// than this (tiny windows are all noise). Only the baseline is
+	// held to it: a current run that collapsed below it is exactly
+	// what the gate must catch.
 	minRequests = 50
 )
 
@@ -73,7 +75,7 @@ func Compare(base, cur *Report, maxEPSDrop float64) ([]RunDelta, []string) {
 			continue
 		}
 		d := RunDelta{Key: b.Key(), Base: b, Cur: c}
-		if b.Requests >= minRequests && c.Requests >= minRequests {
+		if b.Requests >= minRequests {
 			if b.ThroughputBps > 0 && c.ThroughputBps < b.ThroughputBps*(1-maxThroughputDrop) {
 				d.Violations = append(d.Violations, fmt.Sprintf(
 					"throughput regressed %.1f%%: %s -> %s (gate %.0f%%)",

@@ -4,33 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
-
-// WriteSeriesCSV dumps every sampled time series in long form:
-// one row per point, `metric,labels,t_sec,value`, series in canonical
-// (name, labels) order and points chronological. Loads directly into
-// pandas / gnuplot for time-resolved views of a fault window.
-func (r *Registry) WriteSeriesCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "metric,labels,t_sec,value\n"); err != nil {
-		return err
-	}
-	for _, m := range r.Metrics() {
-		if m.series == nil {
-			continue
-		}
-		label := csvQuote(m.labels.String())
-		for _, p := range m.series.Points() {
-			row := m.name + "," + label + "," +
-				strconv.FormatFloat(p.At, 'g', -1, 64) + "," +
-				strconv.FormatFloat(p.Value, 'g', -1, 64) + "\n"
-			if _, err := io.WriteString(w, row); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // SeriesRecord is one series of the WriteSeriesJSON file.
 type SeriesRecord struct {
@@ -71,17 +45,4 @@ func ReadSeriesJSON(rd io.Reader) ([]SeriesRecord, error) {
 		return nil, fmt.Errorf("telemetry: decode series: %w", err)
 	}
 	return out, nil
-}
-
-// csvQuote wraps a field in quotes, doubling embedded quotes (RFC 4180).
-func csvQuote(s string) string {
-	out := make([]byte, 0, len(s)+2)
-	out = append(out, '"')
-	for i := 0; i < len(s); i++ {
-		if s[i] == '"' {
-			out = append(out, '"')
-		}
-		out = append(out, s[i])
-	}
-	return string(append(out, '"'))
 }

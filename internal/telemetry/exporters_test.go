@@ -9,27 +9,10 @@ import (
 	"github.com/disagg/smartds/internal/metrics"
 )
 
-// TestExportersEmptyRegistry pins the degenerate exports: a registry
-// with nothing registered must still produce well-formed documents.
+// TestExportersEmptyRegistry pins the degenerate export: a registry
+// with nothing registered must still produce a well-formed series file.
 func TestExportersEmptyRegistry(t *testing.T) {
 	r := NewRegistry()
-
-	var om bytes.Buffer
-	if err := r.WriteOpenMetrics(&om); err != nil {
-		t.Fatal(err)
-	}
-	if om.String() != "# EOF\n" {
-		t.Fatalf("empty OpenMetrics = %q, want only the EOF marker", om.String())
-	}
-
-	var csv bytes.Buffer
-	if err := r.WriteSeriesCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if got := csv.String(); got != "metric,labels,t_sec,value\n" {
-		t.Fatalf("empty CSV = %q, want header only", got)
-	}
-
 	var js bytes.Buffer
 	if err := r.WriteSeriesJSON(&js); err != nil {
 		t.Fatal(err)
@@ -62,8 +45,8 @@ func TestZeroRunReport(t *testing.T) {
 	}
 }
 
-// TestSingleSampleSeries pins the one-point digest and its exports:
-// First==Last==Min==Max==Mean, and both exporters emit exactly one row.
+// TestSingleSampleSeries pins the one-point digest and its export:
+// First==Last==Min==Max==Mean, and the series file carries one point.
 func TestSingleSampleSeries(t *testing.T) {
 	s := NewSeries(8)
 	s.Append(2e-3, 42)
@@ -74,29 +57,22 @@ func TestSingleSampleSeries(t *testing.T) {
 
 	r := NewRegistry()
 	sc := r.NewRun("one", "SmartDS-1", 3)
-	m := sc.CounterFunc("smartds_one_total", "One sample.", nil, func() float64 { return 42 })
+	m := sc.Register("smartds_one_total", nil, func() float64 { return 42 })
 	sam := r.NewSampler(nil, []*Metric{m})
 	_ = sam // the sampler attached the ring; append directly without an env
 	m.Series().Append(2e-3, 42)
-
-	var csv bytes.Buffer
-	if err := r.WriteSeriesCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	rows := strings.Split(strings.TrimRight(csv.String(), "\n"), "\n")
-	if len(rows) != 2 {
-		t.Fatalf("single-sample CSV rows = %d:\n%s", len(rows), csv.String())
-	}
-	if !strings.Contains(rows[1], ",0.002,42") {
-		t.Fatalf("csv row = %q", rows[1])
-	}
 
 	var js bytes.Buffer
 	if err := r.WriteSeriesJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(js.String(), `"points": 1`) {
-		t.Fatalf("json digest missing single point:\n%s", js.String())
+	series, err := ReadSeriesJSON(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 1 || series[0].Digest.Points != 1 ||
+		len(series[0].Points) != 1 || series[0].Points[0] != (Point{At: 2e-3, Value: 42}) {
+		t.Fatalf("single-sample series file = %+v", series)
 	}
 }
 
@@ -119,23 +95,29 @@ func TestManySeriesOfOneNameExported(t *testing.T) {
 	r := NewRegistry()
 	sc := r.NewRun("fig10", "SmartDS-6", 42)
 	const n = 100
+	var ms []*Metric
 	for i := 0; i < n; i++ {
 		v := float64(i)
-		sc.CounterFunc("smartds_rdma_tx_bytes_total", "", map[string]string{"stack": strconv.Itoa(i)},
-			func() float64 { return v })
+		ms = append(ms, sc.Register("smartds_rdma_tx_bytes_total", map[string]string{"stack": strconv.Itoa(i)},
+			func() float64 { return v }))
 	}
-	var buf bytes.Buffer
-	if err := r.WriteOpenMetrics(&buf); err != nil {
+	r.NewSampler(nil, ms) // attaches the rings; the file lists every sampled series
+	var js bytes.Buffer
+	if err := r.WriteSeriesJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	lines := 0
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, "smartds_rdma_tx_bytes_total{") {
-			lines++
+	series, err := ReadSeriesJSON(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stacks := map[string]bool{}
+	for _, se := range series {
+		if se.Name == "smartds_rdma_tx_bytes_total" {
+			stacks[se.Labels["stack"]] = true
 		}
 	}
-	if lines != n {
-		t.Fatalf("exported %d series, want %d", lines, n)
+	if len(series) != n || len(stacks) != n {
+		t.Fatalf("series file has %d series over %d stacks, want %d", len(series), len(stacks), n)
 	}
 	sc.RecordResults(1e-3, 0, 0, 0, 0, metrics.Summary{})
 	rr := r.BuildReport("fig10", 42, true, nil).Runs[0]
@@ -154,67 +136,14 @@ func TestManySeriesOfOneNameExported(t *testing.T) {
 	}
 }
 
-// A histogram metric's scalar value is its live sample count, and a
-// run record's counters carry only counters and gauges.
-func TestHistogramMetricValue(t *testing.T) {
+// A label value is escaped inside its run-record counter key, so keys
+// stay unambiguous whatever a label carries.
+func TestCounterKeyEscaping(t *testing.T) {
 	r := NewRegistry()
 	sc := r.NewRun("x", "CPU-only", 1)
-	h := metrics.NewLatencyHistogram()
-	m := sc.Histogram("lat_seconds", "", nil, h)
-	if m.Value() != 0 {
-		t.Fatalf("empty histogram value = %g", m.Value())
-	}
-	h.Record(10e-6)
-	h.Record(3e-3)
-	if m.Value() != 2 {
-		t.Fatalf("histogram value = %g, want 2", m.Value())
-	}
-	sc.RecordResults(1e-3, 2, 0, 0, 0, h.Summarize())
-	if c := sc.Record().Counters; len(c) != 0 {
-		t.Fatalf("histogram recorded as a counter: %+v", c)
-	}
-}
-
-// Bucket lines merge le into the series' own labels in key order and
-// end at the count: no exemplar suffix or other trailing field.
-func TestOpenMetricsBucketLines(t *testing.T) {
-	r := NewRegistry()
-	h := metrics.NewLatencyHistogram()
-	h.Record(5e-6)
-	h.Record(2e-3)
-	r.Histogram("lat_seconds", "", MakeLabels(map[string]string{"design": "SmartDS", "z": "1"}), h)
-	var buf bytes.Buffer
-	if err := r.WriteOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	bounds := map[string]bool{}
-	for _, b := range h.Buckets() {
-		bounds[omFloat(b.UpperBound)] = true
-	}
-	const prefix = `lat_seconds_bucket{design="SmartDS",le="`
-	var counts []string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if !strings.HasPrefix(line, "lat_seconds_bucket") {
-			continue
-		}
-		le, rest, ok := strings.Cut(strings.TrimPrefix(line, prefix), `",z="1"} `)
-		if !strings.HasPrefix(line, prefix) || !ok || !bounds[le] {
-			t.Fatalf("malformed bucket line %q", line)
-		}
-		if _, err := strconv.ParseUint(rest, 10, 64); err != nil {
-			t.Fatalf("bucket line %q does not end at its count", line)
-		}
-		counts = append(counts, rest)
-	}
-	if len(counts) < 3 || counts[0] != "0" || counts[len(counts)-1] != "2" {
-		t.Fatalf("bucket counts %v, want a leading 0 bucket and a final 2", counts)
-	}
-	for _, want := range []string{
-		`lat_seconds_bucket{design="SmartDS",le="+Inf",z="1"} 2` + "\n",
-		`lat_seconds_count{design="SmartDS",z="1"} 2` + "\n",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("export missing %q in:\n%s", want, buf.String())
-		}
+	sc.Register("smartds_odd_total", map[string]string{"p": "a\"b\\c\nd"}, func() float64 { return 7 })
+	sc.RecordResults(1e-3, 0, 0, 0, 0, metrics.Summary{})
+	if got := sc.Record().Counters[`smartds_odd_total{p="a\"b\\c\nd"}`]; got != 7 || len(sc.Record().Counters) != 1 {
+		t.Fatalf("counters = %v, want the escaped key at 7", sc.Record().Counters)
 	}
 }

@@ -246,7 +246,7 @@ func (sc *RunScope) Record() *RunRecord { return sc.rec }
 // SetProtocol stamps the run with the replication protocol it used:
 // the record carries it for report readers, and every instrument
 // registered afterwards gains a "protocol" label so per-protocol runs
-// of the same experiment/design stay distinguishable in metric dumps.
+// of the same experiment/design stay distinguishable in the series file.
 // Call before registering instruments.
 func (sc *RunScope) SetProtocol(p string) {
 	if p == "" {
@@ -254,14 +254,6 @@ func (sc *RunScope) SetProtocol(p string) {
 	}
 	sc.rec.Protocol = p
 	sc.labels = sc.mergeLabels(map[string]string{"protocol": p})
-}
-
-// scoped merges extra dimensions into the scope labels and remembers
-// the metric plus its short (scope-independent) counter key.
-func (sc *RunScope) scoped(m *Metric, name string, extra map[string]string) *Metric {
-	sc.metrics = append(sc.metrics, m)
-	sc.short[m] = name + MakeLabels(extra).String()
-	return m
 }
 
 func (sc *RunScope) mergeLabels(extra map[string]string) LabelSet {
@@ -277,23 +269,17 @@ func (sc *RunScope) mergeLabels(extra map[string]string) LabelSet {
 	return ls
 }
 
-// CounterFunc registers a pull counter under the scope's labels.
-func (sc *RunScope) CounterFunc(name, help string, extra map[string]string, fn func() float64) *Metric {
-	return sc.scoped(sc.reg.CounterFunc(name, help, sc.mergeLabels(extra), fn), name, extra)
-}
-
-// GaugeFunc registers a pull gauge under the scope's labels.
-func (sc *RunScope) GaugeFunc(name, help string, extra map[string]string, fn func() float64) *Metric {
-	return sc.scoped(sc.reg.GaugeFunc(name, help, sc.mergeLabels(extra), fn), name, extra)
-}
-
-// Histogram registers a histogram under the scope's labels.
-func (sc *RunScope) Histogram(name, help string, extra map[string]string, h *metrics.Histogram) *Metric {
-	return sc.scoped(sc.reg.Histogram(name, help, sc.mergeLabels(extra), h), name, extra)
+// Register adds an instrument under the scope's labels plus extra and
+// remembers its short (scope-independent) counter key.
+func (sc *RunScope) Register(name string, extra map[string]string, fn func() float64) *Metric {
+	m := sc.reg.Register(name, sc.mergeLabels(extra), fn)
+	sc.metrics = append(sc.metrics, m)
+	sc.short[m] = name + MakeLabels(extra).String()
+	return m
 }
 
 // StartSampling begins ring-buffered time-series recording of every
-// scope counter/gauge on the registry's sim-clock cadence until stop.
+// scope instrument on the registry's sim-clock cadence until stop.
 func (sc *RunScope) StartSampling(env *sim.Env, stop float64) *Sampler {
 	s := sc.reg.NewSampler(env, sc.metrics)
 	s.Run(stop)
@@ -301,7 +287,7 @@ func (sc *RunScope) StartSampling(env *sim.Env, stop float64) *Sampler {
 }
 
 // RecordResults fills the run record with the measured outcome and
-// snapshots every scope counter/gauge final under its short key.
+// snapshots every scope instrument's final under its short key.
 func (sc *RunScope) RecordResults(duration float64, requests, errors uint64,
 	throughputBps, reqPerSec float64, lat metrics.Summary) {
 	sc.rec.Duration = duration
@@ -312,9 +298,6 @@ func (sc *RunScope) RecordResults(duration float64, requests, errors uint64,
 	sc.rec.Latency = SummarizeLatency(lat)
 	finals := make(map[string]float64, len(sc.metrics))
 	for _, m := range sc.metrics {
-		if m.kind == KindHistogram {
-			continue
-		}
 		finals[sc.short[m]] = m.Value()
 	}
 	sc.rec.Counters = finals

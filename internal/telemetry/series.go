@@ -95,8 +95,7 @@ func (s *Series) Digest() Digest {
 }
 
 // Sampler walks a metric set on a fixed virtual-time grid, appending
-// each counter/gauge reading to its ring series. Histograms are not
-// sampled (their summaries land in the run report instead).
+// each reading to its ring series.
 type Sampler struct {
 	env     *sim.Env
 	metrics []*Metric
@@ -106,17 +105,12 @@ type Sampler struct {
 // NewSampler prepares sampling for the given metrics on the
 // sim.SampleInterval grid. Metrics gain a series ring on first use.
 func (r *Registry) NewSampler(env *sim.Env, ms []*Metric) *Sampler {
-	keep := make([]*Metric, 0, len(ms))
 	for _, m := range ms {
-		if m.kind == KindHistogram {
-			continue
-		}
 		if m.series == nil {
 			m.series = NewSeries(seriesCap)
 		}
-		keep = append(keep, m)
 	}
-	return &Sampler{env: env, metrics: keep}
+	return &Sampler{env: env, metrics: ms}
 }
 
 // Run samples on the virtual-time grid (start+i*interval] until the

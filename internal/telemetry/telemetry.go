@@ -1,46 +1,18 @@
 // Package telemetry is the unified measurement surface of the
-// simulator: a central registry of labeled counters, gauges, and
-// histograms (wrapping the primitives of internal/metrics), a sim-time
-// sampler that records ring-buffered time series on a configurable
-// virtual-clock interval, and three exporters — an OpenMetrics text
-// snapshot, CSV/JSON time-series dumps, and a machine-readable run
-// report (report.json) that cmd/smartds-report diffs across builds as
-// the perf regression gate.
+// simulator: a central registry of labeled pull instruments, a
+// sim-time sampler that records ring-buffered time series on a
+// configurable virtual-clock interval, and two artifacts — the
+// machine-readable run report (report.json), whose run records carry
+// every instrument's final value and which cmd/smartds-report diffs
+// across builds as the perf regression gate, and the series JSON file
+// with every sampled point.
 //
 // Everything is driven by virtual time and iterated in sorted order,
 // so same-seed runs produce byte-identical artifacts (the golden
 // determinism tests pin this).
 package telemetry
 
-import (
-	"fmt"
-	"sort"
-
-	"github.com/disagg/smartds/internal/metrics"
-)
-
-// Kind classifies a registered metric.
-type Kind int
-
-// The three metric kinds.
-const (
-	KindCounter Kind = iota
-	KindGauge
-	KindHistogram
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
+import "sort"
 
 // Label is one key=value metric dimension.
 type Label struct {
@@ -74,7 +46,8 @@ func (ls LabelSet) With(key, value string) LabelSet {
 	return out
 }
 
-// String renders the set in OpenMetrics brace syntax ("" when empty).
+// String renders the set in brace syntax, `{k="v",...}` ("" when
+// empty): the label half of a run record's counter keys.
 func (ls LabelSet) String() string {
 	if len(ls) == 0 {
 		return ""
@@ -99,35 +72,21 @@ func (ls LabelSet) Map() map[string]string {
 	return m
 }
 
-// Metric is one registered instrument. Counters and gauges read a pull
-// callback at sample and export time; histograms wrap a
-// metrics.Histogram.
+// Metric is one registered instrument: a pull callback read at sample
+// and record time. A name ending in _total marks a counter, whose
+// value must never decrease; any other name is a gauge.
 type Metric struct {
 	name   string
-	help   string
-	kind   Kind
 	labels LabelSet
-
-	read func() float64
-	hist *metrics.Histogram
-
+	read   func() float64
 	series *Series
 }
 
 // Name returns the metric name.
 func (m *Metric) Name() string { return m.name }
 
-// Kind returns the metric kind.
-func (m *Metric) Kind() Kind { return m.kind }
-
-// Value reads the metric's current scalar value (histograms report
-// their sample count).
-func (m *Metric) Value() float64 {
-	if m.hist != nil {
-		return float64(m.hist.Count())
-	}
-	return m.read()
-}
+// Value reads the metric's current value.
+func (m *Metric) Value() float64 { return m.read() }
 
 // Series returns the metric's recorded time series (nil when the
 // metric was never sampled).
@@ -157,9 +116,12 @@ func NewRegistry() *Registry {
 	}
 }
 
-// register adds a metric, panicking on duplicate (name, labels): two
-// instruments writing the same series is always a wiring bug.
-func (r *Registry) register(m *Metric) *Metric {
+// Register adds an instrument whose value is read from fn at sample
+// and record time; a _total name promises fn never decreases. It
+// panics on a duplicate (name, labels): two instruments writing the
+// same series is always a wiring bug.
+func (r *Registry) Register(name string, labels LabelSet, fn func() float64) *Metric {
+	m := &Metric{name: name, labels: labels, read: fn}
 	k := m.key()
 	if _, dup := r.index[k]; dup {
 		panic("telemetry: duplicate metric " + k)
@@ -167,25 +129,6 @@ func (r *Registry) register(m *Metric) *Metric {
 	r.index[k] = m
 	r.metrics = append(r.metrics, m)
 	return m
-}
-
-// CounterFunc registers a pull counter whose value is read from fn at
-// sample and export time. fn must be monotone non-decreasing.
-func (r *Registry) CounterFunc(name, help string, labels LabelSet, fn func() float64) *Metric {
-	return r.register(&Metric{name: name, help: help, kind: KindCounter, labels: labels, read: fn})
-}
-
-// GaugeFunc registers a pull gauge read from fn.
-func (r *Registry) GaugeFunc(name, help string, labels LabelSet, fn func() float64) *Metric {
-	return r.register(&Metric{name: name, help: help, kind: KindGauge, labels: labels, read: fn})
-}
-
-// Histogram registers an existing metrics.Histogram under a name.
-func (r *Registry) Histogram(name, help string, labels LabelSet, h *metrics.Histogram) *Metric {
-	if h == nil {
-		panic("telemetry: nil histogram registered as " + name)
-	}
-	return r.register(&Metric{name: name, help: help, kind: KindHistogram, labels: labels, hist: h})
 }
 
 // Metrics returns every registered metric sorted by (name, labels) —
@@ -204,7 +147,7 @@ func (r *Registry) Metrics() []*Metric {
 // Runs returns the recorded run records in creation order.
 func (r *Registry) Runs() []*RunRecord { return r.runs }
 
-// quote escapes a label value for OpenMetrics / table output.
+// quote escapes a label value for a counter key.
 func quote(s string) string {
 	out := make([]byte, 0, len(s)+2)
 	out = append(out, '"')

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -35,18 +33,18 @@ func TestLabelSetCanonical(t *testing.T) {
 func TestRegistryBasics(t *testing.T) {
 	r := NewRegistry()
 	reqs := 3.0
-	c := r.CounterFunc("reqs_total", "requests", nil, func() float64 { return reqs })
+	c := r.Register("reqs_total", nil, func() float64 { return reqs })
 	reqs += 2
 	if c.Value() != 5 {
 		t.Fatalf("counter = %g", c.Value())
 	}
 	depth := 7.0
-	g := r.GaugeFunc("depth", "queue depth", MakeLabels(map[string]string{"port": "0"}), func() float64 { return depth })
+	g := r.Register("depth", MakeLabels(map[string]string{"port": "0"}), func() float64 { return depth })
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %g", g.Value())
 	}
 	x := 0.0
-	pull := r.GaugeFunc("pull", "pull gauge", nil, func() float64 { return x })
+	pull := r.Register("pull", nil, func() float64 { return x })
 	x = 42
 	if pull.Value() != 42 {
 		t.Fatalf("pull gauge = %g", pull.Value())
@@ -64,12 +62,11 @@ func TestRegistryBasics(t *testing.T) {
 		}
 	}
 
-	// Duplicate registration and a nil histogram panic.
-	mustPanic(t, func() { r.CounterFunc("reqs_total", "", nil, func() float64 { return 0 }) })
+	// Duplicate registration panics.
+	mustPanic(t, func() { r.Register("reqs_total", nil, func() float64 { return 0 }) })
 	mustPanic(t, func() {
-		r.GaugeFunc("depth", "", MakeLabels(map[string]string{"port": "0"}), func() float64 { return 0 })
+		r.Register("depth", MakeLabels(map[string]string{"port": "0"}), func() float64 { return 0 })
 	})
-	mustPanic(t, func() { r.Histogram("h", "", nil, nil) })
 }
 
 func mustPanic(t *testing.T, fn func()) {
@@ -106,9 +103,8 @@ func TestSamplerVirtualTimeGrid(t *testing.T) {
 	env := sim.NewEnv()
 	r := NewRegistry()
 	val := 0.0
-	g := r.GaugeFunc("load", "", nil, func() float64 { return val })
-	h := r.Histogram("lat", "", nil, metrics.NewLatencyHistogram())
-	s := r.NewSampler(env, []*Metric{g, h})
+	g := r.Register("load", nil, func() float64 { return val })
+	s := r.NewSampler(env, []*Metric{g})
 	env.After(0.25e-3, func() { val = 9 })
 	s.Run(0.5e-3)
 	env.Run(1)
@@ -125,82 +121,6 @@ func TestSamplerVirtualTimeGrid(t *testing.T) {
 	if pts[1].Value != 0 || pts[2].Value != 9 {
 		t.Fatalf("sample values = %g, %g; want 0 then 9", pts[1].Value, pts[2].Value)
 	}
-	if h.Series() != nil {
-		t.Fatalf("histograms must not be sampled")
-	}
-}
-
-func TestOpenMetricsSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.CounterFunc("smartds_requests_total", "Completed requests.", MakeLabels(map[string]string{"design": "SmartDS-1"}), func() float64 { return 12 })
-	h := metrics.NewLatencyHistogram()
-	h.Record(5e-6)
-	h.Record(5e-6)
-	h.Record(2e-3)
-	r.Histogram("smartds_latency_seconds", "Client latency.", nil, h)
-
-	var buf bytes.Buffer
-	if err := r.WriteOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# HELP smartds_requests_total Completed requests.\n",
-		"# TYPE smartds_requests_total counter\n",
-		"smartds_requests_total{design=\"SmartDS-1\"} 12\n",
-		"# TYPE smartds_latency_seconds histogram\n",
-		"smartds_latency_seconds_bucket{le=\"+Inf\"} 3\n",
-		"smartds_latency_seconds_count 3\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("snapshot missing %q in:\n%s", want, out)
-		}
-	}
-	if !strings.HasSuffix(out, "# EOF\n") {
-		t.Fatalf("missing EOF terminator")
-	}
-
-	// Bucket lines: cumulative counts must be monotone and end at 3; the
-	// compaction must keep first and +Inf buckets.
-	prev := -1.0
-	buckets := 0
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "smartds_latency_seconds_bucket") {
-			continue
-		}
-		buckets++
-		f := line[strings.LastIndex(line, " ")+1:]
-		v, err := parseFloat(f)
-		if err != nil {
-			t.Fatalf("bad bucket line %q", line)
-		}
-		if v < prev {
-			t.Fatalf("bucket counts not monotone at %q", line)
-		}
-		prev = v
-	}
-	if buckets < 3 {
-		t.Fatalf("expected >=3 bucket lines, got %d", buckets)
-	}
-	if prev != 3 {
-		t.Fatalf("last bucket = %g, want 3", prev)
-	}
-
-	// Determinism: a second export is byte-identical.
-	var buf2 bytes.Buffer
-	if err := r.WriteOpenMetrics(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("repeated export differs")
-	}
-}
-
-func parseFloat(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(s, 64)
 }
 
 func TestRunScopeReport(t *testing.T) {
@@ -209,9 +129,8 @@ func TestRunScopeReport(t *testing.T) {
 
 	sc := r.NewRun("peak", "SmartDS-1", 42)
 	done := 0.0
-	sc.CounterFunc("smartds_requests_total", "", nil, func() float64 { return done })
+	sc.Register("smartds_requests_total", nil, func() float64 { return done })
 	h := metrics.NewLatencyHistogram()
-	sc.Histogram("smartds_latency_seconds", "", nil, h)
 	sc.StartSampling(env, 0.5e-3)
 	env.After(0.2e-3, func() { done = 100; h.Record(10e-6) })
 	env.Run(1)
@@ -273,24 +192,9 @@ func TestSeriesExports(t *testing.T) {
 	r := NewRegistry()
 	sc := r.NewRun("peak", "CPU-only", 1)
 	v := 0.0
-	sc.GaugeFunc("smartds_port_rate", "", map[string]string{"port": "0"}, func() float64 { v += 1; return v })
+	sc.Register("smartds_port_rate", map[string]string{"port": "0"}, func() float64 { v += 1; return v })
 	sc.StartSampling(env, 0.35e-3) // three grid ticks; the third lands just past 0.3 ms
 	env.Run(1)
-
-	var csv bytes.Buffer
-	if err := r.WriteSeriesCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(csv.String(), "\n"), "\n")
-	if lines[0] != "metric,labels,t_sec,value" {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	if len(lines) != 4 {
-		t.Fatalf("csv rows = %d, want 3+header:\n%s", len(lines), csv.String())
-	}
-	if !strings.HasPrefix(lines[1], "smartds_port_rate,\"{") {
-		t.Fatalf("csv row = %q", lines[1])
-	}
 
 	var js bytes.Buffer
 	if err := r.WriteSeriesJSON(&js); err != nil {
@@ -353,6 +257,16 @@ func TestCompareGate(t *testing.T) {
 	_, viol = Compare(base, mkReport(10e9, 100e-6, 3), g)
 	if len(viol) == 0 {
 		t.Fatalf("error growth passed")
+	}
+
+	// A run that collapsed below the noise floor fails: the floor
+	// applies to the baseline only (1,000 requests down to 10, at 1% of
+	// the throughput, is a deadlock, not noise).
+	collapsed := mkReport(0.1e9, 100e-6, 0)
+	collapsed.Runs[0].Requests = 10
+	_, viol = Compare(base, collapsed, g)
+	if len(viol) == 0 {
+		t.Fatalf("collapsed run passed the gate")
 	}
 
 	// Missing run fails.
